@@ -5,7 +5,9 @@ in two blocks: human-readable lines and a machine JSON block (only the machine
 block is stable for tooling; --format json emits just that block).
 
 Exit codes: 0 success, 2 parse error, 3 invalid digit set, 4 class
-precondition failed (or verification failure), 5 shape error.
+precondition failed (or verification failure), 5 shape error, 6 internal
+error (a bug guard fired: an exact identity failed or the two sum-rule
+checkers disagreed).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import json
 import os
 import sys
 
-from .decompose import (IteratedDecomposition, decompose_to_class,
-                        iterated_decomposition)
-from .errors import (MaskforgeError, NotInClass, ShapeMismatch,
+from .decompose import MaskDecomposition, decompose_levels, decompose_to_class
+from .errors import (InternalIdentityViolation, MaskforgeError,
+                     MethodDisagreement, NotInClass, ShapeMismatch,
                      UserDigitsInvalid)
 from .maskfile import (ParseError, format_rational, load_mask_file,
                        mask_terms_from_json, read_sequence_csv,
@@ -30,6 +32,7 @@ EXIT_PARSE = 2
 EXIT_DIGITS = 3
 EXIT_CLASS = 4
 EXIT_SHAPE = 5
+EXIT_INTERNAL = 6
 
 
 def _precision_bits() -> int:
@@ -37,7 +40,8 @@ def _precision_bits() -> int:
     try:
         bits = int(raw)
     except ValueError:
-        bits = 128
+        raise ParseError(
+            f"MASKFORGE_PRECISION_BITS must be an integer, got {raw!r}") from None
     return max(bits, 32)
 
 
@@ -98,7 +102,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _decomposition_as_iterated(doc: dict, mask, ctx) -> IteratedDecomposition:
+def _read_decomposition(doc: dict, mask, ctx) -> MaskDecomposition:
     order = int(doc["order"])
     entries = {}
     for item in doc["entries"]:
@@ -110,9 +114,8 @@ def _decomposition_as_iterated(doc: dict, mask, ctx) -> IteratedDecomposition:
     expected = ctx.dim ** (2 * order)
     if len(entries) != expected:
         raise ParseError(f"expected {expected} entries, found {len(entries)}")
-    return IteratedDecomposition(source=mask, ctx=ctx, order=order,
-                                 entries=entries,
-                                 class_guarantee=int(doc.get("achieved_class", -1)))
+    return MaskDecomposition(source=mask, ctx=ctx, order=order, entries=entries,
+                             achieved_class=int(doc.get("achieved_class", -1)))
 
 
 def cmd_decompose(args) -> int:
@@ -123,18 +126,13 @@ def cmd_decompose(args) -> int:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read decomposition: {exc}") from None
-        dec = _decomposition_as_iterated(doc, mask, ctx)
+        dec = _read_decomposition(doc, mask, ctx)
         identity = dec.identity_holds()
         values = dec.value_constraint_holds()
-        classes = True
-        if dec.class_guarantee >= 0:
-            from .sumrules import sum_rule_order_direct
-            classes = all(
-                sum_rule_order_direct(entry, ctx, cap=dec.class_guarantee)
-                >= dec.class_guarantee for entry in dec.entries.values())
+        classes = dec.entries_reach(dec.achieved_class)
         machine = {"identity_exact": identity, "value_constraint": values,
                    "class_certified": classes,
-                   "achieved_class": dec.class_guarantee}
+                   "achieved_class": dec.achieved_class}
         _emit([f"identity exact: {'yes' if identity else 'NO'}",
                f"value constraint: {'yes' if values else 'NO'}",
                f"entry classes certified: {'yes' if classes else 'NO'}"],
@@ -148,18 +146,19 @@ def cmd_decompose(args) -> int:
             print(f"error: {args.levels} levels need sum-rule order >= "
                   f"{args.levels - 1}, mask has {order}", file=sys.stderr)
             return EXIT_CLASS
-        result = iterated_decomposition(mask, ctx, args.levels, order + 1)
-        achieved = result.class_guarantee
-        doc = result.to_json()
+        dec = decompose_levels(mask, ctx, args.levels, order)
     else:
-        need = 0 if args.order == 1 else args.order
+        need = args.order if args.order >= 2 else 0
         if order < need:
             print(f"error: --order {args.order} needs sum-rule order >= {need}, "
                   f"mask has {order}", file=sys.stderr)
             return EXIT_CLASS
-        dec = decompose_to_class(mask, ctx, args.order)
-        achieved = dec.achieved_class
-        doc = dec.to_json()
+        source = min(order, max(args.order, 1))
+        dec = decompose_to_class(mask, ctx, source)
+        if source == 0 and dec.entries_reach(0):
+            dec.achieved_class = 0
+    achieved = dec.achieved_class
+    doc = dec.to_json()
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(doc, handle, indent=2)
@@ -294,6 +293,9 @@ def main(argv=None) -> int:
     except ShapeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except (InternalIdentityViolation, MethodDisagreement) as exc:
+        print(f"error: internal error (bug guard): {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except MaskforgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -47,60 +47,111 @@ def dilated_difference(ctx: DilationContext, axis: int) -> TrigPoly:
 
 @dataclass
 class MaskDecomposition:
-    """Entries entry(j, k) with axes numbered from 1; j is the dilated-factor
-    index, k the plain-factor index."""
+    """Entries indexed by pairs of axis tuples of length `order`: j_tuple
+    holds the dilated-factor axes, k_tuple the plain-factor axes, numbered
+    from 1.  Order 1 is the plain decomposition, whose entry(j, k) also takes
+    bare axes.  achieved_class is the sum-rule order every entry carries (-1
+    when none is certified)."""
     source: TrigPoly
     ctx: DilationContext
-    entries: list           # entries[j-1][k-1] -> TrigPoly
+    order: int
+    entries: dict            # (j_tuple, k_tuple) -> TrigPoly
     achieved_class: int
 
-    def entry(self, j: int, k: int) -> TrigPoly:
-        return self.entries[j - 1][k - 1]
+    def entry(self, j, k) -> TrigPoly:
+        if isinstance(j, int):
+            j, k = (j,), (k,)
+        return self.entries[(tuple(j), tuple(k))]
+
+    def axis_tuples(self):
+        return list(itertools.product(range(1, self.ctx.dim + 1),
+                                      repeat=self.order))
 
     def identity_holds(self) -> bool:
-        """Exact check of the defining identity for every axis k."""
+        """Exact check of the length-n product identity for every axis tuple."""
         d = self.ctx.dim
-        for k in range(1, d + 1):
-            lhs = plain_difference(d, k) * self.source
+        deltas = {j: dilated_difference(self.ctx, j) for j in range(1, d + 1)}
+        for k_tuple in self.axis_tuples():
+            lhs = self.source
+            for k in k_tuple:
+                lhs = lhs * plain_difference(d, k)
             rhs = TrigPoly.zero(d)
-            for j in range(1, d + 1):
-                rhs = rhs + self.entry(j, k) * dilated_difference(self.ctx, j)
+            for j_tuple in self.axis_tuples():
+                term = self.entries[(j_tuple, k_tuple)]
+                for j in j_tuple:
+                    term = term * deltas[j]
+                rhs = rhs + term
             if lhs != rhs:
                 return False
         return True
 
     def value_constraint_holds(self) -> bool:
-        """entry(j,k) at 0 must equal inverse[j][k] times the mask's value at 0."""
+        """Entry values at 0 are products of inverse-matrix entries times t(0)."""
         t0 = self.source.value_at_zero()
-        for j in range(1, self.ctx.dim + 1):
-            for k in range(1, self.ctx.dim + 1):
-                want = t0 * self.ctx.inverse[j - 1][k - 1]
-                if self.entry(j, k).value_at_zero() != want:
-                    return False
+        for (j_tuple, k_tuple), entry in self.entries.items():
+            factor = Fraction(1)
+            for j, k in zip(j_tuple, k_tuple):
+                factor *= self.ctx.inverse[j - 1][k - 1]
+            if entry.value_at_zero() != t0 * factor:
+                return False
         return True
+
+    def entries_reach(self, order: int) -> bool:
+        """Does every entry satisfy the order-`order` sum rules?  Decided by the
+        direct definition; trivially true for a negative order."""
+        return order < 0 or all(
+            sum_rule_order_direct(entry, self.ctx, cap=order) >= order
+            for entry in self.entries.values())
+
+    def symbol_matrix(self) -> list:
+        """d^n-by-d^n array with rows indexed by the plain tuples and columns
+        by the dilated tuples (Kronecker-power index order)."""
+        tuples = self.axis_tuples()
+        return [[self.entries[(j_tuple, k_tuple)] for j_tuple in tuples]
+                for k_tuple in tuples]
 
     def to_json(self) -> dict:
         from .maskfile import mask_terms_json
         return {
-            "order": 1,
+            "order": self.order,
             "achieved_class": self.achieved_class,
-            "entries": [{"j": [j], "k": [k],
-                         "mask": mask_terms_json(self.entry(j, k))}
-                        for j in range(1, self.ctx.dim + 1)
-                        for k in range(1, self.ctx.dim + 1)],
+            "entries": [{"j": list(j_tuple), "k": list(k_tuple),
+                         "mask": mask_terms_json(entry)}
+                        for (j_tuple, k_tuple), entry in sorted(self.entries.items())],
         }
 
 
-def decompose_mask(t: TrigPoly, ctx: DilationContext) -> MaskDecomposition:
-    """Decompose an order-0 mask through its polyphase components.
+IteratedDecomposition = MaskDecomposition
 
-    For each plain axis k and coset nu, the shifted polyphase matching the
-    coset of digit_nu - e_k is subtracted, and the difference is split along
-    the fixed axis sweep 1..d by exact division; assembling the pieces gives
-    the entries.  Deterministic given the context's digit order.
-    """
+
+def decompose_mask(t: TrigPoly, ctx: DilationContext) -> MaskDecomposition:
+    """Plain decomposition of a mask in the order-0 sum-rule class (NotInZ0
+    otherwise); achieved_class is 0 when every entry happens to be order-0 as
+    well, else -1."""
     if sum_rule_order(t, ctx, cap=0) < 0:
         raise NotInZ0("mask is not in the order-0 sum-rule class")
+    dec = decompose_to_class(t, ctx, 0)
+    if dec.entries_reach(0):
+        dec.achieved_class = 0
+    return dec
+
+
+def decompose_to_class(t: TrigPoly, ctx: DilationContext,
+                       source_order: int) -> MaskDecomposition:
+    """Decompose a mask with order-`source_order` sum rules so the entries
+    carry order source_order - 1 (refining when source_order >= 2).
+
+    The caller has certified the source order; the mask is not scanned again.
+    Each result is guarded where it is produced instead: the lift checks the
+    entries of an order-n source at class n-1, and the entries of an order-1
+    source are checked at class 0.  An order-0 source guarantees no class.
+
+    The plain decomposition works through the polyphase components: for each
+    plain axis k and coset nu, the shifted polyphase matching the coset of
+    digit_nu - e_k is subtracted, and the difference is split along the fixed
+    axis sweep 1..d by exact division; assembling the pieces gives the
+    entries.  Deterministic given the context's digit order.
+    """
     d = ctx.dim
     taus = t.polyphase_split(ctx)
     # per-entry polyphase tables, indexed [j-1][k-1][nu]
@@ -128,18 +179,32 @@ def decompose_mask(t: TrigPoly, ctx: DilationContext) -> MaskDecomposition:
                 remaining = collapsed
             if not remaining.is_zero():
                 raise InternalIdentityViolation(
-                    "telescoping left a nonzero constant")  # blocked by the Z0 gate
-    entries = [[TrigPoly.polyphase_assemble(tables[j][k], ctx)
-                for k in range(d)] for j in range(d)]
-    dec = MaskDecomposition(source=t, ctx=ctx, entries=entries, achieved_class=-1)
+                    "telescoping left a nonzero constant")  # source not order-0
+    dec = _plain(t, ctx, [[TrigPoly.polyphase_assemble(tables[j][k], ctx)
+                           for k in range(d)] for j in range(d)], -1)
     if not dec.identity_holds():
         raise InternalIdentityViolation("decomposition identity failed")
     if not dec.value_constraint_holds():
         raise InternalIdentityViolation("origin value constraint failed")
-    if all(sum_rule_order_direct(entry, ctx, cap=0) >= 0
-           for row in entries for entry in row):
+    if source_order >= 2:
+        return _lift(dec, source_order)
+    if source_order == 1:
+        if not dec.entries_reach(0):
+            raise InternalIdentityViolation(
+                "entry of an order-1 mask fell outside the order-0 class")
         dec.achieved_class = 0
     return dec
+
+
+def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
+           achieved_class: int) -> MaskDecomposition:
+    """Order-1 decomposition from a d-by-d array, rows[j-1][k-1] -> entry(j, k)."""
+    d = ctx.dim
+    return MaskDecomposition(
+        source=t, ctx=ctx, order=1,
+        entries={((j + 1,), (k + 1,)): rows[j][k]
+                 for j in range(d) for k in range(d)},
+        achieved_class=achieved_class)
 
 
 def _correction_block(a_row: TrigPoly, ctx: DilationContext, order: int,
@@ -180,27 +245,22 @@ def _correction_block(a_row: TrigPoly, ctx: DilationContext, order: int,
 def refine_decomposition(t: TrigPoly, dec: MaskDecomposition, ctx: DilationContext,
                          target_order: int) -> MaskDecomposition:
     """Lift a decomposition of a mask with order-N sum rules (N = target_order)
-    so every entry satisfies the order-(N-1) sum rules.
+    so every entry satisfies the order-(N-1) sum rules; NotInClass when the
+    mask falls short.  Entries of an order-1 mask are already order-0, so
+    nothing moves below N = 2."""
+    if sum_rule_order(t, ctx, cap=target_order) < target_order:
+        raise NotInClass(f"mask does not satisfy the order-{target_order} sum rules")
+    return _lift(dec, target_order) if target_order >= 2 else dec
 
-    One pass per order n = 1..N-1; within a pass, rows are fixed left to
-    right, each step exchanging corrections between row l and the later rows
-    while preserving the defining sums exactly (checked, as a bug guard).
-    """
-    n_cap = target_order
-    if sum_rule_order(t, ctx, cap=n_cap) < n_cap:
-        raise NotInClass(f"mask does not satisfy the order-{n_cap} sum rules")
+
+def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
+    """One pass per order n = 1..N-1 (N = n_cap >= 2); within a pass, rows are
+    fixed left to right, each step exchanging corrections between row l and
+    the later rows while preserving the defining sums exactly (checked, as a
+    bug guard).  In one dimension there is nothing to exchange: the single
+    entry inherits the full order drop automatically."""
+    ctx = dec.ctx
     d = ctx.dim
-    if n_cap <= 1 or d == 1:
-        # entries of an order-1 mask are already order-0; nothing to move
-        if d == 1 and n_cap >= 2:
-            # the single entry inherits the full order drop automatically
-            achieved = min(sum_rule_order_direct(dec.entry(1, 1), ctx, cap=n_cap - 1),
-                           n_cap - 1)
-            if achieved < n_cap - 1:
-                raise InternalIdentityViolation(
-                    "one-dimensional entry fell short of its guaranteed order")
-            return MaskDecomposition(t, ctx, dec.entries, achieved)
-        return dec
     entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
     deltas = [dilated_difference(ctx, j) for j in range(1, d + 1)]
     for order in range(1, n_cap):
@@ -222,15 +282,12 @@ def refine_decomposition(t: TrigPoly, dec: MaskDecomposition, ctx: DilationConte
                 if _defining_sum(entries, deltas, d, k) != before[k - 1]:
                     raise InternalIdentityViolation(
                         f"row exchange changed the defining sum at k={k}")
-    result = MaskDecomposition(source=t, ctx=ctx, entries=entries,
-                               achieved_class=n_cap - 1)
+    result = _plain(dec.source, ctx, entries, n_cap - 1)
     if not result.identity_holds() or not result.value_constraint_holds():
         raise InternalIdentityViolation("refined decomposition lost its identity")
-    for row in entries:
-        for entry in row:
-            if sum_rule_order(entry, ctx, cap=n_cap - 1) < n_cap - 1:
-                raise InternalIdentityViolation(
-                    "refined entry fell short of its guaranteed order")
+    if not result.entries_reach(n_cap - 1):
+        raise InternalIdentityViolation(
+            "refined entry fell short of its guaranteed order")
     return result
 
 
@@ -239,16 +296,6 @@ def _defining_sum(entries, deltas, d: int, k: int) -> TrigPoly:
     for j in range(1, d + 1):
         acc = acc + entries[j - 1][k - 1] * deltas[j - 1]
     return acc
-
-
-def decompose_to_class(t: TrigPoly, ctx: DilationContext,
-                       source_order: int) -> MaskDecomposition:
-    """Decompose a mask with order-`source_order` sum rules so the entries
-    carry order source_order - 1 (refining when source_order >= 2)."""
-    dec = decompose_mask(t, ctx)
-    if source_order >= 2:
-        dec = refine_decomposition(t, dec, ctx, source_order)
-    return dec
 
 
 # ---------------------------------------------------------------------------
@@ -276,108 +323,46 @@ def kronecker_power(matrix, n: int):
     return result
 
 
-@dataclass
-class IteratedDecomposition:
-    """Entries indexed by pairs of axis tuples of the given length."""
-    source: TrigPoly
-    ctx: DilationContext
-    order: int
-    entries: dict            # (j_tuple, k_tuple) -> TrigPoly
-    class_guarantee: int
-
-    def entry(self, j_tuple, k_tuple) -> TrigPoly:
-        return self.entries[(tuple(j_tuple), tuple(k_tuple))]
-
-    def axis_tuples(self):
-        return list(itertools.product(range(1, self.ctx.dim + 1),
-                                      repeat=self.order))
-
-    def identity_holds(self) -> bool:
-        """Exact check of the length-n product identity for every axis tuple."""
-        d = self.ctx.dim
-        for k_tuple in self.axis_tuples():
-            lhs = self.source
-            for k in k_tuple:
-                lhs = lhs * plain_difference(d, k)
-            rhs = TrigPoly.zero(d)
-            for j_tuple in self.axis_tuples():
-                term = self.entries[(j_tuple, k_tuple)]
-                for j in j_tuple:
-                    term = term * dilated_difference(self.ctx, j)
-                rhs = rhs + term
-            if lhs != rhs:
-                return False
-        return True
-
-    def value_constraint_holds(self) -> bool:
-        """Entry values at 0 are products of inverse-matrix entries times t(0)."""
-        t0 = self.source.value_at_zero()
-        for (j_tuple, k_tuple), entry in self.entries.items():
-            factor = Fraction(1)
-            for j, k in zip(j_tuple, k_tuple):
-                factor *= self.ctx.inverse[j - 1][k - 1]
-            if entry.value_at_zero() != t0 * factor:
-                return False
-        return True
-
-    def symbol_matrix(self) -> list:
-        """d^n-by-d^n array with rows indexed by the plain tuples and columns
-        by the dilated tuples (Kronecker-power index order)."""
-        tuples = self.axis_tuples()
-        return [[self.entries[(j_tuple, k_tuple)] for j_tuple in tuples]
-                for k_tuple in tuples]
-
-    def to_json(self) -> dict:
-        from .maskfile import mask_terms_json
-        return {
-            "order": self.order,
-            "achieved_class": self.class_guarantee,
-            "entries": [{"j": list(j_tuple), "k": list(k_tuple),
-                         "mask": mask_terms_json(entry)}
-                        for (j_tuple, k_tuple), entry in sorted(self.entries.items())],
-        }
-
-
 def iterated_decomposition(t: TrigPoly, ctx: DilationContext, levels: int,
-                           source_order: int) -> IteratedDecomposition:
-    """Repeatedly decompose, indexing entries by axis tuples of length
-    `levels`.
-
-    Requires the mask to satisfy order-(source_order - 1) sum rules with
-    levels <= source_order; entries then satisfy the order
-    source_order - levels - 1 rules (when that is nonnegative; verified).
-    Recursion peels the last tuple position: the level-(i-1) entries, each one
-    order lower, are decomposed again.
-    """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+                           source_order: int) -> MaskDecomposition:
+    """Iterated decomposition of a mask that satisfies the order-(source_order
+    - 1) sum rules, with levels <= source_order; NotInClass otherwise.  See
+    decompose_levels."""
     if levels > source_order:
         raise NotInClass("levels may not exceed the source order")
     have = sum_rule_order(t, ctx, cap=max(source_order - 1, 0))
     if have < source_order - 1:
         raise NotInClass(
             f"mask has sum-rule order {have}, below {source_order - 1}")
+    return decompose_levels(t, ctx, levels, source_order - 1)
+
+
+def decompose_levels(t: TrigPoly, ctx: DilationContext, levels: int,
+                     order: int) -> MaskDecomposition:
+    """Repeatedly decompose a mask with order-`order` sum rules (certified by
+    the caller), indexing entries by axis tuples of length `levels`.
+
+    Entries then satisfy the order order - levels rules when that is
+    nonnegative, guarded by the decompositions of the last level.  Recursion
+    peels the last tuple position: the level-(i-1) entries, each one order
+    lower, are decomposed again.  One level is a single decomposition.
+    """
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
     entries = {((), ()): t}
-    for level in range(1, levels + 1):
-        current_class = source_order - level
+    for level in range(levels):
         new_entries = {}
         for (j_prefix, k_prefix), poly in entries.items():
-            dec = decompose_to_class(poly, ctx, current_class)
-            for j in range(1, ctx.dim + 1):
-                for k in range(1, ctx.dim + 1):
-                    new_entries[(j_prefix + (j,), k_prefix + (k,))] = dec.entry(j, k)
+            dec = decompose_to_class(poly, ctx, order - level)
+            for (j, k), entry in dec.entries.items():
+                new_entries[(j_prefix + j, k_prefix + k)] = entry
         entries = new_entries
-    result = IteratedDecomposition(source=t, ctx=ctx, order=levels,
-                                   entries=entries,
-                                   class_guarantee=source_order - levels - 1)
+    if levels == 1:
+        return dec
+    result = MaskDecomposition(source=t, ctx=ctx, order=levels, entries=entries,
+                               achieved_class=order - levels)
     if not result.identity_holds():
         raise InternalIdentityViolation("iterated identity failed")
     if not result.value_constraint_holds():
         raise InternalIdentityViolation("iterated value constraint failed")
-    if result.class_guarantee >= 0:
-        for entry in entries.values():
-            if sum_rule_order_direct(entry, ctx, cap=result.class_guarantee) \
-                    < result.class_guarantee:
-                raise InternalIdentityViolation(
-                    "iterated entry fell short of its guaranteed order")
     return result

@@ -17,12 +17,13 @@ operator norm below 1 is claimed only when the whole enclosing interval is.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
 from .cyclotomic import CyclotomicNumber, coerce, magnitude_interval
-from .decompose import MaskDecomposition, decompose_mask, decompose_to_class
+from .decompose import MaskDecomposition, decompose_to_class
 from .errors import MaskforgeError, ShapeMismatch
 from .intervals import RatInterval, interval_max
 from .lattice import (DilationContext, IsotropyReport, coset_fraction_key,
@@ -322,61 +323,44 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     return best
 
 
-def power_symbol(mask, dilation, k: int) -> MatrixMask:
-    """Symbol of the k-fold operator: the ordered product of the mask with its
-    images under increasing dilation powers.  The k-fold operator itself acts
-    with dilation matrix^k."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
+def operator_powers(mask, dilation, cap: int):
+    """Yield (L, symbol, dilation^L) for the L-fold operator, L = 1..cap.
+
+    The symbol of the L-fold operator is the ordered product of the mask with
+    its images under increasing dilation powers, and it acts with dilation
+    matrix^L.  Each product is formed only when its item is requested, so a
+    consumer that stops early pays for no further power."""
     mask = _as_matrix_mask(mask)
     if mask.rows != mask.cols:
         raise ShapeMismatch("powers need a square mask")
     matrix = _dilation_matrix(dilation)
-    out = mask
-    step = matrix
-    for _ in range(1, k):
-        out = out.matmul_dilated(mask, step)
-        step = mat_mul(step, matrix)
-    return out
+    symbol, step = mask, matrix
+    for L in range(1, cap + 1):
+        if L > 1:
+            symbol = symbol.matmul_dilated(mask, step)
+            step = mat_mul(step, matrix)
+        yield L, symbol, step
 
 
-def power_norm_trajectory(mask, dilation, cap: int,
-                          precision_bits: int = 128,
-                          stop_below_one: bool = True):
-    """Norms of the first `cap` operator powers; optionally stop at the first
-    power certified below 1.  Returns list of (power, RatInterval)."""
-    mask = _as_matrix_mask(mask)
-    matrix = _dilation_matrix(dilation)
-    out = []
-    current = mask
-    current_dilation = matrix
-    for k in range(1, cap + 1):
-        norm = operator_norm(current, current_dilation, precision_bits)
-        out.append((k, norm))
-        if stop_below_one and norm.certified_below(1):
-            break
-        if k < cap:
-            current = current.matmul_dilated(mask, current_dilation)
-            current_dilation = mat_mul(current_dilation, matrix)
-    return out
-
-
-def difference_scheme(t: TrigPoly, ctx: DilationContext,
-                      order: int = 1) -> MatrixMask:
-    """The matrix mask T with grad(S_t f) = S_T grad(f), from a decomposition
-    refined to the given sum-rule order when order >= 2."""
-    return MatrixMask.from_decomposition(decompose_to_class(t, ctx, order))
+def power_symbol(mask, dilation, k: int) -> MatrixMask:
+    """Symbol of the k-fold operator (see operator_powers)."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    _, symbol, _ = next(itertools.islice(operator_powers(mask, dilation, k),
+                                         k - 1, None))
+    return symbol
 
 
 def second_difference_scheme(T: MatrixMask, ctx: DilationContext) -> MatrixMask:
     """The d^2-by-d^2 mask Q with grad(S_T g) = S_Q grad(g).
 
-    Requires every entry of T in the order-0 sum-rule class; row blocks follow
-    the gradient's component-major layout."""
+    Requires every entry of T in the order-0 sum-rule class, which holds for
+    the difference scheme of any order-1 mask; the entries are not scanned
+    again.  Row blocks follow the gradient's component-major layout."""
     d = ctx.dim
     if (T.rows, T.cols) != (d, d):
         raise ShapeMismatch("second difference scheme needs a d-by-d mask")
-    sub = [[decompose_mask(T.entry(k, j), ctx) for j in range(d)]
+    sub = [[decompose_to_class(T.entry(k, j), ctx, 0) for j in range(d)]
            for k in range(d)]
     entries = [[None] * (d * d) for _ in range(d * d)]
     for k in range(d):
@@ -402,7 +386,6 @@ class ConvergenceReport:
     certificate_power: int | None
     norms: list                       # [(L, RatInterval)]
     reasons: list
-    decomposition: MaskDecomposition | None = field(repr=False, default=None)
     difference_mask: MatrixMask | None = field(repr=False, default=None)
 
     def to_json(self) -> dict:
@@ -437,15 +420,14 @@ def check_convergence(t: TrigPoly, ctx: DilationContext,
     in_z0 = order >= 0
     if not in_z0:
         reasons.append("mask is not in the order-0 sum-rule class")
-    dec = None
     T = None
     norms = []
     certificate = None
     if in_z0:
-        dec = decompose_to_class(t, ctx, order)
-        T = MatrixMask.from_decomposition(dec)
-        norms = power_norm_trajectory(T, ctx, power_cap, precision_bits)
-        for L, norm in norms:
+        T = MatrixMask.from_decomposition(decompose_to_class(t, ctx, order))
+        for L, symbol, dilation in operator_powers(T, ctx, power_cap):
+            norm = operator_norm(symbol, dilation, precision_bits)
+            norms.append((L, norm))
             if norm.certified_below(1):
                 certificate = L
                 break
@@ -456,8 +438,7 @@ def check_convergence(t: TrigPoly, ctx: DilationContext,
     return ConvergenceReport(verdict=verdict, mask_value_at_zero=t0,
                              normalized=normalized, sum_rule_order=order,
                              in_order0_class=in_z0, certificate_power=certificate,
-                             norms=norms, reasons=reasons, decomposition=dec,
-                             difference_mask=T)
+                             norms=norms, reasons=reasons, difference_mask=T)
 
 
 @dataclass
@@ -514,19 +495,13 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     if in_z1 and T is not None:
         Q = second_difference_scheme(T, ctx)
         dual = transpose(ctx.matrix)
-        current = Q
-        current_dilation = ctx.matrix
-        for L in range(1, power_cap + 1):
+        for L, symbol, dilation in operator_powers(Q, ctx, power_cap):
             growth = power_inf_norm(dual, L)
-            norm = operator_norm(current, current_dilation, precision_bits)
-            product = norm * growth
+            product = operator_norm(symbol, dilation, precision_bits) * growth
             products.append((L, product))
             if product.certified_below(1):
                 certificate = L
                 break
-            if L < power_cap:
-                current = current.matmul_dilated(Q, current_dilation)
-                current_dilation = mat_mul(current_dilation, ctx.matrix)
         if certificate is None:
             reasons.append(
                 f"no power up to {power_cap} contracts against the dilation growth")

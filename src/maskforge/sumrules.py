@@ -188,17 +188,10 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
     polyphase; failure means the mask is not in the class.
     """
     taus = t.polyphase_split(ctx)
-    zero = (0,) * ctx.dim
     values: dict = {}
     for total in range(order + 1):
-        for alpha in multi_indices(ctx.dim, total):
-            values[alpha] = taus[0].normalized_derivative(alpha, zero) * ctx.m
-        for k in range(1, ctx.m):
-            for alpha in multi_indices(ctx.dim, total):
-                want = _polyphase_targets(values, alpha, ctx, k)
-                if taus[k].normalized_derivative(alpha, zero) != want:
-                    raise NotInClass(
-                        f"mask fails the order-{total} sum rules at polyphase {k}")
+        if not _polyphase_order_holds(taus, values, ctx, total):
+            raise NotInClass(f"mask fails the order-{total} sum rules")
     return DerivativeTable(dim=ctx.dim, order=order, values=values)
 
 

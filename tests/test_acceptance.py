@@ -35,7 +35,8 @@ DATA = Path(__file__).parent / "data"
 EXAMPLE_FILE = str(DATA / "example_mask_2d.json")
 
 
-def test_acceptance_1_example_reproduction(example_ctx, example_mask, capsys):
+def test_acceptance_1_example_reproduction(example_ctx, example_mask, capsys,
+                                           tmp_path):
     started = time.perf_counter()
     dec = decompose_mask(example_mask, example_ctx)
     ours = computed_polyphase_table(dec)
@@ -54,9 +55,9 @@ def test_acceptance_1_example_reproduction(example_ctx, example_mask, capsys):
     for (j, k, nu) in mismatches:
         parts = dec.entry(j, k).polyphase_split(example_ctx)
         parts[nu] = printed[(j, k, nu)]
-        tampered = [row[:] for row in dec.entries]
-        tampered[j - 1][k - 1] = TrigPoly.polyphase_assemble(parts, example_ctx)
-        bad = MaskDecomposition(source=example_mask, ctx=example_ctx,
+        tampered = dict(dec.entries)
+        tampered[((j,), (k,))] = TrigPoly.polyphase_assemble(parts, example_ctx)
+        bad = MaskDecomposition(source=example_mask, ctx=example_ctx, order=1,
                                 entries=tampered, achieved_class=-1)
         identity_fails_for_printed = not bad.identity_holds()
         assert identity_fails_for_printed
@@ -66,7 +67,9 @@ def test_acceptance_1_example_reproduction(example_ctx, example_mask, capsys):
             "identity_holds_for_printed": False,
             "value_constraint_holds_for_printed": bad.value_constraint_holds(),
         })
-    (DATA / "discrepancy_report.json").write_text(json.dumps(report, indent=2))
+    written = tmp_path / "discrepancy_report.json"
+    written.write_text(json.dumps(report, indent=2))
+    assert written.read_text() == (DATA / "discrepancy_report.json").read_text()
 
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

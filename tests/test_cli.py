@@ -286,7 +286,8 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "8")
     assert _precision_bits() == 32  # floor, intervals stay certified
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "junk")
-    assert _precision_bits() == 128
+    with pytest.raises(ParseError, match="MASKFORGE_PRECISION_BITS"):
+        _precision_bits()
 
 
 def test_cli_refined_example_mask(tmp_path, capsys):
@@ -296,3 +297,25 @@ def test_cli_refined_example_mask(tmp_path, capsys):
     for line in out.read_text().splitlines():
         for cell in line.split(","):
             Fraction(cell)  # parses exactly; raises otherwise
+
+
+def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "abc")
+    assert main(["converge", EXAMPLE]) == 2
+    assert "MASKFORGE_PRECISION_BITS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, target, attr, replacement", [
+    ("decompose", "maskforge.decompose.MaskDecomposition", "identity_holds",
+     lambda self: False),
+    ("analyze", "maskforge.sumrules", "_direct_order_holds",
+     lambda *args: False),
+])
+def test_bug_guard_exit_code(monkeypatch, capsys, command, target, attr,
+                             replacement):
+    # a failed identity check and a checker disagreement are bugs, not input
+    # errors: both get the internal-error exit code
+    from maskforge.cli import EXIT_INTERNAL
+    monkeypatch.setattr(target + "." + attr, replacement)
+    assert main([command, EXAMPLE]) == EXIT_INTERNAL == 6
+    assert "internal error (bug guard)" in capsys.readouterr().err

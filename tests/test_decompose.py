@@ -53,9 +53,9 @@ def test_golden_table_against_print(example_ctx, example_mask):
     for (j, k, nu) in mismatches:
         parts = dec.entry(j, k).polyphase_split(example_ctx)
         parts[nu] = printed[(j, k, nu)]
-        tampered = [row[:] for row in dec.entries]
-        tampered[j - 1][k - 1] = TrigPoly.polyphase_assemble(parts, example_ctx)
-        bad = MaskDecomposition(source=example_mask, ctx=example_ctx,
+        tampered = dict(dec.entries)
+        tampered[((j,), (k,))] = TrigPoly.polyphase_assemble(parts, example_ctx)
+        bad = MaskDecomposition(source=example_mask, ctx=example_ctx, order=1,
                                 entries=tampered, achieved_class=-1)
         assert not bad.identity_holds()
         assert not bad.value_constraint_holds()
@@ -197,7 +197,7 @@ def test_iterated_class_guarantee(example_ctx):
     rng = random.Random(47)
     t = random_class_mask(rng, example_ctx, 2)
     nested = iterated_decomposition(t, example_ctx, 2, 3)
-    assert nested.class_guarantee == 0
+    assert nested.achieved_class == 0
     for entry in nested.entries.values():
         assert sum_rule_order_direct(entry, example_ctx, cap=0) >= 0
 

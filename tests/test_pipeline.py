@@ -1,0 +1,81 @@
+"""Each fact on the path from a mask to its verdicts is derived once."""
+
+import random
+import sys
+
+import pytest
+
+from conftest import random_class_mask
+from maskforge import subdivision, sumrules
+from maskforge.decompose import MaskDecomposition, decompose_to_class
+from maskforge.errors import InternalIdentityViolation
+from maskforge.subdivision import MatrixMask, check_c1, operator_powers
+from test_golden_machine import order2_mask
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Receivers of every MatrixMask.matmul_dilated call, in call order."""
+    calls = []
+    matmul = MatrixMask.matmul_dilated
+
+    def counted_matmul(self, *args):
+        calls.append(self)
+        return matmul(self, *args)
+
+    monkeypatch.setattr(MatrixMask, "matmul_dilated", counted_matmul)
+    return calls
+
+
+def test_check_c1_scans_its_mask_once(monkeypatch, products):
+    t, ctx = order2_mask()
+    scans = []                       # (scanned the input mask, inside Q)
+    inside_q = [False]
+    originals = (sumrules.sum_rule_order, sumrules.sum_rule_order_direct)
+
+    def counted(fn):
+        def wrapper(poly, *args, **kwargs):
+            scans.append((poly is t, inside_q[0]))
+            return fn(poly, *args, **kwargs)
+        return wrapper
+
+    for name, module in list(sys.modules.items()):
+        if name == "maskforge" or name.startswith("maskforge."):
+            for attr, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, attr, counted(value))
+
+    second = subdivision.second_difference_scheme
+
+    def flagged(*args):
+        inside_q[0] = True
+        try:
+            return second(*args)
+        finally:
+            inside_q[0] = False
+
+    monkeypatch.setattr(subdivision, "second_difference_scheme", flagged)
+    report = check_c1(t, ctx, power_cap=2)
+    assert report.second_difference_mask is not None
+    assert sum(on_mask for on_mask, _ in scans) == 1
+    assert not any(in_q for _, in_q in scans)
+    # one product for the convergence trajectory, one for the C1 products;
+    # none after the last power each consumer looks at
+    assert len(products) == 2
+
+
+def test_operator_powers_are_lazy(products, example_ctx, example_mask):
+    T = MatrixMask.from_decomposition(decompose_to_class(example_mask, example_ctx, 0))
+    powers = operator_powers(T, example_ctx, 3)
+    L, symbol, dilation = next(powers)
+    assert (L, symbol, dilation) == (1, T, example_ctx.matrix)
+    assert not products
+    assert [L for L, _, _ in powers] == [2, 3]
+    assert len(products) == 2            # none past the cap
+
+
+def test_order1_entry_guard_raises(monkeypatch, example_ctx):
+    t = random_class_mask(random.Random(5), example_ctx, 1)
+    monkeypatch.setattr(MaskDecomposition, "entries_reach", lambda self, n: False)
+    with pytest.raises(InternalIdentityViolation):
+        decompose_to_class(t, example_ctx, 1)
