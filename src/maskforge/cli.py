@@ -25,7 +25,7 @@ from .maskfile import (ParseError, format_rational, load_mask_file,
                        mask_terms_from_json, read_sequence_csv,
                        write_refined_csv)
 from .subdivision import Sequence, check_c1, check_convergence, refine
-from .sumrules import DEFAULT_ORDER_CAP, derivative_table, sum_rule_order
+from .sumrules import DEFAULT_ORDER_CAP, sum_rule_order
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -74,11 +74,10 @@ def _load_mask(args):
 
 def cmd_analyze(args) -> int:
     mask, ctx = _load_mask(args)
-    order = sum_rule_order(mask, ctx, cap=args.cap)
+    order, table = sum_rule_order(mask, ctx, cap=args.cap, with_table=True)
     taus = mask.polyphase_split(ctx)
     zero = (0,) * ctx.dim
     tau_values = [tau.eval_at_rational(zero) for tau in taus]
-    table = derivative_table(mask, ctx, order) if order >= 0 else None
     machine = {
         "m": ctx.m,
         "digits": [list(d) for d in ctx.digits],
@@ -208,6 +207,8 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if args.rounds < 0:
+        raise ParseError(f"--rounds must be nonnegative, got {args.rounds}")
     mask, ctx = _load_mask(args)
     if not all(c.is_rational() for c in mask.terms.values()):
         print("error: refine needs a rational-coefficient mask", file=sys.stderr)

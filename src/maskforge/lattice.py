@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -79,7 +80,7 @@ def transpose(matrix):
 
 
 def mat_vec(matrix, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
+    return tuple(sum(map(mul, row, vec)) for row in matrix)
 
 
 def mat_mul(a, b):

@@ -26,7 +26,8 @@ class ParseError(MaskforgeError):
 
 
 def format_rational(value) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -171,6 +172,8 @@ def read_sequence_csv(path, dim: int) -> Sequence:
                     width = len(vec)
                 elif len(vec) != width:
                     raise ParseError("rows have inconsistent value widths")
+                if alpha in values:
+                    raise ParseError(f"lattice point {alpha} appears twice")
                 values[alpha] = vec
     except OSError as exc:
         raise ParseError(f"cannot read sequence file {path}: {exc}") from None

@@ -20,15 +20,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
+from operator import add
 
 from .cyclotomic import CyclotomicNumber, coerce, magnitude_interval
 from .decompose import MaskDecomposition, decompose_to_class
 from .errors import MaskforgeError, ShapeMismatch
 from .intervals import RatInterval, interval_max
 from .lattice import (DilationContext, IsotropyReport, coset_fraction_key,
-                      is_isotropic, mat_mul, mat_vec, matrix_inverse,
-                      matrix_power, power_inf_norm, transpose)
+                      determinant, is_isotropic, mat_mul, mat_vec,
+                      matrix_inverse, matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly
 
@@ -81,6 +83,14 @@ class Sequence:
             if not all(_is_zero(v) for v in vec):
                 clean[alpha] = vec
         self.values = clean
+
+    @classmethod
+    def _trusted(cls, dim: int, width: int, values: dict) -> "Sequence":
+        """A sequence from values already in canonical form: integer tuple
+        keys, exact values of the right width, no all-zero vector."""
+        seq = cls.__new__(cls)
+        seq.dim, seq.width, seq.values = dim, width, values
+        return seq
 
     @classmethod
     def delta(cls, dim: int, width: int = 1, component: int = 0,
@@ -231,11 +241,56 @@ def _dilation_matrix(dilation):
 
 
 def apply(mask, dilation, f: Sequence) -> Sequence:
-    """One subdivision step: (S f)_alpha = sum A_(alpha - M beta) f_beta."""
+    """One subdivision step: (S f)_alpha = sum A_(alpha - M beta) f_beta.
+
+    Rational masks acting on rational data take the integer-numerator kernel;
+    anything cyclotomic takes the generic exact path.  Both give the same
+    sequence."""
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
     if mask.cols != f.width:
         raise ShapeMismatch(f"mask expects width {mask.cols}, sequence has {f.width}")
+    if mask.is_rational() and all(isinstance(v, Rational)
+                                  for vec in f.values.values() for v in vec):
+        return _apply_rational(mask, matrix, f)
+    return _apply_generic(mask, matrix, f)
+
+
+def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
+    """Fraction-free apply: the coefficients are integers n over their common
+    denominator D_a, the samples integers p over D_f, and each output value is
+    built once as (sum of n * p) / (D_a * D_f)."""
+    by_offset: dict[tuple, list] = {}
+    for i, row in enumerate(mask.entries):
+        for j, entry in enumerate(row):
+            for alpha, c in entry.terms.items():
+                by_offset.setdefault(alpha, []).append((i, j, c.rational_value()))
+    d_a = lcm(*(c.denominator for terms in by_offset.values() for _, _, c in terms))
+    kernel = [(alpha, [(i, j, c.numerator * (d_a // c.denominator))
+                       for i, j, c in terms])
+              for alpha, terms in by_offset.items()]
+    d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
+    rows = mask.rows
+    acc: dict[tuple, list] = {}
+    for beta, vec in f.values.items():
+        p = [v.numerator * (d_f // v.denominator) for v in vec]
+        m_beta = mat_vec(matrix, beta)
+        for alpha, terms in kernel:
+            target = tuple(map(add, alpha, m_beta))
+            out = acc.get(target)
+            if out is None:
+                out = acc[target] = [0] * rows
+            for i, j, n in terms:
+                out[i] += n * p[j]
+    den = d_a * d_f
+    return Sequence._trusted(f.dim, rows, {
+        target: tuple(Fraction(x, den) for x in out)
+        for target, out in acc.items() if any(out)})
+
+
+def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
+    """apply over mixed rational and cyclotomic values, one exact product at a
+    time; the reference the integer kernel is tested against."""
     out: dict[tuple, list] = {}
     coeffs = {alpha: mask.coefficient(alpha) for alpha in mask.coefficient_support()}
     for beta, vec in f.support():
@@ -524,7 +579,12 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     current = f
     for _ in range(rounds):
         current = apply(t, ctx, current)
-    grid_map = matrix_power(ctx.inverse, rounds)
-    points = [(tuple(mat_vec(grid_map, alpha)), vec)
+    # matrix^-rounds = adj^rounds / det^rounds with adj = det * inverse, so
+    # each grid point is an integer vector over one integer denominator
+    det = determinant(ctx.matrix)
+    adjugate = tuple(tuple(int(x * det) for x in row) for row in ctx.inverse)
+    grid_num = matrix_power(adjugate, rounds)
+    grid_den = det ** rounds
+    points = [(tuple(Fraction(x, grid_den) for x in mat_vec(grid_num, alpha)), vec)
               for alpha, vec in sorted(current.support())]
     return current, points

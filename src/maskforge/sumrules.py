@@ -105,12 +105,14 @@ def _polyphase_order_holds(taus: list[TrigPoly], table_values: dict,
 
 
 def sum_rule_order(t: TrigPoly, ctx: DilationContext,
-                   cap: int = DEFAULT_ORDER_CAP) -> int:
+                   cap: int = DEFAULT_ORDER_CAP, with_table: bool = False):
     """Largest n <= cap such that the mask satisfies the order-n sum rules,
     or -1 when even order 0 fails.
 
     Decided twice: by the direct derivative definition and by the polyphase
     criterion.  A disagreement is an implementation bug, never a data error.
+    With with_table, returns (order, table) where table is the polyphase
+    criterion's parameter table through that order (None for order -1).
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
@@ -128,7 +130,12 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
         if not direct:
             break
         order = total
-    return order
+    if not with_table:
+        return order
+    if order < 0:
+        return order, None
+    values = {beta: v for beta, v in table.items() if sum(beta) <= order}
+    return order, DerivativeTable(dim=ctx.dim, order=order, values=values)
 
 
 def sum_rule_order_direct(t: TrigPoly, ctx: DilationContext,

@@ -1,13 +1,20 @@
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.lattice import DilationContext
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to)
 from maskforge.trigpoly import TrigPoly
+
+# hypothesis keeps caches under its home directory, ./.hypothesis by default;
+# a temporary one keeps the tests from writing into the source tree
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="maskforge-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 EXAMPLE_DILATION = ((0, 2), (2, -1))
 EXAMPLE_DIGITS = ((0, 0), (1, 0), (0, 1), (1, 1))

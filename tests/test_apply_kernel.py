@@ -1,0 +1,195 @@
+"""The integer-numerator apply kernel against the generic exact path.
+
+apply() sends rational masks acting on rational data to an integer kernel and
+everything else to the generic path, which multiplies one exact value at a
+time.  The properties below draw dilations, masks and data and require the
+two paths to build the very same sequence: the same support (points whose
+contributions cancel are dropped by both) and the same Fractions.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import EXAMPLE_DIGITS, EXAMPLE_DILATION, random_class_mask
+from maskforge import subdivision
+from maskforge.cyclotomic import root_of_unity
+from maskforge.decompose import decompose_mask
+from maskforge.lattice import DilationContext, mat_mul, mat_vec
+from maskforge.subdivision import MatrixMask, Sequence, apply
+from maskforge.trigpoly import TrigPoly
+
+# deterministic and small: the whole module runs in about three seconds
+PROFILE = settings(max_examples=60, deadline=None, derandomize=True,
+                   database=None)
+
+KNOWN_DILATIONS = [
+    ((2,),), ((3,),), ((-2,),),
+    EXAMPLE_DILATION, ((1, 1), (-1, 1)), ((2, 0), (0, 2)), ((1, -2), (2, 1)),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+]
+
+
+@st.composite
+def dilations(draw, dim):
+    """An expanding integer matrix: a known dilation, or a triangular matrix
+    with diagonal entries of modulus at least 2 conjugated by an integer
+    shear (same eigenvalues, integer inverse of the shear)."""
+    known = [m for m in KNOWN_DILATIONS if len(m) == dim]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(known))
+    diag = draw(st.lists(st.sampled_from([-3, -2, 2, 3]), min_size=dim,
+                         max_size=dim))
+    tri = [[diag[i] if i == j else
+            (draw(st.integers(-2, 2)) if j > i else 0)
+            for j in range(dim)] for i in range(dim)]
+    if dim == 1:
+        return tuple(map(tuple, tri))
+    i, j = draw(st.sampled_from([(a, b) for a in range(dim)
+                                 for b in range(dim) if a != b]))
+    c = draw(st.integers(-2, 2))
+    shear = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(dim)]
+             for r in range(dim)]
+    unshear = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(dim)]
+               for r in range(dim)]
+    return mat_mul(mat_mul(shear, tri), unshear)
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def points(dim, span=3):
+    return st.tuples(*[st.integers(-span, span)] * dim)
+
+
+def scalar_masks(dim):
+    return st.dictionaries(points(dim, 2), rationals(), max_size=5).map(
+        lambda terms: TrigPoly(dim, terms))
+
+
+def sequences(dim, width):
+    return st.dictionaries(points(dim), st.tuples(*[rationals()] * width),
+                           max_size=6).map(
+        lambda values: Sequence(dim, width, values))
+
+
+def difference_schemes():
+    """2x2 difference schemes of order-1 masks on two 2-d dilations."""
+    out = []
+    for matrix, digits in ((EXAMPLE_DILATION, EXAMPLE_DIGITS),
+                           (((1, 1), (-1, 1)), None)):
+        ctx = DilationContext.create(matrix, digits=digits)
+        for seed in (1, 2):
+            t = random_class_mask(random.Random(seed), ctx, 1)
+            out.append((ctx.matrix,
+                        MatrixMask.from_decomposition(decompose_mask(t, ctx))))
+    return out
+
+
+DIFFERENCE_SCHEMES = difference_schemes()
+
+
+@st.composite
+def scalar_cases(draw):
+    dim = draw(st.integers(1, 3))
+    return draw(dilations(dim)), draw(scalar_masks(dim)), draw(sequences(dim, 1))
+
+
+@st.composite
+def matrix_cases(draw):
+    if draw(st.booleans()):
+        matrix, mask = draw(st.sampled_from(DIFFERENCE_SCHEMES))
+        dim = 2
+    else:
+        dim = draw(st.integers(1, 3))
+        matrix = draw(dilations(dim))
+        mask = MatrixMask([[draw(scalar_masks(dim)) for _ in range(2)]
+                           for _ in range(2)])
+    return matrix, mask, draw(sequences(dim, 2))
+
+
+@st.composite
+def cancelling_cases(draw):
+    """Coefficient c at alpha and at alpha + M delta, data v at beta and -v at
+    beta + delta: both contributions to alpha + M(beta + delta) cancel."""
+    dim = draw(st.integers(1, 3))
+    matrix = draw(dilations(dim))
+    alpha, beta = draw(points(dim)), draw(points(dim))
+    delta = draw(points(dim, 1).filter(any))
+    c = draw(rationals().filter(bool))
+    v = draw(rationals().filter(bool))
+    shifted = tuple(a + s for a, s in zip(alpha, mat_vec(matrix, delta)))
+    mask = TrigPoly(dim, {alpha: c, shifted: c})
+    beta2 = tuple(b + s for b, s in zip(beta, delta))
+    f = Sequence(dim, 1, {beta: (v,), beta2: (-v,)})
+    target = tuple(a + s for a, s in zip(alpha, mat_vec(matrix, beta2)))
+    return matrix, mask, f, target
+
+
+def assert_same_as_generic(mask, matrix, f):
+    fast = apply(mask, matrix, f)
+    ref = subdivision._apply_generic(subdivision._as_matrix_mask(mask),
+                                     matrix, f)
+    assert (fast.dim, fast.width) == (ref.dim, ref.width)
+    assert fast.values == ref.values
+    assert all(type(v) is Fraction for vec in fast.values.values() for v in vec)
+    return fast
+
+
+@PROFILE
+@given(scalar_cases())
+def test_scalar_kernel_matches_generic(case):
+    matrix, mask, f = case
+    assert_same_as_generic(mask, matrix, f)
+
+
+@PROFILE
+@given(matrix_cases())
+def test_matrix_kernel_matches_generic(case):
+    matrix, mask, f = case
+    assert_same_as_generic(mask, matrix, f)
+
+
+@PROFILE
+@given(cancelling_cases())
+def test_cancelled_points_are_dropped(case):
+    matrix, mask, f, target = case
+    out = assert_same_as_generic(mask, matrix, f)
+    assert target not in out.values
+    assert len(out.values) == 2
+
+
+def test_rational_inputs_take_the_kernel(monkeypatch, example_ctx, example_mask):
+    def refuse(*args):
+        raise AssertionError("generic path taken for rational inputs")
+    monkeypatch.setattr(subdivision, "_apply_generic", refuse)
+    out = apply(example_mask, example_ctx, Sequence.delta(2))
+    assert len(out.values) == len(example_mask.terms)
+
+
+@pytest.mark.parametrize("case", ["mask", "value"])
+def test_cyclotomic_inputs_take_the_generic_path(monkeypatch, case):
+    i = root_of_unity(4, 1)
+    matrix = ((2,),)
+    if case == "mask":
+        mask = TrigPoly(1, {(0,): i, (1,): Fraction(1, 2)})
+        f = Sequence(1, 1, {(0,): (Fraction(1),), (1,): (Fraction(-2, 3),)})
+        want = {(0,): (i,), (1,): (Fraction(1, 2),), (2,): (i * Fraction(-2, 3),),
+                (3,): (Fraction(-1, 3),)}
+    else:
+        mask = TrigPoly(1, {(0,): Fraction(1, 2), (1,): 1})
+        f = Sequence(1, 1, {(0,): (i,), (1,): (Fraction(3),)})
+        want = {(0,): (i * Fraction(1, 2),), (1,): (i,), (2,): (Fraction(3, 2),),
+                (3,): (Fraction(3),)}
+
+    def refuse(*args):
+        raise AssertionError("integer kernel taken for cyclotomic inputs")
+    monkeypatch.setattr(subdivision, "_apply_rational", refuse)
+    out = apply(mask, matrix, f)
+    assert out == Sequence(1, 1, want)
+    assert out == subdivision._apply_generic(MatrixMask.from_scalar(mask),
+                                             matrix, f)

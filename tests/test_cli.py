@@ -78,6 +78,14 @@ def test_sequence_csv_errors(tmp_path):
         read_sequence_csv(path, 2)
 
 
+def test_sequence_csv_repeated_point(tmp_path):
+    # a repeated lattice point is an error, not an overwrite
+    path = tmp_path / "twice.csv"
+    path.write_text("0,0,1\n1,0,3\n0,0,2\n")
+    with pytest.raises(ParseError, match=r"\(0, 0\) appears twice"):
+        read_sequence_csv(path, 2)
+
+
 def machine_block(capsys) -> dict:
     out = capsys.readouterr().out
     for line in out.splitlines():
@@ -196,6 +204,11 @@ def test_cli_refine_rounds_zero(tmp_path, capsys):
                  "--rounds", "0"]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l]
     assert lines == ["-1,1/5", "3,2/3"]
+
+
+def test_cli_refine_negative_rounds(capsys):
+    assert main(["refine", EXAMPLE, "--rounds", "-1"]) == 2
+    assert "--rounds" in capsys.readouterr().err
 
 
 def test_cli_refine_shape_error(tmp_path, capsys):

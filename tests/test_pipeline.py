@@ -2,11 +2,13 @@
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import random_class_mask
 from maskforge import subdivision, sumrules
+from maskforge.cli import main
 from maskforge.decompose import MaskDecomposition, decompose_to_class
 from maskforge.errors import InternalIdentityViolation
 from maskforge.subdivision import MatrixMask, check_c1, operator_powers
@@ -79,3 +81,19 @@ def test_order1_entry_guard_raises(monkeypatch, example_ctx):
     monkeypatch.setattr(MaskDecomposition, "entries_reach", lambda self, n: False)
     with pytest.raises(InternalIdentityViolation):
         decompose_to_class(t, example_ctx, 1)
+
+
+def test_analyze_checks_each_order_once(monkeypatch, capsys):
+    # the derivative table in the report comes from the order scan itself
+    totals = []
+    holds = sumrules._polyphase_order_holds
+
+    def counted(taus, table, ctx, total):
+        totals.append(total)
+        return holds(taus, table, ctx, total)
+
+    monkeypatch.setattr(sumrules, "_polyphase_order_holds", counted)
+    example = str(Path(__file__).parent / "data" / "example_mask_2d.json")
+    assert main(["analyze", example, "--cap", "3"]) == 0
+    assert '"derivative_table":{"order":0,' in capsys.readouterr().out
+    assert sorted(totals) == sorted(set(totals))

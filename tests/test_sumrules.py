@@ -86,6 +86,20 @@ def test_derivative_table_rejects_wrong_class(example_ctx, example_mask):
         derivative_table(example_mask, example_ctx, 1)  # mask is order 0 only
 
 
+def test_scan_hands_back_the_derivative_table(example_ctx, ctx1):
+    rng = random.Random(41)
+    for ctx in (ctx1, example_ctx):
+        masks = [random_mask(rng, ctx.dim, n_terms=5) for _ in range(6)]
+        masks += [random_class_mask(rng, ctx, order) for order in (0, 1, 2)]
+        for t in masks:
+            order, table = sum_rule_order(t, ctx, cap=3, with_table=True)
+            assert order == sum_rule_order(t, ctx, cap=3)
+            if order < 0:
+                assert table is None
+            else:
+                assert table == derivative_table(t, ctx, order)
+
+
 def test_table_round_trip(example_ctx):
     rng = random.Random(14)
     for order in (0, 1, 2):
