@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from maskforge.cyclotomic import CyclotomicNumber
+from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.lattice import DilationContext
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to)
@@ -61,6 +61,24 @@ def random_class_mask(rng: random.Random, ctx: DilationContext,
     for beta in multi_indices_up_to(ctx.dim, order):
         values[beta] = CyclotomicNumber.from_rational(
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+    values[(0,) * ctx.dim] = CyclotomicNumber.from_rational(ctx.m)
+    table = DerivativeTable(dim=ctx.dim, order=order, values=values)
+    return mask_from_derivative_table(ctx, table)
+
+
+def random_cyclotomic_class_mask(rng: random.Random, ctx: DilationContext,
+                                 order: int, roots: tuple) -> TrigPoly:
+    """Random mask satisfying the order-n sum rules with value m at 0 whose
+    other table entries are a rational plus a rational multiple of a
+    primitive root of unity; the orders of the roots cycle through `roots`
+    (each a prime, so every nonzero power is primitive)."""
+    values = {}
+    for index, beta in enumerate(multi_indices_up_to(ctx.dim, order)):
+        root = roots[index % len(roots)]
+        values[beta] = (CyclotomicNumber.from_rational(
+            Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            + root_of_unity(root, rng.randint(1, root - 1))
+            * Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)))
     values[(0,) * ctx.dim] = CyclotomicNumber.from_rational(ctx.m)
     table = DerivativeTable(dim=ctx.dim, order=order, values=values)
     return mask_from_derivative_table(ctx, table)
