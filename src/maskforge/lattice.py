@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -275,9 +276,10 @@ class DilationContext:
     def dual_matrix(self) -> IntMatrix:
         return transpose(self.matrix)
 
-    @property
+    @cached_property
     def digit_fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The points inverse @ digit, one per digit; denominators divide m."""
+        """The points inverse @ digit, one per digit; denominators divide m.
+        Computed on first use and kept (the context never changes)."""
         return tuple(mat_vec(self.inverse, s) for s in self.digits)
 
     def coset_index(self, vec, dual: bool = False) -> int:

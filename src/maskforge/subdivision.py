@@ -27,10 +27,10 @@ from operator import add
 from .cyclotomic import CyclotomicNumber, coerce, magnitude_interval
 from .decompose import MaskDecomposition, decompose_to_class
 from .errors import MaskforgeError, ShapeMismatch
-from .intervals import RatInterval, interval_max
-from .lattice import (DilationContext, IsotropyReport, coset_fraction_key,
-                      determinant, is_isotropic, mat_mul, mat_vec,
-                      matrix_inverse, matrix_power, power_inf_norm, transpose)
+from .intervals import RatInterval, interval_max, interval_sum
+from .lattice import (DilationContext, IsotropyReport, determinant,
+                      is_isotropic, mat_mul, mat_vec, matrix_inverse,
+                      matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly
 
@@ -357,24 +357,30 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     """
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
-    inverse = matrix_inverse(matrix)
+    # inverse @ alpha = adjugate @ alpha / det, so two frequencies lie in one
+    # coset exactly when their adjugate images agree modulo |det|
+    det = determinant(matrix)
+    adjugate = [[int(x * det) for x in row] for row in matrix_inverse(matrix)]
+    modulus = abs(det)
     groups: dict[tuple, list] = {}
     for alpha in mask.coefficient_support():
-        groups.setdefault(coset_fraction_key(inverse, alpha), []).append(alpha)
+        key = tuple(x % modulus for x in mat_vec(adjugate, alpha))
+        groups.setdefault(key, []).append(alpha)
     best = RatInterval.exact(0)
     for alphas in groups.values():
-        for i in range(mask.rows):
-            row_sum = RatInterval.exact(0)
-            for j in range(mask.cols):
+        for row in mask.entries:
+            exact = Fraction(0)
+            rough = []
+            for entry in row:
                 for alpha in alphas:
-                    c = mask.entries[i][j].terms.get(alpha)
+                    c = entry.terms.get(alpha)
                     if c is None:
                         continue
                     if c.is_rational():
-                        row_sum = row_sum + abs(c.rational_value())
+                        exact += abs(c.coords[0])
                     else:
-                        row_sum = row_sum + magnitude_interval(c, precision_bits)
-            best = interval_max([best, row_sum])
+                        rough.append(magnitude_interval(c, precision_bits))
+            best = interval_max([best, RatInterval.exact(exact) + interval_sum(rough)])
     return best
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import add, mul
 
-from .cyclotomic import CyclotomicNumber, coerce, exp_of_rational
+from .cyclotomic import CyclotomicNumber, coerce
 from .errors import (DimensionMismatch, NonIntegerFrequencies, NotDivisible,
                      WrongCount)
 from .intervals import RatInterval, interval_sum
@@ -144,6 +145,9 @@ class TrigPoly:
         other = self._coerce_operand(other)
         self._check_dim(other)
         a, b, common = self._aligned(other)
+        if all(c.is_rational() for c in a.values()) and \
+                all(c.is_rational() for c in b.values()):
+            return TrigPoly(self.dim, _rational_product(a, b), common)
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for fa, ca in a.items():
             for fb, cb in b.items():
@@ -237,13 +241,7 @@ class TrigPoly:
 
     def eval_at_rational(self, point) -> CyclotomicNumber:
         """Exact value at a rational point (a cyclotomic number)."""
-        point = [Fraction(p) for p in point]
-        acc = CyclotomicNumber.zero()
-        for freq, coeff in self.terms.items():
-            turns = sum((Fraction(n) * p for n, p in zip(freq, point)),
-                        start=Fraction(0)) / self.denom
-            acc = acc + coeff * exp_of_rational(turns)
-        return acc
+        return self.normalized_derivative((0,) * self.dim, point)
 
     def normalized_derivative(self, alpha, point) -> CyclotomicNumber:
         """The alpha-derivative at the point, divided by (2*pi*i)^|alpha|.
@@ -251,21 +249,43 @@ class TrigPoly:
         Equals sum of coeff * (freq/denom)^alpha * e^(2*pi*i*(freq/denom, point)),
         which stays inside the cyclotomic field; it vanishes exactly when the
         true derivative does.
+
+        With q = denom * lcm(point denominators), each term is coeff times
+        freq^alpha / denom^|alpha| times zeta_q^k, k = (freq, q * point/denom).
+        The terms are placed as coordinates in the field of the lcm N of their
+        orders (coeff.order and q/gcd(k, q)), the order a term-by-term sum
+        reaches, and reduced once; canonical forms are unique, so the value
+        has the same order and coords as that sum.
         """
         alpha = tuple(int(a) for a in alpha)
         point = [Fraction(p) for p in point]
-        acc = CyclotomicNumber.zero()
+        scale = lcm(1, *(p.denominator for p in point))
+        scaled = [int(p * scale) for p in point]
+        q = self.denom * scale
+        powers = [(i, a) for i, a in enumerate(alpha) if a]
+        order = 1
+        placed = []
         for freq, coeff in self.terms.items():
-            factor = Fraction(1)
-            for n, a in zip(freq, alpha):
-                if a:
-                    factor *= Fraction(n, self.denom) ** a
+            factor = 1
+            for i, a in powers:
+                factor *= freq[i] ** a
             if not factor:
                 continue
-            turns = sum((Fraction(n) * p for n, p in zip(freq, point)),
-                        start=Fraction(0)) / self.denom
-            acc = acc + coeff * factor * exp_of_rational(turns)
-        return acc
+            k = sum(map(mul, freq, scaled)) % q
+            order = lcm(order, coeff.order, q // gcd(k, q))
+            placed.append((coeff, factor, k))
+        coords = [Fraction(0)] * order
+        for coeff, factor, k in placed:
+            shift = k * order // q
+            step = order // coeff.order
+            for i, c in enumerate(coeff.coords):
+                if c:
+                    at = (i * step + shift) % order
+                    coords[at] += c * factor
+        below = self.denom ** sum(alpha)
+        if below != 1:
+            coords = [c / below for c in coords]
+        return CyclotomicNumber(order, coords)
 
     # -- Laurent manipulation along one axis ---------------------------------
 
@@ -333,3 +353,39 @@ class TrigPoly:
             bits.append(f"({self.terms[freq]!r})*{mono}")
         tag = f" /{self.denom}" if self.denom != 1 else ""
         return "TrigPoly(" + " + ".join(bits) + tag + ")"
+
+
+def _rational_product(a: dict, b: dict) -> dict:
+    """Coefficients of the product of two aligned term dicts whose values are
+    all rational, built once each from integer numerators over the common
+    denominators D_a and D_b.
+
+    Keys come in the order the pairwise loop of TrigPoly.__mul__ first meets
+    them, sums that cancel are dropped, and each value sits at the lcm of the
+    orders of its contributing pairs, which is where the pairwise sum of
+    CyclotomicNumber products would put it (a rational held at order 4 after
+    a lift stays there)."""
+    d_a, left = _integer_numerators(a)
+    d_b, right = _integer_numerators(b)
+    sums: dict[tuple[int, ...], list] = {}
+    for fa, na, oa in left:
+        for fb, nb, ob in right:
+            freq = tuple(map(add, fa, fb))
+            slot = sums.get(freq)
+            if slot is None:
+                sums[freq] = [na * nb, lcm(oa, ob)]
+            else:
+                slot[0] += na * nb
+                slot[1] = lcm(slot[1], oa, ob)
+    den = d_a * d_b
+    # a rational value is canonical at every order: no reduction to do
+    return {freq: CyclotomicNumber(order, [Fraction(num, den)], reduce=False)
+            for freq, (num, order) in sums.items() if num}
+
+
+def _integer_numerators(terms: dict) -> tuple[int, list]:
+    """The common denominator D of rational coefficients and, per term,
+    (freq, numerator over D, order)."""
+    den = lcm(*(c.coords[0].denominator for c in terms.values()))
+    return den, [(f, c.coords[0].numerator * (den // c.coords[0].denominator),
+                  c.order) for f, c in terms.items()]

@@ -1,0 +1,69 @@
+"""Golden MACHINE blocks for masks with cyclotomic coefficients.
+
+The golden masks of test_golden_machine are rational, so none of their
+files holds a "coords" block and the field order of non-rational outputs
+would go unchecked.  The two masks here are fixed-seed derivative-table
+masks on the example dilation: one of order 2 whose table carries primitive
+cube roots of unity, one of order 1 carrying cube and fifth roots.  Their
+files were recorded before evaluation reduced once per value and before
+rational products ran on integer numerators, and must still match byte for
+byte.  The order-1 mask has no "decompose --order 2" case: the CLI rejects
+it for that order.
+"""
+
+import json
+import random
+
+import pytest
+
+from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION,
+                      random_cyclotomic_class_mask)
+from maskforge.lattice import DilationContext
+from maskforge.maskfile import mask_document
+from test_golden_machine import GOLDEN, machine_text
+
+# name: (seed, sum-rule order, orders of the roots of unity in the table)
+MASKS = {"cyc3_order2": (1, 2, (3,)), "cyc35_order1": (1, 1, (3, 5))}
+
+CASES = [
+    ("cyc3_order2_analyze", "cyc3_order2", ["analyze"]),
+    ("cyc3_order2_decompose_order1", "cyc3_order2", ["decompose", "--order", "1"]),
+    ("cyc3_order2_decompose_order2", "cyc3_order2", ["decompose", "--order", "2"]),
+    ("cyc3_order2_smooth_lmax2", "cyc3_order2", ["smooth", "--lmax", "2"]),
+    ("cyc35_order1_analyze", "cyc35_order1", ["analyze"]),
+    ("cyc35_order1_decompose_order1", "cyc35_order1", ["decompose", "--order", "1"]),
+    ("cyc35_order1_smooth_lmax2", "cyc35_order1", ["smooth", "--lmax", "2"]),
+]
+
+
+def cyclotomic_mask(name):
+    seed, order, roots = MASKS[name]
+    ctx = DilationContext.create(EXAMPLE_DILATION, digits=EXAMPLE_DIGITS)
+    return random_cyclotomic_class_mask(random.Random(seed), ctx, order,
+                                        roots), ctx
+
+
+@pytest.fixture(scope="module")
+def mask_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden_cyclotomic")
+    files = {}
+    for name in MASKS:
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(mask_document(*cyclotomic_mask(name))))
+        files[name] = str(path)
+    return files
+
+
+def test_masks_carry_the_roots():
+    assert {c.order for c in cyclotomic_mask("cyc3_order2")[0].terms.values()} \
+        == {3}
+    assert {c.order for c in cyclotomic_mask("cyc35_order1")[0].terms.values()} \
+        == {3, 5, 15}
+
+
+@pytest.mark.parametrize("name, mask, args", CASES, ids=[c[0] for c in CASES])
+def test_machine_block_matches_golden(name, mask, args, mask_files):
+    command, *options = args
+    got = machine_text([command, mask_files[mask], *options])
+    assert '"coords"' in got or command == "smooth"
+    assert got == (GOLDEN / f"{name}.json").read_text()

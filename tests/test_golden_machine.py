@@ -2,13 +2,9 @@
 for byte.
 
 The files under data/golden_machine/ hold the MACHINE JSON (the text after
-"MACHINE " on the report's last line, newline-terminated).  The example and
-order-2 files were recorded before the decomposition pipeline was
-consolidated, so they pin that every verdict, certificate and decomposition
-survived the refactor unchanged.  The cyclotomic files were recorded before
-the single-reduction evaluation and the integer-numerator products; their
-"coords" blocks pin the field order and coordinates of non-rational values,
-which the rational masks never exercise.
+"MACHINE " on the report's last line, newline-terminated).  They were
+recorded before the decomposition pipeline was consolidated, so they pin that
+every verdict, certificate and decomposition survived the refactor unchanged.
 """
 
 import io
@@ -19,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION, random_class_mask,
-                      random_cyclotomic_class_mask)
+from conftest import EXAMPLE_DIGITS, EXAMPLE_DILATION, random_class_mask
 from maskforge.cli import main
 from maskforge.lattice import DilationContext
 from maskforge.maskfile import mask_document
@@ -29,8 +24,6 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden_machine"
 EXAMPLE = str(DATA / "example_mask_2d.json")
 ORDER2_SEED = 4
-# (seed, sum-rule order, orders of the roots of unity in the table)
-CYCLOTOMIC_MASKS = {"cyc3_order2": (1, 2, (3,)), "cyc35_order1": (1, 1, (3, 5))}
 
 CASES = [
     ("example_analyze", "example", ["analyze"]),
@@ -40,13 +33,6 @@ CASES = [
     ("example_smooth_lmax3", "example", ["smooth", "--lmax", "3"]),
     ("order2_decompose_order2", "order2", ["decompose", "--order", "2"]),
     ("order2_smooth_lmax2", "order2", ["smooth", "--lmax", "2"]),
-    ("cyc3_order2_analyze", "cyc3_order2", ["analyze"]),
-    ("cyc3_order2_decompose_order1", "cyc3_order2", ["decompose", "--order", "1"]),
-    ("cyc3_order2_decompose_order2", "cyc3_order2", ["decompose", "--order", "2"]),
-    ("cyc3_order2_smooth_lmax2", "cyc3_order2", ["smooth", "--lmax", "2"]),
-    ("cyc35_order1_analyze", "cyc35_order1", ["analyze"]),
-    ("cyc35_order1_decompose_order1", "cyc35_order1", ["decompose", "--order", "1"]),
-    ("cyc35_order1_smooth_lmax2", "cyc35_order1", ["smooth", "--lmax", "2"]),
 ]
 
 
@@ -56,27 +42,11 @@ def order2_mask():
     return random_class_mask(random.Random(ORDER2_SEED), ctx, 2), ctx
 
 
-def cyclotomic_mask(name):
-    """A fixed-seed table mask on the example dilation whose coefficients
-    carry roots of unity (an order-1 mask cannot take --order 2, so the
-    order-1 one has no such case)."""
-    seed, order, roots = CYCLOTOMIC_MASKS[name]
-    ctx = DilationContext.create(EXAMPLE_DILATION, digits=EXAMPLE_DIGITS)
-    return random_cyclotomic_class_mask(random.Random(seed), ctx, order,
-                                        roots), ctx
-
-
 @pytest.fixture(scope="module")
 def mask_files(tmp_path_factory):
-    folder = tmp_path_factory.mktemp("golden")
-    built = {"order2": order2_mask()}
-    built.update((name, cyclotomic_mask(name)) for name in CYCLOTOMIC_MASKS)
-    files = {"example": EXAMPLE}
-    for name, (mask, ctx) in built.items():
-        path = folder / f"{name}.json"
-        path.write_text(json.dumps(mask_document(mask, ctx)))
-        files[name] = str(path)
-    return files
+    path = tmp_path_factory.mktemp("golden") / "order2.json"
+    path.write_text(json.dumps(mask_document(*order2_mask())))
+    return {"example": EXAMPLE, "order2": str(path)}
 
 
 def machine_text(argv) -> str:

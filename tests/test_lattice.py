@@ -7,8 +7,8 @@ import pytest
 from maskforge.errors import MaskforgeError, UserDigitsInvalid
 from maskforge.lattice import (DilationContext, determinant,
                                digit_fourier_is_unitary, digit_set,
-                               is_isotropic, matrix_power, power_inf_norm,
-                               transpose)
+                               is_isotropic, mat_vec, matrix_power,
+                               power_inf_norm, transpose)
 
 
 def cofactor_det(m):
@@ -145,6 +145,14 @@ def test_digit_fractions_denominators(example_ctx):
         for x in r:
             assert example_ctx.m % x.denominator == 0
     assert example_ctx.digit_fractions[0] == (0, 0)
+
+
+def test_digit_fractions_computed_once():
+    ctx = DilationContext.create([[0, 2], [2, -1]])
+    first = ctx.digit_fractions
+    assert ctx.digit_fractions is first
+    assert first == tuple(mat_vec(ctx.inverse, s) for s in ctx.digits)
+    assert ctx == DilationContext.create([[0, 2], [2, -1]])
 
 
 def test_digit_fourier_unitary(example_ctx):
