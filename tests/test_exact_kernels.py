@@ -25,7 +25,7 @@ from maskforge.lattice import coset_fraction_key, matrix_inverse
 from maskforge.subdivision import MatrixMask, operator_norm
 from maskforge.trigpoly import TrigPoly
 
-# deterministic and small: the whole module runs in about two seconds
+# deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=40, deadline=None, derandomize=True,
                    database=None)
 
