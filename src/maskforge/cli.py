@@ -45,6 +45,11 @@ def _precision_bits() -> int:
     return max(bits, 32)
 
 
+def _at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"{flag} must be at least {least}, got {value}")
+
+
 def _emit(human: list, machine: dict, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(machine, indent=2))
@@ -73,6 +78,7 @@ def _load_mask(args):
 
 
 def cmd_analyze(args) -> int:
+    _at_least("--cap", args.cap, 0)
     mask, ctx = _load_mask(args)
     order, table = sum_rule_order(mask, ctx, cap=args.cap, with_table=True)
     taus = mask.polyphase_split(ctx)
@@ -118,6 +124,9 @@ def _read_decomposition(doc: dict, mask, ctx) -> MaskDecomposition:
 
 
 def cmd_decompose(args) -> int:
+    _at_least("--order", args.order, 1)
+    if args.levels is not None:
+        _at_least("--levels", args.levels, 1)
     mask, ctx = _load_mask(args)
     if args.verify_only:
         try:
@@ -140,7 +149,7 @@ def cmd_decompose(args) -> int:
 
     scan_cap = max(args.order, (args.levels or 1), DEFAULT_ORDER_CAP)
     order = sum_rule_order(mask, ctx, cap=scan_cap)
-    if args.levels:
+    if args.levels is not None:
         if args.levels > order + 1:
             print(f"error: {args.levels} levels need sum-rule order >= "
                   f"{args.levels - 1}, mask has {order}", file=sys.stderr)
@@ -152,7 +161,7 @@ def cmd_decompose(args) -> int:
             print(f"error: --order {args.order} needs sum-rule order >= {need}, "
                   f"mask has {order}", file=sys.stderr)
             return EXIT_CLASS
-        source = min(order, max(args.order, 1))
+        source = min(order, args.order)
         dec = decompose_to_class(mask, ctx, source)
         if source == 0 and dec.entries_reach(0):
             dec.achieved_class = 0
@@ -175,6 +184,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    _at_least("--lmax", args.lmax, 1)
     mask, ctx = _load_mask(args)
     report = check_convergence(mask, ctx, power_cap=args.lmax,
                                precision_bits=_precision_bits())
@@ -191,6 +201,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_smooth(args) -> int:
+    _at_least("--lmax", args.lmax, 1)
     mask, ctx = _load_mask(args)
     report = check_c1(mask, ctx, power_cap=args.lmax,
                       precision_bits=_precision_bits())
@@ -207,8 +218,7 @@ def cmd_smooth(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    if args.rounds < 0:
-        raise ParseError(f"--rounds must be nonnegative, got {args.rounds}")
+    _at_least("--rounds", args.rounds, 0)
     mask, ctx = _load_mask(args)
     if not all(c.is_rational() for c in mask.terms.values()):
         print("error: refine needs a rational-coefficient mask", file=sys.stderr)

@@ -218,16 +218,6 @@ class CyclotomicNumber:
                  for k, c in enumerate(self.coords) if c]
         return "Cyc(" + " + ".join(terms) + ")"
 
-    def complex_estimate(self, precision_bits: int = 64) -> complex:
-        """Floating approximation; diagnostics only, never used in verdicts."""
-        with mpmath.workprec(precision_bits):
-            z = mpmath.mpc(0)
-            for k, c in enumerate(self.coords):
-                if c:
-                    z += mpmath.mpf(c.numerator) / c.denominator * mpmath.expjpi(
-                        mpmath.mpf(2 * k) / self.order)
-            return complex(z)
-
     def to_json(self):
         from .maskfile import format_rational
         if self.is_rational():

@@ -159,17 +159,10 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
     for k in range(1, d + 1):
         e_k = _unit(d, k)
         for nu in range(ctx.m):
-            shifts = []
-            for n in range(ctx.m):
-                cand = tuple(e_k[i] - ctx.digits[nu][i] + ctx.digits[n][i]
-                             for i in range(d))
-                image = mat_vec(ctx.inverse, cand)
-                if all(x.denominator == 1 for x in image):
-                    shifts.append((n, tuple(int(x) for x in image)))
-            if len(shifts) != 1:
-                raise InternalIdentityViolation(
-                    f"digit translation not unique for k={k}, nu={nu}")
-            n_star, shift = shifts[0]
+            # digit_nu - e_k = matrix @ q + digit_n, so the shift is -q
+            n_star, q = ctx.base_point(
+                tuple(s - e for s, e in zip(ctx.digits[nu], e_k)))
+            shift = tuple(-x for x in q)
             diff = taus[nu] - TrigPoly.monomial(d, shift) * taus[n_star]
             remaining = diff
             for j in range(1, d + 1):

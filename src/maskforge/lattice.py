@@ -3,6 +3,11 @@
 Exact determinants and inverses, coset classification of the integer lattice
 modulo an expanding integer matrix, deterministic digit-set construction, and
 the matrix norms / spectral probes used by the smoothness gates.
+
+Cosets are decided in integers: inverse = adjugate / det, so two vectors are
+congruent modulo the matrix exactly when their adjugate images agree modulo
+|det| (the fraction-free idiom determinant() uses), and the quotient of a
+vector by the matrix is its adjugate image divided exactly by det.
 """
 
 from __future__ import annotations
@@ -117,13 +122,15 @@ def power_inf_norm(matrix, exponent: int):
     return inf_norm(matrix_power(as_int_matrix(matrix), exponent))
 
 
-def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
-    """Fractional part of inverse @ vec; equal keys mean congruent vectors."""
-    out = []
-    for x in mat_vec(inverse, vec):
-        x = Fraction(x)
-        out.append(Fraction(x.numerator % x.denominator, x.denominator))
-    return tuple(out)
+def adjugate(matrix) -> IntMatrix:
+    """det(matrix) * inverse(matrix), an integer matrix."""
+    det = determinant(matrix)
+    return tuple(tuple(int(x * det) for x in row) for row in matrix_inverse(matrix))
+
+
+def coset_key(adj, modulus: int, vec) -> IntVector:
+    """adj @ vec modulo |det|; equal keys mean congruent vectors."""
+    return tuple(x % modulus for x in mat_vec(adj, vec))
 
 
 def _canonical_candidates(dim: int, radius: int):
@@ -133,12 +140,15 @@ def _canonical_candidates(dim: int, radius: int):
     The per-coordinate order 0 < 1 < -1 < 2 < -2 < ... keeps the enumeration
     deterministic and puts 0 first, so digit 0 always leads.
     """
-    def coord_key(c: int):
-        return (abs(c), 0 if c >= 0 else 1)
-
-    points = itertools.product(range(-radius, radius + 1), repeat=dim)
-    return sorted(points, key=lambda p: (max((abs(c) for c in p), default=0),
-                                         tuple(coord_key(c) for c in p)))
+    coords = [0]
+    for r in range(radius + 1):
+        if r:
+            coords += [r, -r]
+        # product over coordinates in that order is lexicographic already;
+        # the points of max-norm r come out shell by shell, lazily
+        for point in itertools.product(coords, repeat=dim):
+            if max(map(abs, point)) == r:
+                yield point
 
 
 def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
@@ -154,7 +164,7 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
     m = abs(determinant(matrix))
     if m == 0:
         raise MaskforgeError("matrix is singular")
-    inverse = matrix_inverse(matrix)
+    adj = adjugate(matrix)
 
     if user_digits is not None:
         digits = tuple(tuple(int(x) for x in d) for d in user_digits)
@@ -164,7 +174,7 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
             raise UserDigitsInvalid("digit has wrong dimension")
         if digits[0] != (0,) * dim:
             raise UserDigitsInvalid("digit list must start with the zero vector")
-        keys = {coset_fraction_key(inverse, d) for d in digits}
+        keys = {coset_key(adj, m, d) for d in digits}
         if len(keys) != m:
             raise UserDigitsInvalid("digits contain a congruent pair")
         return digits
@@ -172,7 +182,7 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
     radius = int(inf_norm(matrix))
     found: dict[tuple, IntVector] = {}
     for point in _canonical_candidates(dim, radius):
-        key = coset_fraction_key(inverse, point)
+        key = coset_key(adj, m, point)
         if key not in found:
             found[key] = point
             if len(found) == m:
@@ -233,8 +243,10 @@ class DilationContext:
     dim: int
     matrix: IntMatrix
     m: int
+    det: int
     digits: tuple[IntVector, ...]
     dual_digits: tuple[IntVector, ...]
+    adjugate: IntMatrix = field(repr=False)
     inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     dual_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     _digit_keys: dict = field(repr=False, compare=False)
@@ -254,21 +266,22 @@ class DilationContext:
         m = abs(det)
         if m < 2:
             raise MaskforgeError("a dilation matrix needs |det| >= 2")
-        dual = transpose(matrix)
-        inverse = matrix_inverse(matrix)
-        dual_inverse = matrix_inverse(dual)
+        adj = adjugate(matrix)
+        inverse = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
         digits = digit_set(matrix, digits)
-        dual_digits = digit_set(dual, dual_digits)
+        dual_digits = digit_set(transpose(matrix), dual_digits)
         return cls(
             dim=dim,
             matrix=matrix,
             m=m,
+            det=det,
             digits=digits,
             dual_digits=dual_digits,
+            adjugate=adj,
             inverse=inverse,
-            dual_inverse=dual_inverse,
-            _digit_keys={coset_fraction_key(inverse, d): i for i, d in enumerate(digits)},
-            _dual_digit_keys={coset_fraction_key(dual_inverse, d): i
+            dual_inverse=transpose(inverse),
+            _digit_keys={coset_key(adj, m, d): i for i, d in enumerate(digits)},
+            _dual_digit_keys={coset_key(transpose(adj), m, d): i
                               for i, d in enumerate(dual_digits)},
         )
 
@@ -284,20 +297,21 @@ class DilationContext:
 
     def coset_index(self, vec, dual: bool = False) -> int:
         """Index of the digit congruent to vec (mod the matrix, or its transpose)."""
-        inverse = self.dual_inverse if dual else self.inverse
+        # adjugate(transpose(matrix)) = transpose(adjugate)
+        adj = transpose(self.adjugate) if dual else self.adjugate
         keys = self._dual_digit_keys if dual else self._digit_keys
-        return keys[coset_fraction_key(inverse, vec)]
+        return keys[coset_key(adj, self.m, vec)]
 
     def base_point(self, vec, dual: bool = False) -> tuple[int, IntVector]:
         """(index, quotient) with vec = matrix @ quotient + digit[index]."""
         idx = self.coset_index(vec, dual)
         digits = self.dual_digits if dual else self.digits
-        inverse = self.dual_inverse if dual else self.inverse
+        adj = transpose(self.adjugate) if dual else self.adjugate
         diff = tuple(a - b for a, b in zip(vec, digits[idx]))
-        quot = mat_vec(inverse, diff)
-        if any(q.denominator != 1 for q in quot):
+        quot = [divmod(x, self.det) for x in mat_vec(adj, diff)]
+        if any(r for _, r in quot):
             raise MaskforgeError("coset arithmetic failed")  # unreachable
-        return idx, tuple(int(q) for q in quot)
+        return idx, tuple(q for q, _ in quot)
 
 
 def digit_fourier_matrix(ctx: DilationContext) -> list[list[CyclotomicNumber]]:

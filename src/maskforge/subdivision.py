@@ -24,12 +24,12 @@ from math import lcm
 from numbers import Rational
 from operator import add
 
-from .cyclotomic import CyclotomicNumber, coerce, magnitude_interval
+from .cyclotomic import CyclotomicNumber, magnitude_interval
 from .decompose import MaskDecomposition, decompose_to_class
 from .errors import MaskforgeError, ShapeMismatch
 from .intervals import RatInterval, interval_max, interval_sum
-from .lattice import (DilationContext, IsotropyReport, determinant,
-                      is_isotropic, mat_mul, mat_vec, matrix_inverse,
+from .lattice import (DilationContext, IsotropyReport, adjugate, coset_key,
+                      determinant, is_isotropic, mat_mul, mat_vec,
                       matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly
@@ -37,28 +37,10 @@ from .trigpoly import TrigPoly
 DEFAULT_POWER_CAP = 8
 
 
-def _plus(a, b):
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        return Fraction(a) + Fraction(b)
-    return coerce(a) + coerce(b)
-
-
-def _times(a, b):
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        return Fraction(a) * Fraction(b)
-    return coerce(a) * coerce(b)
-
-
 def _simplify(v):
     if isinstance(v, CyclotomicNumber) and v.is_rational():
         return v.rational_value()
     return v
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, Rational):
-        return v == 0
-    return v.is_zero()
 
 
 class Sequence:
@@ -80,7 +62,7 @@ class Sequence:
                         for v in vec)
             if len(vec) != width:
                 raise ShapeMismatch("value vector has wrong width")
-            if not all(_is_zero(v) for v in vec):
+            if any(vec):
                 clean[alpha] = vec
         self.values = clean
 
@@ -125,14 +107,14 @@ class Sequence:
         out = dict(self.values)
         for alpha, vec in other.values.items():
             if alpha in out:
-                out[alpha] = tuple(_plus(a, b) for a, b in zip(out[alpha], vec))
+                out[alpha] = tuple(a + b for a, b in zip(out[alpha], vec))
             else:
                 out[alpha] = vec
         return Sequence(self.dim, self.width, out)
 
     def scale(self, factor) -> "Sequence":
         return Sequence(self.dim, self.width,
-                        {a: tuple(_times(v, factor) for v in vec)
+                        {a: tuple(v * factor for v in vec)
                          for a, vec in self.values.items()})
 
     def __sub__(self, other: "Sequence") -> "Sequence":
@@ -145,11 +127,7 @@ class Sequence:
             return False
         if set(self.values) != set(other.values):
             return False
-        for alpha, vec in self.values.items():
-            for a, b in zip(vec, other.values[alpha]):
-                if not _is_zero(_plus(a, _times(b, -1))):
-                    return False
-        return True
+        return all(vec == other.values[alpha] for alpha, vec in self.values.items())
 
     def __repr__(self) -> str:
         return f"Sequence(dim={self.dim}, width={self.width}, support={len(self.values)})"
@@ -301,11 +279,11 @@ def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
             for i in range(mask.rows):
                 acc = Fraction(0)
                 for j in range(mask.cols):
-                    if not _is_zero(vec[j]) and not A[i][j].is_zero():
-                        acc = _plus(acc, _times(A[i][j], vec[j]))
+                    if vec[j] and A[i][j]:
+                        acc += A[i][j] * vec[j]
                 contrib.append(acc)
             if target in out:
-                out[target] = [_plus(a, b) for a, b in zip(out[target], contrib)]
+                out[target] = [a + b for a, b in zip(out[target], contrib)]
             else:
                 out[target] = contrib
     return Sequence(f.dim, mask.rows, {a: tuple(v) for a, v in out.items()})
@@ -328,8 +306,7 @@ def gradient(f: Sequence) -> Sequence:
                     out[target] = list(zero_vec)
                 row = out[target]
                 for i in range(f.width):
-                    row[i * d + axis] = _plus(row[i * d + axis],
-                                              _times(vec[i], sign))
+                    row[i * d + axis] += vec[i] * sign
     return Sequence(d, d * f.width, {a: tuple(v) for a, v in out.items()})
 
 
@@ -357,15 +334,10 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     """
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
-    # inverse @ alpha = adjugate @ alpha / det, so two frequencies lie in one
-    # coset exactly when their adjugate images agree modulo |det|
-    det = determinant(matrix)
-    adjugate = [[int(x * det) for x in row] for row in matrix_inverse(matrix)]
-    modulus = abs(det)
+    adj, modulus = adjugate(matrix), abs(determinant(matrix))
     groups: dict[tuple, list] = {}
     for alpha in mask.coefficient_support():
-        key = tuple(x % modulus for x in mat_vec(adjugate, alpha))
-        groups.setdefault(key, []).append(alpha)
+        groups.setdefault(coset_key(adj, modulus, alpha), []).append(alpha)
     best = RatInterval.exact(0)
     for alphas in groups.values():
         for row in mask.entries:
@@ -585,12 +557,10 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     current = f
     for _ in range(rounds):
         current = apply(t, ctx, current)
-    # matrix^-rounds = adj^rounds / det^rounds with adj = det * inverse, so
-    # each grid point is an integer vector over one integer denominator
-    det = determinant(ctx.matrix)
-    adjugate = tuple(tuple(int(x * det) for x in row) for row in ctx.inverse)
-    grid_num = matrix_power(adjugate, rounds)
-    grid_den = det ** rounds
+    # matrix^-rounds = adjugate^rounds / det^rounds, so each grid point is an
+    # integer vector over one integer denominator
+    grid_num = matrix_power(ctx.adjugate, rounds)
+    grid_den = ctx.det ** rounds
     points = [(tuple(Fraction(x, grid_den) for x in mat_vec(grid_num, alpha)), vec)
               for alpha, vec in sorted(current.support())]
     return current, points

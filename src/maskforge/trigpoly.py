@@ -187,25 +187,26 @@ class TrigPoly:
 
     def compose_dilate(self, matrix) -> "TrigPoly":
         """t(transpose(matrix) @ x): frequency map freq -> matrix @ freq."""
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for freq, coeff in self.terms.items():
-            new = tuple(int(x) for x in mat_vec(matrix, freq))
-            out[new] = out[new] + coeff if new in out else coeff
-        return TrigPoly(self.dim, out, self.denom)
+        return self._map_frequencies(matrix, 1)
 
     def compose_inverse_dilate(self, matrix_inverse) -> "TrigPoly":
-        """t(inverse-transpose @ x): frequency map freq -> matrix_inverse @ freq."""
-        mapped = []
-        common = 1
-        for freq, coeff in self.terms.items():
-            new = tuple(Fraction(x, self.denom) for x in mat_vec(matrix_inverse, freq))
-            common = lcm(common, *(f.denominator for f in new)) if new else common
-            mapped.append((new, coeff))
+        """t(inverse-transpose @ x): frequency map freq -> matrix_inverse @ freq.
+
+        With D the lcm of the entries' denominators, D * matrix_inverse is an
+        integer matrix and the new frequencies are its images over D * denom;
+        the constructor reduces the common factor."""
+        scale = lcm(*(x.denominator for row in matrix_inverse for x in row))
+        return self._map_frequencies(
+            tuple(tuple(int(x * scale) for x in row) for row in matrix_inverse),
+            scale)
+
+    def _map_frequencies(self, matrix, scale: int) -> "TrigPoly":
+        """Frequencies mapped through an integer matrix, over denom * scale."""
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for new, coeff in mapped:
-            key = tuple(int(f * common) for f in new)
-            out[key] = out[key] + coeff if key in out else coeff
-        return TrigPoly(self.dim, out, common)
+        for freq, coeff in self.terms.items():
+            new = mat_vec(matrix, freq)
+            out[new] = out[new] + coeff if new in out else coeff
+        return TrigPoly(self.dim, out, self.denom * scale)
 
     # -- polyphase ---------------------------------------------------------
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
-from maskforge.lattice import DilationContext
+from maskforge.lattice import DilationContext, mat_vec
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to)
 from maskforge.trigpoly import TrigPoly
@@ -43,6 +43,15 @@ def example_polyphase(example_ctx):
 @pytest.fixture(scope="session")
 def example_mask(example_ctx, example_polyphase) -> TrigPoly:
     return TrigPoly.polyphase_assemble(example_polyphase, example_ctx)
+
+
+def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
+    """Fractional part of inverse @ vec; equal keys mean congruent vectors."""
+    out = []
+    for x in mat_vec(inverse, vec):
+        x = Fraction(x)
+        out.append(Fraction(x.numerator % x.denominator, x.denominator))
+    return tuple(out)
 
 
 def random_mask(rng: random.Random, dim: int, n_terms: int = 6,

@@ -211,6 +211,29 @@ def test_cli_refine_negative_rounds(capsys):
     assert "--rounds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", EXAMPLE, "--cap", "-1"], "--cap"),
+    (["decompose", EXAMPLE, "--order", "0"], "--order"),
+    (["decompose", EXAMPLE, "--levels", "-1"], "--levels"),
+    (["decompose", EXAMPLE, "--levels", "0"], "--levels"),
+    (["converge", EXAMPLE, "--lmax", "0"], "--lmax"),
+    (["converge", EXAMPLE, "--lmax", "-2"], "--lmax"),
+    (["smooth", EXAMPLE, "--lmax", "0"], "--lmax"),
+    (["smooth", EXAMPLE, "--lmax", "-2"], "--lmax"),
+])
+def test_cli_count_out_of_range_exit_2(argv, flag, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+def test_cli_analyze_cap_zero(capsys):
+    assert main(["analyze", EXAMPLE, "--cap", "0", "--format", "json"]) == 0
+    machine = json.loads(capsys.readouterr().out)
+    assert (machine["order_cap"], machine["sum_rule_order"]) == (0, 0)
+
+
 def test_cli_refine_shape_error(tmp_path, capsys):
     doc = {"dim": 1, "dilation": [[2]],
            "coefficients": [{"freq": [0], "value": "1"}]}

@@ -17,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coset_fraction_key
 from maskforge import trigpoly
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval, interval_max
-from maskforge.lattice import coset_fraction_key, matrix_inverse
+from maskforge.lattice import matrix_inverse
 from maskforge.subdivision import MatrixMask, operator_norm
 from maskforge.trigpoly import TrigPoly
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_class_mask, random_mask, random_sequence
+from conftest import (coset_fraction_key, random_class_mask, random_mask,
+                      random_sequence)
 from maskforge.decompose import decompose_mask
 from maskforge.errors import ShapeMismatch
-from maskforge.lattice import (DilationContext, coset_fraction_key, mat_vec,
-                               matrix_power)
+from maskforge.lattice import DilationContext, mat_vec, matrix_power
 from maskforge.subdivision import (MatrixMask, Sequence, apply, check_c1,
                                    check_convergence, coset_coefficient_sums,
                                    gradient, operator_norm, power_symbol,
