@@ -22,8 +22,7 @@ from .errors import (InternalIdentityViolation, MaskforgeError,
                      MethodDisagreement, NotInClass, ShapeMismatch,
                      UserDigitsInvalid)
 from .maskfile import (ParseError, format_rational, load_mask_file,
-                       mask_terms_from_json, read_sequence_csv,
-                       write_refined_csv)
+                       read_sequence_csv, write_refined_csv)
 from .subdivision import Sequence, check_c1, check_convergence, refine
 from .sumrules import DEFAULT_ORDER_CAP, sum_rule_order
 
@@ -107,22 +106,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _read_decomposition(doc: dict, mask, ctx) -> MaskDecomposition:
-    order = int(doc["order"])
-    entries = {}
-    for item in doc["entries"]:
-        j_t = tuple(int(x) for x in item["j"])
-        k_t = tuple(int(x) for x in item["k"])
-        if len(j_t) != order or len(k_t) != order:
-            raise ParseError("entry index length does not match order")
-        entries[(j_t, k_t)] = mask_terms_from_json(item["mask"], ctx.dim)
-    expected = ctx.dim ** (2 * order)
-    if len(entries) != expected:
-        raise ParseError(f"expected {expected} entries, found {len(entries)}")
-    return MaskDecomposition(source=mask, ctx=ctx, order=order, entries=entries,
-                             achieved_class=int(doc.get("achieved_class", -1)))
-
-
 def cmd_decompose(args) -> int:
     _at_least("--order", args.order, 1)
     if args.levels is not None:
@@ -134,7 +117,7 @@ def cmd_decompose(args) -> int:
                 doc = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ParseError(f"cannot read decomposition: {exc}") from None
-        dec = _read_decomposition(doc, mask, ctx)
+        dec = MaskDecomposition.from_json(doc, mask, ctx)
         identity = dec.identity_holds()
         values = dec.value_constraint_holds()
         classes = dec.entries_reach(dec.achieved_class)

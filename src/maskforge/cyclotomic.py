@@ -83,7 +83,7 @@ class CyclotomicNumber:
     def __init__(self, order: int, coords, reduce: bool = True) -> None:
         if order < 1:
             raise ValueError("order must be a positive integer")
-        coords = [Fraction(c) for c in coords]
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         if len(coords) < order:
             coords += [_F0] * (order - len(coords))
         elif len(coords) > order:

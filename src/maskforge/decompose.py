@@ -120,6 +120,30 @@ class MaskDecomposition:
                         for (j_tuple, k_tuple), entry in sorted(self.entries.items())],
         }
 
+    @classmethod
+    def from_json(cls, doc, source: TrigPoly,
+                  ctx: DilationContext) -> "MaskDecomposition":
+        """Read back a to_json document as a decomposition of source;
+        ParseError when it is malformed.  Nothing is verified here."""
+        from .maskfile import ParseError, mask_terms_from_json
+        try:
+            order = int(doc["order"])
+            entries = {}
+            for item in doc["entries"]:
+                j_t = tuple(int(x) for x in item["j"])
+                k_t = tuple(int(x) for x in item["k"])
+                if len(j_t) != order or len(k_t) != order:
+                    raise ParseError("entry index length does not match order")
+                entries[(j_t, k_t)] = mask_terms_from_json(item["mask"], ctx.dim)
+            achieved = int(doc.get("achieved_class", -1))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad decomposition: {exc!r}") from None
+        expected = ctx.dim ** (2 * order)
+        if len(entries) != expected:
+            raise ParseError(f"expected {expected} entries, found {len(entries)}")
+        return cls(source=source, ctx=ctx, order=order, entries=entries,
+                   achieved_class=achieved)
+
 
 IteratedDecomposition = MaskDecomposition
 

@@ -58,9 +58,6 @@ class RatInterval:
 
     __rmul__ = __mul__
 
-    def union(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
             return self.is_exact and self.lo == other

@@ -50,18 +50,11 @@ def parse_scalar(value):
     """A coefficient: rational string/int, or a cyclotomic object."""
     if isinstance(value, dict):
         try:
-            order = int(value["order"])
-            coords = [parse_rational(c) for c in value["coords"]]
+            return CyclotomicNumber(int(value["order"]),
+                                    [parse_rational(c) for c in value["coords"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cyclotomic object {value!r}: {exc}") from None
-        return CyclotomicNumber(order, coords)
     return parse_rational(value)
-
-
-def scalar_to_json(value):
-    if isinstance(value, CyclotomicNumber):
-        return value.to_json()
-    return format_rational(value)
 
 
 def mask_terms_json(t: TrigPoly) -> dict:
@@ -72,12 +65,18 @@ def mask_terms_json(t: TrigPoly) -> dict:
 
 
 def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
+    """The mask of a {"coefficients": [...]} object; ParseError if malformed."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"mask must be a JSON object, got {payload!r}")
     terms = {}
-    for item in payload.get("coefficients", []):
-        freq = tuple(int(x) for x in item["freq"])
-        if len(freq) != dim:
-            raise ParseError(f"frequency {freq} has wrong dimension")
-        terms[freq] = parse_scalar(item["value"])
+    try:
+        for item in payload.get("coefficients", []):
+            freq = tuple(int(x) for x in item["freq"])
+            if len(freq) != dim:
+                raise ParseError(f"frequency {freq} has wrong dimension")
+            terms[freq] = parse_scalar(item["value"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad coefficient list: {exc!r}") from None
     return TrigPoly(dim, terms)
 
 

@@ -17,7 +17,7 @@ from math import comb, prod
 
 from .cyclotomic import CyclotomicNumber, coerce, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
-from .lattice import DilationContext
+from .lattice import DilationContext, matrix_inverse
 from .trigpoly import TrigPoly
 
 DEFAULT_ORDER_CAP = 4
@@ -209,20 +209,10 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
 @lru_cache(maxsize=None)
 def _unit_moment_line(cap: int, target: int) -> tuple[Fraction, ...]:
     """Coefficients u_0..u_cap on nodes 0..cap with sum u_s * s^gamma = [gamma==target]
-    for gamma = 0..cap (Vandermonde solve over the rationals)."""
-    n = cap + 1
-    aug = [[Fraction(s) ** g if g or s else Fraction(1) for s in range(n)]
-           + [Fraction(int(g == target))] for g in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[g][n] for g in range(n))
+    for gamma = 0..cap: column `target` of the inverse Vandermonde matrix."""
+    inverse = matrix_inverse([[s ** g for s in range(cap + 1)]
+                              for g in range(cap + 1)])
+    return tuple(row[target] for row in inverse)
 
 
 @lru_cache(maxsize=None)

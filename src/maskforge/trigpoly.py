@@ -5,7 +5,8 @@ with integer frequency vectors freq and a common positive denominator.
 Frequency n contributes e^(+2*pi*i*(n,x)); genuine trigonometric (Laurent)
 polynomials have denom == 1 and then z_k = e^(2*pi*i*x_k) exponents coincide
 with frequencies.  Rational frequencies exist so that dilated arguments
-t(inverse-transpose x) are first-class values.
+t(inverse-transpose x) are first-class values.  Products sum integer
+coordinates, one vector per frequency, and reduce each value once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd, lcm
 from numbers import Rational
 from operator import add, mul
 
-from .cyclotomic import CyclotomicNumber, coerce
+from .cyclotomic import _F0, CyclotomicNumber, _reduce_coords, coerce
 from .errors import (DimensionMismatch, NonIntegerFrequencies, NotDivisible,
                      WrongCount)
 from .intervals import RatInterval, interval_sum
@@ -87,9 +88,6 @@ class TrigPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def has_integer_frequencies(self) -> bool:
-        return self.denom == 1
-
     def support(self):
         return self.terms.items()
 
@@ -114,11 +112,14 @@ class TrigPoly:
             raise DimensionMismatch(f"{self.dim}-d vs {other.dim}-d")
 
     def _aligned(self, other: "TrigPoly"):
+        """Both term dicts over the lcm of the two denominators; a dict already
+        over it is returned itself, so callers must not write into it."""
         common = lcm(self.denom, other.denom)
-        st = common // self.denom
-        ot = common // other.denom
-        a = {tuple(x * st for x in f): c for f, c in self.terms.items()}
-        b = {tuple(x * ot for x in f): c for f, c in other.terms.items()}
+        a, b = self.terms, other.terms
+        if self.denom != common:
+            a = {tuple(x * (common // self.denom) for x in f): c for f, c in a.items()}
+        if other.denom != common:
+            b = {tuple(x * (common // other.denom) for x in f): c for f, c in b.items()}
         return a, b, common
 
     # -- ring operations ---------------------------------------------------
@@ -127,6 +128,7 @@ class TrigPoly:
         other = self._coerce_operand(other)
         self._check_dim(other)
         a, b, common = self._aligned(other)
+        a = dict(a)
         for freq, coeff in b.items():
             a[freq] = a[freq] + coeff if freq in a else coeff
         return TrigPoly(self.dim, a, common)
@@ -145,16 +147,7 @@ class TrigPoly:
         other = self._coerce_operand(other)
         self._check_dim(other)
         a, b, common = self._aligned(other)
-        if all(c.is_rational() for c in a.values()) and \
-                all(c.is_rational() for c in b.values()):
-            return TrigPoly(self.dim, _rational_product(a, b), common)
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for fa, ca in a.items():
-            for fb, cb in b.items():
-                freq = tuple(x + y for x, y in zip(fa, fb))
-                prod = ca * cb
-                out[freq] = out[freq] + prod if freq in out else prod
-        return TrigPoly(self.dim, out, common)
+        return TrigPoly(self.dim, _product(a, b), common)
 
     __rmul__ = __mul__
 
@@ -356,37 +349,49 @@ class TrigPoly:
         return "TrigPoly(" + " + ".join(bits) + tag + ")"
 
 
-def _rational_product(a: dict, b: dict) -> dict:
-    """Coefficients of the product of two aligned term dicts whose values are
-    all rational, built once each from integer numerators over the common
-    denominators D_a and D_b.
+def _product(a: dict, b: dict) -> dict:
+    """Coefficients of the product of two aligned term dicts, summed once per
+    frequency in integers and reduced once.
 
-    Keys come in the order the pairwise loop of TrigPoly.__mul__ first meets
-    them, sums that cancel are dropped, and each value sits at the lcm of the
-    orders of its contributing pairs, which is where the pairwise sum of
-    CyclotomicNumber products would put it (a rational held at order 4 after
-    a lift stays there)."""
-    d_a, left = _integer_numerators(a)
-    d_b, right = _integer_numerators(b)
+    With N the lcm of all orders, coefficients become integer numerators over
+    each operand's common denominator at positions i * N/order, and each pair
+    of terms adds x * y at (p + q) mod N of its frequency's vector.  Keys come
+    in the order the pairwise sum of CyclotomicNumber products meets them;
+    each value is read at stride N/n and reduced at the order n that sum
+    reaches, the lcm of its pairs' orders (a rational held at order 4 stays
+    there).  Canonical forms are unique, so order and coords are that sum's.
+    Values that reduce to zero are left for the constructor to drop."""
+    field = lcm(*(c.order for c in a.values()), *(c.order for c in b.values()))
+    d_a, left = _integer_coords(a, field)
+    d_b, right = _integer_coords(b, field)
     sums: dict[tuple[int, ...], list] = {}
-    for fa, na, oa in left:
-        for fb, nb, ob in right:
+    for fa, xs, oa in left:
+        for fb, ys, ob in right:
             freq = tuple(map(add, fa, fb))
             slot = sums.get(freq)
             if slot is None:
-                sums[freq] = [na * nb, lcm(oa, ob)]
-            else:
-                slot[0] += na * nb
+                slot = sums[freq] = [[0] * field, lcm(oa, ob)]
+            elif slot[1] % oa or slot[1] % ob:
                 slot[1] = lcm(slot[1], oa, ob)
+            vec = slot[0]
+            for p, x in xs:
+                for q, y in ys:
+                    vec[(p + q) % field] += x * y
     den = d_a * d_b
-    # a rational value is canonical at every order: no reduction to do
-    return {freq: CyclotomicNumber(order, [Fraction(num, den)], reduce=False)
-            for freq, (num, order) in sums.items() if num}
+    out = {}
+    for freq, (vec, order) in sums.items():
+        coords = vec[::field // order]
+        if any(coords[1:]):  # else a rational, canonical at every order
+            coords = _reduce_coords(coords, order)
+        out[freq] = CyclotomicNumber(
+            order, [Fraction(c, den) if c else _F0 for c in coords], reduce=False)
+    return out
 
 
-def _integer_numerators(terms: dict) -> tuple[int, list]:
-    """The common denominator D of rational coefficients and, per term,
-    (freq, numerator over D, order)."""
-    den = lcm(*(c.coords[0].denominator for c in terms.values()))
-    return den, [(f, c.coords[0].numerator * (den // c.coords[0].denominator),
-                  c.order) for f, c in terms.items()]
+def _integer_coords(terms: dict, field: int) -> tuple[int, list]:
+    """The common denominator D of all coordinates and, per term, (freq,
+    [(position at order `field`, numerator over D) per nonzero coord], order)."""
+    den = lcm(*(c.denominator for coeff in terms.values() for c in coeff.coords))
+    return den, [(f, [(i * (field // coeff.order), c.numerator * (den // c.denominator))
+                      for i, c in enumerate(coeff.coords) if c], coeff.order)
+                 for f, coeff in terms.items()]

@@ -123,6 +123,37 @@ def test_cli_parse_error_exit_2(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def _mask_with(coefficients):
+    return {"dim": 1, "dilation": [[2]], "coefficients": coefficients}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify-only", {"order": 1}),
+    ("verify-only", [1, 2]),
+    ("verify-only", {"order": "x", "entries": []}),
+    ("verify-only", {"order": 1, "entries": [
+        {"j": [1], "k": [1], "mask": {"coefficients": [{"value": "1"}]}}]}),
+    ("analyze", _mask_with([{"value": "1"}])),
+    ("analyze", _mask_with([{"freq": [0]}])),
+    ("analyze", _mask_with([{"freq": ["a"], "value": "1"}])),
+    ("analyze", _mask_with("x")),
+    ("analyze", _mask_with([{"freq": [0], "value": {
+        "order": 3, "coords": ["1", "0", "0", "1"]}}])),
+    ("analyze", _mask_with([{"freq": [0], "value": {
+        "order": 0, "coords": ["1"]}}])),
+])
+def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
+    # malformed decomposition or mask files are parse errors, not tracebacks
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if command == "verify-only":
+        argv = ["decompose", EXAMPLE, "--verify-only", str(path)]
+    else:
+        argv = ["analyze", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_bad_digits_exit_3(tmp_path, capsys):
     doc = json.loads(Path(EXAMPLE).read_text())
     doc["digits"] = [[0, 0], [2, 2], [0, 1], [1, 1]]

@@ -1,13 +1,14 @@
-"""The single-reduction evaluation, the integer-numerator product and the
-row-sum operator norm against the per-term folds they replaced.
+"""The single-reduction evaluation, the reduce-once product and the row-sum
+operator norm against the per-term folds they replaced.
 
 normalized_derivative and eval_at_rational place every term in one
-coordinate vector and reduce once; TrigPoly products of rational operands
-multiply integer numerators; operator_norm sums rational magnitudes as one
-Fraction per row.  The references below are the earlier per-term loops,
-copied here.  Results are compared field for field, (order, coords) and the
-key order of the terms, because == promotes across orders and would hide a
-value held in the wrong field.
+coordinate vector and reduce once; TrigPoly products sum integer numerators
+in one coordinate vector per frequency and reduce each once, whatever the
+coefficient fields; operator_norm sums rational magnitudes as one Fraction
+per row.  The references below are the earlier per-term loops, copied here.
+Results are compared field for field, (order, coords) and the key order of
+the terms, because == promotes across orders and would hide a value held in
+the wrong field.
 """
 
 from fractions import Fraction
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coset_fraction_key
-from maskforge import trigpoly
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval, interval_max
@@ -203,26 +203,23 @@ def test_zero_factors_give_the_order_one_zero():
         folded_derivative(t, (1, 0), (Fraction(1, 2), Fraction(1, 7))))
 
 
-# -- rational products --------------------------------------------------------
-
-def rational_polys(dim):
-    return polys(dim, coefficients(orders=(1, 1, 2, 4, 12), rational=True),
-                 denoms=(1, 1, 2, 3))
-
+# -- products -------------------------------------------------------------------
 
 @st.composite
-def rational_products(draw):
+def products(draw):
+    """Two operands of one dimension with coefficients at ORDERS, rationals
+    held above order 1 among them, and frequency denominators."""
     dim = draw(st.integers(1, 3))
-    return draw(rational_polys(dim)), draw(rational_polys(dim))
+    return draw(polys(dim)), draw(polys(dim))
 
 
 @st.composite
 def cancelling_products(draw):
-    """(a + b z^f)(a' - (b a'/a) z^f): the two cross terms at f cancel."""
+    """(a + b z^f)(a' - (b a'/a) z^f): the two cross terms at f cancel, for
+    cyclotomic values often only after reduction."""
     dim = draw(st.integers(1, 3))
     f = draw(frequencies(dim).filter(any))
-    a, b, a2 = (draw(coefficients(orders=(1, 4), rational=True).filter(bool))
-                for _ in range(3))
+    a, b, a2 = (draw(coefficients().filter(bool)) for _ in range(3))
     b2 = -(b * a2 * a.inverse())
     x = TrigPoly(dim, {(0,) * dim: a, f: b})
     y = TrigPoly(dim, {(0,) * dim: a2, f: b2})
@@ -230,15 +227,15 @@ def cancelling_products(draw):
 
 
 @PROFILE
-@given(rational_products())
-def test_rational_product_matches_pairwise_loop(case):
+@given(products())
+def test_product_matches_pairwise_loop(case):
     x, y = case
     assert poly_fields(x * y) == poly_fields(pairwise_product(x, y))
 
 
 @PROFILE
 @given(cancelling_products())
-def test_rational_product_drops_cancelled_sums(case):
+def test_product_drops_cancelled_sums(case):
     x, y, f = case
     got = x * y
     assert f not in got.terms
@@ -254,17 +251,26 @@ def test_order_four_rationals_times_order_one():
         {(0,): 4, (1,): 1, (2,): 4, (3,): 1}
 
 
-def test_rational_operands_take_the_integer_product(monkeypatch):
-    calls = []
-    kernel = trigpoly._rational_product
-    monkeypatch.setattr(trigpoly, "_rational_product",
-                        lambda a, b: calls.append(1) or kernel(a, b))
+def test_sum_that_reduces_to_zero_is_dropped():
+    # the coordinate vector (1, 1, 1) at frequency 0 is 1 + z3 + z3^2 = 0
+    x = TrigPoly(1, {(k,): root_of_unity(3, k) for k in range(3)})
+    y = TrigPoly(1, {(-k,): 1 for k in range(3)})
+    got = x * y
+    assert (0,) not in got.terms
+    assert poly_fields(got) == poly_fields(pairwise_product(x, y))
+
+
+def test_products_multiply_no_cyclotomic_numbers(monkeypatch):
     x = TrigPoly(2, {(0, 0): Fraction(1, 2), (1, 0): CyclotomicNumber(4, [2])})
-    x * x
-    assert calls == [1]
-    w = TrigPoly(2, {(0, 1): root_of_unity(3, 1)})
-    assert poly_fields(x * w) == poly_fields(pairwise_product(x, w))
-    assert calls == [1]
+    w = TrigPoly(2, {(0, 1): root_of_unity(3, 1), (1, 1): Fraction(-1, 3)}, 2)
+    cases = [(x, x), (x, w), (w, w)]
+    want = [poly_fields(pairwise_product(p, q)) for p, q in cases]
+
+    def refuse(self, other):
+        raise AssertionError("TrigPoly product multiplied a CyclotomicNumber")
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", refuse)
+    assert [poly_fields(p * q) for p, q in cases] == want
 
 
 # -- operator norm --------------------------------------------------------------

@@ -32,6 +32,15 @@ def test_ring_laws_random():
         assert a * (b + c) == a * b + a * c
 
 
+def test_sum_leaves_its_operands_unchanged():
+    # operands over the common denominator are aligned without a copy
+    x = TrigPoly(1, {(0,): 1, (1,): 2})
+    y = TrigPoly(1, {(1,): 3, (2,): Fraction(1, 2)})
+    assert x + y == TrigPoly(1, {(0,): 1, (1,): 5, (2,): Fraction(1, 2)})
+    assert x.terms == TrigPoly(1, {(0,): 1, (1,): 2}).terms
+    assert y.terms == TrigPoly(1, {(1,): 3, (2,): Fraction(1, 2)}).terms
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         TrigPoly.constant(1, 1) + TrigPoly.constant(2, 1)
