@@ -371,7 +371,7 @@ def _product(a: dict, b: dict) -> dict:
             slot = sums.get(freq)
             if slot is None:
                 slot = sums[freq] = [[0] * field, lcm(oa, ob)]
-            elif slot[1] % oa or slot[1] % ob:
+            else:
                 slot[1] = lcm(slot[1], oa, ob)
             vec = slot[0]
             for p, x in xs:
