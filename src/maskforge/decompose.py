@@ -21,8 +21,9 @@ from fractions import Fraction
 
 from .errors import InternalIdentityViolation, NotInClass
 from .lattice import DilationContext, mat_vec
-from .sumrules import (multi_indices, sum_rule_order, sum_rule_order_direct,
-                       digit_interpolant, unit_derivative_poly)
+from .sumrules import (dilated_derivatives, multi_indices, sum_rule_order,
+                       sum_rule_order_direct, digit_interpolant,
+                       unit_derivative_poly)
 from .trigpoly import TrigPoly
 
 
@@ -125,17 +126,17 @@ class MaskDecomposition:
                   ctx: DilationContext) -> "MaskDecomposition":
         """Read back a to_json document as a decomposition of source;
         ParseError when it is malformed.  Nothing is verified here."""
-        from .maskfile import ParseError, mask_terms_from_json
+        from .maskfile import ParseError, mask_terms_from_json, parse_integer
         try:
-            order = int(doc["order"])
+            order = parse_integer(doc["order"])
             entries = {}
             for item in doc["entries"]:
-                j_t = tuple(int(x) for x in item["j"])
-                k_t = tuple(int(x) for x in item["k"])
+                j_t = tuple(parse_integer(x) for x in item["j"])
+                k_t = tuple(parse_integer(x) for x in item["k"])
                 if len(j_t) != order or len(k_t) != order:
                     raise ParseError("entry index length does not match order")
                 entries[(j_t, k_t)] = mask_terms_from_json(item["mask"], ctx.dim)
-            achieved = int(doc.get("achieved_class", -1))
+            achieved = parse_integer(doc.get("achieved_class", -1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad decomposition: {exc!r}") from None
         expected = ctx.dim ** (2 * order)
@@ -224,7 +225,7 @@ def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
         achieved_class=achieved_class)
 
 
-def _correction_block(a_row: TrigPoly, ctx: DilationContext, order: int,
+def _correction_block(dilated_row, ctx: DilationContext, order: int,
                       l: int, j: int) -> TrigPoly:
     """Sum of the explicit corrections moving order-`order` residues of row l
     into row j (axes 1-based, j > l).
@@ -232,10 +233,11 @@ def _correction_block(a_row: TrigPoly, ctx: DilationContext, order: int,
     Each correction is  -(1/beta_j) * G(Mt x) * sum_nu H_nu(x) * w(beta, nu)
     where G selects the (beta - e_j)-th normalized derivative through order
     order-1, H_nu interpolates the dual digits, and w is the normalized beta
-    derivative of the dilated row entry at dual digit nu.  The 2*pi*i powers
-    of the three factors cancel exactly, which keeps everything cyclotomic;
-    the 1/beta_j factor makes the moved residue match the derivative it kills
-    (the product rule contributes beta_j through the single surviving term).
+    derivative of the dilated row entry (dilated_row, its dilated_derivatives)
+    at dual digit nu.  The 2*pi*i powers of the three factors cancel exactly,
+    which keeps everything cyclotomic; the 1/beta_j factor makes the moved
+    residue match the derivative it kills (the product rule contributes
+    beta_j through the single surviving term).
     """
     d = ctx.dim
     total = TrigPoly.zero(d)
@@ -247,7 +249,7 @@ def _correction_block(a_row: TrigPoly, ctx: DilationContext, order: int,
             continue
         weight_sum = TrigPoly.zero(d)
         for nu in range(1, ctx.m):
-            w = a_row.normalized_derivative(beta, ctx.dual_digits[nu])
+            w = dilated_row(beta, ctx.dual_digits[nu])
             if not w.is_zero():
                 weight_sum = weight_sum + interpolants[nu].scale(w)
         if weight_sum.is_zero():
@@ -286,9 +288,9 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
             for k in range(1, d + 1):
                 before[k - 1] = _defining_sum(entries, deltas, d, k)
             for k in range(1, d + 1):
-                a_row = entries[l - 1][k - 1].compose_inverse_dilate(ctx.inverse)
+                dilated_row = dilated_derivatives(entries[l - 1][k - 1], ctx)
                 for j in range(l + 1, d + 1):
-                    block = _correction_block(a_row, ctx, order, l, j)
+                    block = _correction_block(dilated_row, ctx, order, l, j)
                     if block.is_zero():
                         continue
                     entries[l - 1][k - 1] = entries[l - 1][k - 1] \

@@ -17,10 +17,6 @@ class UserDigitsInvalid(MaskforgeError):
     pass
 
 
-class NonIntegerFrequencies(MaskforgeError):
-    pass
-
-
 class NotDivisible(MaskforgeError):
     pass
 

@@ -46,20 +46,28 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"cannot parse rational from {value!r}")
 
 
+def parse_integer(value) -> int:
+    """A JSON integer; floats, booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_scalar(value):
     """A coefficient: rational string/int, or a cyclotomic object."""
     if isinstance(value, dict):
         try:
-            return CyclotomicNumber(int(value["order"]),
-                                    [parse_rational(c) for c in value["coords"]])
+            coords = value["coords"]
+            if not isinstance(coords, list):
+                raise ParseError(f"cyclotomic coords must be a list, got {coords!r}")
+            return CyclotomicNumber(parse_integer(value["order"]),
+                                    [parse_rational(c) for c in coords])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad cyclotomic object {value!r}: {exc}") from None
     return parse_rational(value)
 
 
 def mask_terms_json(t: TrigPoly) -> dict:
-    if t.denom != 1:
-        raise MaskforgeError("only integer-frequency masks serialize")
     return {"coefficients": [{"freq": list(freq), "value": t.terms[freq].to_json()}
                              for freq in sorted(t.terms)]}
 
@@ -71,7 +79,7 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
     terms = {}
     try:
         for item in payload.get("coefficients", []):
-            freq = tuple(int(x) for x in item["freq"])
+            freq = tuple(parse_integer(x) for x in item["freq"])
             if len(freq) != dim:
                 raise ParseError(f"frequency {freq} has wrong dimension")
             terms[freq] = parse_scalar(item["value"])
@@ -83,18 +91,18 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
 def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
     """Build the mask and its dilation context from a parsed mask file."""
     try:
-        dim = int(doc["dim"])
-        dilation = [[int(x) for x in row] for row in doc["dilation"]]
+        dim = parse_integer(doc["dim"])
+        dilation = [[parse_integer(x) for x in row] for row in doc["dilation"]]
+        digits = doc.get("digits")
+        dual_digits = doc.get("dual_digits")
+        if digits is not None:
+            digits = [tuple(parse_integer(x) for x in d) for d in digits]
+        if dual_digits is not None:
+            dual_digits = [tuple(parse_integer(x) for x in d) for d in dual_digits]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad mask header: {exc}") from None
     if len(dilation) != dim or any(len(r) != dim for r in dilation):
         raise ParseError("dilation matrix shape does not match dim")
-    digits = doc.get("digits")
-    dual_digits = doc.get("dual_digits")
-    if digits is not None:
-        digits = [tuple(int(x) for x in d) for d in digits]
-    if dual_digits is not None:
-        dual_digits = [tuple(int(x) for x in d) for d in dual_digits]
     ctx = DilationContext.create(dilation, digits=digits, dual_digits=dual_digits)
 
     has_coeffs = "coefficients" in doc
@@ -112,7 +120,7 @@ def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
     seen = set()
     for item in doc["polyphase"]:
         try:
-            nu = int(item["digit"])
+            nu = parse_integer(item["digit"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad polyphase item: {exc}") from None
         if not 0 <= nu < ctx.m or nu in seen:

@@ -151,7 +151,6 @@ class MatrixMask:
         self.dim = self.entries[0][0].dim
         for row in self.entries:
             for entry in row:
-                entry._require_integer()
                 if entry.dim != self.dim:
                     raise ShapeMismatch("mixed dimensions in matrix mask")
 
@@ -434,6 +433,24 @@ class ConvergenceReport:
         }
 
 
+def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int,
+                        precision_bits: int, growth=None) -> tuple[list, int | None]:
+    """([(L, bound)], first L whose bound is certified below 1, or None).
+
+    The bound of the L-fold operator is its operator norm, times the
+    infinity norm of growth^L when a growth matrix is given; the search stops
+    at the first certified power or at power_cap."""
+    bounds = []
+    for L, symbol, dilation in operator_powers(scheme, ctx, power_cap):
+        bound = operator_norm(symbol, dilation, precision_bits)
+        if growth is not None:
+            bound = bound * power_inf_norm(growth, L)
+        bounds.append((L, bound))
+        if bound.certified_below(1):
+            return bounds, L
+    return bounds, None
+
+
 def check_convergence(t: TrigPoly, ctx: DilationContext,
                       power_cap: int = DEFAULT_POWER_CAP,
                       precision_bits: int = 128,
@@ -458,12 +475,7 @@ def check_convergence(t: TrigPoly, ctx: DilationContext,
     certificate = None
     if in_z0:
         T = MatrixMask.from_decomposition(decompose_to_class(t, ctx, order))
-        for L, symbol, dilation in operator_powers(T, ctx, power_cap):
-            norm = operator_norm(symbol, dilation, precision_bits)
-            norms.append((L, norm))
-            if norm.certified_below(1):
-                certificate = L
-                break
+        norms, certificate = _certificate_search(T, ctx, power_cap, precision_bits)
         if certificate is None:
             reasons.append(
                 f"no operator power up to {power_cap} has norm certified below 1")
@@ -527,14 +539,8 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     certificate = None
     if in_z1 and T is not None:
         Q = second_difference_scheme(T, ctx)
-        dual = transpose(ctx.matrix)
-        for L, symbol, dilation in operator_powers(Q, ctx, power_cap):
-            growth = power_inf_norm(dual, L)
-            product = operator_norm(symbol, dilation, precision_bits) * growth
-            products.append((L, product))
-            if product.certified_below(1):
-                certificate = L
-                break
+        products, certificate = _certificate_search(
+            Q, ctx, power_cap, precision_bits, growth=transpose(ctx.matrix))
         if certificate is None:
             reasons.append(
                 f"no power up to {power_cap} contracts against the dilation growth")

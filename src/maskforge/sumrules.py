@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, prod
 
 from .cyclotomic import CyclotomicNumber, coerce, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
-from .lattice import DilationContext, matrix_inverse
-from .trigpoly import TrigPoly
+from .lattice import DilationContext, mat_vec, matrix_inverse
+from .trigpoly import TrigPoly, derivative_at
 
 DEFAULT_ORDER_CAP = 4
 
@@ -60,13 +60,22 @@ def _neg_power(point, expo) -> Fraction:
 # order detection
 # ---------------------------------------------------------------------------
 
-def _direct_order_holds(poly_dilated: TrigPoly, ctx: DilationContext,
-                        total: int) -> bool:
+def dilated_derivatives(t: TrigPoly, ctx: DilationContext):
+    """(beta, point) -> the normalized beta-derivative of t(inverse-transpose
+    x) at the point.  inverse = adjugate / det, so each frequency maps once,
+    here, to sign(det) * adjugate @ freq over the denominator m = |det|."""
+    adj = ctx.adjugate if ctx.det > 0 else \
+        tuple(tuple(-x for x in row) for row in ctx.adjugate)
+    terms = [(mat_vec(adj, freq), coeff) for freq, coeff in t.terms.items()]
+    return partial(derivative_at, terms, ctx.m)
+
+
+def _direct_order_holds(derivative, ctx: DilationContext, total: int) -> bool:
     """Do all total-order derivatives of t(inverse-transpose x) vanish at the
-    nonzero dual digits?"""
+    nonzero dual digits?  Takes the evaluator of dilated_derivatives."""
     for dual_digit in ctx.dual_digits[1:]:
         for beta in multi_indices(ctx.dim, total):
-            if not poly_dilated.normalized_derivative(beta, dual_digit).is_zero():
+            if not derivative(beta, dual_digit).is_zero():
                 return False
     return True
 
@@ -116,7 +125,7 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    dilated = t.compose_inverse_dilate(ctx.inverse)
+    dilated = dilated_derivatives(t, ctx)
     taus = t.polyphase_split(ctx)
     table: dict = {}
     order = -1
@@ -141,7 +150,7 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
 def sum_rule_order_direct(t: TrigPoly, ctx: DilationContext,
                           cap: int = DEFAULT_ORDER_CAP) -> int:
     """Order by the direct definition only (an independent certification path)."""
-    dilated = t.compose_inverse_dilate(ctx.inverse)
+    dilated = dilated_derivatives(t, ctx)
     order = -1
     for total in range(cap + 1):
         if not _direct_order_holds(dilated, ctx, total):
@@ -181,10 +190,10 @@ class DerivativeTable:
 
     @classmethod
     def from_json(cls, payload: dict, dim: int) -> "DerivativeTable":
-        from .maskfile import parse_scalar
-        values = {tuple(int(b) for b in item["beta"]): coerce(parse_scalar(item["value"]))
-                  for item in payload["values"]}
-        return cls(dim=dim, order=int(payload["order"]), values=values)
+        from .maskfile import parse_integer, parse_scalar
+        values = {tuple(parse_integer(b) for b in item["beta"]):
+                  coerce(parse_scalar(item["value"])) for item in payload["values"]}
+        return cls(dim=dim, order=parse_integer(payload["order"]), values=values)
 
 
 def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> DerivativeTable:

@@ -1,12 +1,13 @@
 """Sparse exponential sums with exact cyclotomic coefficients.
 
-A TrigPoly stores finitely many terms  coeff * e^(2*pi*i*(freq/denom, x))
-with integer frequency vectors freq and a common positive denominator.
-Frequency n contributes e^(+2*pi*i*(n,x)); genuine trigonometric (Laurent)
-polynomials have denom == 1 and then z_k = e^(2*pi*i*x_k) exponents coincide
-with frequencies.  Rational frequencies exist so that dilated arguments
-t(inverse-transpose x) are first-class values.  Products sum integer
-coordinates, one vector per frequency, and reduce each value once.
+A TrigPoly is a Laurent polynomial: finitely many terms
+coeff * e^(2*pi*i*(freq, x)) with integer frequency vectors freq, so the
+z_k = e^(2*pi*i*x_k) exponents coincide with frequencies.  Products sum
+integer coordinates, one vector per frequency, and reduce each value once.
+Derivatives of a dilated argument t(inverse-transpose x) are read by
+`derivative_at` from the integer frequencies mapped through the adjugate
+over |det| (sumrules.dilated_derivatives), so no polynomial ever carries
+rational frequencies.
 """
 
 from __future__ import annotations
@@ -17,20 +18,17 @@ from numbers import Rational
 from operator import add, mul
 
 from .cyclotomic import _F0, CyclotomicNumber, _reduce_coords, coerce
-from .errors import (DimensionMismatch, NonIntegerFrequencies, NotDivisible,
-                     WrongCount)
+from .errors import DimensionMismatch, NotDivisible, WrongCount
 from .intervals import RatInterval, interval_sum
 from .lattice import DilationContext, mat_vec
 
 
 class TrigPoly:
-    __slots__ = ("dim", "denom", "terms")
+    __slots__ = ("dim", "terms")
 
-    def __init__(self, dim: int, terms=None, denom: int = 1) -> None:
+    def __init__(self, dim: int, terms=None) -> None:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        if denom < 1:
-            raise ValueError("frequency denominator must be positive")
         clean: dict[tuple[int, ...], CyclotomicNumber] = {}
         for freq, coeff in (terms or {}).items():
             freq = tuple(int(x) for x in freq)
@@ -44,18 +42,6 @@ class TrigPoly:
             else:
                 clean[freq] = coeff
         self.dim = dim
-        if not clean:
-            self.denom = 1
-            self.terms = {}
-            return
-        g = denom
-        for freq in clean:
-            for x in freq:
-                g = gcd(g, abs(x))
-        if g > 1:
-            clean = {tuple(x // g for x in freq): c for freq, c in clean.items()}
-            denom //= g
-        self.denom = denom
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -92,8 +78,7 @@ class TrigPoly:
         return self.terms.items()
 
     def coefficient(self, freq) -> CyclotomicNumber:
-        """Coefficient at an integer frequency (denom must be 1)."""
-        self._require_integer()
+        """Coefficient at a frequency."""
         return self.terms.get(tuple(freq), CyclotomicNumber.zero())
 
     def value_at_zero(self) -> CyclotomicNumber:
@@ -102,41 +87,24 @@ class TrigPoly:
             acc = acc + coeff
         return acc
 
-    def _require_integer(self) -> None:
-        if self.denom != 1:
-            raise NonIntegerFrequencies(
-                f"operation requires integer frequencies, denominator is {self.denom}")
-
     def _check_dim(self, other: "TrigPoly") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim}-d vs {other.dim}-d")
-
-    def _aligned(self, other: "TrigPoly"):
-        """Both term dicts over the lcm of the two denominators; a dict already
-        over it is returned itself, so callers must not write into it."""
-        common = lcm(self.denom, other.denom)
-        a, b = self.terms, other.terms
-        if self.denom != common:
-            a = {tuple(x * (common // self.denom) for x in f): c for f, c in a.items()}
-        if other.denom != common:
-            b = {tuple(x * (common // other.denom) for x in f): c for f, c in b.items()}
-        return a, b, common
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "TrigPoly":
         other = self._coerce_operand(other)
         self._check_dim(other)
-        a, b, common = self._aligned(other)
-        a = dict(a)
-        for freq, coeff in b.items():
-            a[freq] = a[freq] + coeff if freq in a else coeff
-        return TrigPoly(self.dim, a, common)
+        out = dict(self.terms)
+        for freq, coeff in other.terms.items():
+            out[freq] = out[freq] + coeff if freq in out else coeff
+        return TrigPoly(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly(self.dim, {f: -c for f, c in self.terms.items()}, self.denom)
+        return TrigPoly(self.dim, {f: -c for f, c in self.terms.items()})
 
     def __sub__(self, other) -> "TrigPoly":
         return self + (-self._coerce_operand(other))
@@ -146,8 +114,7 @@ class TrigPoly:
             return self.scale(other)
         other = self._coerce_operand(other)
         self._check_dim(other)
-        a, b, common = self._aligned(other)
-        return TrigPoly(self.dim, _product(a, b), common)
+        return TrigPoly(self.dim, _product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -155,8 +122,7 @@ class TrigPoly:
         factor = coerce(factor)
         if factor.is_zero():
             return TrigPoly.zero(self.dim)
-        return TrigPoly(self.dim, {f: c * factor for f, c in self.terms.items()},
-                        self.denom)
+        return TrigPoly(self.dim, {f: c * factor for f, c in self.terms.items()})
 
     def _coerce_operand(self, other) -> "TrigPoly":
         if isinstance(other, TrigPoly):
@@ -170,7 +136,7 @@ class TrigPoly:
             other = TrigPoly.constant(self.dim, other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if self.dim != other.dim or self.denom != other.denom:
+        if self.dim != other.dim:
             return False
         if set(self.terms) != set(other.terms):
             return False
@@ -180,26 +146,11 @@ class TrigPoly:
 
     def compose_dilate(self, matrix) -> "TrigPoly":
         """t(transpose(matrix) @ x): frequency map freq -> matrix @ freq."""
-        return self._map_frequencies(matrix, 1)
-
-    def compose_inverse_dilate(self, matrix_inverse) -> "TrigPoly":
-        """t(inverse-transpose @ x): frequency map freq -> matrix_inverse @ freq.
-
-        With D the lcm of the entries' denominators, D * matrix_inverse is an
-        integer matrix and the new frequencies are its images over D * denom;
-        the constructor reduces the common factor."""
-        scale = lcm(*(x.denominator for row in matrix_inverse for x in row))
-        return self._map_frequencies(
-            tuple(tuple(int(x * scale) for x in row) for row in matrix_inverse),
-            scale)
-
-    def _map_frequencies(self, matrix, scale: int) -> "TrigPoly":
-        """Frequencies mapped through an integer matrix, over denom * scale."""
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for freq, coeff in self.terms.items():
             new = mat_vec(matrix, freq)
             out[new] = out[new] + coeff if new in out else coeff
-        return TrigPoly(self.dim, out, self.denom * scale)
+        return TrigPoly(self.dim, out)
 
     # -- polyphase ---------------------------------------------------------
 
@@ -209,7 +160,6 @@ class TrigPoly:
         Component nu collects coefficients at frequencies matrix@k + digit[nu],
         re-indexed by k; assembling the parts reproduces the mask exactly.
         """
-        self._require_integer()
         parts: list[dict] = [{} for _ in range(ctx.m)]
         for freq, coeff in self.terms.items():
             nu, base = ctx.base_point(freq)
@@ -224,7 +174,6 @@ class TrigPoly:
             raise WrongCount(f"need {ctx.m} polyphase components, got {len(parts)}")
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for nu, part in enumerate(parts):
-            part._require_integer()
             digit = ctx.digits[nu]
             for freq, coeff in part.terms.items():
                 new = tuple(x + s for x, s in zip(mat_vec(ctx.matrix, freq), digit))
@@ -240,52 +189,16 @@ class TrigPoly:
     def normalized_derivative(self, alpha, point) -> CyclotomicNumber:
         """The alpha-derivative at the point, divided by (2*pi*i)^|alpha|.
 
-        Equals sum of coeff * (freq/denom)^alpha * e^(2*pi*i*(freq/denom, point)),
-        which stays inside the cyclotomic field; it vanishes exactly when the
-        true derivative does.
-
-        With q = denom * lcm(point denominators), each term is coeff times
-        freq^alpha / denom^|alpha| times zeta_q^k, k = (freq, q * point/denom).
-        The terms are placed as coordinates in the field of the lcm N of their
-        orders (coeff.order and q/gcd(k, q)), the order a term-by-term sum
-        reaches, and reduced once; canonical forms are unique, so the value
-        has the same order and coords as that sum.
+        Equals sum of coeff * freq^alpha * e^(2*pi*i*(freq, point)), which
+        stays inside the cyclotomic field; it vanishes exactly when the true
+        derivative does.
         """
-        alpha = tuple(int(a) for a in alpha)
-        point = [Fraction(p) for p in point]
-        scale = lcm(1, *(p.denominator for p in point))
-        scaled = [int(p * scale) for p in point]
-        q = self.denom * scale
-        powers = [(i, a) for i, a in enumerate(alpha) if a]
-        order = 1
-        placed = []
-        for freq, coeff in self.terms.items():
-            factor = 1
-            for i, a in powers:
-                factor *= freq[i] ** a
-            if not factor:
-                continue
-            k = sum(map(mul, freq, scaled)) % q
-            order = lcm(order, coeff.order, q // gcd(k, q))
-            placed.append((coeff, factor, k))
-        coords = [Fraction(0)] * order
-        for coeff, factor, k in placed:
-            shift = k * order // q
-            step = order // coeff.order
-            for i, c in enumerate(coeff.coords):
-                if c:
-                    at = (i * step + shift) % order
-                    coords[at] += c * factor
-        below = self.denom ** sum(alpha)
-        if below != 1:
-            coords = [c / below for c in coords]
-        return CyclotomicNumber(order, coords)
+        return derivative_at(self.terms.items(), 1, alpha, point)
 
     # -- Laurent manipulation along one axis ---------------------------------
 
     def substitute_one(self, j: int) -> "TrigPoly":
         """Set z_j := 1 (axes numbered from 1), merging collided frequencies."""
-        self._require_integer()
         out: dict[tuple[int, ...], CyclotomicNumber] = {}
         for freq, coeff in self.terms.items():
             new = freq[: j - 1] + (0,) + freq[j:]
@@ -299,7 +212,6 @@ class TrigPoly:
         group of terms sharing the other coordinates, running sums give the
         quotient and the total must vanish.
         """
-        self._require_integer()
         groups: dict[tuple, dict[int, CyclotomicNumber]] = {}
         for freq, coeff in self.terms.items():
             rest = freq[: j - 1] + freq[j:]
@@ -345,12 +257,58 @@ class TrigPoly:
         for freq in sorted(self.terms):
             mono = "*".join(f"z{i+1}^{e}" for i, e in enumerate(freq) if e) or "1"
             bits.append(f"({self.terms[freq]!r})*{mono}")
-        tag = f" /{self.denom}" if self.denom != 1 else ""
-        return "TrigPoly(" + " + ".join(bits) + tag + ")"
+        return "TrigPoly(" + " + ".join(bits) + ")"
 
+
+
+def derivative_at(terms, denom: int, alpha, point) -> CyclotomicNumber:
+    """sum of coeff * (freq/denom)^alpha * e^(2*pi*i*(freq/denom, point)) over
+    (integer freq, coeff) pairs and a positive denominator: the normalized
+    alpha-derivative at the point of the exponential sum with frequencies
+    freq/denom.  With the frequencies of t mapped to adjugate images over
+    |det| (sign included), this is the derivative of t(inverse-transpose x).
+
+    With q = denom * lcm(point denominators), each term is coeff times
+    freq^alpha / denom^|alpha| times zeta_q^k, k = (freq, q * point/denom).
+    The terms are placed as coordinates in the field of the lcm N of their
+    orders (coeff.order and q/gcd(k, q)), the order a term-by-term sum
+    reaches, and reduced once; canonical forms are unique, so the value has
+    the same order and coords as that sum.  A denominator sharing a factor
+    with every frequency gives the same value as the reduced one: each
+    term's order and factor are unchanged as fractions.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    point = [Fraction(p) for p in point]
+    scale = lcm(1, *(p.denominator for p in point))
+    scaled = [int(p * scale) for p in point]
+    q = denom * scale
+    powers = [(i, a) for i, a in enumerate(alpha) if a]
+    order = 1
+    placed = []
+    for freq, coeff in terms:
+        factor = 1
+        for i, a in powers:
+            factor *= freq[i] ** a
+        if not factor:
+            continue
+        k = sum(map(mul, freq, scaled)) % q
+        order = lcm(order, coeff.order, q // gcd(k, q))
+        placed.append((coeff, factor, k))
+    coords = [Fraction(0)] * order
+    for coeff, factor, k in placed:
+        shift = k * order // q
+        step = order // coeff.order
+        for i, c in enumerate(coeff.coords):
+            if c:
+                at = (i * step + shift) % order
+                coords[at] += c * factor
+    below = denom ** sum(alpha)
+    if below != 1:
+        coords = [c / below for c in coords]
+    return CyclotomicNumber(order, coords)
 
 def _product(a: dict, b: dict) -> dict:
-    """Coefficients of the product of two aligned term dicts, summed once per
+    """Coefficients of the product of two term dicts, summed once per
     frequency in integers and reduced once.
 
     With N the lcm of all orders, coefficients become integer numerators over

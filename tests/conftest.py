@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
+from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
+                                  root_of_unity)
 from maskforge.lattice import DilationContext, mat_vec
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to)
@@ -52,6 +53,31 @@ def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
         x = Fraction(x)
         out.append(Fraction(x.numerator % x.denominator, x.denominator))
     return tuple(out)
+
+
+def fraction_derivative(terms, beta, point) -> CyclotomicNumber:
+    """Sum of coeff * freq^beta * e^(2*pi*i*(freq, point)) over (rational
+    freq, coeff) pairs, folded term by term in Fractions: one product, one
+    promotion and one reduction per term."""
+    acc = CyclotomicNumber.zero()
+    for freq, coeff in terms:
+        factor = Fraction(1)
+        for n, b in zip(freq, beta):
+            if b:
+                factor *= Fraction(n) ** b
+        if not factor:
+            continue
+        turns = sum((Fraction(n) * Fraction(p) for n, p in zip(freq, point)),
+                    start=Fraction(0))
+        acc = acc + coeff * factor * exp_of_rational(turns)
+    return acc
+
+
+def fraction_dilated_derivative(t: TrigPoly, inverse, beta, point) -> CyclotomicNumber:
+    """The normalized beta-derivative of t(inverse-transpose x) at the point,
+    from the rational frequencies inverse @ freq."""
+    return fraction_derivative([(mat_vec(inverse, f), c) for f, c in t.terms.items()],
+                               beta, point)
 
 
 def random_mask(rng: random.Random, dim: int, n_terms: int = 6,

@@ -127,6 +127,11 @@ def _mask_with(coefficients):
     return {"dim": 1, "dilation": [[2]], "coefficients": coefficients}
 
 
+def _mask_2d(**fields):
+    return {"dim": 2, "dilation": [[2, 0], [0, 2]],
+            "coefficients": [{"freq": [0, 0], "value": "4"}], **fields}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("verify-only", {"order": 1}),
     ("verify-only", [1, 2]),
@@ -141,6 +146,18 @@ def _mask_with(coefficients):
         "order": 3, "coords": ["1", "0", "0", "1"]}}])),
     ("analyze", _mask_with([{"freq": [0], "value": {
         "order": 0, "coords": ["1"]}}])),
+    # integer fields take JSON integers only, and coords must be a list
+    ("analyze", _mask_with([{"freq": [0.7], "value": "1"}])),
+    ("analyze", _mask_with([{"freq": [True], "value": "1"}])),
+    ("analyze", _mask_with([{"freq": ["1"], "value": "1"}])),
+    ("analyze", _mask_with([{"freq": [0], "value": {
+        "order": 2.5, "coords": ["1", "0"]}}])),
+    ("analyze", _mask_with([{"freq": [0], "value": {
+        "order": 2, "coords": "12"}}])),
+    ("analyze", _mask_2d(dilation=[[2.9, 0], [0, 2]])),
+    ("analyze", _mask_2d(dim=2.5)),
+    ("analyze", _mask_2d(digits=[[0, 0], [1.2, 0], [0, 1], [1, 1]])),
+    ("analyze", _mask_2d(digits=5)),
 ])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
     # malformed decomposition or mask files are parse errors, not tracebacks

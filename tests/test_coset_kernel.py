@@ -9,7 +9,6 @@ base_point, the inverse-dilation substitution and the digit-set validation.
 
 import itertools
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import coset_fraction_key
 from maskforge.errors import UserDigitsInvalid
 from maskforge.lattice import DilationContext, digit_set, mat_vec, transpose
+from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
 from test_apply_kernel import dilations, points, rationals
 
@@ -63,16 +63,14 @@ def test_base_point_round_trip(dim, data):
 def test_compose_dilate_undoes_inverse_dilate(dim, data):
     ctx = DilationContext.create(data.draw(dilations(dim)))
     terms = data.draw(st.dictionaries(points(dim, 3), rationals(), max_size=5))
-    denom = data.draw(st.integers(1, 4))
-    t = TrigPoly(dim, terms, denom)
-    inv = t.compose_inverse_dilate(ctx.inverse)
-    assert inv.compose_dilate(ctx.matrix) == t
-    # every frequency is inverse @ freq / denom, over the least denominator
-    expected = {tuple(x / t.denom for x in mat_vec(ctx.inverse, f)): c
-                for f, c in t.terms.items()}
-    assert {tuple(Fraction(x, inv.denom) for x in f): c
-            for f, c in inv.terms.items()} == expected
-    assert not inv.terms or gcd(inv.denom, *itertools.chain(*inv.terms)) == 1
+    t = TrigPoly(dim, terms)
+    # t(transpose(matrix) inverse-transpose x) = t(x), field for field
+    back = dilated_derivatives(t.compose_dilate(ctx.matrix), ctx)
+    beta = data.draw(st.tuples(*[st.integers(0, 1)] * dim))
+    for p in data.draw(st.lists(points(dim).map(
+            lambda v: tuple(Fraction(x, 6) for x in v)), min_size=1, max_size=3)):
+        got, want = back(beta, p), t.normalized_derivative(beta, p)
+        assert (got.order, got.coords) == (want.order, want.coords)
 
 
 @DIMS

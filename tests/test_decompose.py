@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_class_mask, random_mask
+from conftest import fraction_dilated_derivative, random_class_mask, random_mask
 from maskforge.decompose import (MaskDecomposition, NotInZ0, decompose_mask,
                                  decompose_to_class, dilated_difference,
                                  iterated_decomposition, kronecker_power,
@@ -142,10 +142,10 @@ def test_refinement_matches_two_dimensional_specialization(example_ctx):
                [dec.entry(2, 1), dec.entry(2, 2)]]
     delta = [dilated_difference(ctx, 1), dilated_difference(ctx, 2)]
     for k in (1, 2):
-        a_1k = entries[0][k - 1].compose_inverse_dilate(ctx.inverse)
         correction = TrigPoly.zero(2)
         for nu in range(1, ctx.m):
-            w = a_1k.normalized_derivative((0, 1), ctx.dual_digits[nu])
+            w = fraction_dilated_derivative(entries[0][k - 1], ctx.inverse,
+                                            (0, 1), ctx.dual_digits[nu])
             correction = correction + digit_interpolant(nu, ctx).scale(w)
         entries[0][k - 1] = entries[0][k - 1] + delta[1] * correction
         entries[1][k - 1] = entries[1][k - 1] - delta[0] * correction

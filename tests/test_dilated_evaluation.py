@@ -1,0 +1,85 @@
+"""The dilated evaluation t(inverse-transpose x) against the Fraction oracle,
+over random dilations.
+
+dilated_derivatives maps each integer frequency to sign(det) * adjugate @
+freq over m = |det|, and derivative_at evaluates those terms.  The
+properties below draw dilations in dimensions 1-3 with determinants of both
+signs and masks with rational and cyclotomic coefficients.  They require
+every derivative of order at most 2 at every dual digit to equal, field for
+field, the sum of coeff * (inverse @ freq)^beta * e^(2*pi*i*(inverse @ freq,
+p)) folded in Fractions, and masks built from derivative tables to reach
+their order by both sum-rule checkers.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (fraction_dilated_derivative, random_class_mask,
+                      random_cyclotomic_class_mask)
+from maskforge.lattice import DilationContext, determinant
+from maskforge.sumrules import (dilated_derivatives, multi_indices_up_to,
+                                sum_rule_order, sum_rule_order_direct)
+from maskforge.trigpoly import TrigPoly
+from test_apply_kernel import dilations, points, rationals
+from test_exact_kernels import coefficients
+
+# deterministic and small: the whole module runs in about two seconds
+PROFILE = settings(max_examples=5, deadline=None, derandomize=True,
+                   database=None)
+
+CASES = pytest.mark.parametrize("dim, positive", [
+    (dim, positive) for dim in (1, 2, 3) for positive in (True, False)])
+
+
+def signed(matrix, positive):
+    """The matrix, negated in odd dimensions when its determinant has the
+    other sign (negation keeps it expanding)."""
+    if len(matrix) % 2 and (determinant(matrix) > 0) != positive:
+        return tuple(tuple(-x for x in row) for row in matrix)
+    return matrix
+
+
+def contexts(dim, positive):
+    """Dilations with a determinant of the given sign and |det| <= 8, which
+    keeps a built order-2 mask in three dimensions to a few hundred terms."""
+    return dilations(dim).map(lambda matrix: signed(matrix, positive)).filter(
+        lambda matrix: 0 < determinant(matrix) * (1 if positive else -1) <= 8
+    ).map(DilationContext.create)
+
+
+@CASES
+@PROFILE
+@given(data=st.data())
+def test_dilated_derivatives_match_the_fraction_oracle(dim, positive, data):
+    ctx = data.draw(contexts(dim, positive))
+    t = TrigPoly(dim, data.draw(st.dictionaries(
+        points(dim, 3), coefficients(orders=(1, 1, 3, 4)), max_size=5)))
+    dilated = dilated_derivatives(t, ctx)
+    for beta in multi_indices_up_to(dim, 2):
+        for dual in ctx.dual_digits:
+            got = dilated(beta, dual)
+            want = fraction_dilated_derivative(t, ctx.inverse, beta, dual)
+            assert (got.order, got.coords) == (want.order, want.coords)
+
+
+@CASES
+@PROFILE
+@given(data=st.data())
+def test_built_masks_reach_their_order_by_both_checkers(dim, positive, data):
+    ctx = data.draw(contexts(dim, positive))
+    order = data.draw(st.integers(0, 2))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    if data.draw(st.booleans()):
+        mask = random_cyclotomic_class_mask(rng, ctx, order, (3,))
+    else:
+        mask = random_class_mask(rng, ctx, order)
+    assert sum_rule_order(mask, ctx, cap=order) == order
+    assert sum_rule_order_direct(mask, ctx, cap=order) == order
+    # one more term usually breaks the rules; sum_rule_order raises
+    # MethodDisagreement unless the direct and polyphase checkers agree
+    bumped = mask + TrigPoly.monomial(dim, data.draw(points(dim, 3)),
+                                      data.draw(rationals()))
+    assert sum_rule_order(bumped, ctx, cap=order) <= order

@@ -1,11 +1,12 @@
 """The single-reduction evaluation, the reduce-once product and the row-sum
 operator norm against the per-term folds they replaced.
 
-normalized_derivative and eval_at_rational place every term in one
-coordinate vector and reduce once; TrigPoly products sum integer numerators
-in one coordinate vector per frequency and reduce each once, whatever the
-coefficient fields; operator_norm sums rational magnitudes as one Fraction
-per row.  The references below are the earlier per-term loops, copied here.
+derivative_at, over integer frequencies and a denominator, places every
+term in one coordinate vector and reduces once; TrigPoly products sum
+integer numerators in one coordinate vector per frequency and reduce each
+once, whatever the coefficient fields; operator_norm sums rational
+magnitudes as one Fraction per row.  The references below are the earlier
+per-term loops.
 Results are compared field for field, (order, coords) and the key order of
 the terms, because == promotes across orders and would hide a value held in
 the wrong field.
@@ -18,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coset_fraction_key
+from conftest import coset_fraction_key, fraction_derivative
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval, interval_max
 from maskforge.lattice import matrix_inverse
 from maskforge.subdivision import MatrixMask, operator_norm
-from maskforge.trigpoly import TrigPoly
+from maskforge.trigpoly import TrigPoly, derivative_at
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=40, deadline=None, derandomize=True,
@@ -35,32 +36,21 @@ ORDERS = (1, 2, 3, 4, 5, 12)
 
 # -- references: the per-term folds -----------------------------------------
 
-def folded_derivative(t, alpha, point):
-    """normalized_derivative as it was: one product, one promotion and one
-    reduction per term."""
-    alpha = tuple(int(a) for a in alpha)
-    point = [Fraction(p) for p in point]
-    acc = CyclotomicNumber.zero()
-    for freq, coeff in t.terms.items():
-        factor = Fraction(1)
-        for n, a in zip(freq, alpha):
-            if a:
-                factor *= Fraction(n, t.denom) ** a
-        if not factor:
-            continue
-        turns = sum((Fraction(n) * p for n, p in zip(freq, point)),
-                    start=Fraction(0)) / t.denom
-        acc = acc + coeff * factor * exp_of_rational(turns)
-    return acc
+def folded_derivative(t, denom, alpha, point):
+    """derivative_at as it was, over the frequencies freq/denom: one product,
+    one promotion and one reduction per term."""
+    return fraction_derivative(
+        [(tuple(Fraction(n, denom) for n in f), c) for f, c in t.terms.items()],
+        alpha, point)
 
 
-def folded_value(t, point):
-    """eval_at_rational as it was."""
+def folded_value(t, denom, point):
+    """eval_at_rational as it was, over the frequencies freq/denom."""
     point = [Fraction(p) for p in point]
     acc = CyclotomicNumber.zero()
     for freq, coeff in t.terms.items():
         turns = sum((Fraction(n) * p for n, p in zip(freq, point)),
-                    start=Fraction(0)) / t.denom
+                    start=Fraction(0)) / denom
         acc = acc + coeff * exp_of_rational(turns)
     return acc
 
@@ -68,14 +58,13 @@ def folded_value(t, point):
 def pairwise_product(x, y):
     """The pairwise loop of TrigPoly.__mul__: one CyclotomicNumber product
     and one sum per pair of terms."""
-    a, b, common = x._aligned(y)
     out = {}
-    for fa, ca in a.items():
-        for fb, cb in b.items():
+    for fa, ca in x.terms.items():
+        for fb, cb in y.terms.items():
             freq = tuple(u + v for u, v in zip(fa, fb))
             prod = ca * cb
             out[freq] = out[freq] + prod if freq in out else prod
-    return TrigPoly(x.dim, out, common)
+    return TrigPoly(x.dim, out)
 
 
 def folded_norm(mask, matrix, precision_bits=128):
@@ -106,7 +95,7 @@ def number_fields(x):
 
 
 def poly_fields(t):
-    return t.dim, t.denom, [(f, c.order, c.coords) for f, c in t.terms.items()]
+    return t.dim, [(f, c.order, c.coords) for f, c in t.terms.items()]
 
 
 # -- strategies ---------------------------------------------------------------
@@ -131,10 +120,13 @@ def frequencies(dim, span=3):
 
 
 @st.composite
-def polys(draw, dim, values=coefficients(), denoms=(1, 1, 2, 3, 6), min_size=0):
+def polys(draw, dim, values=coefficients(), min_size=0):
     terms = draw(st.dictionaries(frequencies(dim), values, min_size=min_size,
                                  max_size=5))
-    return TrigPoly(dim, terms, draw(st.sampled_from(denoms)))
+    return TrigPoly(dim, terms)
+
+
+DENOMS = st.sampled_from((1, 1, 2, 3, 6))
 
 
 def rational_points(dim):
@@ -151,7 +143,8 @@ def multi_indices(dim):
 @st.composite
 def evaluation_cases(draw):
     dim = draw(st.integers(1, 3))
-    return draw(polys(dim)), draw(multi_indices(dim)), draw(rational_points(dim))
+    return (draw(polys(dim)), draw(DENOMS), draw(multi_indices(dim)),
+            draw(rational_points(dim)))
 
 
 @st.composite
@@ -160,12 +153,13 @@ def cancelling_evaluations(draw):
     root-of-unity values there, so the value cancels to zero."""
     dim = draw(st.integers(1, 3))
     t = draw(polys(dim, min_size=1).filter(lambda p: not p.is_zero()))
+    denom = draw(DENOMS)
     point = draw(rational_points(dim))
     axis = draw(st.integers(0, dim - 1))
-    period = t.denom * lcm(*(p.denominator for p in point))
+    period = denom * lcm(*(p.denominator for p in point))
     shifted = TrigPoly(dim, {tuple(x + period * (i == axis) for i, x in enumerate(f)):
-                             -c for f, c in t.terms.items()}, t.denom)
-    return t + shifted, point
+                             -c for f, c in t.terms.items()})
+    return t + shifted, denom, point
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -173,34 +167,41 @@ def cancelling_evaluations(draw):
 @PROFILE
 @given(evaluation_cases())
 def test_normalized_derivative_matches_fold(case):
-    t, alpha, point = case
-    got = t.normalized_derivative(alpha, point)
-    assert number_fields(got) == number_fields(folded_derivative(t, alpha, point))
+    t, denom, alpha, point = case
+    got = derivative_at(t.terms.items(), denom, alpha, point)
+    assert number_fields(got) == \
+        number_fields(folded_derivative(t, denom, alpha, point))
+    assert number_fields(t.normalized_derivative(alpha, point)) == \
+        number_fields(folded_derivative(t, 1, alpha, point))
 
 
 @PROFILE
 @given(evaluation_cases())
 def test_eval_at_rational_matches_fold(case):
-    t, _, point = case
+    t, denom, _, point = case
+    zero = (0,) * t.dim
+    assert number_fields(derivative_at(t.terms.items(), denom, zero, point)) == \
+        number_fields(folded_value(t, denom, point))
     assert number_fields(t.eval_at_rational(point)) == \
-        number_fields(folded_value(t, point))
+        number_fields(folded_value(t, 1, point))
 
 
 @PROFILE
 @given(cancelling_evaluations())
 def test_cancelled_value_keeps_the_fold_order(case):
-    t, point = case
-    got = t.eval_at_rational(point)
+    t, denom, point = case
+    got = derivative_at(t.terms.items(), denom, (0,) * t.dim, point)
     assert got.is_zero()
-    assert number_fields(got) == number_fields(folded_value(t, point))
+    assert number_fields(got) == number_fields(folded_value(t, denom, point))
 
 
 def test_zero_factors_give_the_order_one_zero():
-    t = TrigPoly(2, {(0, 1): root_of_unity(5, 2), (0, -2): Fraction(1, 3)}, 3)
-    got = t.normalized_derivative((1, 0), (Fraction(1, 2), Fraction(1, 7)))
+    t = TrigPoly(2, {(0, 1): root_of_unity(5, 2), (0, -2): Fraction(1, 3)})
+    point = (Fraction(1, 2), Fraction(1, 7))
+    got = derivative_at(t.terms.items(), 3, (1, 0), point)
     assert number_fields(got) == (1, (Fraction(0),))
     assert number_fields(got) == number_fields(
-        folded_derivative(t, (1, 0), (Fraction(1, 2), Fraction(1, 7))))
+        folded_derivative(t, 3, (1, 0), point))
 
 
 # -- products -------------------------------------------------------------------
@@ -208,7 +209,7 @@ def test_zero_factors_give_the_order_one_zero():
 @st.composite
 def products(draw):
     """Two operands of one dimension with coefficients at ORDERS, rationals
-    held above order 1 among them, and frequency denominators."""
+    held above order 1 among them."""
     dim = draw(st.integers(1, 3))
     return draw(polys(dim)), draw(polys(dim))
 
@@ -262,7 +263,7 @@ def test_sum_that_reduces_to_zero_is_dropped():
 
 def test_products_multiply_no_cyclotomic_numbers(monkeypatch):
     x = TrigPoly(2, {(0, 0): Fraction(1, 2), (1, 0): CyclotomicNumber(4, [2])})
-    w = TrigPoly(2, {(0, 1): root_of_unity(3, 1), (1, 1): Fraction(-1, 3)}, 2)
+    w = TrigPoly(2, {(0, 1): root_of_unity(3, 1), (1, 1): Fraction(-1, 3)})
     cases = [(x, x), (x, w), (w, w)]
     want = [poly_fields(pairwise_product(p, q)) for p, q in cases]
 
@@ -284,7 +285,7 @@ def norm_cases(draw):
     dim = draw(st.integers(1, 2))
     size = draw(st.integers(1, 2))
     values = coefficients(orders=(1, 1, 3, 5))
-    entries = [[draw(polys(dim, values, denoms=(1,), min_size=1).filter(
+    entries = [[draw(polys(dim, values, min_size=1).filter(
         lambda p: not p.is_zero())) for _ in range(size)] for _ in range(size)]
     return MatrixMask(entries), draw(st.sampled_from(DILATIONS[dim]))
 

@@ -8,10 +8,10 @@ from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.errors import NotInClass
 from maskforge.lattice import DilationContext
 from maskforge.sumrules import (DerivativeTable, derivative_table,
-                                digit_interpolant, mask_from_derivative_table,
-                                multi_indices, multi_indices_up_to,
-                                sum_rule_order, sum_rule_order_direct,
-                                unit_derivative_poly)
+                                digit_interpolant, dilated_derivatives,
+                                mask_from_derivative_table, multi_indices,
+                                multi_indices_up_to, sum_rule_order,
+                                sum_rule_order_direct, unit_derivative_poly)
 from maskforge.trigpoly import TrigPoly
 
 
@@ -151,10 +151,9 @@ def test_unit_derivative_poly_examples():
 def test_digit_interpolant_matrix_identity(example_ctx):
     # interpolation matrix across all digit pairs is exactly the identity
     for nu in range(example_ctx.m):
-        h = digit_interpolant(nu, example_ctx) \
-            .compose_inverse_dilate(example_ctx.inverse)
+        h = dilated_derivatives(digit_interpolant(nu, example_ctx), example_ctx)
         for mu, dual in enumerate(example_ctx.dual_digits):
-            assert h.eval_at_rational(dual) == Fraction(int(mu == nu))
+            assert h((0, 0), dual) == Fraction(int(mu == nu))
 
 
 def test_digit_interpolant_leading(example_ctx):
@@ -167,9 +166,9 @@ def test_digit_interpolants_sum_to_one_at_duals(example_ctx):
     total = TrigPoly.zero(2)
     for nu in range(example_ctx.m):
         total = total + digit_interpolant(nu, example_ctx)
-    dilated = total.compose_inverse_dilate(example_ctx.inverse)
+    dilated = dilated_derivatives(total, example_ctx)
     for dual in example_ctx.dual_digits:
-        assert dilated.eval_at_rational(dual) == Fraction(1)
+        assert dilated((0, 0), dual) == Fraction(1)
 
 
 def test_multi_index_enumeration():

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_mask
-from maskforge.errors import (DimensionMismatch, NonIntegerFrequencies,
-                              NotDivisible, WrongCount)
+from maskforge.errors import DimensionMismatch, NotDivisible, WrongCount
 from maskforge.lattice import DilationContext
+from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
 
 
@@ -33,7 +33,7 @@ def test_ring_laws_random():
 
 
 def test_sum_leaves_its_operands_unchanged():
-    # operands over the common denominator are aligned without a copy
+    # the sum copies the left operand's terms before adding into them
     x = TrigPoly(1, {(0,): 1, (1,): 2})
     y = TrigPoly(1, {(1,): 3, (2,): Fraction(1, 2)})
     assert x + y == TrigPoly(1, {(0,): 1, (1,): 5, (2,): Fraction(1, 2)})
@@ -51,23 +51,16 @@ def test_compose_dilate(example_ctx):
     assert z1.compose_dilate(example_ctx.matrix) == TrigPoly(2, {(0, 2): 1})
     const = TrigPoly.constant(2, Fraction(5, 3))
     assert const.compose_dilate(example_ctx.matrix) == const
+    # the inverse-dilated evaluation undoes it
     rng = random.Random(2)
+    points = [(0, 0), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 5), 1)]
     for _ in range(10):
         t = random_mask(rng, 2)
-        back = t.compose_inverse_dilate(example_ctx.inverse) \
-                .compose_dilate(example_ctx.matrix)
-        assert back == t
-
-
-def test_compose_inverse_dilate(example_ctx):
-    ctx1 = DilationContext.create([[2]])
-    half = TrigPoly.axis(1, 1).compose_inverse_dilate(ctx1.inverse)
-    assert half.denom == 2 and list(half.terms) == [(1,)]
-    t = TrigPoly(2, {(0, 0): 1, (1, 0): 2})
-    a = t.compose_inverse_dilate(example_ctx.inverse)
-    # frequency (1,0) maps to (1/4, 1/2)
-    assert a.denom == 4
-    assert set(a.terms) == {(0, 0), (1, 2)}
+        back = dilated_derivatives(t.compose_dilate(example_ctx.matrix),
+                                   example_ctx)
+        for beta in ((0, 0), (1, 0), (1, 1)):
+            for p in points:
+                assert back(beta, p) == t.normalized_derivative(beta, p)
 
 
 def test_polyphase_split_examples(example_ctx):
@@ -102,19 +95,13 @@ def test_polyphase_assemble_all_ones(example_ctx):
         TrigPoly.polyphase_assemble(ones[:3], example_ctx)
 
 
-def test_polyphase_requires_integer_frequencies(example_ctx):
-    frac = TrigPoly(2, {(1, 0): 1}, denom=2)
-    with pytest.raises(NonIntegerFrequencies):
-        frac.polyphase_split(example_ctx)
-
-
 def test_eval_examples(example_ctx, example_mask):
     assert TrigPoly.one_minus_exp(1, (1,)).eval_at_rational([0]).is_zero()
     one_plus = TrigPoly(1, {(0,): 1, (1,): 1})
     assert one_plus.eval_at_rational([Fraction(1, 2)]).is_zero()
-    dilated = example_mask.compose_inverse_dilate(example_ctx.inverse)
+    dilated = dilated_derivatives(example_mask, example_ctx)
     for dual in example_ctx.dual_digits[1:]:
-        assert dilated.eval_at_rational(dual).is_zero()
+        assert dilated((0, 0), dual).is_zero()
 
 
 def test_normalized_derivative_examples():
@@ -193,8 +180,3 @@ def test_l1_norm_cyclotomic_interval():
     # sqrt(2) + 1/2 = 1.9142135... lies inside
     assert norm.lo < Fraction(19142136, 10000000)
     assert norm.hi > Fraction(19142135, 10000000)
-
-
-def test_frequency_denominator_minimal():
-    t = TrigPoly(1, {(2,): 1, (4,): 1}, denom=4)
-    assert t.denom == 2 and set(t.terms) == {(1,), (2,)}
