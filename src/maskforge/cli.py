@@ -22,7 +22,7 @@ from .errors import (InternalIdentityViolation, MaskforgeError,
                      MethodDisagreement, NotInClass, ShapeMismatch,
                      UserDigitsInvalid)
 from .maskfile import (ParseError, format_rational, load_mask_file,
-                       read_sequence_csv, write_refined_csv)
+                       output_file, read_sequence_csv, write_refined_csv)
 from .subdivision import Sequence, check_c1, check_convergence, refine
 from .sumrules import DEFAULT_ORDER_CAP, sum_rule_order
 
@@ -151,7 +151,7 @@ def cmd_decompose(args) -> int:
     achieved = dec.achieved_class
     doc = dec.to_json()
     if args.out:
-        with open(args.out, "w") as handle:
+        with output_file(args.out) as handle:
             json.dump(doc, handle, indent=2)
     machine = {"identity_exact": True, "achieved_class": achieved,
                "entry_count": len(doc["entries"]),

@@ -99,10 +99,6 @@ class CyclotomicNumber:
     def zero(cls) -> "CyclotomicNumber":
         return cls.from_rational(0)
 
-    @classmethod
-    def one(cls) -> "CyclotomicNumber":
-        return cls.from_rational(1)
-
     def is_zero(self) -> bool:
         return not any(self.coords)
 
@@ -167,30 +163,6 @@ class CyclotomicNumber:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of cyclotomic zero")
-        if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coords[0])
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        u = _poly_invert_mod(list(self.coords[: len(phi) - 1]), phi)
-        return CyclotomicNumber(self.order, u + [_F0] * (self.order - len(u)))
-
-    def __truediv__(self, other) -> "CyclotomicNumber":
-        return self * coerce(other).inverse()
-
-    def __pow__(self, n: int) -> "CyclotomicNumber":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CyclotomicNumber.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def conjugate(self) -> "CyclotomicNumber":
         """Complex conjugate (zeta -> zeta^(order-1))."""
         n = self.order
@@ -249,63 +221,6 @@ def exp_of_rational(turns: Fraction) -> CyclotomicNumber:
     turns = Fraction(turns)
     q = turns.denominator
     return root_of_unity(q, turns.numerator % q)
-
-
-def _poly_invert_mod(a: list[Fraction], modulus: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo a monic irreducible polynomial, by extended Euclid."""
-    r0, r1 = list(modulus), _poly_trim(a)
-    s0, s1 = [], [_F1]
-    while _poly_deg(r1) > 0:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if not r1:
-        raise ZeroDivisionError("element is not invertible")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p = p[:-1]
-    return list(p)
-
-
-def _poly_deg(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else _F0) - (b[i] if i < len(b) else _F0)
-           for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list, list]:
-    a = list(a)
-    db = _poly_deg(b)
-    lead = b[-1]
-    quot = [_F0] * max(len(a) - db, 0)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] / lead
-        if c:
-            quot[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return _poly_trim(quot), _poly_trim(a)
 
 
 def _raw_mpf_to_fraction(raw) -> Fraction:

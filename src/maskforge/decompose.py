@@ -135,6 +135,10 @@ class MaskDecomposition:
                 k_t = tuple(parse_integer(x) for x in item["k"])
                 if len(j_t) != order or len(k_t) != order:
                     raise ParseError("entry index length does not match order")
+                if not all(1 <= x <= ctx.dim for x in j_t + k_t):
+                    raise ParseError(f"entry j={j_t}, k={k_t} names a missing axis")
+                if (j_t, k_t) in entries:
+                    raise ParseError(f"entry j={j_t}, k={k_t} appears twice")
                 entries[(j_t, k_t)] = mask_terms_from_json(item["mask"], ctx.dim)
             achieved = parse_integer(doc.get("achieved_class", -1))
         except (KeyError, TypeError, ValueError) as exc:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, coerce
 from .errors import MaskforgeError
 from .lattice import DilationContext
 from .subdivision import Sequence
@@ -82,10 +83,12 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
             freq = tuple(parse_integer(x) for x in item["freq"])
             if len(freq) != dim:
                 raise ParseError(f"frequency {freq} has wrong dimension")
-            terms[freq] = parse_scalar(item["value"])
+            if freq in terms:
+                raise ParseError(f"frequency {freq} appears twice")
+            terms[freq] = coerce(parse_scalar(item["value"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coefficient list: {exc!r}") from None
-    return TrigPoly(dim, terms)
+    return TrigPoly._from_pairs(dim, terms.items())
 
 
 def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
@@ -101,6 +104,8 @@ def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
             dual_digits = [tuple(parse_integer(x) for x in d) for d in dual_digits]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad mask header: {exc}") from None
+    if dim < 1:
+        raise ParseError(f"dim must be at least 1, got {dim}")
     if len(dilation) != dim or any(len(r) != dim for r in dilation):
         raise ParseError("dilation matrix shape does not match dim")
     ctx = DilationContext.create(dilation, digits=digits, dual_digits=dual_digits)
@@ -189,8 +194,18 @@ def read_sequence_csv(path, dim: int) -> Sequence:
     return Sequence(dim, width, values)
 
 
+@contextmanager
+def output_file(path, newline=None):
+    """A text file opened for writing; OSError becomes ParseError."""
+    try:
+        with open(path, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
+
+
 def write_sequence_csv(path, seq: Sequence) -> None:
-    with open(path, "w", newline="") as handle:
+    with output_file(path, newline="") as handle:
         writer = csv.writer(handle)
         for alpha, vec in sorted(seq.support()):
             writer.writerow([*alpha, *(format_rational(v) for v in vec)])
@@ -198,7 +213,7 @@ def write_sequence_csv(path, seq: Sequence) -> None:
 
 def write_refined_csv(path, points) -> None:
     """Rows: rational grid columns, then value columns."""
-    with open(path, "w", newline="") as handle:
+    with output_file(path, newline="") as handle:
         writer = csv.writer(handle)
         for grid, vec in points:
             writer.writerow([*(format_rational(g) for g in grid),

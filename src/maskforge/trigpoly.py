@@ -8,6 +8,12 @@ Derivatives of a dilated argument t(inverse-transpose x) are read by
 `derivative_at` from the integer frequencies mapped through the adjugate
 over |det| (sumrules.dilated_derivatives), so no polynomial ever carries
 rational frequencies.
+
+Every polynomial is built by one merge, `TrigPoly._from_pairs`, which sums
+coefficients at equal frequencies and drops zero sums.  Terms are checked
+once, where they enter: the public constructor requires integer frequency
+components of the right length and coerces coefficients; results built
+inside the library go to the merge directly.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, mul
+from itertools import chain
+from operator import add, index, mul
 
 from .cyclotomic import _F0, CyclotomicNumber, _reduce_coords, coerce
 from .errors import DimensionMismatch, NotDivisible, WrongCount
@@ -27,22 +34,35 @@ class TrigPoly:
     __slots__ = ("dim", "terms")
 
     def __init__(self, dim: int, terms=None) -> None:
+        """The polynomial with the given {frequency: coefficient} terms.
+
+        Each frequency component must be an integer (operator.index: floats,
+        Fractions and strings raise TypeError) and each frequency must have
+        `dim` components; coefficients are coerced to cyclotomic numbers.
+        """
         if dim < 1:
             raise ValueError("dimension must be positive")
-        clean: dict[tuple[int, ...], CyclotomicNumber] = {}
+        pairs = []
         for freq, coeff in (terms or {}).items():
-            freq = tuple(int(x) for x in freq)
+            freq = tuple(map(index, freq))
             if len(freq) != dim:
                 raise DimensionMismatch(f"frequency {freq} has wrong dimension")
-            coeff = coerce(coeff)
-            if freq in clean:
-                coeff = clean[freq] + coeff
-            if coeff.is_zero():
-                clean.pop(freq, None)
-            else:
-                clean[freq] = coeff
+            pairs.append((freq, coerce(coeff)))
         self.dim = dim
-        self.terms = clean
+        self.terms = TrigPoly._from_pairs(dim, pairs).terms
+
+    @classmethod
+    def _from_pairs(cls, dim: int, pairs) -> "TrigPoly":
+        """The polynomial of checked (integer tuple, CyclotomicNumber) pairs
+        in arrival order: coefficients at equal frequencies are summed, and
+        sums that vanish are dropped once every pair has been seen."""
+        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
+        for freq, coeff in pairs:
+            terms[freq] = terms[freq] + coeff if freq in terms else coeff
+        poly = cls.__new__(cls)
+        poly.dim = dim
+        poly.terms = {f: c for f, c in terms.items() if not c.is_zero()}
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -96,15 +116,13 @@ class TrigPoly:
     def __add__(self, other) -> "TrigPoly":
         other = self._coerce_operand(other)
         self._check_dim(other)
-        out = dict(self.terms)
-        for freq, coeff in other.terms.items():
-            out[freq] = out[freq] + coeff if freq in out else coeff
-        return TrigPoly(self.dim, out)
+        return TrigPoly._from_pairs(
+            self.dim, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly(self.dim, {f: -c for f, c in self.terms.items()})
+        return TrigPoly._from_pairs(self.dim, ((f, -c) for f, c in self.terms.items()))
 
     def __sub__(self, other) -> "TrigPoly":
         return self + (-self._coerce_operand(other))
@@ -114,15 +132,14 @@ class TrigPoly:
             return self.scale(other)
         other = self._coerce_operand(other)
         self._check_dim(other)
-        return TrigPoly(self.dim, _product(self.terms, other.terms))
+        return TrigPoly._from_pairs(self.dim, _product(self.terms, other.terms).items())
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "TrigPoly":
         factor = coerce(factor)
-        if factor.is_zero():
-            return TrigPoly.zero(self.dim)
-        return TrigPoly(self.dim, {f: c * factor for f, c in self.terms.items()})
+        return TrigPoly._from_pairs(
+            self.dim, ((f, c * factor) for f, c in self.terms.items()))
 
     def _coerce_operand(self, other) -> "TrigPoly":
         if isinstance(other, TrigPoly):
@@ -146,11 +163,8 @@ class TrigPoly:
 
     def compose_dilate(self, matrix) -> "TrigPoly":
         """t(transpose(matrix) @ x): frequency map freq -> matrix @ freq."""
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for freq, coeff in self.terms.items():
-            new = mat_vec(matrix, freq)
-            out[new] = out[new] + coeff if new in out else coeff
-        return TrigPoly(self.dim, out)
+        return TrigPoly._from_pairs(
+            self.dim, ((mat_vec(matrix, f), c) for f, c in self.terms.items()))
 
     # -- polyphase ---------------------------------------------------------
 
@@ -160,11 +174,11 @@ class TrigPoly:
         Component nu collects coefficients at frequencies matrix@k + digit[nu],
         re-indexed by k; assembling the parts reproduces the mask exactly.
         """
-        parts: list[dict] = [{} for _ in range(ctx.m)]
+        parts: list[list] = [[] for _ in range(ctx.m)]
         for freq, coeff in self.terms.items():
             nu, base = ctx.base_point(freq)
-            parts[nu][base] = coeff
-        return [TrigPoly(self.dim, p) for p in parts]
+            parts[nu].append((base, coeff))
+        return [TrigPoly._from_pairs(self.dim, p) for p in parts]
 
     @classmethod
     def polyphase_assemble(cls, parts, ctx: DilationContext) -> "TrigPoly":
@@ -172,13 +186,10 @@ class TrigPoly:
         parts = list(parts)
         if len(parts) != ctx.m:
             raise WrongCount(f"need {ctx.m} polyphase components, got {len(parts)}")
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for nu, part in enumerate(parts):
-            digit = ctx.digits[nu]
-            for freq, coeff in part.terms.items():
-                new = tuple(x + s for x, s in zip(mat_vec(ctx.matrix, freq), digit))
-                out[new] = out[new] + coeff if new in out else coeff
-        return cls(ctx.dim, out)
+        return cls._from_pairs(ctx.dim, (
+            (tuple(map(add, mat_vec(ctx.matrix, freq), digit)), coeff)
+            for part, digit in zip(parts, ctx.digits)
+            for freq, coeff in part.terms.items()))
 
     # -- evaluation and derivatives ------------------------------------------
 
@@ -199,11 +210,8 @@ class TrigPoly:
 
     def substitute_one(self, j: int) -> "TrigPoly":
         """Set z_j := 1 (axes numbered from 1), merging collided frequencies."""
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for freq, coeff in self.terms.items():
-            new = freq[: j - 1] + (0,) + freq[j:]
-            out[new] = out[new] + coeff if new in out else coeff
-        return TrigPoly(self.dim, out)
+        return TrigPoly._from_pairs(
+            self.dim, ((f[: j - 1] + (0,) + f[j:], c) for f, c in self.terms.items()))
 
     def divide_one_minus_z(self, j: int) -> "TrigPoly":
         """Exact quotient by (1 - z_j); raises NotDivisible on a remainder.
@@ -216,20 +224,18 @@ class TrigPoly:
         for freq, coeff in self.terms.items():
             rest = freq[: j - 1] + freq[j:]
             groups.setdefault(rest, {})[freq[j - 1]] = coeff
-        out: dict[tuple[int, ...], CyclotomicNumber] = {}
+        out = []
         for rest, line in groups.items():
             lo = min(line)
             hi = max(line)
             running = CyclotomicNumber.zero()
             for e in range(lo, hi):
                 running = running + line.get(e, CyclotomicNumber.zero())
-                if not running.is_zero():
-                    freq = rest[: j - 1] + (e,) + rest[j - 1:]
-                    out[freq] = running
+                out.append((rest[: j - 1] + (e,) + rest[j - 1:], running))
             remainder = running + line[hi]
             if not remainder.is_zero():
                 raise NotDivisible(f"remainder along axis {j}")
-        return TrigPoly(self.dim, out)
+        return TrigPoly._from_pairs(self.dim, out)
 
     # -- norms ---------------------------------------------------------------
 
@@ -318,7 +324,7 @@ def _product(a: dict, b: dict) -> dict:
     each value is read at stride N/n and reduced at the order n that sum
     reaches, the lcm of its pairs' orders (a rational held at order 4 stays
     there).  Canonical forms are unique, so order and coords are that sum's.
-    Values that reduce to zero are left for the constructor to drop."""
+    Values that reduce to zero are left for the merge to drop."""
     field = lcm(*(c.order for c in a.values()), *(c.order for c in b.values()))
     d_a, left = _integer_coords(a, field)
     d_b, right = _integer_coords(b, field)

@@ -132,6 +132,12 @@ def _mask_2d(**fields):
             "coefficients": [{"freq": [0, 0], "value": "4"}], **fields}
 
 
+def _entries(*pairs):
+    one = {"coefficients": [{"freq": [0, 0], "value": "1"}]}
+    return {"order": 1, "entries": [{"j": [j], "k": [k], "mask": one}
+                                    for j, k in pairs]}
+
+
 @pytest.mark.parametrize("command, doc", [
     ("verify-only", {"order": 1}),
     ("verify-only", [1, 2]),
@@ -158,6 +164,12 @@ def _mask_2d(**fields):
     ("analyze", _mask_2d(dim=2.5)),
     ("analyze", _mask_2d(digits=[[0, 0], [1.2, 0], [0, 1], [1, 1]])),
     ("analyze", _mask_2d(digits=5)),
+    # a repeated frequency or entry, a missing axis and dim 0 are rejected
+    ("analyze", _mask_with([{"freq": [0], "value": "1/2"},
+                            {"freq": [0], "value": "5"}])),
+    ("verify-only", _entries((1, 1), (1, 1), (1, 2), (2, 1), (2, 2))),
+    ("verify-only", _entries((1, 1), (1, 2), (3, 1), (2, 2))),
+    ("analyze", {"dim": 0, "dilation": [], "coefficients": []}),
 ])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
     # malformed decomposition or mask files are parse errors, not tracebacks
@@ -169,6 +181,14 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
         argv = ["analyze", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["decompose", EXAMPLE],
+                                  ["refine", EXAMPLE, "--rounds", "1"]])
+def test_cli_unwritable_out_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 def test_cli_bad_digits_exit_3(tmp_path, capsys):

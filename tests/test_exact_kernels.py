@@ -13,7 +13,9 @@ the wrong field.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -216,14 +218,13 @@ def products(draw):
 
 @st.composite
 def cancelling_products(draw):
-    """(a + b z^f)(a' - (b a'/a) z^f): the two cross terms at f cancel, for
+    """(a + b z^f)(s a - s b z^f): the two cross terms at f cancel, for
     cyclotomic values often only after reduction."""
     dim = draw(st.integers(1, 3))
     f = draw(frequencies(dim).filter(any))
-    a, b, a2 = (draw(coefficients().filter(bool)) for _ in range(3))
-    b2 = -(b * a2 * a.inverse())
+    a, b, s = (draw(coefficients().filter(bool)) for _ in range(3))
     x = TrigPoly(dim, {(0,) * dim: a, f: b})
-    y = TrigPoly(dim, {(0,) * dim: a2, f: b2})
+    y = TrigPoly(dim, {(0,) * dim: s * a, f: -(s * b)})
     return x, y, f
 
 
@@ -272,6 +273,40 @@ def test_products_multiply_no_cyclotomic_numbers(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "__mul__", refuse)
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", refuse)
     assert [poly_fields(p * q) for p, q in cases] == want
+
+
+# -- the merge ------------------------------------------------------------------
+
+@st.composite
+def merge_cases(draw):
+    """Pairs with repeated frequencies, each value in its own field (rationals
+    held above order 1 among them), then the negations of every pair at some
+    frequencies in shuffled order, so those sums cancel to zero."""
+    dim = draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(frequencies(dim, span=1), coefficients()),
+                          max_size=8))
+    cancelled = draw(st.sets(frequencies(dim, span=1)))
+    pairs += draw(st.permutations([(f, -c) for f, c in pairs if f in cancelled]))
+    return dim, pairs
+
+
+def folded_merge(pairs):
+    """Per frequency, in order of first arrival, the + fold of its values;
+    zero sums left out."""
+    out = []
+    for freq in dict.fromkeys(f for f, _ in pairs):
+        total = reduce(add, [c for f, c in pairs if f == freq])
+        if not total.is_zero():
+            out.append((freq, total.order, total.coords))
+    return out
+
+
+@PROFILE
+@given(merge_cases())
+def test_merge_matches_pairwise_fold(case):
+    dim, pairs = case
+    got = TrigPoly._from_pairs(dim, pairs)
+    assert poly_fields(got) == (dim, folded_merge(pairs))
 
 
 # -- operator norm --------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_mask
@@ -33,7 +34,7 @@ def test_ring_laws_random():
 
 
 def test_sum_leaves_its_operands_unchanged():
-    # the sum copies the left operand's terms before adding into them
+    # the sum builds new terms; neither operand changes
     x = TrigPoly(1, {(0,): 1, (1,): 2})
     y = TrigPoly(1, {(1,): 3, (2,): Fraction(1, 2)})
     assert x + y == TrigPoly(1, {(0,): 1, (1,): 5, (2,): Fraction(1, 2)})
@@ -44,6 +45,42 @@ def test_sum_leaves_its_operands_unchanged():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         TrigPoly.constant(1, 1) + TrigPoly.constant(2, 1)
+    with pytest.raises(DimensionMismatch):
+        TrigPoly(2, {(1,): 1})
+
+
+@pytest.mark.parametrize("component", [0.7, Fraction(1, 2), "1"])
+def test_non_integer_frequency_raises(component):
+    with pytest.raises(TypeError):
+        TrigPoly(1, {(component,): 1})
+
+
+def test_numpy_integer_frequency_accepted():
+    t = TrigPoly(2, {(np.int64(1), 2): 3})
+    assert t == TrigPoly(2, {(1, 2): 3})
+    assert all(type(x) is int for x in next(iter(t.terms)))
+
+
+def test_library_results_skip_the_checking_constructor(monkeypatch,
+                                                       example_ctx):
+    x = random_mask(random.Random(10), 2)
+    y = random_mask(random.Random(11), 2)
+    divisible = x * TrigPoly.one_minus_exp(2, (0, 1))
+    taus = x.polyphase_split(example_ctx)
+    calls = []
+    checking = TrigPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        checking(self, *args, **kwargs)
+    monkeypatch.setattr(TrigPoly, "__init__", counting)
+    x + y, x - y, -x, x * y, x.scale(Fraction(2, 3)), x * 3
+    x.compose_dilate(example_ctx.matrix)
+    x.polyphase_split(example_ctx)
+    TrigPoly.polyphase_assemble(taus, example_ctx)
+    x.substitute_one(1)
+    divisible.divide_one_minus_z(2)
+    assert calls == []
 
 
 def test_compose_dilate(example_ctx):
