@@ -130,15 +130,16 @@ def cmd_decompose(args) -> int:
               machine, args.format)
         return EXIT_OK if (identity and values and classes) else EXIT_CLASS
 
-    scan_cap = max(args.order, (args.levels or 1), DEFAULT_ORDER_CAP)
-    order = sum_rule_order(mask, ctx, cap=scan_cap)
     if args.levels is not None:
+        # the report prints order - levels, so the scan reaches past the levels
+        order = sum_rule_order(mask, ctx, cap=max(args.levels, DEFAULT_ORDER_CAP))
         if args.levels > order + 1:
             print(f"error: {args.levels} levels need sum-rule order >= "
                   f"{args.levels - 1}, mask has {order}", file=sys.stderr)
             return EXIT_CLASS
         dec = decompose_levels(mask, ctx, args.levels, order)
     else:
+        order = sum_rule_order(mask, ctx, cap=args.order)
         need = args.order if args.order >= 2 else 0
         if order < need:
             print(f"error: --order {args.order} needs sum-rule order >= {need}, "
@@ -243,10 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="difference-scheme decomposition")
     common(p)
-    p.add_argument("--order", type=int, default=1,
-                   help="1: plain decomposition; n>=2: entries lifted to class n-1")
-    p.add_argument("--levels", type=int,
-                   help="iterated decomposition indexed by axis tuples")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--order", type=int, default=1,
+                       help="1: plain decomposition; n>=2: entries lifted to class n-1")
+    shape.add_argument("--levels", type=int,
+                       help="iterated decomposition indexed by axis tuples")
     p.add_argument("--out", help="write decomposition JSON here")
     p.add_argument("--verify-only", metavar="DECJSON",
                    help="re-verify an emitted decomposition against the mask")

@@ -18,7 +18,7 @@ import mpmath
 from mpmath import iv
 
 from .errors import MaskforgeError
-from .intervals import RatInterval
+from .intervals import RatInterval, interval_sum
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -273,3 +273,20 @@ def magnitude_interval(x: CyclotomicNumber,
     finally:
         iv.prec = old_prec
     return RatInterval(max(lo, _F0), max(hi, _F0))
+
+
+def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
+    """Certified enclosure of the sum of |x| over the values, in their order.
+
+    Rational magnitudes are summed exactly; the others are enclosed by
+    magnitude_interval and added to that exact sum, so the result is a point
+    interval whenever every value is rational.
+    """
+    exact = _F0
+    rough = []
+    for x in values:
+        if x.is_rational():
+            exact += abs(x.coords[0])
+        else:
+            rough.append(magnitude_interval(x, precision_bits))
+    return RatInterval.exact(exact) + interval_sum(rough)

@@ -29,6 +29,8 @@ IntVector = tuple[int, ...]
 DILATION_EIGENVALUE_TOL = 1e-9
 ISOTROPY_MODULUS_RTOL = 1e-9
 EIGENBASIS_CONDITION_CAP = 1e8
+# powers k whose similarity products |M^k| * |M^-k| the isotropy report lists
+ISOTROPY_PROBE_DEPTH = 8
 
 
 def as_int_matrix(rows) -> IntMatrix:
@@ -206,13 +208,13 @@ class IsotropyReport:
                 "probe_depth": self.probe_depth}
 
 
-def is_isotropic(matrix, probe_depth: int = 8) -> IsotropyReport:
+def is_isotropic(matrix) -> IsotropyReport:
     """Three-valued isotropy verdict.
 
     The defining uniform bound over all powers is not decidable by finite
     computation; the operative test is equal eigenvalue moduli plus a
     numerically full-rank eigenvector basis.  The exact similarity products
-    |M^k| * |M^-k| for k <= probe_depth are reported alongside.
+    |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH are reported alongside.
     """
     matrix = as_int_matrix(matrix)
     eigvals, eigvecs = np.linalg.eig(np.array(matrix, dtype=float))
@@ -220,7 +222,7 @@ def is_isotropic(matrix, probe_depth: int = 8) -> IsotropyReport:
 
     inverse = matrix_inverse(matrix)
     best = Fraction(0)
-    for k in range(1, probe_depth + 1):
+    for k in range(1, ISOTROPY_PROBE_DEPTH + 1):
         prod = inf_norm(matrix_power(matrix, k)) * inf_norm(matrix_power(inverse, k))
         best = max(best, Fraction(prod))
 
@@ -231,7 +233,7 @@ def is_isotropic(matrix, probe_depth: int = 8) -> IsotropyReport:
         finite = np.all(np.isfinite(eigvecs))
         cond = np.linalg.cond(eigvecs) if finite else float("inf")
         verdict = "yes" if cond < EIGENBASIS_CONDITION_CAP else "inconclusive"
-    return IsotropyReport(verdict, moduli, best, probe_depth)
+    return IsotropyReport(verdict, moduli, best, ISOTROPY_PROBE_DEPTH)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Mask file parsing and serialization.
 
-Masks travel as JSON with exact values only: rationals are decimal-free
-"p/q" strings (or JSON integers), cyclotomic values are
+Masks travel as JSON with exact values only: rationals are "p" or "p/q"
+strings of decimal digits (or JSON integers), cyclotomic values are
 {"order": N, "coords": ["p/q", ...]}.  A mask file carries the dilation
 matrix, optional digit sets, and exactly one of a coefficient list or a
 per-digit polyphase list.  Sequences travel as CSV with integer lattice
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -34,14 +35,22 @@ def format_rational(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
+    """A JSON integer or a "p" / "p/q" string; decimal and exponent strings
+    are rejected, so no value is expanded from a short exponent."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"rational values must be exact, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ParseError(f"bad rational {value!r}: expected p or p/q")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational {value!r}: {exc}") from None
     raise ParseError(f"cannot parse rational from {value!r}")

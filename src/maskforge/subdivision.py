@@ -5,8 +5,11 @@ A mask (scalar or matrix of masks) acts on finitely supported sequences by
     (S f)_alpha = sum_beta A_(alpha - M beta) f_beta,
 
 where the coefficients A are read straight off the mask's frequency support
-(coefficient at frequency alpha acts at offset alpha).  The difference scheme
-of a decomposed mask satisfies the exact operator identity
+(coefficient at frequency alpha acts at offset alpha).  Read as Laurent
+polynomials, with f_beta the coefficient at frequency beta, one step is the
+symbol product A(x) F(transpose(M) x), and a backward difference along axis
+k is the product with 1 - z_k; both are computed in the TrigPoly ring.  The
+difference scheme of a decomposed mask satisfies the exact operator identity
 
     grad(S_t f) = S_T grad(f),      T[k][j] = entry(j, k),
 
@@ -22,12 +25,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from operator import add
+from operator import add, index
 
-from .cyclotomic import CyclotomicNumber, magnitude_interval
-from .decompose import MaskDecomposition, decompose_to_class
+from .cyclotomic import CyclotomicNumber, magnitude_sum
+from .decompose import (MaskDecomposition, decompose_to_class,
+                        plain_difference)
 from .errors import MaskforgeError, ShapeMismatch
-from .intervals import RatInterval, interval_max, interval_sum
+from .intervals import RatInterval, interval_max
 from .lattice import (DilationContext, IsotropyReport, adjugate, coset_key,
                       determinant, is_isotropic, mat_mul, mat_vec,
                       matrix_power, power_inf_norm, transpose)
@@ -35,6 +39,9 @@ from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly
 
 DEFAULT_POWER_CAP = 8
+# largest sum-rule order check_convergence scans for (its report prints the
+# capped order)
+ORDER_SCAN_CAP = 3
 
 
 def _simplify(v):
@@ -44,7 +51,10 @@ def _simplify(v):
 
 
 class Sequence:
-    """Finitely supported map from the integer lattice to exact vectors."""
+    """Finitely supported map from the integer lattice to exact vectors.
+
+    Each lattice-point component must be an integer (operator.index: floats
+    and Fractions raise TypeError)."""
 
     __slots__ = ("dim", "width", "values")
 
@@ -53,7 +63,7 @@ class Sequence:
         self.width = width
         clean = {}
         for alpha, vec in (values or {}).items():
-            alpha = tuple(int(x) for x in alpha)
+            alpha = tuple(map(index, alpha))
             if len(alpha) != dim:
                 raise ShapeMismatch("support point has wrong dimension")
             if any(isinstance(v, float) for v in vec):
@@ -112,14 +122,6 @@ class Sequence:
                 out[alpha] = vec
         return Sequence(self.dim, self.width, out)
 
-    def scale(self, factor) -> "Sequence":
-        return Sequence(self.dim, self.width,
-                        {a: tuple(v * factor for v in vec)
-                         for a, vec in self.values.items()})
-
-    def __sub__(self, other: "Sequence") -> "Sequence":
-        return self + other.scale(-1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -134,11 +136,9 @@ class Sequence:
 
 
 class MatrixMask:
-    """Rectangular array of integer-frequency masks with its coefficient view.
-
-    coefficient(alpha)[i][j] is the coefficient of entry (i, j) at frequency
-    alpha, so the symbol/coefficient round trip is exact by construction.
-    """
+    """Rectangular array of integer-frequency masks: the symbol of a
+    matrix subdivision operator, whose coefficient matrix at offset alpha
+    holds each entry's coefficient at frequency alpha."""
 
     __slots__ = ("rows", "cols", "dim", "entries")
 
@@ -161,9 +161,7 @@ class MatrixMask:
     @classmethod
     def from_decomposition(cls, dec: MaskDecomposition) -> "MatrixMask":
         """Difference-scheme symbol: row k, column j holds entry(j, k)."""
-        d = dec.ctx.dim
-        return cls([[dec.entry(j, k) for j in range(1, d + 1)]
-                    for k in range(1, d + 1)])
+        return cls(dec.symbol_matrix())
 
     def entry(self, i: int, j: int) -> TrigPoly:
         return self.entries[i][j]
@@ -174,11 +172,6 @@ class MatrixMask:
             for entry in row:
                 out.update(entry.terms.keys())
         return out
-
-    def coefficient(self, alpha) -> list:
-        alpha = tuple(alpha)
-        return [[entry.coefficient(alpha) for entry in row]
-                for row in self.entries]
 
     def is_rational(self) -> bool:
         return all(c.is_rational() for row in self.entries
@@ -266,63 +259,49 @@ def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
 
 
 def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
-    """apply over mixed rational and cyclotomic values, one exact product at a
-    time; the reference the integer kernel is tested against."""
-    out: dict[tuple, list] = {}
-    coeffs = {alpha: mask.coefficient(alpha) for alpha in mask.coefficient_support()}
-    for beta, vec in f.support():
-        m_beta = mat_vec(matrix, beta)
-        for alpha, A in coeffs.items():
-            target = tuple(a + b for a, b in zip(alpha, m_beta))
-            contrib = []
-            for i in range(mask.rows):
-                acc = Fraction(0)
-                for j in range(mask.cols):
-                    if vec[j] and A[i][j]:
-                        acc += A[i][j] * vec[j]
-                contrib.append(acc)
-            if target in out:
-                out[target] = [a + b for a, b in zip(out[target], contrib)]
-            else:
-                out[target] = contrib
-    return Sequence(f.dim, mask.rows, {a: tuple(v) for a, v in out.items()})
+    """apply as the symbol product mask(x) @ F(transpose(matrix) x), with F
+    the column of f's component polynomials; the reference the integer kernel
+    is tested against."""
+    column = MatrixMask([[poly] for poly in _component_polys(f)])
+    product = mask.matmul_dilated(column, matrix)
+    return _from_component_polys(f.dim, [row[0] for row in product.entries])
+
+
+def _component_polys(f: Sequence) -> list[TrigPoly]:
+    """One polynomial per component of f, with f_beta at frequency beta."""
+    return [TrigPoly(f.dim, {beta: vec[i] for beta, vec in f.values.items()})
+            for i in range(f.width)]
+
+
+def _from_component_polys(dim: int, polys) -> Sequence:
+    """The sequence whose component i is polys[i] (inverse of _component_polys)."""
+    support = dict.fromkeys(itertools.chain.from_iterable(p.terms for p in polys))
+    return Sequence(dim, len(polys), {
+        alpha: tuple(p.terms.get(alpha, 0) for p in polys) for alpha in support})
 
 
 def gradient(f: Sequence) -> Sequence:
     """Backward-difference stack: for each input component, its d differences.
 
     Output width is d * width; block i (of size d) holds the differences of
-    component i, difference axis fastest.
+    component i, difference axis fastest.  Each difference is the product of
+    the component polynomial with 1 - z_axis.
     """
     d = f.dim
-    out: dict[tuple, list] = {}
-    zero_vec = [Fraction(0)] * (d * f.width)
-    for alpha, vec in f.support():
-        for axis in range(d):
-            shifted = tuple(a + int(i == axis) for i, a in enumerate(alpha))
-            for target, sign in ((alpha, 1), (shifted, -1)):
-                if target not in out:
-                    out[target] = list(zero_vec)
-                row = out[target]
-                for i in range(f.width):
-                    row[i * d + axis] += vec[i] * sign
-    return Sequence(d, d * f.width, {a: tuple(v) for a, v in out.items()})
+    diffs = [plain_difference(d, axis) for axis in range(1, d + 1)]
+    return _from_component_polys(d, [poly * diff for poly in _component_polys(f)
+                                     for diff in diffs])
 
 
 def coset_coefficient_sums(mask, ctx: DilationContext) -> list:
     """For each digit: the exact (signed) sum of coefficient matrices over its
-    coset.  For a difference scheme of a normalized order-1 mask these all
-    equal the inverse-transpose dilation matrix."""
-    mask = _as_matrix_mask(mask)
-    sums = [[[CyclotomicNumber.zero() for _ in range(mask.cols)]
-             for _ in range(mask.rows)] for _ in range(ctx.m)]
-    for alpha in mask.coefficient_support():
-        nu = ctx.coset_index(alpha)
-        A = mask.coefficient(alpha)
-        for i in range(mask.rows):
-            for j in range(mask.cols):
-                sums[nu][i][j] = sums[nu][i][j] + A[i][j]
-    return sums
+    coset, the value at 0 of each entry's polyphase component.  For a
+    difference scheme of a normalized order-1 mask these all equal the
+    inverse-transpose dilation matrix."""
+    splits = [[entry.polyphase_split(ctx) for entry in row]
+              for row in _as_matrix_mask(mask).entries]
+    return [[[parts[nu].value_at_zero() for parts in row] for row in splits]
+            for nu in range(ctx.m)]
 
 
 def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
@@ -340,18 +319,10 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     best = RatInterval.exact(0)
     for alphas in groups.values():
         for row in mask.entries:
-            exact = Fraction(0)
-            rough = []
-            for entry in row:
-                for alpha in alphas:
-                    c = entry.terms.get(alpha)
-                    if c is None:
-                        continue
-                    if c.is_rational():
-                        exact += abs(c.coords[0])
-                    else:
-                        rough.append(magnitude_interval(c, precision_bits))
-            best = interval_max([best, RatInterval.exact(exact) + interval_sum(rough)])
+            row_sum = magnitude_sum((entry.terms[alpha] for entry in row
+                                     for alpha in alphas if alpha in entry.terms),
+                                    precision_bits)
+            best = interval_max([best, row_sum])
     return best
 
 
@@ -392,16 +363,11 @@ def second_difference_scheme(T: MatrixMask, ctx: DilationContext) -> MatrixMask:
     d = ctx.dim
     if (T.rows, T.cols) != (d, d):
         raise ShapeMismatch("second difference scheme needs a d-by-d mask")
-    sub = [[decompose_to_class(T.entry(k, j), ctx, 0) for j in range(d)]
-           for k in range(d)]
-    entries = [[None] * (d * d) for _ in range(d * d)]
-    for k in range(d):
-        for kappa in range(d):
-            for j in range(d):
-                for iota in range(d):
-                    entries[k * d + kappa][j * d + iota] = \
-                        sub[k][j].entry(iota + 1, kappa + 1)
-    return MatrixMask(entries)
+    # block (k, j) is the difference-scheme symbol of entry (k, j)
+    blocks = [[decompose_to_class(T.entry(k, j), ctx, 0).symbol_matrix()
+               for j in range(d)] for k in range(d)]
+    return MatrixMask([[q for block in block_row for q in block[kappa]]
+                       for block_row in blocks for kappa in range(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +419,7 @@ def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int
 
 def check_convergence(t: TrigPoly, ctx: DilationContext,
                       power_cap: int = DEFAULT_POWER_CAP,
-                      precision_bits: int = 128,
-                      order_scan_cap: int = 3) -> ConvergenceReport:
+                      precision_bits: int = 128) -> ConvergenceReport:
     """Sufficient-condition convergence verdict for a scalar mask.
 
     Gates: value m at the origin and order-0 sum rules; then the difference
@@ -466,7 +431,7 @@ def check_convergence(t: TrigPoly, ctx: DilationContext,
     normalized = t0 == ctx.m
     if not normalized:
         reasons.append(f"normalization failed: mask value at 0 is {t0!r}, not m={ctx.m}")
-    order = sum_rule_order(t, ctx, cap=order_scan_cap)
+    order = sum_rule_order(t, ctx, cap=ORDER_SCAN_CAP)
     in_z0 = order >= 0
     if not in_z0:
         reasons.append("mask is not in the order-0 sum-rule class")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, prod
 
-from .cyclotomic import CyclotomicNumber, coerce, exp_of_rational
+from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
 from .lattice import DilationContext, mat_vec, matrix_inverse
 from .trigpoly import TrigPoly, derivative_at
@@ -187,13 +187,6 @@ class DerivativeTable:
         return {"order": self.order,
                 "values": [{"beta": list(beta), "value": self.values[beta].to_json()}
                            for beta in sorted(self.values)]}
-
-    @classmethod
-    def from_json(cls, payload: dict, dim: int) -> "DerivativeTable":
-        from .maskfile import parse_integer, parse_scalar
-        values = {tuple(parse_integer(b) for b in item["beta"]):
-                  coerce(parse_scalar(item["value"])) for item in payload["values"]}
-        return cls(dim=dim, order=parse_integer(payload["order"]), values=values)
 
 
 def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> DerivativeTable:

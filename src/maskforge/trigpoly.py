@@ -24,9 +24,10 @@ from numbers import Rational
 from itertools import chain
 from operator import add, index, mul
 
-from .cyclotomic import _F0, CyclotomicNumber, _reduce_coords, coerce
+from .cyclotomic import (_F0, CyclotomicNumber, _reduce_coords, coerce,
+                         magnitude_sum)
 from .errors import DimensionMismatch, NotDivisible, WrongCount
-from .intervals import RatInterval, interval_sum
+from .intervals import RatInterval
 from .lattice import DilationContext, mat_vec
 
 
@@ -96,10 +97,6 @@ class TrigPoly:
 
     def support(self):
         return self.terms.items()
-
-    def coefficient(self, freq) -> CyclotomicNumber:
-        """Coefficient at a frequency."""
-        return self.terms.get(tuple(freq), CyclotomicNumber.zero())
 
     def value_at_zero(self) -> CyclotomicNumber:
         acc = CyclotomicNumber.zero()
@@ -244,15 +241,7 @@ class TrigPoly:
 
         Exact (point interval) whenever every coefficient is rational.
         """
-        from .cyclotomic import magnitude_interval
-        exact = Fraction(0)
-        rough = []
-        for coeff in self.terms.values():
-            if coeff.is_rational():
-                exact += abs(coeff.rational_value())
-            else:
-                rough.append(magnitude_interval(coeff, precision_bits))
-        return RatInterval.exact(exact) + interval_sum(rough)
+        return magnitude_sum(self.terms.values(), precision_bits)
 
     # -- misc ----------------------------------------------------------------
 

@@ -23,6 +23,10 @@ def test_rational_format_parse():
         parse_rational(0.5)
     with pytest.raises(ParseError):
         parse_rational("abc")
+    # only "p" or "p/q": no decimal or exponent string is expanded
+    for text in ("0.5", "1e3", "1e5000"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
 def test_scalar_cyclotomic_parse():
@@ -170,6 +174,8 @@ def _entries(*pairs):
     ("verify-only", _entries((1, 1), (1, 1), (1, 2), (2, 1), (2, 2))),
     ("verify-only", _entries((1, 1), (1, 2), (3, 1), (2, 2))),
     ("analyze", {"dim": 0, "dilation": [], "coefficients": []}),
+    # exponent strings are not rationals (and would not print)
+    ("analyze", _mask_with([{"freq": [0], "value": "1e5000"}])),
 ])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
     # malformed decomposition or mask files are parse errors, not tracebacks
@@ -223,6 +229,14 @@ def test_cli_decompose_and_verify(tmp_path, capsys):
 def test_cli_decompose_class_gate(capsys):
     assert main(["decompose", EXAMPLE, "--order", "2"]) == 4
     assert main(["decompose", EXAMPLE, "--levels", "2"]) == 4
+
+
+def test_cli_decompose_order_and_levels_exclusive(capsys):
+    # neither flag is silently ignored in favour of the other
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", EXAMPLE, "--order", "3", "--levels", "1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cli_converge(capsys):

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (coset_fraction_key, random_class_mask, random_mask,
@@ -53,6 +54,18 @@ def test_apply_linear(example_ctx, example_mask):
         rhs = apply(example_mask, example_ctx, f) + \
             apply(example_mask, example_ctx, g)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("component", [0.7, 1.5, Fraction(1, 2), "1"])
+def test_sequence_rejects_non_integer_points(component):
+    with pytest.raises(TypeError):
+        Sequence(1, 1, {(component,): (1,)})
+
+
+def test_sequence_accepts_numpy_integer_points():
+    f = Sequence(2, 1, {(np.int64(1), 2): (3,)})
+    assert f == Sequence(2, 1, {(1, 2): (3,)})
+    assert all(type(x) is int for alpha in f.values for x in alpha)
 
 
 def test_apply_shape_mismatch(example_ctx, example_mask):
