@@ -238,6 +238,14 @@ def _interval_endpoints(x) -> tuple[Fraction, Fraction]:
     return _raw_mpf_to_fraction(raw_lo), _raw_mpf_to_fraction(raw_hi)
 
 
+@lru_cache(maxsize=4096)
+def _root_enclosure(k: int, order: int, prec: int):
+    """Interval enclosures (cos, sin) of the angle 2*pi*k/order, evaluated at
+    the interval precision prec, which must be iv.prec when called."""
+    angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(order)
+    return iv.cos(angle), iv.sin(angle)
+
+
 def magnitude_interval(x: CyclotomicNumber,
                        precision_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
     """Certified rational enclosure of |x|.
@@ -254,15 +262,14 @@ def magnitude_interval(x: CyclotomicNumber,
     old_prec = iv.prec
     try:
         iv.prec = precision_bits + 16
-        two_pi = 2 * iv.pi
         re = iv.mpf(0)
         im = iv.mpf(0)
         for k, c in enumerate(x.coords):
             if c:
                 coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                angle = two_pi * iv.mpf(k) / iv.mpf(x.order)
-                re += coeff * iv.cos(angle)
-                im += coeff * iv.sin(angle)
+                cos, sin = _root_enclosure(k, x.order, iv.prec)
+                re += coeff * cos
+                im += coeff * sin
         sq = re * re + im * im
         sq_lo, sq_hi = _interval_endpoints(sq)
         if sq_lo < 0:

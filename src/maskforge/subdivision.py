@@ -16,6 +16,10 @@ difference scheme of a decomposed mask satisfies the exact operator identity
 which is what ties decompositions to convergence; one more decomposition
 level gives grad(S_T g) = S_Q grad(g).  Norm verdicts are certified: an
 operator norm below 1 is claimed only when the whole enclosing interval is.
+The certificate search of a rational scheme runs in integers: each power's
+symbol is held as integer numerators over one denominator D^L, and its norm
+is one Fraction; cyclotomic schemes take operator_powers and operator_norm,
+the reference both paths are tested against.
 """
 
 from __future__ import annotations
@@ -54,7 +58,8 @@ class Sequence:
     """Finitely supported map from the integer lattice to exact vectors.
 
     Each lattice-point component must be an integer (operator.index: floats
-    and Fractions raise TypeError)."""
+    and Fractions raise TypeError), and each value an int, a Rational or a
+    CyclotomicNumber (floats and strings raise TypeError)."""
 
     __slots__ = ("dim", "width", "values")
 
@@ -66,9 +71,10 @@ class Sequence:
             alpha = tuple(map(index, alpha))
             if len(alpha) != dim:
                 raise ShapeMismatch("support point has wrong dimension")
-            if any(isinstance(v, float) for v in vec):
-                raise MaskforgeError("sequence values must be exact, not float")
-            vec = tuple(_simplify(Fraction(v) if isinstance(v, (int, str)) else v)
+            for v in vec:
+                if not isinstance(v, (Rational, CyclotomicNumber)):
+                    raise TypeError(f"sequence value {v!r} is not an exact number")
+            vec = tuple(_simplify(Fraction(v) if isinstance(v, int) else v)
                         for v in vec)
             if len(vec) != width:
                 raise ShapeMismatch("value vector has wrong width")
@@ -226,19 +232,30 @@ def apply(mask, dilation, f: Sequence) -> Sequence:
     return _apply_generic(mask, matrix, f)
 
 
+def _integer_entries(mask: MatrixMask) -> tuple[int, list]:
+    """(D, numerators) of a rational mask: D the common denominator of its
+    coefficients and, per entry, {frequency: integer numerator over D}.
+    Rationals held at a field order above 1 are read through coords[0]."""
+    values = [[{alpha: c.rational_value() for alpha, c in entry.terms.items()}
+               for entry in row] for row in mask.entries]
+    den = lcm(*(c.denominator for row in values for entry in row
+                for c in entry.values()))
+    return den, [[{alpha: c.numerator * (den // c.denominator)
+                   for alpha, c in entry.items()} for entry in row]
+                 for row in values]
+
+
 def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
     """Fraction-free apply: the coefficients are integers n over their common
     denominator D_a, the samples integers p over D_f, and each output value is
     built once as (sum of n * p) / (D_a * D_f)."""
+    d_a, numerators = _integer_entries(mask)
     by_offset: dict[tuple, list] = {}
-    for i, row in enumerate(mask.entries):
+    for i, row in enumerate(numerators):
         for j, entry in enumerate(row):
-            for alpha, c in entry.terms.items():
-                by_offset.setdefault(alpha, []).append((i, j, c.rational_value()))
-    d_a = lcm(*(c.denominator for terms in by_offset.values() for _, _, c in terms))
-    kernel = [(alpha, [(i, j, c.numerator * (d_a // c.denominator))
-                       for i, j, c in terms])
-              for alpha, terms in by_offset.items()]
+            for alpha, n in entry.items():
+                by_offset.setdefault(alpha, []).append((i, j, n))
+    kernel = list(by_offset.items())
     d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
     rows = mask.rows
     acc: dict[tuple, list] = {}
@@ -311,19 +328,23 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     Exact rational for rational coefficients, otherwise a certified interval.
     """
     mask = _as_matrix_mask(mask)
-    matrix = _dilation_matrix(dilation)
-    adj, modulus = adjugate(matrix), abs(determinant(matrix))
-    groups: dict[tuple, list] = {}
-    for alpha in mask.coefficient_support():
-        groups.setdefault(coset_key(adj, modulus, alpha), []).append(alpha)
     best = RatInterval.exact(0)
-    for alphas in groups.values():
+    for alphas in _cosets(mask.coefficient_support(), _dilation_matrix(dilation)):
         for row in mask.entries:
             row_sum = magnitude_sum((entry.terms[alpha] for entry in row
                                      for alpha in alphas if alpha in entry.terms),
                                     precision_bits)
             best = interval_max([best, row_sum])
     return best
+
+
+def _cosets(support, matrix):
+    """The frequencies of the support grouped by their coset of matrix Z^d."""
+    adj, modulus = adjugate(matrix), abs(determinant(matrix))
+    groups: dict[tuple, list] = {}
+    for alpha in support:
+        groups.setdefault(coset_key(adj, modulus, alpha), []).append(alpha)
+    return groups.values()
 
 
 def operator_powers(mask, dilation, cap: int):
@@ -343,6 +364,46 @@ def operator_powers(mask, dilation, cap: int):
             symbol = symbol.matmul_dilated(mask, step)
             step = mat_mul(step, matrix)
         yield L, symbol, step
+
+
+def _rational_norms(scheme: MatrixMask, matrix, cap: int):
+    """Yield (L, exact operator norm of the L-fold operator), L = 1..cap, for
+    a rational square scheme: the operator_powers trajectory in integers.
+
+    The L-fold symbol is held as integer numerators over D^L, D the common
+    denominator of the scheme; each power is formed only when requested, and
+    its norm is the largest coset row sum of |numerator| over D^L."""
+    den, base = _integer_entries(scheme)
+    power, step = base, matrix
+    for L in range(1, cap + 1):
+        if L > 1:
+            power = _dilated_product(power, base, step)
+            step = mat_mul(step, matrix)
+        support = set().union(*(entry for row in power for entry in row))
+        best = max((sum(abs(entry.get(alpha, 0)) for entry in row for alpha in alphas)
+                    for alphas in _cosets(support, step) for row in power), default=0)
+        yield L, RatInterval.exact(Fraction(best, den ** L))
+
+
+def _dilated_product(left: list, right: list, dilation) -> list:
+    """left(x) @ right(transpose(dilation) x) on {frequency: integer} entries:
+    each output entry is summed into one dict, zero sums dropped."""
+    dilated = [[[(mat_vec(dilation, g), n) for g, n in entry.items()] for entry in row]
+               for row in right]
+    out = []
+    for left_row in left:
+        out_row = []
+        for j in range(len(right[0])):
+            acc: dict[tuple, int] = {}
+            for left_entry, right_row in zip(left_row, dilated):
+                right_entry = right_row[j]
+                for f, a in left_entry.items():
+                    for g, b in right_entry:
+                        freq = tuple(map(add, f, g))
+                        acc[freq] = acc.get(freq, 0) + a * b
+            out_row.append({freq: n for freq, n in acc.items() if n})
+        out.append(out_row)
+    return out
 
 
 def power_symbol(mask, dilation, k: int) -> MatrixMask:
@@ -406,9 +467,13 @@ def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int
     The bound of the L-fold operator is its operator norm, times the
     infinity norm of growth^L when a growth matrix is given; the search stops
     at the first certified power or at power_cap."""
+    if scheme.is_rational():
+        norms = _rational_norms(scheme, ctx.matrix, power_cap)
+    else:
+        norms = ((L, operator_norm(symbol, dilation, precision_bits))
+                 for L, symbol, dilation in operator_powers(scheme, ctx, power_cap))
     bounds = []
-    for L, symbol, dilation in operator_powers(scheme, ctx, power_cap):
-        bound = operator_norm(symbol, dilation, precision_bits)
+    for L, bound in norms:
         if growth is not None:
             bound = bound * power_inf_norm(growth, L)
         bounds.append((L, bound))

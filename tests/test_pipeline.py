@@ -17,15 +17,20 @@ from test_golden_machine import order2_mask
 
 @pytest.fixture
 def products(monkeypatch):
-    """Receivers of every MatrixMask.matmul_dilated call, in call order."""
+    """Left operands of every power product, in call order: the generic
+    MatrixMask.matmul_dilated and the integer product of rational schemes."""
     calls = []
-    matmul = MatrixMask.matmul_dilated
 
-    def counted_matmul(self, *args):
-        calls.append(self)
-        return matmul(self, *args)
+    def counted(product):
+        def wrapper(left, *args):
+            calls.append(left)
+            return product(left, *args)
+        return wrapper
 
-    monkeypatch.setattr(MatrixMask, "matmul_dilated", counted_matmul)
+    monkeypatch.setattr(MatrixMask, "matmul_dilated",
+                        counted(MatrixMask.matmul_dilated))
+    monkeypatch.setattr(subdivision, "_dilated_product",
+                        counted(subdivision._dilated_product))
     return calls
 
 

@@ -62,6 +62,12 @@ def test_sequence_rejects_non_integer_points(component):
         Sequence(1, 1, {(component,): (1,)})
 
 
+@pytest.mark.parametrize("value", ["0.5", "1e3", "1/2", 0.5])
+def test_sequence_rejects_inexact_or_string_values(value):
+    with pytest.raises(TypeError):
+        Sequence(1, 1, {(0,): (value,)})
+
+
 def test_sequence_accepts_numpy_integer_points():
     f = Sequence(2, 1, {(np.int64(1), 2): (3,)})
     assert f == Sequence(2, 1, {(1, 2): (3,)})
