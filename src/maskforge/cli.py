@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .decompose import MaskDecomposition, decompose_levels, decompose_to_class
 from .errors import (InternalIdentityViolation, MaskforgeError,
@@ -80,9 +81,7 @@ def cmd_analyze(args) -> int:
     _at_least("--cap", args.cap, 0)
     mask, ctx = _load_mask(args)
     order, table = sum_rule_order(mask, ctx, cap=args.cap, with_table=True)
-    taus = mask.polyphase_split(ctx)
-    zero = (0,) * ctx.dim
-    tau_values = [tau.eval_at_rational(zero) for tau in taus]
+    tau_values = [tau.value_at_zero() for tau in mask.polyphase_split(ctx)]
     machine = {
         "m": ctx.m,
         "digits": [list(d) for d in ctx.digits],
@@ -273,8 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = lru_cache(maxsize=None)(build_parser)  # built on first use
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except UserDigitsInvalid as exc:

@@ -18,13 +18,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import InternalIdentityViolation, NotInClass
 from .lattice import DilationContext, mat_vec
 from .sumrules import (dilated_derivatives, multi_indices, sum_rule_order,
                        sum_rule_order_direct, digit_interpolant,
                        unit_derivative_poly)
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, _vanishing_sum
 
 
 class NotInZ0(NotInClass):
@@ -70,32 +71,19 @@ class MaskDecomposition:
 
     def identity_holds(self) -> bool:
         """Exact check of the length-n product identity for every axis tuple."""
-        d = self.ctx.dim
-        deltas = {j: dilated_difference(self.ctx, j) for j in range(1, d + 1)}
-        for k_tuple in self.axis_tuples():
-            lhs = self.source
-            for k in k_tuple:
-                lhs = lhs * plain_difference(d, k)
-            rhs = TrigPoly.zero(d)
-            for j_tuple in self.axis_tuples():
-                term = self.entries[(j_tuple, k_tuple)]
-                for j in j_tuple:
-                    term = term * deltas[j]
-                rhs = rhs + term
-            if lhs != rhs:
-                return False
-        return True
+        d, matrix = self.ctx.dim, self.ctx.matrix
+        return all(_vanishing_sum(d, [
+            (1, self.source, [_unit(d, k) for k in k_tuple]),
+            *((-1, self.entries[(j_tuple, k_tuple)],
+               [[row[j - 1] for row in matrix] for j in j_tuple])
+              for j_tuple in self.axis_tuples())]) for k_tuple in self.axis_tuples())
 
     def value_constraint_holds(self) -> bool:
         """Entry values at 0 are products of inverse-matrix entries times t(0)."""
-        t0 = self.source.value_at_zero()
-        for (j_tuple, k_tuple), entry in self.entries.items():
-            factor = Fraction(1)
-            for j, k in zip(j_tuple, k_tuple):
-                factor *= self.ctx.inverse[j - 1][k - 1]
-            if entry.value_at_zero() != t0 * factor:
-                return False
-        return True
+        t0, inverse = self.source.value_at_zero(), self.ctx.inverse
+        return all(entry.value_at_zero()
+                   == t0 * prod(inverse[j - 1][k - 1] for j, k in zip(*key))
+                   for key, entry in self.entries.items())
 
     def entries_reach(self, order: int) -> bool:
         """Does every entry satisfy the order-`order` sum rules?  Decided by the
@@ -229,8 +217,8 @@ def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
         achieved_class=achieved_class)
 
 
-def _correction_block(dilated_row, ctx: DilationContext, order: int,
-                      l: int, j: int) -> TrigPoly:
+def _correction_block(dilated_row, ctx: DilationContext, interpolants: list,
+                      order: int, l: int, j: int) -> TrigPoly:
     """Sum of the explicit corrections moving order-`order` residues of row l
     into row j (axes 1-based, j > l).
 
@@ -238,14 +226,14 @@ def _correction_block(dilated_row, ctx: DilationContext, order: int,
     where G selects the (beta - e_j)-th normalized derivative through order
     order-1, H_nu interpolates the dual digits, and w is the normalized beta
     derivative of the dilated row entry (dilated_row, its dilated_derivatives)
-    at dual digit nu.  The 2*pi*i powers of the three factors cancel exactly,
-    which keeps everything cyclotomic; the 1/beta_j factor makes the moved
-    residue match the derivative it kills (the product rule contributes
-    beta_j through the single surviving term).
+    at dual digit nu; interpolants[nu] is H_nu, built once per lift.  The
+    2*pi*i powers of the three factors cancel exactly, which keeps everything
+    cyclotomic; the 1/beta_j factor makes the moved residue match the
+    derivative it kills (the product rule contributes beta_j through the
+    single surviving term).
     """
     d = ctx.dim
     total = TrigPoly.zero(d)
-    interpolants = [digit_interpolant(nu, ctx) for nu in range(ctx.m)]
     for beta in multi_indices(d, order):
         if beta[j - 1] == 0:
             continue
@@ -286,25 +274,27 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
     d = ctx.dim
     entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
     deltas = [dilated_difference(ctx, j) for j in range(1, d + 1)]
+    interpolants = [digit_interpolant(nu, ctx) for nu in range(ctx.m)]
     for order in range(1, n_cap):
         for l in range(1, d):
-            before = [None] * d
-            for k in range(1, d + 1):
-                before[k - 1] = _defining_sum(entries, deltas, d, k)
+            before = [row[:] for row in entries]
             for k in range(1, d + 1):
                 dilated_row = dilated_derivatives(entries[l - 1][k - 1], ctx)
                 for j in range(l + 1, d + 1):
-                    block = _correction_block(dilated_row, ctx, order, l, j)
+                    block = _correction_block(dilated_row, ctx, interpolants,
+                                              order, l, j)
                     if block.is_zero():
                         continue
                     entries[l - 1][k - 1] = entries[l - 1][k - 1] \
                         - deltas[j - 1] * block
                     entries[j - 1][k - 1] = entries[j - 1][k - 1] \
                         + deltas[l - 1] * block
-            for k in range(1, d + 1):
-                if _defining_sum(entries, deltas, d, k) != before[k - 1]:
+            for k in range(d):  # defining sums, after minus before
+                if not _vanishing_sum(d, [
+                        (s, rows[j][k], [[row[j] for row in ctx.matrix]])
+                        for j in range(d) for s, rows in ((1, entries), (-1, before))]):
                     raise InternalIdentityViolation(
-                        f"row exchange changed the defining sum at k={k}")
+                        f"row exchange changed the defining sum at k={k + 1}")
     result = _plain(dec.source, ctx, entries, n_cap - 1)
     if not result.identity_holds() or not result.value_constraint_holds():
         raise InternalIdentityViolation("refined decomposition lost its identity")
@@ -312,13 +302,6 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
         raise InternalIdentityViolation(
             "refined entry fell short of its guaranteed order")
     return result
-
-
-def _defining_sum(entries, deltas, d: int, k: int) -> TrigPoly:
-    acc = TrigPoly.zero(d)
-    for j in range(1, d + 1):
-        acc = acc + entries[j - 1][k - 1] * deltas[j - 1]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A mask satisfies the order-n sum rules when every derivative up to total
 order n of t(inverse-transpose x) vanishes at the nonzero dual digits.  Two
 independent routes decide membership here: the direct definition, and the
 polyphase criterion expressing all derivative values at the origin through a
-single table of parameters.  Both are exact; they are required to agree.
+single table of parameters.  Both are exact and must agree; both decide by
+integer moments (numerator * frequency^beta over one denominator) and one
+test of divisibility by the cyclotomic polynomial Phi_F of the field order F.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import index, mul
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
 from .lattice import DilationContext, mat_vec, matrix_inverse
-from .trigpoly import TrigPoly, derivative_at
+from .trigpoly import (TrigPoly, _integer_coords, _number, _vanishes,
+                       derivative_at)
 
 DEFAULT_ORDER_CAP = 4
 
@@ -47,68 +51,113 @@ def indices_below(alpha):
     return itertools.product(*(range(a + 1) for a in alpha))
 
 
-def _neg_power(point, expo) -> Fraction:
-    """(-point)^expo for a rational vector and a multi-index (0^0 = 1)."""
-    out = Fraction(1)
-    for p, e in zip(point, expo):
-        if e:
-            out *= (-Fraction(p)) ** e
-    return out
-
-
 # ---------------------------------------------------------------------------
 # order detection
 # ---------------------------------------------------------------------------
+
+def _signed_adjugate(ctx: DilationContext):
+    """sign(det) * adjugate, so that inverse = this / m with m = |det|."""
+    return ctx.adjugate if ctx.det > 0 else \
+        tuple(tuple(-x for x in row) for row in ctx.adjugate)
+
 
 def dilated_derivatives(t: TrigPoly, ctx: DilationContext):
     """(beta, point) -> the normalized beta-derivative of t(inverse-transpose
     x) at the point.  inverse = adjugate / det, so each frequency maps once,
     here, to sign(det) * adjugate @ freq over the denominator m = |det|."""
-    adj = ctx.adjugate if ctx.det > 0 else \
-        tuple(tuple(-x for x in row) for row in ctx.adjugate)
+    adj = _signed_adjugate(ctx)
     terms = [(mat_vec(adj, freq), coeff) for freq, coeff in t.terms.items()]
     return partial(derivative_at, terms, ctx.m)
 
 
-def _direct_order_holds(derivative, ctx: DilationContext, total: int) -> bool:
+def _direct_kernel(t: TrigPoly, ctx: DilationContext):
+    """The field F = lcm(m, coefficient orders), each frequency's image g =
+    sign(det) * adjugate @ freq, and per nonzero dual digit delta each term's
+    numerators over one denominator at positions shifted by F/m * (g, delta)."""
+    field = lcm(ctx.m, *(c.order for c in t.terms.values()))
+    _, placed = _integer_coords(t.terms, field)
+    adj = _signed_adjugate(ctx)
+    images = [mat_vec(adj, freq) for freq, _, _ in placed]
+    return field, images, [
+        [[((p + field // ctx.m * (sum(map(mul, g, dual)) % ctx.m)) % field, x)
+          for p, x in xs]
+         for g, (_, xs, _) in zip(images, placed)] for dual in ctx.dual_digits[1:]]
+
+
+def _direct_order_holds(kernel, ctx: DilationContext, total: int) -> bool:
     """Do all total-order derivatives of t(inverse-transpose x) vanish at the
-    nonzero dual digits?  Takes the evaluator of dilated_derivatives."""
-    for dual_digit in ctx.dual_digits[1:]:
-        for beta in multi_indices(ctx.dim, total):
-            if not derivative(beta, dual_digit).is_zero():
+    nonzero dual digits?  Each is m^-|beta| / D times the sum of numerator *
+    g^beta over _direct_kernel's shifted positions, an integer vector."""
+    field, images, shifted = kernel
+    for beta in multi_indices(ctx.dim, total):
+        factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
+        for terms in shifted:
+            vec = [0] * field
+            for factor, xs in zip(factors, terms):
+                for p, x in xs if factor else ():
+                    vec[p] += factor * x
+            if not _vanishes(vec, field):
                 return False
     return True
 
 
-def _polyphase_targets(table_values: dict, alpha, ctx: DilationContext,
-                       k: int) -> CyclotomicNumber:
-    """Required normalized derivative of polyphase k at the origin, given the
-    parameter table (all divided by the field-exiting 2*pi*i powers)."""
-    r_k = ctx.digit_fractions[k]
-    acc = CyclotomicNumber.zero()
+def _polyphase_moments(t: TrigPoly, ctx: DilationContext):
+    """The field F of the lcm of t's coefficient orders, t's one denominator
+    D, and per polyphase the digit's sign(det) * adjugate image and its terms
+    (base point, [(position, numerator)], order)."""
+    field = lcm(*(c.order for c in t.terms.values()))
+    den, placed = _integer_coords(t.terms, field)
+    adj = _signed_adjugate(ctx)
+    parts = [(mat_vec(adj, digit), []) for digit in ctx.digits]
+    for freq, xs, order in placed:
+        nu, base = ctx.base_point(freq)
+        parts[nu][1].append((base, xs, order))
+    return field, den, parts
+
+
+def _origin_moment(part: list, alpha, field: int) -> tuple[list, int]:
+    """D times the normalized alpha derivative of a polyphase at the origin,
+    at order F, and its order: the lcm over terms with base^alpha nonzero."""
+    vec = [0] * field
+    orders = {1}
+    for base, xs, order in part:
+        factor = prod(b ** a for b, a in zip(base, alpha))
+        if factor:
+            orders.add(order)
+            for p, x in xs:
+                vec[p] += factor * x
+    return vec, lcm(*orders)
+
+
+def _polyphase_targets(moments: dict, alpha, shift, m: int) -> list:
+    """m^|alpha| times the alpha moment the polyphase at the point shift / m
+    must have: sum over beta <= alpha of C(alpha, beta) (-shift)^(alpha-beta)
+    m^|beta| times the (vector, order) moment beta of polyphase 0."""
+    acc = [0] * len(moments[alpha][0])
     for beta in indices_below(alpha):
-        acc = acc + table_values[beta] * (binom_multi(alpha, beta)
-                                          * _neg_power(r_k, tuple(a - b for a, b
-                                                                  in zip(alpha, beta))))
-    return acc * Fraction(1, ctx.m)
+        scale = binom_multi(alpha, beta) * m ** sum(beta) * prod(
+            (-s) ** (a - b) for s, a, b in zip(shift, alpha, beta))
+        for i, y in enumerate(moments[beta][0]):
+            acc[i] += scale * y
+    return acc
 
 
-def _polyphase_order_holds(taus: list[TrigPoly], table_values: dict,
-                           ctx: DilationContext, total: int) -> bool:
-    """Check the polyphase criterion at one total order, extending the table.
-
-    The table entry for each new index is forced by polyphase 0 (whose digit
-    fraction is zero, making the relation triangular); the criterion is then
-    the same relation at every other polyphase.
+def _polyphase_order_holds(taus, table: dict, ctx: DilationContext,
+                           total: int) -> bool:
+    """Check the polyphase criterion at one total order on _polyphase_moments,
+    extending the table of moments.  The entry for each new index is forced
+    by polyphase 0 (whose digit fraction is zero, making the relation
+    triangular); the criterion is the same relation at every other polyphase.
     """
+    field, _, parts = taus
     for alpha in multi_indices(ctx.dim, total):
-        table_values[alpha] = taus[0].normalized_derivative(alpha, (0,) * ctx.dim) \
-            * ctx.m
-    for k in range(1, ctx.m):
-        zero = (0,) * ctx.dim
+        table[alpha] = _origin_moment(parts[0][1], alpha, field)
+    for shift, part in parts[1:]:
         for alpha in multi_indices(ctx.dim, total):
-            want = _polyphase_targets(table_values, alpha, ctx, k)
-            if taus[k].normalized_derivative(alpha, zero) != want:
+            have = _origin_moment(part, alpha, field)[0]
+            want = _polyphase_targets(table, alpha, shift, ctx.m)
+            if not _vanishes([ctx.m ** total * h - w for h, w in zip(have, want)],
+                             field):
                 return False
     return True
 
@@ -125,12 +174,12 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    dilated = dilated_derivatives(t, ctx)
-    taus = t.polyphase_split(ctx)
+    kernel = _direct_kernel(t, ctx)
+    taus = _polyphase_moments(t, ctx)
     table: dict = {}
     order = -1
     for total in range(cap + 1):
-        direct = _direct_order_holds(dilated, ctx, total)
+        direct = _direct_order_holds(kernel, ctx, total)
         polyphase = _polyphase_order_holds(taus, table, ctx, total)
         if direct != polyphase:
             raise MethodDisagreement(
@@ -143,20 +192,18 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
         return order
     if order < 0:
         return order, None
-    values = {beta: v for beta, v in table.items() if sum(beta) <= order}
-    return order, DerivativeTable(dim=ctx.dim, order=order, values=values)
+    field, den, _ = taus  # table values are m times polyphase 0's moments
+    return order, DerivativeTable(ctx.dim, order, {
+        b: _number(v, field, held, den) * ctx.m
+        for b, (v, held) in table.items() if sum(b) <= order})
 
 
 def sum_rule_order_direct(t: TrigPoly, ctx: DilationContext,
                           cap: int = DEFAULT_ORDER_CAP) -> int:
     """Order by the direct definition only (an independent certification path)."""
-    dilated = dilated_derivatives(t, ctx)
-    order = -1
-    for total in range(cap + 1):
-        if not _direct_order_holds(dilated, ctx, total):
-            break
-        order = total
-    return order
+    kernel = _direct_kernel(t, ctx)
+    return next((total - 1 for total in range(cap + 1)
+                 if not _direct_order_holds(kernel, ctx, total)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +243,14 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
     table is read off polyphase 0 and then verified against every other
     polyphase; failure means the mask is not in the class.
     """
-    taus = t.polyphase_split(ctx)
-    values: dict = {}
+    taus = _polyphase_moments(t, ctx)
+    table: dict = {}
     for total in range(order + 1):
-        if not _polyphase_order_holds(taus, values, ctx, total):
+        if not _polyphase_order_holds(taus, table, ctx, total):
             raise NotInClass(f"mask fails the order-{total} sum rules")
-    return DerivativeTable(dim=ctx.dim, order=order, values=values)
+    field, den, _ = taus
+    return DerivativeTable(ctx.dim, order, {
+        b: _number(v, field, held, den) * ctx.m for b, (v, held) in table.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +266,6 @@ def _unit_moment_line(cap: int, target: int) -> tuple[Fraction, ...]:
     return tuple(row[target] for row in inverse)
 
 
-@lru_cache(maxsize=None)
 def unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
     """Trigonometric polynomial whose normalized derivatives at the origin are
     the indicator of the target index, through total order cap.
@@ -226,8 +274,13 @@ def unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
     0..cap; the defining conditions are re-verified exactly before returning.
     In un-normalized terms the polynomial realizes the derivative conditions
     up to the (2*pi*i)^|target| factor that exact arithmetic cannot carry.
+    Target components must be integers (operator.index), checked uncached.
     """
-    target = tuple(int(x) for x in target)
+    return _unit_derivative_poly(cap, tuple(map(index, target)), dim)
+
+
+@lru_cache(maxsize=None)
+def _unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
     if len(target) != dim:
         raise ValueError("target index has wrong dimension")
     if sum(target) > cap:
@@ -257,14 +310,10 @@ def digit_interpolant(nu: int, ctx: DilationContext) -> TrigPoly:
     """
     if not 0 <= nu < ctx.m:
         raise ValueError("digit index out of range")
-    dual = ctx.dual_digits[nu]
-    terms = {}
-    for mu, digit in enumerate(ctx.digits):
-        r_mu = ctx.digit_fractions[mu]
-        turns = -sum((Fraction(a) * b for a, b in zip(dual, r_mu)),
-                     start=Fraction(0))
-        terms[digit] = exp_of_rational(turns) * Fraction(1, ctx.m)
-    return TrigPoly(ctx.dim, terms)
+    dual, adj = ctx.dual_digits[nu], _signed_adjugate(ctx)
+    return TrigPoly(ctx.dim, {digit: exp_of_rational(Fraction(
+        -sum(map(mul, dual, mat_vec(adj, digit))), ctx.m)) * Fraction(1, ctx.m)
+        for digit in ctx.digits})
 
 
 def mask_from_derivative_table(ctx: DilationContext,
@@ -272,12 +321,21 @@ def mask_from_derivative_table(ctx: DilationContext,
     """Construct a mask whose polyphase derivatives at the origin realize the
     table, hence satisfying the sum rules of the table's order."""
     n = table.order
-    zero = (0,) * ctx.dim
+    field = lcm(*(v.order for v in table.values.values()))
+    den, placed = _integer_coords(table.values, field)
+    moments = {beta: ([dict(xs).get(i, 0) for i in range(field)], held)
+               for beta, xs, held in placed}
+    adj = _signed_adjugate(ctx)
     parts = []
-    for k in range(ctx.m):
+    for digit in ctx.digits:
+        shift = mat_vec(adj, digit)
         tau = TrigPoly.zero(ctx.dim)
         for alpha in multi_indices_up_to(ctx.dim, n):
-            coeff = _polyphase_targets(table.values, alpha, ctx, k)
+            # over D m^(|alpha|+1): table values are m times the moments
+            coeff = _number(_polyphase_targets(moments, alpha, shift, ctx.m),
+                            field, lcm(*(moments[beta][1]
+                                         for beta in indices_below(alpha))),
+                            den * ctx.m ** (sum(alpha) + 1))
             if not coeff.is_zero():
                 tau = tau + unit_derivative_poly(n, alpha, ctx.dim).scale(coeff)
         parts.append(tau)

@@ -4,10 +4,9 @@ A TrigPoly is a Laurent polynomial: finitely many terms
 coeff * e^(2*pi*i*(freq, x)) with integer frequency vectors freq, so the
 z_k = e^(2*pi*i*x_k) exponents coincide with frequencies.  Products sum
 integer coordinates, one vector per frequency, and reduce each value once.
-Derivatives of a dilated argument t(inverse-transpose x) are read by
-`derivative_at` from the integer frequencies mapped through the adjugate
-over |det| (sumrules.dilated_derivatives), so no polynomial ever carries
-rational frequencies.
+Derivatives of t(inverse-transpose x) that leave the library as values are
+read by `derivative_at` from frequencies mapped through the adjugate over
+|det| (sumrules.dilated_derivatives); zero tests run on integer vectors.
 
 Every polynomial is built by one merge, `TrigPoly._from_pairs`, which sums
 coefficients at equal frequencies and drops zero sums.  Terms are checked
@@ -99,10 +98,14 @@ class TrigPoly:
         return self.terms.items()
 
     def value_at_zero(self) -> CyclotomicNumber:
-        acc = CyclotomicNumber.zero()
-        for coeff in self.terms.values():
-            acc = acc + coeff
-        return acc
+        """The sum of the coefficients, in integers at the lcm of their orders
+        and reduced once: the order and coords of the term-by-term sum."""
+        field = lcm(*(c.order for c in self.terms.values()))
+        den, placed = _integer_coords(self.terms, field)
+        vec = [0] * field
+        for p, x in chain.from_iterable(xs for _, xs, _ in placed):
+            vec[p] += x
+        return _number(vec, field, field, den)
 
     def _check_dim(self, other: "TrigPoly") -> None:
         if self.dim != other.dim:
@@ -331,14 +334,23 @@ def _product(a: dict, b: dict) -> dict:
                 for q, y in ys:
                     vec[(p + q) % field] += x * y
     den = d_a * d_b
-    out = {}
-    for freq, (vec, order) in sums.items():
-        coords = vec[::field // order]
-        if any(coords[1:]):  # else a rational, canonical at every order
-            coords = _reduce_coords(coords, order)
-        out[freq] = CyclotomicNumber(
-            order, [Fraction(c, den) if c else _F0 for c in coords], reduce=False)
-    return out
+    return {freq: _number(vec, field, order, den)
+            for freq, (vec, order) in sums.items()}
+
+
+def _number(vec: list, field: int, order: int, den: int) -> CyclotomicNumber:
+    """Numerators over den at order `field`, held at `order` (which every
+    nonzero position's order divides): read at stride field/order, reduced once."""
+    coords = vec[::field // order]
+    if any(coords[1:]):  # else a rational, canonical at every order
+        coords = _reduce_coords(coords, order)
+    return CyclotomicNumber(
+        order, [Fraction(c, den) if c else _F0 for c in coords], reduce=False)
+
+
+def _vanishes(vec: list, field: int) -> bool:
+    """Is sum vec[i] * zeta_field^i zero (does Phi_field divide it)?"""
+    return not any(_reduce_coords(vec, field))
 
 
 def _integer_coords(terms: dict, field: int) -> tuple[int, list]:
@@ -348,3 +360,28 @@ def _integer_coords(terms: dict, field: int) -> tuple[int, list]:
     return den, [(f, [(i * (field // coeff.order), c.numerator * (den // c.denominator))
                       for i, c in enumerate(coeff.coords) if c], coeff.order)
                  for f, coeff in terms.items()]
+
+
+def _vanishing_sum(dim: int, parts) -> bool:
+    """Does the sum of sign * poly * prod(1 - z^v for v in vectors) over the
+    (sign, poly, vectors) parts vanish?  Each product is signed shifts of the
+    poly's integer numerators (over one denominator, at the lcm F of every
+    order), added into one vector per frequency and tested modulo Phi_F."""
+    coeffs = [c for _, poly, _ in parts for c in poly.terms.values()]
+    field = lcm(*(c.order for c in coeffs))
+    den = lcm(*(x.denominator for c in coeffs for x in c.coords))
+    sums: dict = {}
+    for sign, poly, vectors in parts:
+        d, placed = _integer_coords(poly.terms, field)
+        shifts = {(0,) * dim: sign * (den // d)}
+        for v in vectors:
+            for shift, count in list(shifts.items()):
+                moved = tuple(map(add, shift, v))
+                shifts[moved] = shifts.get(moved, 0) - count
+        for shift, count in shifts.items():
+            for freq, xs, _ in placed:
+                moved = tuple(map(add, freq, shift))
+                vec = sums.get(moved) or sums.setdefault(moved, [0] * field)
+                for p, x in xs:
+                    vec[p] += count * x
+    return all(_vanishes(vec, field) for vec in sums.values())
