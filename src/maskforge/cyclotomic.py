@@ -282,18 +282,26 @@ def magnitude_interval(x: CyclotomicNumber,
     return RatInterval(max(lo, _F0), max(hi, _F0))
 
 
-def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
+def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS,
+                  memo: dict | None = None) -> RatInterval:
     """Certified enclosure of the sum of |x| over the values, in their order.
 
     Rational magnitudes are summed exactly; the others are enclosed by
     magnitude_interval and added to that exact sum, so the result is a point
-    interval whenever every value is rational.
+    interval whenever every value is rational.  A caller summing many values
+    at one precision passes one memo dict to every call, so that each
+    distinct (order, coords) is enclosed once.
     """
+    memo = {} if memo is None else memo
     exact = _F0
     rough = []
     for x in values:
         if x.is_rational():
             exact += abs(x.coords[0])
         else:
-            rough.append(magnitude_interval(x, precision_bits))
+            key = (x.order, x.coords)
+            enclosure = memo.get(key)
+            if enclosure is None:
+                enclosure = memo[key] = magnitude_interval(x, precision_bits)
+            rough.append(enclosure)
     return RatInterval.exact(exact) + interval_sum(rough)

@@ -7,10 +7,15 @@ of masks t_jk with, for every axis k,
         = sum_j t_jk(x) (1 - e^(2*pi*i*(Mt x, e_j))),     (Mt = transpose)
 
 computed through the polyphase components and a fixed telescoping division
-sweep along the axes.  A refinement pass lifts the entries' sum-rule order one
-step at a time by moving explicitly constructed corrections between rows
-without changing the defining sums, and an iterated form indexes repeated
-decompositions by tuples of axes.
+sweep along the axes.  The telescoping runs on integer numerator vectors over
+one denominator, at the lcm F of the mask's coefficient orders, and only adds
+and subtracts.  Each vector carries the order label the CyclotomicNumber fold
+would hold its value at (the lcm of the labels summed into it), because that
+order is part of the value's printed bytes; each value becomes a
+CyclotomicNumber once, at its label.  A refinement pass lifts the entries'
+sum-rule order one step at a time by moving explicitly constructed
+corrections between rows without changing the defining sums, and an iterated
+form indexes repeated decompositions by tuples of axes.
 """
 
 from __future__ import annotations
@@ -18,14 +23,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import add, sub
 
 from .errors import InternalIdentityViolation, NotInClass
 from .lattice import DilationContext, mat_vec
 from .sumrules import (dilated_derivatives, multi_indices, sum_rule_order,
                        sum_rule_order_direct, digit_interpolant,
                        unit_derivative_poly)
-from .trigpoly import TrigPoly, _vanishing_sum
+from .trigpoly import (TrigPoly, _integer_coords, _merge_vectors, _number,
+                       _vanishes, _vanishing_sum)
 
 
 class NotInZ0(NotInClass):
@@ -167,31 +174,12 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
     plain axis k and coset nu, the shifted polyphase matching the coset of
     digit_nu - e_k is subtracted, and the difference is split along the fixed
     axis sweep 1..d by exact division; assembling the pieces gives the
-    entries.  Deterministic given the context's digit order.
+    entries.  It telescopes integer numerators (_telescope), and every
+    value is held at the order the TrigPoly fold of the same sums reaches:
+    the lcm of the orders summed into it, dropped sums not counted.
+    Deterministic given the context's digit order.
     """
-    d = ctx.dim
-    taus = t.polyphase_split(ctx)
-    # per-entry polyphase tables, indexed [j-1][k-1][nu]
-    tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
-    for k in range(1, d + 1):
-        e_k = _unit(d, k)
-        for nu in range(ctx.m):
-            # digit_nu - e_k = matrix @ q + digit_n, so the shift is -q
-            n_star, q = ctx.base_point(
-                tuple(s - e for s, e in zip(ctx.digits[nu], e_k)))
-            shift = tuple(-x for x in q)
-            diff = taus[nu] - TrigPoly.monomial(d, shift) * taus[n_star]
-            remaining = diff
-            for j in range(1, d + 1):
-                collapsed = remaining.substitute_one(j)
-                tables[j - 1][k - 1][nu] = \
-                    (remaining - collapsed).divide_one_minus_z(j)
-                remaining = collapsed
-            if not remaining.is_zero():
-                raise InternalIdentityViolation(
-                    "telescoping left a nonzero constant")  # source not order-0
-    dec = _plain(t, ctx, [[TrigPoly.polyphase_assemble(tables[j][k], ctx)
-                           for k in range(d)] for j in range(d)], -1)
+    dec = _plain(t, ctx, _telescope(t, ctx), -1)
     if not dec.identity_holds():
         raise InternalIdentityViolation("decomposition identity failed")
     if not dec.value_constraint_holds():
@@ -204,6 +192,81 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
                 "entry of an order-1 mask fell outside the order-0 class")
         dec.achieved_class = 0
     return dec
+
+
+def _telescope(t: TrigPoly, ctx: DilationContext) -> list:
+    """The plain entries rows[j-1][k-1] of a mask in the order-0 class.
+
+    The coefficients are placed once as integer numerator vectors over one
+    denominator D at the lcm F of their orders, labelled with their orders,
+    and split by coset.  Per plain axis k and coset nu, the shifted polyphase
+    of the coset of digit_nu - e_k is subtracted; then for j = 1..d the
+    difference minus its collapse z_j := 1 is divided by (1 - z_j), and the
+    collapse carries on to the next axis.  Each merge labels a sum with the
+    lcm of its labels and drops sums that vanish modulo Phi_F, as the
+    TrigPoly fold does.  Each quotient value becomes a CyclotomicNumber
+    once, at its label, in the assembly, whose merge drops the running sums
+    that vanish.
+    """
+    d = ctx.dim
+    field = lcm(*(c.order for c in t.terms.values()))
+    den, placed = _integer_coords(t.terms, field)
+    taus = [{} for _ in range(ctx.m)]
+    for freq, xs, order in placed:
+        vec = [0] * field
+        for p, x in xs:
+            vec[p] = x
+        nu, base = ctx.base_point(freq)
+        taus[nu][base] = (vec, order)
+    # per-entry polyphase tables, indexed [j-1][k-1][nu]
+    tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
+    for k in range(d):
+        e_k = _unit(d, k + 1)
+        for nu in range(ctx.m):
+            # digit_nu - e_k = matrix @ q + digit_n, so the shift is -q
+            n_star, q = ctx.base_point(tuple(map(sub, ctx.digits[nu], e_k)))
+            remaining = _merge_vectors(field, taus[nu].items(), (
+                (tuple(map(sub, base, q)), slot)
+                for base, slot in taus[n_star].items()))
+            for j in range(d):
+                collapsed = _merge_vectors(field, (
+                    (freq[:j] + (0,) + freq[j + 1:], slot)
+                    for freq, slot in remaining.items()))
+                tables[j][k][nu] = _divide_one_minus_z(
+                    _merge_vectors(field, remaining.items(), collapsed.items()),
+                    j, field)
+                remaining = collapsed
+            if remaining:
+                raise InternalIdentityViolation(
+                    "telescoping left a nonzero constant")  # source not order-0
+    return [[TrigPoly.polyphase_assemble([TrigPoly._from_pairs(d, (
+        (base, _number(vec, field, label, den))
+        for base, (vec, label) in part.items())) for part in parts], ctx)
+        for parts in row] for row in tables]
+
+
+def _divide_one_minus_z(poly: dict, j: int, field: int) -> dict:
+    """The exact quotient by (1 - z_(j+1)) of a {freq: (vec, label)} dict,
+    by running sums along each line of frequencies that differ only at
+    index j.  A running sum is labelled with the lcm of the labels on its
+    line up to its exponent (1 before any).  Sums that vanish are kept for
+    the assembly to drop; a line whose total does not vanish is a bug."""
+    lines: dict = {}
+    for freq, slot in poly.items():
+        lines.setdefault(freq[:j] + freq[j + 1:], {})[freq[j]] = slot
+    out = {}
+    for rest, line in lines.items():
+        running, label = [0] * field, 1
+        hi = max(line)
+        for e in range(min(line), hi):
+            if e in line:
+                vec, order = line[e]
+                running = list(map(add, running, vec))
+                label = lcm(label, order)
+            out[rest[:j] + (e,) + rest[j:]] = (running, label)
+        if not _vanishes(list(map(add, running, line[hi][0])), field):
+            raise InternalIdentityViolation(f"remainder along axis {j + 1}")
+    return out
 
 
 def _plain(t: TrigPoly, ctx: DilationContext, rows: list,

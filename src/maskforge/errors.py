@@ -17,10 +17,6 @@ class UserDigitsInvalid(MaskforgeError):
     pass
 
 
-class NotDivisible(MaskforgeError):
-    pass
-
-
 class WrongCount(MaskforgeError):
     pass
 

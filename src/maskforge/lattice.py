@@ -21,7 +21,7 @@ from operator import mul
 import numpy as np
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
-from .errors import MaskforgeError, UserDigitsInvalid
+from .errors import InternalIdentityViolation, MaskforgeError, UserDigitsInvalid
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -312,7 +312,7 @@ class DilationContext:
         diff = tuple(a - b for a, b in zip(vec, digits[idx]))
         quot = [divmod(x, self.det) for x in mat_vec(adj, diff)]
         if any(r for _, r in quot):
-            raise MaskforgeError("coset arithmetic failed")  # unreachable
+            raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
         return idx, tuple(q for q, _ in quot)
 
 

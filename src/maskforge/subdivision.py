@@ -329,11 +329,12 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     """
     mask = _as_matrix_mask(mask)
     best = RatInterval.exact(0)
+    memo: dict = {}  # each distinct value is enclosed once per call
     for alphas in _cosets(mask.coefficient_support(), _dilation_matrix(dilation)):
         for row in mask.entries:
             row_sum = magnitude_sum((entry.terms[alpha] for entry in row
                                      for alpha in alphas if alpha in entry.terms),
-                                    precision_bits)
+                                    precision_bits, memo)
             best = interval_max([best, row_sum])
     return best
 

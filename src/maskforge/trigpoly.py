@@ -21,11 +21,11 @@ from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
 from itertools import chain
-from operator import add, index, mul
+from operator import add, index, mul, sub
 
 from .cyclotomic import (_F0, CyclotomicNumber, _reduce_coords, coerce,
                          magnitude_sum)
-from .errors import DimensionMismatch, NotDivisible, WrongCount
+from .errors import DimensionMismatch, WrongCount
 from .intervals import RatInterval
 from .lattice import DilationContext, mat_vec
 
@@ -206,37 +206,6 @@ class TrigPoly:
         """
         return derivative_at(self.terms.items(), 1, alpha, point)
 
-    # -- Laurent manipulation along one axis ---------------------------------
-
-    def substitute_one(self, j: int) -> "TrigPoly":
-        """Set z_j := 1 (axes numbered from 1), merging collided frequencies."""
-        return TrigPoly._from_pairs(
-            self.dim, ((f[: j - 1] + (0,) + f[j:], c) for f, c in self.terms.items()))
-
-    def divide_one_minus_z(self, j: int) -> "TrigPoly":
-        """Exact quotient by (1 - z_j); raises NotDivisible on a remainder.
-
-        Synthetic division along axis j over Laurent exponents: within each
-        group of terms sharing the other coordinates, running sums give the
-        quotient and the total must vanish.
-        """
-        groups: dict[tuple, dict[int, CyclotomicNumber]] = {}
-        for freq, coeff in self.terms.items():
-            rest = freq[: j - 1] + freq[j:]
-            groups.setdefault(rest, {})[freq[j - 1]] = coeff
-        out = []
-        for rest, line in groups.items():
-            lo = min(line)
-            hi = max(line)
-            running = CyclotomicNumber.zero()
-            for e in range(lo, hi):
-                running = running + line.get(e, CyclotomicNumber.zero())
-                out.append((rest[: j - 1] + (e,) + rest[j - 1:], running))
-            remainder = running + line[hi]
-            if not remainder.is_zero():
-                raise NotDivisible(f"remainder along axis {j}")
-        return TrigPoly._from_pairs(self.dim, out)
-
     # -- norms ---------------------------------------------------------------
 
     def l1_norm(self, precision_bits: int = 128) -> RatInterval:
@@ -349,8 +318,29 @@ def _number(vec: list, field: int, order: int, den: int) -> CyclotomicNumber:
 
 
 def _vanishes(vec: list, field: int) -> bool:
-    """Is sum vec[i] * zeta_field^i zero (does Phi_field divide it)?"""
-    return not any(_reduce_coords(vec, field))
+    """Is sum vec[i] * zeta_field^i zero (does Phi_field divide it)?  A zero
+    vector needs no reduction, nor any vector at field 1 (Phi_1 = x - 1)."""
+    return not any(vec) or field > 1 and not any(_reduce_coords(vec, field))
+
+
+def _merge_vectors(field: int, plus, minus=()) -> dict:
+    """The integer twin of TrigPoly._from_pairs, on (freq, (vec, label))
+    pairs of numerator vectors at order `field` over one denominator: the
+    vectors of `plus`, then the negated vectors of `minus`, are summed per
+    frequency in arrival order.  Each sum is labelled with the lcm of its
+    pairs' labels, the order the CyclotomicNumber fold holds it at, and sums
+    that vanish modulo Phi_field are dropped once every pair has been seen.
+    No vector is changed in place."""
+    sums: dict = {}
+    for freq, (vec, label) in plus:
+        slot = sums.get(freq)
+        sums[freq] = (vec, label) if slot is None else \
+            (list(map(add, slot[0], vec)), lcm(slot[1], label))
+    for freq, (vec, label) in minus:
+        slot = sums.get(freq)
+        sums[freq] = ([-x for x in vec], label) if slot is None else \
+            (list(map(sub, slot[0], vec)), lcm(slot[1], label))
+    return {f: s for f, s in sums.items() if not _vanishes(s[0], field)}
 
 
 def _integer_coords(terms: dict, field: int) -> tuple[int, list]:

@@ -128,3 +128,62 @@ def random_sequence(rng: random.Random, dim: int, width: int = 1,
         values[alpha] = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                               for _ in range(width))
     return Sequence(dim, width, values)
+
+
+# -- the TrigPoly telescoping, the reference of decompose._telescope ----------
+
+class NotDivisible(ArithmeticError):
+    """divide_one_minus_z met a line whose total does not vanish."""
+
+
+def substitute_one(t: TrigPoly, j: int) -> TrigPoly:
+    """Set z_j := 1 (axes numbered from 1), merging collided frequencies."""
+    return TrigPoly._from_pairs(
+        t.dim, ((f[: j - 1] + (0,) + f[j:], c) for f, c in t.terms.items()))
+
+
+def divide_one_minus_z(t: TrigPoly, j: int) -> TrigPoly:
+    """Exact quotient by (1 - z_j); raises NotDivisible on a remainder.
+
+    Synthetic division along axis j over Laurent exponents: within each
+    group of terms sharing the other coordinates, running sums give the
+    quotient and the total must vanish.  The sums fold CyclotomicNumbers one
+    addition at a time.
+    """
+    groups: dict[tuple, dict[int, CyclotomicNumber]] = {}
+    for freq, coeff in t.terms.items():
+        rest = freq[: j - 1] + freq[j:]
+        groups.setdefault(rest, {})[freq[j - 1]] = coeff
+    out = []
+    for rest, line in groups.items():
+        running = CyclotomicNumber.zero()
+        for e in range(min(line), max(line)):
+            running = running + line.get(e, CyclotomicNumber.zero())
+            out.append((rest[: j - 1] + (e,) + rest[j - 1:], running))
+        if not (running + line[max(line)]).is_zero():
+            raise NotDivisible(f"remainder along axis {j}")
+    return TrigPoly._from_pairs(t.dim, out)
+
+
+def folded_plain_rows(t: TrigPoly, ctx: DilationContext) -> list:
+    """The plain decomposition's entries rows[j-1][k-1] by TrigPoly
+    subtraction, substitute_one and divide_one_minus_z, as decompose_to_class
+    built them before it telescoped integer numerators."""
+    d = ctx.dim
+    taus = t.polyphase_split(ctx)
+    tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
+    for k in range(1, d + 1):
+        e_k = tuple(int(i == k - 1) for i in range(d))
+        for nu in range(ctx.m):
+            n_star, q = ctx.base_point(
+                tuple(s - e for s, e in zip(ctx.digits[nu], e_k)))
+            shift = tuple(-x for x in q)
+            remaining = taus[nu] - TrigPoly.monomial(d, shift) * taus[n_star]
+            for j in range(1, d + 1):
+                collapsed = substitute_one(remaining, j)
+                tables[j - 1][k - 1][nu] = \
+                    divide_one_minus_z(remaining - collapsed, j)
+                remaining = collapsed
+            assert remaining.is_zero()
+    return [[TrigPoly.polyphase_assemble(tables[j][k], ctx) for k in range(d)]
+            for j in range(d)]

@@ -428,11 +428,17 @@ def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):
      lambda self: False),
     ("analyze", "maskforge.sumrules", "_direct_order_holds",
      lambda *args: False),
+    # a line of the telescoping whose total does not vanish
+    ("decompose", "maskforge.decompose", "_vanishes", lambda *args: False),
+    # a coset index that does not match the vector
+    ("analyze", "maskforge.lattice.DilationContext", "coset_index",
+     lambda *args: 0),
 ])
 def test_bug_guard_exit_code(monkeypatch, capsys, command, target, attr,
                              replacement):
-    # a failed identity check and a checker disagreement are bugs, not input
-    # errors: both get the internal-error exit code
+    # a failed identity check, a checker disagreement, a remainder in an
+    # exact division and a failed coset split are bugs, not input errors:
+    # all get the internal-error exit code
     from maskforge.cli import EXIT_INTERNAL
     monkeypatch.setattr(target + "." + attr, replacement)
     assert main([command, EXAMPLE]) == EXIT_INTERNAL == 6

@@ -5,7 +5,8 @@ derivative_at, over integer frequencies and a denominator, places every
 term in one coordinate vector and reduces once; TrigPoly products sum
 integer numerators in one coordinate vector per frequency and reduce each
 once, whatever the coefficient fields; operator_norm sums rational
-magnitudes as one Fraction per row.  The references below are the earlier
+magnitudes as one Fraction per row and encloses each distinct cyclotomic
+value once per call.  The references below are the earlier
 per-term loops.
 Results are compared field for field, (order, coords) and the key order of
 the terms, because == promotes across orders and would hide a value held in
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coset_fraction_key, fraction_derivative
+from maskforge import cyclotomic
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval, interval_max
@@ -345,3 +347,25 @@ def test_operator_norm_mixed_fixed_mask(precision_bits):
     want = folded_norm(mask, ((2,),), precision_bits)
     assert not got.is_exact
     assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def test_operator_norm_encloses_each_value_once(monkeypatch):
+    # z repeats across frequencies, entries and both cosets of 2Z
+    z, w = root_of_unity(3, 1) + Fraction(1, 2), root_of_unity(5, 2) * Fraction(1, 3)
+    mask = MatrixMask([
+        [TrigPoly(1, {(0,): z, (1,): z, (2,): w, (3,): z}),
+         TrigPoly(1, {(0,): z, (1,): Fraction(1, 4)})],
+        [TrigPoly(1, {(1,): z, (2,): z}), TrigPoly(1, {(0,): w, (3,): z})]])
+    want = folded_norm(mask, ((2,),))
+    enclosed = []
+
+    def counting(x, precision_bits):
+        enclosed.append((x.order, x.coords))
+        return magnitude_interval(x, precision_bits)
+    monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
+    got = operator_norm(mask, ((2,),))
+    assert not got.is_exact
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert sorted(enclosed) == sorted(set(enclosed))
+    assert len(enclosed) < sum(len(entry.terms) for row in mask.entries
+                               for entry in row)

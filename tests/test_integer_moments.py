@@ -4,7 +4,9 @@ field-arithmetic references they replaced, over random dilations.
 The direct checker decides each order on integer vectors tested modulo the
 cyclotomic polynomial; the reference asks derivative_at for every derivative
 value and whether it is zero.  The decomposition guards decide the identity
-by shifted integer numerators; the reference multiplies TrigPolys.  The
+by shifted integer numerators; the reference multiplies TrigPolys.  The plain
+decomposition telescopes integer numerator vectors; the reference subtracts,
+collapses and divides TrigPolys (conftest.folded_plain_rows).  The
 properties draw dilations in dimensions 1-3 with determinants of both signs
 (test_dilated_evaluation.contexts), coefficients in the fields of orders 1,
 3, 4, 5 and 15, masks built from derivative tables at their order and one
@@ -18,15 +20,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_class_mask, random_cyclotomic_class_mask
+from conftest import (folded_plain_rows, random_class_mask,
+                      random_cyclotomic_class_mask)
 from maskforge import cli
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
-from maskforge.decompose import (MaskDecomposition, decompose_levels,
-                                 decompose_to_class, dilated_difference,
-                                 plain_difference)
+from maskforge.decompose import (MaskDecomposition, _plain,
+                                 decompose_levels, decompose_to_class,
+                                 dilated_difference, plain_difference)
+from maskforge.lattice import mat_vec
 from maskforge.sumrules import (_direct_kernel, _direct_order_holds,
                                 derivative_table, digit_interpolant,
                                 dilated_derivatives, multi_indices,
@@ -183,6 +187,39 @@ def test_guards_match_the_product_reference(dim, positive, data):
     assert bad.identity_holds() == reference_identity_holds(bad) is False
     assert bad.value_constraint_holds() == \
         reference_value_constraint_holds(bad) is False
+
+
+def entry_fields(dec):
+    """Every entry's terms as (freq, order, coords) in key order: == would
+    promote across orders and hide a value held in the wrong field."""
+    return {key: [(f, c.order, c.coords) for f, c in entry.terms.items()]
+            for key, entry in dec.entries.items()}
+
+
+def spread_class_mask(data, ctx):
+    """A class mask times 1 + c z^(matrix v), which keeps its class (the
+    factor is a polynomial in the dilated variable): coefficients in
+    different fields meet on the lines of the telescoping, and where the
+    two copies of the mask do not overlap, running sums vanish between
+    them."""
+    mask, order = class_mask(data, ctx)
+    v = mat_vec(ctx.matrix, data.draw(points(ctx.dim, 2).filter(any)))
+    c = data.draw(coefficients(orders=ORDERS).filter(bool))
+    return mask * TrigPoly(ctx.dim, {(0,) * ctx.dim: 1, v: c}), order
+
+
+@CASES
+@settings(PROFILE, phases=[Phase.explicit, Phase.generate])
+@given(data=st.data())
+def test_telescoping_matches_the_fold(dim, positive, data):
+    # every entry coefficient keeps the order the TrigPoly fold holds it at,
+    # in the fold's key order; an order-2 source is compared at order 1, the
+    # plain entries its lift starts from (the lift is the same code after)
+    ctx = data.draw(contexts(dim, positive))
+    mask, order = spread_class_mask(data, ctx)
+    want = _plain(mask, ctx, folded_plain_rows(mask, ctx), -1)
+    got = decompose_to_class(mask, ctx, min(order, 1))
+    assert entry_fields(got) == entry_fields(want)
 
 
 def test_unit_derivative_poly_rejects_non_integer_targets():
