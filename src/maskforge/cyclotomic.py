@@ -5,6 +5,12 @@ basis 1, zeta, ..., zeta^(N-1), kept in canonical form: the representative
 polynomial is reduced modulo the N-th cyclotomic polynomial, so equality of
 coordinates is equality of field values.  Reduction modulo x^N - 1 alone would
 not be faithful (that ring has zero divisors), hence the cyclotomic modulus.
+
+|x| is enclosed in outward-rounded interval arithmetic on raw mpmath.libmp
+tuples, so each endpoint is a dyadic mpf; a sum of magnitudes adds them
+exactly as integer numerators, one Fraction per end.  A caller's memo dict,
+living for one operator norm, holds each distinct value's enclosure and each
+coefficient-times-root product.
 """
 
 from __future__ import annotations
@@ -14,11 +20,12 @@ from functools import lru_cache
 from math import lcm
 from numbers import Rational
 
-import mpmath
 from mpmath import iv
+from mpmath.libmp import (from_int, fzero, mpi_add, mpi_div, mpi_mul, mpi_sqrt,
+                          round_ceiling, round_floor)
 
 from .errors import MaskforgeError
-from .intervals import RatInterval, interval_sum
+from .intervals import RatInterval
 
 DEFAULT_PRECISION_BITS = 128
 
@@ -223,27 +230,66 @@ def exp_of_rational(turns: Fraction) -> CyclotomicNumber:
     return root_of_unity(q, turns.numerator % q)
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    man = int(man)
-    if man == 0:
-        return _F0
-    value = Fraction(man) * Fraction(2) ** int(exp)
-    return -value if sign else value
+def _dyadic(num: int, exp: int) -> Fraction:
+    """num * 2**exp, by shifts."""
+    return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
-def _interval_endpoints(x) -> tuple[Fraction, Fraction]:
-    """Exact rational endpoints of an mpmath ivmpf (directed, not rounded)."""
-    raw_lo, raw_hi = x._mpi_
-    return _raw_mpf_to_fraction(raw_lo), _raw_mpf_to_fraction(raw_hi)
+def _dyadic_add(total: tuple[int, int], end) -> tuple[int, int]:
+    """A dyadic total (numerator, exponent) plus a nonnegative raw mpf."""
+    num, exp = total
+    _, man, e, _ = end
+    if e < exp:
+        return (num << (exp - e)) + man, e
+    return num + (man << (e - exp)), exp
 
 
 @lru_cache(maxsize=4096)
 def _root_enclosure(k: int, order: int, prec: int):
-    """Interval enclosures (cos, sin) of the angle 2*pi*k/order, evaluated at
-    the interval precision prec, which must be iv.prec when called."""
-    angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(order)
-    return iv.cos(angle), iv.sin(angle)
+    """Raw (lo, hi) enclosures of cos and sin of the angle 2*pi*k/order,
+    evaluated in the iv context at precision prec."""
+    old_prec = iv.prec
+    try:
+        iv.prec = prec
+        angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(order)
+        return iv.cos(angle)._mpi_, iv.sin(angle)._mpi_
+    finally:
+        iv.prec = old_prec
+
+
+def _enclose_int(n: int, prec: int):
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+
+
+def _magnitude(x: CyclotomicNumber, precision_bits: int, memo: dict):
+    """Raw (lo, hi) mpf enclosure of |x| for a non-rational x, with lo >= 0.
+
+    The iv context's operations in its order at precision_bits + 16, so each
+    endpoint is the mpf it gives: re and im sum num/den times the (cos, sin)
+    of each root in k order, then sqrt(re*re + im*im).  memo keeps each
+    coefficient-times-root product under (coefficient, k, order).
+    """
+    if precision_bits < 32:
+        raise ValueError("precision_bits must be at least 32")
+    prec = precision_bits + 16
+    re = im = (fzero, fzero)
+    for k, c in enumerate(x.coords):
+        if c:
+            key = (c, k, x.order)
+            term = memo.get(key)
+            if term is None:
+                coeff = mpi_div(_enclose_int(c.numerator, prec),
+                                _enclose_int(c.denominator, prec), prec)
+                cos, sin = _root_enclosure(k, x.order, prec)
+                term = memo[key] = (mpi_mul(coeff, cos, prec),
+                                    mpi_mul(coeff, sin, prec))
+            re = mpi_add(re, term[0], prec)
+            im = mpi_add(im, term[1], prec)
+    sq_lo, sq_hi = mpi_add(mpi_mul(re, re, prec), mpi_mul(im, im, prec), prec)
+    if sq_lo[0]:
+        # a negative lower end (sign bit set) is rounding slack: |x|^2 >= 0
+        sq_lo = fzero
+    return mpi_sqrt((sq_lo, sq_hi), prec)
 
 
 def magnitude_interval(x: CyclotomicNumber,
@@ -256,52 +302,31 @@ def magnitude_interval(x: CyclotomicNumber,
     """
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
-    x = coerce(x)
-    if x.is_rational():
-        return RatInterval.exact(abs(x.coords[0]))
-    old_prec = iv.prec
-    try:
-        iv.prec = precision_bits + 16
-        re = iv.mpf(0)
-        im = iv.mpf(0)
-        for k, c in enumerate(x.coords):
-            if c:
-                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
-                cos, sin = _root_enclosure(k, x.order, iv.prec)
-                re += coeff * cos
-                im += coeff * sin
-        sq = re * re + im * im
-        sq_lo, sq_hi = _interval_endpoints(sq)
-        if sq_lo < 0:
-            # magnitude-squared is nonnegative; clamp rounding slack
-            sq = iv.mpf([0, mpmath.mpf(sq_hi)])
-        mag = iv.sqrt(sq)
-        lo, hi = _interval_endpoints(mag)
-    finally:
-        iv.prec = old_prec
-    return RatInterval(max(lo, _F0), max(hi, _F0))
+    return magnitude_sum([coerce(x)], precision_bits)
 
 
 def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS,
                   memo: dict | None = None) -> RatInterval:
-    """Certified enclosure of the sum of |x| over the values, in their order.
+    """Certified enclosure of the sum of |x| over the values.
 
-    Rational magnitudes are summed exactly; the others are enclosed by
-    magnitude_interval and added to that exact sum, so the result is a point
-    interval whenever every value is rational.  A caller summing many values
-    at one precision passes one memo dict to every call, so that each
-    distinct (order, coords) is enclosed once.
+    Rational magnitudes are summed exactly, the others enclosed by _magnitude;
+    each end of their sum is one integer numerator and one exponent, added to
+    the exact sum as one Fraction, so the result is a point interval whenever
+    every value is rational.  A caller summing many values at one precision
+    passes one memo dict to every call, so that each distinct (order, coords)
+    is enclosed, and each coefficient-times-root product formed, once.
     """
     memo = {} if memo is None else memo
     exact = _F0
-    rough = []
+    lo = hi = (0, 0)
     for x in values:
         if x.is_rational():
             exact += abs(x.coords[0])
-        else:
-            key = (x.order, x.coords)
-            enclosure = memo.get(key)
-            if enclosure is None:
-                enclosure = memo[key] = magnitude_interval(x, precision_bits)
-            rough.append(enclosure)
-    return RatInterval.exact(exact) + interval_sum(rough)
+            continue
+        key = (x.order, x.coords)
+        enclosure = memo.get(key)
+        if enclosure is None:
+            enclosure = memo[key] = _magnitude(x, precision_bits, memo)
+        lo = _dyadic_add(lo, enclosure[0])
+        hi = _dyadic_add(hi, enclosure[1])
+    return RatInterval(exact + _dyadic(*lo), exact + _dyadic(*hi))

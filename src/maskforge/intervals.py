@@ -83,13 +83,6 @@ def _coerce(value) -> RatInterval:
     return RatInterval.exact(value)
 
 
-def interval_sum(intervals) -> RatInterval:
-    total = RatInterval.exact(0)
-    for term in intervals:
-        total = total + term
-    return total
-
-
 def interval_max(intervals) -> RatInterval:
     """Enclosure of max(x_i) over one point x_i drawn from each interval."""
     items = list(intervals)

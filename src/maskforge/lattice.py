@@ -236,6 +236,13 @@ def is_isotropic(matrix) -> IsotropyReport:
     return IsotropyReport(verdict, moduli, best, ISOTROPY_PROBE_DEPTH)
 
 
+def _coset_table(adj: IntMatrix, modulus: int, digits) -> tuple:
+    """(adj, coset key -> digit index, adj @ digit for each digit)."""
+    images = tuple(mat_vec(adj, s) for s in digits)
+    return adj, {tuple(x % modulus for x in image): i
+                 for i, image in enumerate(images)}, images
+
+
 @dataclass(frozen=True)
 class DilationContext:
     """A fixed expanding integer matrix with its digit data.
@@ -251,8 +258,7 @@ class DilationContext:
     adjugate: IntMatrix = field(repr=False)
     inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
     dual_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    _digit_keys: dict = field(repr=False, compare=False)
-    _dual_digit_keys: dict = field(repr=False, compare=False)
+    _cosets: tuple = field(repr=False, compare=False)  # primal, dual
 
     @classmethod
     def create(cls, matrix, digits=None, dual_digits=None) -> "DilationContext":
@@ -282,9 +288,9 @@ class DilationContext:
             adjugate=adj,
             inverse=inverse,
             dual_inverse=transpose(inverse),
-            _digit_keys={coset_key(adj, m, d): i for i, d in enumerate(digits)},
-            _dual_digit_keys={coset_key(transpose(adj), m, d): i
-                              for i, d in enumerate(dual_digits)},
+            # adjugate(transpose(matrix)) = transpose(adjugate)
+            _cosets=(_coset_table(adj, m, digits),
+                     _coset_table(transpose(adj), m, dual_digits)),
         )
 
     @property
@@ -297,20 +303,19 @@ class DilationContext:
         Computed on first use and kept (the context never changes)."""
         return tuple(mat_vec(self.inverse, s) for s in self.digits)
 
-    def coset_index(self, vec, dual: bool = False) -> int:
-        """Index of the digit congruent to vec (mod the matrix, or its transpose)."""
-        # adjugate(transpose(matrix)) = transpose(adjugate)
-        adj = transpose(self.adjugate) if dual else self.adjugate
-        keys = self._dual_digit_keys if dual else self._digit_keys
-        return keys[coset_key(adj, self.m, vec)]
+    def coset_index(self, vec, dual: bool = False, image=None) -> int:
+        """Index of the digit congruent to vec (mod the matrix, or its
+        transpose); image, if known, is the adjugate's image of vec."""
+        adj, keys, _ = self._cosets[dual]
+        image = mat_vec(adj, vec) if image is None else image
+        return keys[tuple(x % self.m for x in image)]
 
     def base_point(self, vec, dual: bool = False) -> tuple[int, IntVector]:
         """(index, quotient) with vec = matrix @ quotient + digit[index]."""
-        idx = self.coset_index(vec, dual)
-        digits = self.dual_digits if dual else self.digits
-        adj = transpose(self.adjugate) if dual else self.adjugate
-        diff = tuple(a - b for a, b in zip(vec, digits[idx]))
-        quot = [divmod(x, self.det) for x in mat_vec(adj, diff)]
+        adj, _, images = self._cosets[dual]
+        image = mat_vec(adj, vec)
+        idx = self.coset_index(vec, dual, image)
+        quot = [divmod(x - s, self.det) for x, s in zip(image, images[idx])]
         if any(r for _, r in quot):
             raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
         return idx, tuple(q for q, _ in quot)

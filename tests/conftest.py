@@ -2,12 +2,16 @@ import random
 import tempfile
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
+from mpmath import iv
 
-from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
+from maskforge.cyclotomic import (CyclotomicNumber, coerce, exp_of_rational,
                                   root_of_unity)
-from maskforge.lattice import DilationContext, mat_vec
+from maskforge.intervals import RatInterval
+from maskforge.lattice import DilationContext, determinant, mat_mul, mat_vec
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to)
 from maskforge.trigpoly import TrigPoly
@@ -44,6 +48,68 @@ def example_polyphase(example_ctx):
 @pytest.fixture(scope="session")
 def example_mask(example_ctx, example_polyphase) -> TrigPoly:
     return TrigPoly.polyphase_assemble(example_polyphase, example_ctx)
+
+
+# -- random dilations, shared by the properties over dimensions 1-3 ----------
+
+KNOWN_DILATIONS = [
+    ((2,),), ((3,),), ((-2,),),
+    EXAMPLE_DILATION, ((1, 1), (-1, 1)), ((2, 0), (0, 2)), ((1, -2), (2, 1)),
+    ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+]
+
+
+@st.composite
+def dilations(draw, dim):
+    """An expanding integer matrix: a known dilation, or a triangular matrix
+    with diagonal entries of modulus at least 2 conjugated by an integer
+    shear (same eigenvalues, integer inverse of the shear)."""
+    known = [m for m in KNOWN_DILATIONS if len(m) == dim]
+    if draw(st.booleans()):
+        return draw(st.sampled_from(known))
+    diag = draw(st.lists(st.sampled_from([-3, -2, 2, 3]), min_size=dim,
+                         max_size=dim))
+    tri = [[diag[i] if i == j else
+            (draw(st.integers(-2, 2)) if j > i else 0)
+            for j in range(dim)] for i in range(dim)]
+    if dim == 1:
+        return tuple(map(tuple, tri))
+    i, j = draw(st.sampled_from([(a, b) for a in range(dim)
+                                 for b in range(dim) if a != b]))
+    c = draw(st.integers(-2, 2))
+    shear = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(dim)]
+             for r in range(dim)]
+    unshear = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(dim)]
+               for r in range(dim)]
+    return mat_mul(mat_mul(shear, tri), unshear)
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+def points(dim, span=3):
+    return st.tuples(*[st.integers(-span, span)] * dim)
+
+
+CASES = pytest.mark.parametrize("dim, positive", [
+    (dim, positive) for dim in (1, 2, 3) for positive in (True, False)])
+
+
+def signed(matrix, positive):
+    """The matrix, negated in odd dimensions when its determinant has the
+    other sign (negation keeps it expanding)."""
+    if len(matrix) % 2 and (determinant(matrix) > 0) != positive:
+        return tuple(tuple(-x for x in row) for row in matrix)
+    return matrix
+
+
+def contexts(dim, positive):
+    """Dilations with a determinant of the given sign and |det| <= 8, which
+    keeps a built order-2 mask in three dimensions to a few hundred terms."""
+    return dilations(dim).map(lambda matrix: signed(matrix, positive)).filter(
+        lambda matrix: 0 < determinant(matrix) * (1 if positive else -1) <= 8
+    ).map(DilationContext.create)
 
 
 def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
@@ -187,3 +253,39 @@ def folded_plain_rows(t: TrigPoly, ctx: DilationContext) -> list:
             assert remaining.is_zero()
     return [[TrigPoly.polyphase_assemble(tables[j][k], ctx) for k in range(d)]
             for j in range(d)]
+
+
+# -- the iv-context magnitude, the reference of cyclotomic._magnitude ---------
+
+def _raw_to_fraction(raw) -> Fraction:
+    sign, man, exp, _ = raw
+    value = Fraction(int(man)) * Fraction(2) ** int(exp)
+    return -value if sign else value
+
+
+def reference_magnitude_interval(x, precision_bits=128) -> RatInterval:
+    """magnitude_interval as it was: mpmath iv context objects at
+    precision_bits + 16, each endpoint a Fraction via Fraction(2)**exp.  A
+    negative lower end of |x|^2 is clamped to 0 below the exact upper end."""
+    x = coerce(x)
+    if x.is_rational():
+        return RatInterval.exact(abs(x.coords[0]))
+    old_prec = iv.prec
+    try:
+        iv.prec = precision_bits + 16
+        re = iv.mpf(0)
+        im = iv.mpf(0)
+        for k, c in enumerate(x.coords):
+            if c:
+                coeff = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(x.order)
+                re += coeff * iv.cos(angle)
+                im += coeff * iv.sin(angle)
+        sq = re * re + im * im
+        raw_lo, raw_hi = sq._mpi_
+        if _raw_to_fraction(raw_lo) < 0:
+            sq = iv.mpf([0, mpmath.mpf(raw_hi)])
+        lo, hi = (_raw_to_fraction(raw) for raw in iv.sqrt(sq)._mpi_)
+    finally:
+        iv.prec = old_prec
+    return RatInterval(max(lo, Fraction(0)), max(hi, Fraction(0)))

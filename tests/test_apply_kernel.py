@@ -14,56 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_DIGITS, EXAMPLE_DILATION, random_class_mask
+from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION, dilations, points,
+                      random_class_mask, rationals)
 from maskforge import subdivision
 from maskforge.cyclotomic import root_of_unity
 from maskforge.decompose import decompose_mask
-from maskforge.lattice import DilationContext, mat_mul, mat_vec
+from maskforge.lattice import DilationContext, mat_vec
 from maskforge.subdivision import MatrixMask, Sequence, apply
 from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True,
                    database=None)
-
-KNOWN_DILATIONS = [
-    ((2,),), ((3,),), ((-2,),),
-    EXAMPLE_DILATION, ((1, 1), (-1, 1)), ((2, 0), (0, 2)), ((1, -2), (2, 1)),
-    ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
-]
-
-
-@st.composite
-def dilations(draw, dim):
-    """An expanding integer matrix: a known dilation, or a triangular matrix
-    with diagonal entries of modulus at least 2 conjugated by an integer
-    shear (same eigenvalues, integer inverse of the shear)."""
-    known = [m for m in KNOWN_DILATIONS if len(m) == dim]
-    if draw(st.booleans()):
-        return draw(st.sampled_from(known))
-    diag = draw(st.lists(st.sampled_from([-3, -2, 2, 3]), min_size=dim,
-                         max_size=dim))
-    tri = [[diag[i] if i == j else
-            (draw(st.integers(-2, 2)) if j > i else 0)
-            for j in range(dim)] for i in range(dim)]
-    if dim == 1:
-        return tuple(map(tuple, tri))
-    i, j = draw(st.sampled_from([(a, b) for a in range(dim)
-                                 for b in range(dim) if a != b]))
-    c = draw(st.integers(-2, 2))
-    shear = [[int(r == s) + (c if (r, s) == (i, j) else 0) for s in range(dim)]
-             for r in range(dim)]
-    unshear = [[int(r == s) - (c if (r, s) == (i, j) else 0) for s in range(dim)]
-               for r in range(dim)]
-    return mat_mul(mat_mul(shear, tri), unshear)
-
-
-def rationals():
-    return st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-
-
-def points(dim, span=3):
-    return st.tuples(*[st.integers(-span, span)] * dim)
 
 
 def scalar_masks(dim):

@@ -14,12 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coset_fraction_key
+from conftest import (CASES, contexts, coset_fraction_key, dilations, points,
+                      rationals)
 from maskforge.errors import UserDigitsInvalid
 from maskforge.lattice import DilationContext, digit_set, mat_vec, transpose
 from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
-from test_apply_kernel import dilations, points, rationals
 
 # deterministic and small: the whole module runs in under a second
 PROFILE = settings(max_examples=15, deadline=None, derandomize=True,
@@ -55,6 +55,21 @@ def test_base_point_round_trip(dim, data):
         assert idx == ctx.coset_index(vec, dual)
         assert all(type(q) is int for q in quot)
         assert tuple(x + s for x, s in zip(mat_vec(matrix, quot), digits[idx])) == vec
+
+
+@CASES
+@PROFILE
+@given(data=st.data())
+def test_base_point_recovers_quotient_and_digit(dim, positive, data):
+    # vec = matrix @ q + digit[idx] is split back into exactly (idx, q)
+    ctx = data.draw(contexts(dim, positive))
+    q = data.draw(points(dim, 6))
+    for dual in (False, True):
+        matrix = transpose(ctx.matrix) if dual else ctx.matrix
+        digits = ctx.dual_digits if dual else ctx.digits
+        idx = data.draw(st.integers(0, ctx.m - 1))
+        vec = tuple(x + s for x, s in zip(mat_vec(matrix, q), digits[idx]))
+        assert ctx.base_point(vec, dual) == (idx, q)
 
 
 @DIMS

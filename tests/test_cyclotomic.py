@@ -134,6 +134,36 @@ def test_magnitude_contains_high_precision_estimate():
         assert enclosure.lo <= estimate <= enclosure.hi
 
 
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", [81, 121])
+def test_magnitude_near_zero_is_clamped(n):
+    # F_n / F_(n-1) tends to the golden ratio, and zeta_5 + zeta_5^4 is its
+    # inverse, so |x| is about phi^-n: at n = 121 the enclosure of |x|^2
+    # reaches below 0 at 128 bits, and its lower end is clamped to 0
+    from maskforge.lattice import DilationContext
+    from maskforge.subdivision import MatrixMask, operator_norm
+    from maskforge.trigpoly import TrigPoly
+    x = fibonacci(n) * (root_of_unity(5, 1) + root_of_unity(5, 4)) \
+        - fibonacci(n - 1)
+    enclosure = magnitude_interval(x, 128)
+    with mpmath.workprec(1200):
+        z = mpmath.mpf(fibonacci(n)) * 2 * mpmath.cos(2 * mpmath.pi / 5) \
+            - fibonacci(n - 1)
+        sign, man, exp, _ = abs(z)._mpf_
+        estimate = Fraction(int(man)) * Fraction(2) ** int(exp)
+    assert 0 <= enclosure.lo <= estimate <= enclosure.hi
+    assert (enclosure.lo == 0) == (n == 121)
+    mask = MatrixMask.from_scalar(TrigPoly(1, {(0,): x}))
+    norm = operator_norm(mask, DilationContext.create([[2]]), 128)
+    assert (norm.lo, norm.hi) == (enclosure.lo, enclosure.hi)
+
+
 def test_conjugate_gives_square_magnitude():
     z12 = root_of_unity(12, 5)
     x = 2 + z12 - 3 * root_of_unity(12, 35 % 12)

@@ -13,41 +13,20 @@ their order by both sum-rule checkers.
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (fraction_dilated_derivative, random_class_mask,
-                      random_cyclotomic_class_mask)
-from maskforge.lattice import DilationContext, determinant
+from conftest import (CASES, contexts, fraction_dilated_derivative, points,
+                      random_class_mask, random_cyclotomic_class_mask,
+                      rationals)
 from maskforge.sumrules import (dilated_derivatives, multi_indices_up_to,
                                 sum_rule_order, sum_rule_order_direct)
 from maskforge.trigpoly import TrigPoly
-from test_apply_kernel import dilations, points, rationals
 from test_exact_kernels import coefficients
 
 # deterministic and small: the whole module runs in about two seconds
 PROFILE = settings(max_examples=5, deadline=None, derandomize=True,
                    database=None)
-
-CASES = pytest.mark.parametrize("dim, positive", [
-    (dim, positive) for dim in (1, 2, 3) for positive in (True, False)])
-
-
-def signed(matrix, positive):
-    """The matrix, negated in odd dimensions when its determinant has the
-    other sign (negation keeps it expanding)."""
-    if len(matrix) % 2 and (determinant(matrix) > 0) != positive:
-        return tuple(tuple(-x for x in row) for row in matrix)
-    return matrix
-
-
-def contexts(dim, positive):
-    """Dilations with a determinant of the given sign and |det| <= 8, which
-    keeps a built order-2 mask in three dimensions to a few hundred terms."""
-    return dilations(dim).map(lambda matrix: signed(matrix, positive)).filter(
-        lambda matrix: 0 < determinant(matrix) * (1 if positive else -1) <= 8
-    ).map(DilationContext.create)
 
 
 @CASES

@@ -18,11 +18,13 @@ from functools import reduce
 from math import lcm
 from operator import add
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coset_fraction_key, fraction_derivative
+from conftest import (coset_fraction_key, fraction_derivative,
+                      reference_magnitude_interval)
 from maskforge import cyclotomic
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
@@ -72,7 +74,8 @@ def pairwise_product(x, y):
 
 
 def folded_norm(mask, matrix, precision_bits=128):
-    """operator_norm as it was: one RatInterval sum per coefficient."""
+    """operator_norm as it was: one RatInterval sum per coefficient, each
+    cyclotomic magnitude enclosed by the iv context."""
     inverse = matrix_inverse(matrix)
     groups = {}
     for alpha in mask.coefficient_support():
@@ -89,7 +92,8 @@ def folded_norm(mask, matrix, precision_bits=128):
                     if c.is_rational():
                         row_sum = row_sum + abs(c.rational_value())
                     else:
-                        row_sum = row_sum + magnitude_interval(c, precision_bits)
+                        row_sum = row_sum + reference_magnitude_interval(
+                            c, precision_bits)
             best = interval_max([best, row_sum])
     return best
 
@@ -321,7 +325,7 @@ DILATIONS = {1: [((2,),), ((-3,),)],
 def norm_cases(draw):
     dim = draw(st.integers(1, 2))
     size = draw(st.integers(1, 2))
-    values = coefficients(orders=(1, 1, 3, 5))
+    values = coefficients(orders=(1, 1, 3, 4, 5, 15))
     entries = [[draw(polys(dim, values, min_size=1).filter(
         lambda p: not p.is_zero())) for _ in range(size)] for _ in range(size)]
     return MatrixMask(entries), draw(st.sampled_from(DILATIONS[dim]))
@@ -358,14 +362,67 @@ def test_operator_norm_encloses_each_value_once(monkeypatch):
         [TrigPoly(1, {(1,): z, (2,): z}), TrigPoly(1, {(0,): w, (3,): z})]])
     want = folded_norm(mask, ((2,),))
     enclosed = []
+    magnitude = cyclotomic._magnitude
 
-    def counting(x, precision_bits):
+    def counting(x, precision_bits, memo):
         enclosed.append((x.order, x.coords))
-        return magnitude_interval(x, precision_bits)
-    monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
+        return magnitude(x, precision_bits, memo)
+    monkeypatch.setattr(cyclotomic, "_magnitude", counting)
     got = operator_norm(mask, ((2,),))
     assert not got.is_exact
     assert (got.lo, got.hi) == (want.lo, want.hi)
     assert sorted(enclosed) == sorted(set(enclosed))
     assert len(enclosed) < sum(len(entry.terms) for row in mask.entries
                                for entry in row)
+
+
+# -- raw magnitude enclosures against the iv context -----------------------------
+
+def wide_rationals():
+    """Numerators and denominators of 1 to 200 bits: from_int rounds those
+    above the working precision (at most 144 bits)."""
+    def sized(bits):
+        return st.integers(2 ** (bits - 1), 2 ** bits - 1)
+    return st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                     st.sampled_from((-1, 1)),
+                     st.integers(1, 200).flatmap(sized),
+                     st.integers(1, 200).flatmap(sized))
+
+
+def real_part_near(x, bits):
+    """A rational within 2**-bits of the real part of x."""
+    with mpmath.workprec(bits + 300):
+        value = mpmath.fsum(
+            mpmath.mpf(c.numerator) / c.denominator
+            * mpmath.cospi(mpmath.mpf(2 * k) / x.order)
+            for k, c in enumerate(x.coords) if c)
+        return Fraction(int(mpmath.nint(value * 2 ** bits)), 2 ** bits)
+
+
+@st.composite
+def wide_numbers(draw):
+    """Values of the field orders below.  Some are real (x + conj x) or
+    imaginary (x - conj x), so that the enclosure of the other part
+    straddles 0; some are real and within 2**-bits of 0, so that |x|^2 may
+    be enclosed below 0."""
+    order = draw(st.sampled_from((1, 3, 4, 5, 7, 12, 15)))
+    coords = draw(st.lists(st.one_of(st.just(Fraction(0)), wide_rationals()),
+                           min_size=order, max_size=order))
+    x = CyclotomicNumber(order, coords)
+    kind = draw(st.sampled_from(("any", "real", "imaginary", "near zero")))
+    if kind == "imaginary":
+        return x - x.conjugate()
+    if kind == "any":
+        return x
+    x = x + x.conjugate()
+    if kind == "real":
+        return x
+    return x - real_part_near(x, draw(st.integers(1, 200)))
+
+
+@settings(PROFILE, max_examples=80)
+@given(wide_numbers(), st.sampled_from((32, 64, 128)))
+def test_magnitude_endpoints_match_the_iv_context(x, precision_bits):
+    got = magnitude_interval(x, precision_bits)
+    want = reference_magnitude_interval(x, precision_bits)
+    assert (got.lo, got.hi) == (want.lo, want.hi)

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import (folded_plain_rows, random_class_mask,
-                      random_cyclotomic_class_mask)
+from conftest import (CASES, contexts, folded_plain_rows, points,
+                      random_class_mask, random_cyclotomic_class_mask)
 from maskforge import cli
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.decompose import (MaskDecomposition, _plain,
@@ -36,8 +36,7 @@ from maskforge.sumrules import (_direct_kernel, _direct_order_holds,
                                 dilated_derivatives, multi_indices,
                                 unit_derivative_poly)
 from maskforge.trigpoly import TrigPoly
-from test_apply_kernel import points
-from test_dilated_evaluation import CASES, PROFILE, contexts
+from test_dilated_evaluation import PROFILE
 from test_exact_kernels import coefficients
 
 ORDERS = (1, 3, 4, 5, 15)

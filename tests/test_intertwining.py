@@ -14,12 +14,11 @@ import random
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_class_mask, random_cyclotomic_class_mask
+from conftest import (CASES, contexts, points, random_class_mask,
+                      random_cyclotomic_class_mask)
 from maskforge.decompose import decompose_to_class
 from maskforge.subdivision import (MatrixMask, Sequence, apply, gradient,
                                    second_difference_scheme)
-from test_apply_kernel import points
-from test_dilated_evaluation import CASES, contexts
 from test_exact_kernels import coefficients
 
 # deterministic and small; no shrinking, which takes minutes on these masks

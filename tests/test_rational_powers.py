@@ -16,12 +16,11 @@ from fractions import Fraction
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_class_mask
+from conftest import CASES, contexts, random_class_mask
 from maskforge.lattice import DilationContext, power_inf_norm, transpose
 from maskforge.subdivision import (MatrixMask, _certificate_search,
                                    check_convergence, operator_norm,
                                    operator_powers)
-from test_dilated_evaluation import CASES, contexts
 from test_exact_kernels import coefficients, polys
 
 # deterministic and small; no shrinking, as in test_intertwining

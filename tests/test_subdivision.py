@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (coset_fraction_key, random_class_mask, random_mask,
-                      random_sequence)
+from conftest import (contexts, coset_fraction_key, points, random_class_mask,
+                      random_sequence, rationals)
 from maskforge.decompose import decompose_mask
 from maskforge.errors import ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
@@ -193,15 +195,19 @@ def test_apply_cyclotomic_probe(ctx1):
     assert out.value((1,))[0] == Fraction(1, 2)
 
 
-def test_operator_norm_against_brute_force(example_ctx):
-    rng = random.Random(17)
-    for _ in range(6):
-        t = random_mask(rng, 2, n_terms=3, freq_range=1)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_operator_norm_against_brute_force(data):
+    # rational masks only: the brute force enumerates sign patterns
+    for dim, positive in itertools.product((1, 2, 3), (True, False)):
+        ctx = data.draw(contexts(dim, positive))
+        terms = data.draw(st.dictionaries(points(dim, 1), rationals(),
+                                          min_size=1, max_size=4))
+        t = TrigPoly(dim, terms)
         if t.is_zero():
             continue
         mask = MatrixMask.from_scalar(t)
-        assert operator_norm(mask, example_ctx) == \
-            brute_force_norm(mask, example_ctx)
+        assert operator_norm(mask, ctx) == brute_force_norm(mask, ctx)
 
 
 def test_power_symbol_examples(ctx1, hat, example_ctx, example_mask):
