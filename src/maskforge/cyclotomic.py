@@ -7,10 +7,9 @@ coordinates is equality of field values.  Reduction modulo x^N - 1 alone would
 not be faithful (that ring has zero divisors), hence the cyclotomic modulus.
 
 |x| is enclosed in outward-rounded interval arithmetic on raw mpmath.libmp
-tuples, so each endpoint is a dyadic mpf; a sum of magnitudes adds them
+tuples, so each endpoint is a dyadic rational; a sum of magnitudes adds them
 exactly as integer numerators, one Fraction per end.  A caller's memo dict,
-living for one operator norm, holds each distinct value's enclosure and each
-coefficient-times-root product.
+living for one operator norm, holds each distinct value's enclosure.
 """
 
 from __future__ import annotations
@@ -235,10 +234,11 @@ def _dyadic(num: int, exp: int) -> Fraction:
     return Fraction(num << exp) if exp >= 0 else Fraction(num, 1 << -exp)
 
 
-def _dyadic_add(total: tuple[int, int], end) -> tuple[int, int]:
-    """A dyadic total (numerator, exponent) plus a nonnegative raw mpf."""
+def _dyadic_add(total: tuple[int, int], end: Fraction) -> tuple[int, int]:
+    """A dyadic total (numerator, exponent) plus a Fraction whose
+    denominator is a power of 2."""
     num, exp = total
-    _, man, e, _ = end
+    man, e = end.numerator, 1 - end.denominator.bit_length()
     if e < exp:
         return (num << (exp - e)) + man, e
     return num + (man << (e - exp)), exp
@@ -261,30 +261,21 @@ def _enclose_int(n: int, prec: int):
     return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _magnitude(x: CyclotomicNumber, precision_bits: int, memo: dict):
+def _magnitude(x: CyclotomicNumber, prec: int):
     """Raw (lo, hi) mpf enclosure of |x| for a non-rational x, with lo >= 0.
 
-    The iv context's operations in its order at precision_bits + 16, so each
+    The iv context's operations in its order at precision prec, so each
     endpoint is the mpf it gives: re and im sum num/den times the (cos, sin)
-    of each root in k order, then sqrt(re*re + im*im).  memo keeps each
-    coefficient-times-root product under (coefficient, k, order).
+    of each root in k order, then sqrt(re*re + im*im).
     """
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be at least 32")
-    prec = precision_bits + 16
     re = im = (fzero, fzero)
     for k, c in enumerate(x.coords):
         if c:
-            key = (c, k, x.order)
-            term = memo.get(key)
-            if term is None:
-                coeff = mpi_div(_enclose_int(c.numerator, prec),
-                                _enclose_int(c.denominator, prec), prec)
-                cos, sin = _root_enclosure(k, x.order, prec)
-                term = memo[key] = (mpi_mul(coeff, cos, prec),
-                                    mpi_mul(coeff, sin, prec))
-            re = mpi_add(re, term[0], prec)
-            im = mpi_add(im, term[1], prec)
+            coeff = mpi_div(_enclose_int(c.numerator, prec),
+                            _enclose_int(c.denominator, prec), prec)
+            cos, sin = _root_enclosure(k, x.order, prec)
+            re = mpi_add(re, mpi_mul(coeff, cos, prec), prec)
+            im = mpi_add(im, mpi_mul(coeff, sin, prec), prec)
     sq_lo, sq_hi = mpi_add(mpi_mul(re, re, prec), mpi_mul(im, im, prec), prec)
     if sq_lo[0]:
         # a negative lower end (sign bit set) is rounding slack: |x|^2 >= 0
@@ -297,24 +288,29 @@ def magnitude_interval(x: CyclotomicNumber,
     """Certified rational enclosure of |x|.
 
     Rational values get an exact point interval; otherwise the value is
-    evaluated in outward-rounded interval arithmetic, so the result always
-    contains the true magnitude.
+    evaluated in outward-rounded interval arithmetic at precision_bits + 16,
+    so the result always contains the true magnitude, and both endpoints
+    are dyadic.
     """
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
-    return magnitude_sum([coerce(x)], precision_bits)
+    x = coerce(x)
+    if x.is_rational():
+        return RatInterval.exact(abs(x.coords[0]))
+    lo, hi = _magnitude(x, precision_bits + 16)
+    return RatInterval(_dyadic(lo[1], lo[2]), _dyadic(hi[1], hi[2]))
 
 
 def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS,
                   memo: dict | None = None) -> RatInterval:
     """Certified enclosure of the sum of |x| over the values.
 
-    Rational magnitudes are summed exactly, the others enclosed by _magnitude;
-    each end of their sum is one integer numerator and one exponent, added to
-    the exact sum as one Fraction, so the result is a point interval whenever
-    every value is rational.  A caller summing many values at one precision
-    passes one memo dict to every call, so that each distinct (order, coords)
-    is enclosed, and each coefficient-times-root product formed, once.
+    Rational magnitudes are summed exactly, the others enclosed by
+    magnitude_interval; each end of their sum is kept as one integer
+    numerator and one exponent and added to the exact sum as one Fraction,
+    so the result is a point interval whenever every value is rational.  A
+    caller summing many values at one precision passes one memo dict to
+    every call, so that each distinct (order, coords) is enclosed once.
     """
     memo = {} if memo is None else memo
     exact = _F0
@@ -326,7 +322,7 @@ def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS,
         key = (x.order, x.coords)
         enclosure = memo.get(key)
         if enclosure is None:
-            enclosure = memo[key] = _magnitude(x, precision_bits, memo)
-        lo = _dyadic_add(lo, enclosure[0])
-        hi = _dyadic_add(hi, enclosure[1])
+            enclosure = memo[key] = magnitude_interval(x, precision_bits)
+        lo = _dyadic_add(lo, enclosure.lo)
+        hi = _dyadic_add(hi, enclosure.hi)
     return RatInterval(exact + _dyadic(*lo), exact + _dyadic(*hi))

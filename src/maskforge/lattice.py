@@ -130,9 +130,13 @@ def adjugate(matrix) -> IntMatrix:
     return tuple(tuple(int(x * det) for x in row) for row in matrix_inverse(matrix))
 
 
+def _key(image, modulus: int) -> IntVector:
+    return tuple(x % modulus for x in image)
+
+
 def coset_key(adj, modulus: int, vec) -> IntVector:
     """adj @ vec modulo |det|; equal keys mean congruent vectors."""
-    return tuple(x % modulus for x in mat_vec(adj, vec))
+    return _key(mat_vec(adj, vec), modulus)
 
 
 def _canonical_candidates(dim: int, radius: int):
@@ -239,8 +243,7 @@ def is_isotropic(matrix) -> IsotropyReport:
 def _coset_table(adj: IntMatrix, modulus: int, digits) -> tuple:
     """(adj, coset key -> digit index, adj @ digit for each digit)."""
     images = tuple(mat_vec(adj, s) for s in digits)
-    return adj, {tuple(x % modulus for x in image): i
-                 for i, image in enumerate(images)}, images
+    return adj, {_key(image, modulus): i for i, image in enumerate(images)}, images
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ class DilationContext:
         transpose); image, if known, is the adjugate's image of vec."""
         adj, keys, _ = self._cosets[dual]
         image = mat_vec(adj, vec) if image is None else image
-        return keys[tuple(x % self.m for x in image)]
+        return keys[_key(image, self.m)]
 
     def base_point(self, vec, dual: bool = False) -> tuple[int, IntVector]:
         """(index, quotient) with vec = matrix @ quotient + digit[index]."""

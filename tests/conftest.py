@@ -266,7 +266,8 @@ def _raw_to_fraction(raw) -> Fraction:
 def reference_magnitude_interval(x, precision_bits=128) -> RatInterval:
     """magnitude_interval as it was: mpmath iv context objects at
     precision_bits + 16, each endpoint a Fraction via Fraction(2)**exp.  A
-    negative lower end of |x|^2 is clamped to 0 below the exact upper end."""
+    negative lower end of |x|^2 is clamped to 0 below the upper end, taken
+    unrounded at the working precision."""
     x = coerce(x)
     if x.is_rational():
         return RatInterval.exact(abs(x.coords[0]))
@@ -284,7 +285,7 @@ def reference_magnitude_interval(x, precision_bits=128) -> RatInterval:
         sq = re * re + im * im
         raw_lo, raw_hi = sq._mpi_
         if _raw_to_fraction(raw_lo) < 0:
-            sq = iv.mpf([0, mpmath.mpf(raw_hi)])
+            sq = iv.mpf([0, mpmath.mpf(raw_hi, prec=iv.prec)])
         lo, hi = (_raw_to_fraction(raw) for raw in iv.sqrt(sq)._mpi_)
     finally:
         iv.prec = old_prec

@@ -20,7 +20,7 @@ from operator import add
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (coset_fraction_key, fraction_derivative,
@@ -362,12 +362,11 @@ def test_operator_norm_encloses_each_value_once(monkeypatch):
         [TrigPoly(1, {(1,): z, (2,): z}), TrigPoly(1, {(0,): w, (3,): z})]])
     want = folded_norm(mask, ((2,),))
     enclosed = []
-    magnitude = cyclotomic._magnitude
 
-    def counting(x, precision_bits, memo):
+    def counting(x, precision_bits):
         enclosed.append((x.order, x.coords))
-        return magnitude(x, precision_bits, memo)
-    monkeypatch.setattr(cyclotomic, "_magnitude", counting)
+        return magnitude_interval(x, precision_bits)
+    monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
     got = operator_norm(mask, ((2,),))
     assert not got.is_exact
     assert (got.lo, got.hi) == (want.lo, want.hi)
@@ -399,6 +398,12 @@ def real_part_near(x, bits):
         return Fraction(int(mpmath.nint(value * 2 ** bits)), 2 ** bits)
 
 
+def real_near_zero(x, bits):
+    """x + conj x less a rational within 2**-bits of it."""
+    x = x + x.conjugate()
+    return x - real_part_near(x, bits)
+
+
 @st.composite
 def wide_numbers(draw):
     """Values of the field orders below.  Some are real (x + conj x) or
@@ -414,14 +419,26 @@ def wide_numbers(draw):
         return x - x.conjugate()
     if kind == "any":
         return x
-    x = x + x.conjugate()
     if kind == "real":
-        return x
-    return x - real_part_near(x, draw(st.integers(1, 200)))
+        return x + x.conjugate()
+    return real_near_zero(x, draw(st.integers(1, 200)))
+
+
+def fibonacci_near_zero(n):
+    """F_n * (zeta_5 + zeta_5^4) - F_(n-1), about phi^-n for Fibonacci F_n."""
+    a, b = 0, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    root = root_of_unity(5, 1) + root_of_unity(5, 4)
+    return b * root - a
 
 
 @settings(PROFILE, max_examples=80)
 @given(wide_numbers(), st.sampled_from((32, 64, 128)))
+# |x|^2 enclosed below 0 and clamped to 0, below an upper end of 8 bits
+# (phi^-121) and of 144 bits (2*cos(pi/6) less a rational near sqrt 3)
+@example(fibonacci_near_zero(121), 128)
+@example(real_near_zero(root_of_unity(12, 1), 160), 128)
 def test_magnitude_endpoints_match_the_iv_context(x, precision_bits):
     got = magnitude_interval(x, precision_bits)
     want = reference_magnitude_interval(x, precision_bits)
