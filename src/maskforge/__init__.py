@@ -10,16 +10,13 @@ point appears only in certified interval enclosures and heuristic spectra.
 from .cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                          magnitude_interval, root_of_unity)
 from .decompose import (MaskDecomposition, decompose_levels, decompose_mask,
-                        decompose_to_class, iterated_decomposition,
-                        kronecker_power, refine_decomposition)
+                        decompose_to_class, refine_decomposition)
 from .errors import MaskforgeError
 from .intervals import RatInterval
-from .lattice import (DilationContext, determinant, digit_fourier_is_unitary,
-                      digit_fourier_matrix, digit_set, is_isotropic,
+from .lattice import (DilationContext, determinant, digit_set, is_isotropic,
                       power_inf_norm)
 from .subdivision import (MatrixMask, Sequence, apply, check_c1,
-                          check_convergence, coset_coefficient_sums, gradient,
-                          operator_norm, operator_powers, power_symbol, refine,
+                          check_convergence, gradient, operator_norm, refine,
                           second_difference_scheme)
 from .sumrules import (DerivativeTable, derivative_table, digit_interpolant,
                        mask_from_derivative_table, sum_rule_order,
@@ -31,13 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclotomicNumber", "cyclotomic_polynomial", "magnitude_interval",
     "root_of_unity", "MaskDecomposition", "decompose_levels",
-    "decompose_mask", "decompose_to_class", "iterated_decomposition",
-    "kronecker_power", "refine_decomposition", "MaskforgeError", "RatInterval",
-    "DilationContext", "determinant", "digit_fourier_is_unitary",
-    "digit_fourier_matrix", "digit_set", "is_isotropic", "power_inf_norm",
-    "MatrixMask", "Sequence", "apply", "check_c1", "check_convergence",
-    "coset_coefficient_sums", "gradient", "operator_norm", "operator_powers",
-    "power_symbol", "refine", "second_difference_scheme", "DerivativeTable",
+    "decompose_mask", "decompose_to_class", "refine_decomposition",
+    "MaskforgeError", "RatInterval", "DilationContext", "determinant",
+    "digit_set", "is_isotropic", "power_inf_norm", "MatrixMask", "Sequence",
+    "apply", "check_c1", "check_convergence", "gradient", "operator_norm",
+    "refine", "second_difference_scheme", "DerivativeTable",
     "derivative_table", "digit_interpolant", "mask_from_derivative_table",
     "sum_rule_order", "unit_derivative_poly", "TrigPoly",
 ]

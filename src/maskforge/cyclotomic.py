@@ -9,7 +9,8 @@ not be faithful (that ring has zero divisors), hence the cyclotomic modulus.
 |x| is enclosed in outward-rounded interval arithmetic on raw mpmath.libmp
 tuples, so each endpoint is a dyadic rational; a sum of magnitudes adds them
 exactly as integer numerators, one Fraction per end.  A caller's memo dict,
-living for one operator norm, holds each distinct value's enclosure.
+living for one operator norm, holds each distinct value's enclosure, keyed
+by its order and integer coordinates over the norm's one denominator.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ def _reduce_coords(coords: list[Fraction], order: int) -> tuple[Fraction, ...]:
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+
+def _canonical(vec: list, field: int, order: int) -> tuple:
+    """The coords at `order` of a coordinate vector at order `field` whose
+    nonzero positions all have orders dividing `order`: read at stride
+    field/order and reduced once, the tail that reduction zeroes left off."""
+    coords = tuple(vec[::field // order])
+    if any(coords[1:]):  # else a rational, canonical at every order
+        coords = _reduce_coords(coords, order)[:len(cyclotomic_polynomial(order)) - 1]
+    return coords
 
 
 class CyclotomicNumber:
@@ -301,28 +312,42 @@ def magnitude_interval(x: CyclotomicNumber,
     return RatInterval(_dyadic(lo[1], lo[2]), _dyadic(hi[1], hi[2]))
 
 
-def magnitude_sum(values, precision_bits: int = DEFAULT_PRECISION_BITS,
-                  memo: dict | None = None) -> RatInterval:
-    """Certified enclosure of the sum of |x| over the values.
+def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
+    """Certified enclosure of the largest of the sums of |x| over each row
+    of values x over den: a rational value given as its integer numerator,
+    any other as (order, its integer coords in canonical form at that
+    order).
 
-    Rational magnitudes are summed exactly, the others enclosed by
-    magnitude_interval; each end of their sum is kept as one integer
-    numerator and one exponent and added to the exact sum as one Fraction,
-    so the result is a point interval whenever every value is rational.  A
-    caller summing many values at one precision passes one memo dict to
-    every call, so that each distinct (order, coords) is enclosed once.
+    Rational values are summed exactly in integers.  Every other distinct
+    value is enclosed once per call by magnitude_interval, with its
+    CyclotomicNumber built only then; each end of a row's enclosures is
+    summed as one integer numerator and one exponent.  A row of rational
+    values is compared as one integer, so the result is a point interval
+    whenever every value is rational.
     """
-    memo = {} if memo is None else memo
-    exact = _F0
-    lo = hi = (0, 0)
-    for x in values:
-        if x.is_rational():
-            exact += abs(x.coords[0])
+    memo: dict = {}
+    best_exact = 0
+    best_lo = best_hi = _F0
+    for row in rows:
+        exact = 0
+        lo = hi = (0, 0)
+        for value in row:
+            if isinstance(value, int):
+                exact += abs(value)
+                continue
+            enclosure = memo.get(value)
+            if enclosure is None:
+                order, coords = value
+                enclosure = memo[value] = magnitude_interval(CyclotomicNumber(
+                    order, [Fraction(c, den) for c in coords], reduce=False),
+                    precision_bits)
+            lo = _dyadic_add(lo, enclosure.lo)
+            hi = _dyadic_add(hi, enclosure.hi)
+        if hi == (0, 0):  # no enclosure: |x| > 0 for every value enclosed
+            best_exact = max(best_exact, exact)
             continue
-        key = (x.order, x.coords)
-        enclosure = memo.get(key)
-        if enclosure is None:
-            enclosure = memo[key] = magnitude_interval(x, precision_bits)
-        lo = _dyadic_add(lo, enclosure.lo)
-        hi = _dyadic_add(hi, enclosure.hi)
-    return RatInterval(exact + _dyadic(*lo), exact + _dyadic(*hi))
+        exact = Fraction(exact, den)
+        best_lo = max(best_lo, exact + _dyadic(*lo))
+        best_hi = max(best_hi, exact + _dyadic(*hi))
+    best_exact = Fraction(best_exact, den)
+    return RatInterval(max(best_lo, best_exact), max(best_hi, best_exact))

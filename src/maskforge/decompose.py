@@ -371,41 +371,6 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
 # iterated form
 # ---------------------------------------------------------------------------
 
-def kronecker_power(matrix, n: int):
-    """n-th Kronecker power; entries may be int, Fraction, or anything with
-    ring arithmetic."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    result = ((Fraction(1),),)
-    for _ in range(n):
-        rows = len(result)
-        cols = len(result[0])
-        out = []
-        for i in range(len(matrix)):
-            for r in range(rows):
-                row = []
-                for j in range(len(matrix[0])):
-                    for c in range(cols):
-                        row.append(matrix[i][j] * result[r][c])
-                out.append(tuple(row))
-        result = tuple(out)
-    return result
-
-
-def iterated_decomposition(t: TrigPoly, ctx: DilationContext, levels: int,
-                           source_order: int) -> MaskDecomposition:
-    """Iterated decomposition of a mask that satisfies the order-(source_order
-    - 1) sum rules, with levels <= source_order; NotInClass otherwise.  See
-    decompose_levels."""
-    if levels > source_order:
-        raise NotInClass("levels may not exceed the source order")
-    have = sum_rule_order(t, ctx, cap=max(source_order - 1, 0))
-    if have < source_order - 1:
-        raise NotInClass(
-            f"mask has sum-rule order {have}, below {source_order - 1}")
-    return decompose_levels(t, ctx, levels, source_order - 1)
-
-
 def decompose_levels(t: TrigPoly, ctx: DilationContext, levels: int,
                      order: int) -> MaskDecomposition:
     """Repeatedly decompose a mask with order-`order` sum rules (certified by

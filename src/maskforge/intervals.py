@@ -81,11 +81,3 @@ def _coerce(value) -> RatInterval:
     if isinstance(value, RatInterval):
         return value
     return RatInterval.exact(value)
-
-
-def interval_max(intervals) -> RatInterval:
-    """Enclosure of max(x_i) over one point x_i drawn from each interval."""
-    items = list(intervals)
-    if not items:
-        return RatInterval.exact(0)
-    return RatInterval(max(i.lo for i in items), max(i.hi for i in items))

@@ -20,7 +20,6 @@ from operator import mul
 
 import numpy as np
 
-from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import InternalIdentityViolation, MaskforgeError, UserDigitsInvalid
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -322,29 +321,3 @@ class DilationContext:
         if any(r for _, r in quot):
             raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
         return idx, tuple(q for q, _ in quot)
-
-
-def digit_fourier_matrix(ctx: DilationContext) -> list[list[CyclotomicNumber]]:
-    """The m-by-m matrix of e^(2*pi*i*(r_k, dual_digit_l)) in exact arithmetic.
-
-    Scaled by 1/sqrt(m) this matrix is unitary; that property underpins both
-    the polyphase value identities and the digit interpolants.
-    """
-    rs = ctx.digit_fractions
-    return [[exp_of_rational(sum((rk[i] * sl[i] for i in range(ctx.dim)),
-                                 start=Fraction(0)))
-             for sl in ctx.dual_digits] for rk in rs]
-
-
-def digit_fourier_is_unitary(ctx: DilationContext) -> bool:
-    """Exact check that U Uh == m I for the digit Fourier matrix."""
-    u = digit_fourier_matrix(ctx)
-    m = ctx.m
-    for i in range(m):
-        for j in range(m):
-            acc = CyclotomicNumber.zero()
-            for l in range(m):
-                acc = acc + u[i][l] * u[j][l].conjugate()
-            if acc != (m if i == j else 0):
-                return False
-    return True

@@ -16,10 +16,14 @@ difference scheme of a decomposed mask satisfies the exact operator identity
 which is what ties decompositions to convergence; one more decomposition
 level gives grad(S_T g) = S_Q grad(g).  Norm verdicts are certified: an
 operator norm below 1 is claimed only when the whole enclosing interval is.
-The certificate search of a rational scheme runs in integers: each power's
-symbol is held as integer numerators over one denominator D^L, and its norm
-is one Fraction; cyclotomic schemes take operator_powers and operator_norm,
-the reference both paths are tested against.
+The certificate search runs one power loop in integers for every
+coefficient field: each power's symbol is held as integer numerators over
+one denominator D^L at the scheme's field order N (N = 1 for a rational
+scheme), each coefficient labelled with the order the TrigPoly fold of
+MatrixMask.matmul_dilated holds it at, because a certified magnitude depends
+on that order.  One norm serves every power and operator_norm: it sums
+rational magnitudes exactly and encloses each distinct non-rational value
+once.
 """
 
 from __future__ import annotations
@@ -30,17 +34,18 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from operator import add, index
+from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, magnitude_sum
+from .cyclotomic import CyclotomicNumber, _canonical, max_magnitude_sum
 from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
-from .errors import MaskforgeError, ShapeMismatch
-from .intervals import RatInterval, interval_max
+from .errors import ShapeMismatch
+from .intervals import RatInterval
 from .lattice import (DilationContext, IsotropyReport, adjugate, coset_key,
                       determinant, is_isotropic, mat_mul, mat_vec,
                       matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
-from .trigpoly import TrigPoly
+from .trigpoly import TrigPoly, _merge_vectors
 
 DEFAULT_POWER_CAP = 8
 # largest sum-rule order check_convergence scans for (its report prints the
@@ -107,16 +112,6 @@ class Sequence:
     def is_zero(self) -> bool:
         return not self.values
 
-    def sup_norm(self) -> Fraction:
-        """Exact sup of component magnitudes; requires rational values."""
-        best = Fraction(0)
-        for vec in self.values.values():
-            for v in vec:
-                if not isinstance(v, Rational):
-                    raise MaskforgeError("sup_norm needs rational values")
-                best = max(best, abs(Fraction(v)))
-        return best
-
     def __add__(self, other: "Sequence") -> "Sequence":
         if (self.dim, self.width) != (other.dim, other.width):
             raise ShapeMismatch("sequence shapes differ")
@@ -172,13 +167,6 @@ class MatrixMask:
     def entry(self, i: int, j: int) -> TrigPoly:
         return self.entries[i][j]
 
-    def coefficient_support(self) -> set:
-        out = set()
-        for row in self.entries:
-            for entry in row:
-                out.update(entry.terms.keys())
-        return out
-
     def is_rational(self) -> bool:
         return all(c.is_rational() for row in self.entries
                    for entry in row for c in entry.terms.values())
@@ -232,29 +220,17 @@ def apply(mask, dilation, f: Sequence) -> Sequence:
     return _apply_generic(mask, matrix, f)
 
 
-def _integer_entries(mask: MatrixMask) -> tuple[int, list]:
-    """(D, numerators) of a rational mask: D the common denominator of its
-    coefficients and, per entry, {frequency: integer numerator over D}.
-    Rationals held at a field order above 1 are read through coords[0]."""
-    values = [[{alpha: c.rational_value() for alpha, c in entry.terms.items()}
-               for entry in row] for row in mask.entries]
-    den = lcm(*(c.denominator for row in values for entry in row
-                for c in entry.values()))
-    return den, [[{alpha: c.numerator * (den // c.denominator)
-                   for alpha, c in entry.items()} for entry in row]
-                 for row in values]
-
-
 def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
     """Fraction-free apply: the coefficients are integers n over their common
     denominator D_a, the samples integers p over D_f, and each output value is
     built once as (sum of n * p) / (D_a * D_f)."""
-    d_a, numerators = _integer_entries(mask)
+    symbol = _numerators(mask)  # N = 1: one class of numerators per entry
     by_offset: dict[tuple, list] = {}
-    for i, row in enumerate(numerators):
+    for i, row in enumerate(symbol.entries):
         for j, entry in enumerate(row):
-            for alpha, n in entry.items():
-                by_offset.setdefault(alpha, []).append((i, j, n))
+            for terms in entry.values():
+                for alpha, n in terms.items():
+                    by_offset.setdefault(alpha, []).append((i, j, n))
     kernel = list(by_offset.items())
     d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
     rows = mask.rows
@@ -269,7 +245,7 @@ def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
                 out = acc[target] = [0] * rows
             for i, j, n in terms:
                 out[i] += n * p[j]
-    den = d_a * d_f
+    den = symbol.den * d_f
     return Sequence._trusted(f.dim, rows, {
         target: tuple(Fraction(x, den) for x in out)
         for target, out in acc.items() if any(out)})
@@ -310,33 +286,77 @@ def gradient(f: Sequence) -> Sequence:
                                      for diff in diffs])
 
 
-def coset_coefficient_sums(mask, ctx: DilationContext) -> list:
-    """For each digit: the exact (signed) sum of coefficient matrices over its
-    coset, the value at 0 of each entry's polyphase component.  For a
-    difference scheme of a normalized order-1 mask these all equal the
-    inverse-transpose dilation matrix."""
-    splits = [[entry.polyphase_split(ctx) for entry in row]
-              for row in _as_matrix_mask(mask).entries]
-    return [[[parts[nu].value_at_zero() for parts in row] for row in splits]
-            for nu in range(ctx.m)]
-
-
 def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
     """The exact sup-operator norm: max over cosets of the max row sum of the
     entrywise coefficient-magnitude sums.
 
     Exact rational for rational coefficients, otherwise a certified interval.
     """
-    mask = _as_matrix_mask(mask)
-    best = RatInterval.exact(0)
-    memo: dict = {}  # each distinct value is enclosed once per call
-    for alphas in _cosets(mask.coefficient_support(), _dilation_matrix(dilation)):
-        for row in mask.entries:
-            row_sum = magnitude_sum((entry.terms[alpha] for entry in row
-                                     for alpha in alphas if alpha in entry.terms),
-                                    precision_bits, memo)
-            best = interval_max([best, row_sum])
-    return best
+    return _norm(_numerators(_as_matrix_mask(mask)), _dilation_matrix(dilation),
+                 precision_bits)
+
+
+class _Numerators(NamedTuple):
+    """A matrix symbol in integers.  entries[i][j] maps each (label,
+    position) class to {freq: n}: the coefficient at freq is the sum of
+    n * zeta_N^position over the classes that hold freq, as numerators over
+    `den` at N = `field`.  The classes that hold freq share its label, the
+    order the TrigPoly fold holds the value at, which every nonzero
+    position's order divides."""
+    field: int
+    den: int
+    entries: list
+
+
+def _numerators(mask: MatrixMask) -> _Numerators:
+    """The mask's coefficients at the lcm N of their orders, over the common
+    denominator D of their coordinates, each labelled with its order.  A
+    rational mask is held at N = 1: its products are rational, and the norm
+    of a rational value does not depend on the order it is held at."""
+    coeffs = [c for row in mask.entries for entry in row for c in entry.terms.values()]
+    rational = all(c.is_rational() for c in coeffs)
+    field = 1 if rational else lcm(*(c.order for c in coeffs))
+    den = lcm(*(x.denominator for c in coeffs for x in c.coords))
+    entries = []
+    for row in mask.entries:
+        out_row = []
+        for entry in row:
+            classes: dict = {}
+            for freq, c in entry.terms.items():
+                order = 1 if rational else c.order  # a rational is read as coords[0]
+                for i, x in enumerate(c.coords[:order]):
+                    if x:
+                        classes.setdefault((order, i * (field // order)), {})[freq] = \
+                            x.numerator * (den // x.denominator)
+            out_row.append(classes)
+        entries.append(out_row)
+    return _Numerators(field, den, entries)
+
+
+def _norm(symbol: _Numerators, matrix, precision_bits: int) -> RatInterval:
+    """operator_norm of a symbol in integers: each coset's row sums of
+    coefficient magnitudes, each distinct non-rational value enclosed once
+    per call.  An entry whose classes all sit at position 0 holds rational
+    numerators as they are; any other entry's values are reduced once at
+    their labels."""
+    field, den, entries = symbol
+    values = [[list(entry.values()) if all(p == 0 for _, p in entry)
+               else [_reduced(entry, field)] for entry in row] for row in entries]
+    support = set().union(*(d for row in values for parts in row for d in parts))
+    return max_magnitude_sum(([d[alpha] for parts in row for d in parts for alpha in alphas
+                               if alpha in d]
+                              for alphas in _cosets(support, matrix) for row in values),
+                             den, precision_bits)
+
+
+def _reduced(entry: dict, field: int) -> dict:
+    """{freq: value} of a class-form entry: a rational value as its integer
+    numerator, any other as (label, its integer coords reduced at the label)."""
+    out = {}
+    for freq, (vec, label) in _vectors(field, entry).items():
+        coords = _canonical(vec, field, label)
+        out[freq] = (label, coords) if any(coords[1:]) else coords[0]
+    return out
 
 
 def _cosets(support, matrix):
@@ -348,72 +368,103 @@ def _cosets(support, matrix):
     return groups.values()
 
 
-def operator_powers(mask, dilation, cap: int):
-    """Yield (L, symbol, dilation^L) for the L-fold operator, L = 1..cap.
+def _powers(scheme: MatrixMask, matrix, cap: int):
+    """Yield (L, symbol, matrix^L) for the L-fold operator, L = 1..cap.
 
-    The symbol of the L-fold operator is the ordered product of the mask with
-    its images under increasing dilation powers, and it acts with dilation
-    matrix^L.  Each product is formed only when its item is requested, so a
-    consumer that stops early pays for no further power."""
-    mask = _as_matrix_mask(mask)
-    if mask.rows != mask.cols:
-        raise ShapeMismatch("powers need a square mask")
-    matrix = _dilation_matrix(dilation)
-    symbol, step = mask, matrix
-    for L in range(1, cap + 1):
-        if L > 1:
-            symbol = symbol.matmul_dilated(mask, step)
-            step = mat_mul(step, matrix)
-        yield L, symbol, step
-
-
-def _rational_norms(scheme: MatrixMask, matrix, cap: int):
-    """Yield (L, exact operator norm of the L-fold operator), L = 1..cap, for
-    a rational square scheme: the operator_powers trajectory in integers.
-
-    The L-fold symbol is held as integer numerators over D^L, D the common
-    denominator of the scheme; each power is formed only when requested, and
-    its norm is the largest coset row sum of |numerator| over D^L."""
-    den, base = _integer_entries(scheme)
+    The symbol of the L-fold operator is the ordered product of the scheme
+    with its images under increasing dilation powers, held as _Numerators
+    over D^L; it acts with matrix^L.  Each product is formed only when its
+    item is requested, so a consumer that stops early pays for no further
+    power."""
+    base = _numerators(scheme)
     power, step = base, matrix
     for L in range(1, cap + 1):
         if L > 1:
             power = _dilated_product(power, base, step)
             step = mat_mul(step, matrix)
-        support = set().union(*(entry for row in power for entry in row))
-        best = max((sum(abs(entry.get(alpha, 0)) for entry in row for alpha in alphas)
-                    for alphas in _cosets(support, step) for row in power), default=0)
-        yield L, RatInterval.exact(Fraction(best, den ** L))
+        yield L, power, step
 
 
-def _dilated_product(left: list, right: list, dilation) -> list:
-    """left(x) @ right(transpose(dilation) x) on {frequency: integer} entries:
-    each output entry is summed into one dict, zero sums dropped."""
-    dilated = [[[(mat_vec(dilation, g), n) for g, n in entry.items()] for entry in row]
-               for row in right]
+def _dilated_product(left: _Numerators, right: _Numerators,
+                     dilation) -> _Numerators:
+    """left(x) @ right(transpose(dilation) x), each coefficient labelled as
+    MatrixMask.matmul_dilated's TrigPoly fold holds it.
+
+    The pair loop adds plain ints: the classes (la, p) and (lb, q) sum into
+    the class (lcm(la, lb), p + q mod N).  The k-th products of an output
+    entry are folded one at a time: a product's label at a frequency is the
+    lcm of the classes that reach it, a product that vanishes modulo Phi_N
+    is dropped, and so is a running sum that vanishes
+    (trigpoly._merge_vectors), label and all.  When every class pair of the
+    entry has one label, each product and running sum is held at it, so the
+    products are summed as one and folded once."""
+    field = left.field
+    dilated = [[[(key, [(mat_vec(dilation, g), n) for g, n in terms.items()])
+                 for key, terms in entry.items()] for entry in row]
+               for row in right.entries]
     out = []
-    for left_row in left:
+    for left_row in left.entries:
         out_row = []
-        for j in range(len(right[0])):
-            acc: dict[tuple, int] = {}
-            for left_entry, right_row in zip(left_row, dilated):
-                right_entry = right_row[j]
-                for f, a in left_entry.items():
-                    for g, b in right_entry:
-                        freq = tuple(map(add, f, g))
-                        acc[freq] = acc.get(freq, 0) + a * b
-            out_row.append({freq: n for freq, n in acc.items() if n})
+        for j in range(len(dilated[0])):
+            products = [(a.items(), row[j]) for a, row in zip(left_row, dilated)]
+            labels = {lcm(la, lb) for a, b in products
+                      for (la, _), _ in a for (lb, _), _ in b}
+            runs = [products] if len(labels) == 1 else [[pair] for pair in products]
+            total: dict = {}
+            for run in runs:
+                sums: dict = {}
+                for left_classes, right_classes in run:
+                    for (la, p), left_terms in left_classes:
+                        for (lb, q), right_terms in right_classes:
+                            key = (lcm(la, lb), (p + q) % field)
+                            acc = sums.get(key)
+                            if acc is None:
+                                acc = sums[key] = {}
+                            for f, a in left_terms.items():
+                                for g, b in right_terms:
+                                    freq = tuple(map(add, f, g))
+                                    acc[freq] = acc.get(freq, 0) + a * b
+                product = _fold(sums, field)
+                total = _split(_vectors(field, total, product)) if total else product
+            out_row.append(total)
         out.append(out_row)
-    return out
+    return _Numerators(field, left.den * right.den, out)
 
 
-def power_symbol(mask, dilation, k: int) -> MatrixMask:
-    """Symbol of the k-fold operator (see operator_powers)."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    _, symbol, _ = next(itertools.islice(operator_powers(mask, dilation, k),
-                                         k - 1, None))
-    return symbol
+def _fold(sums: dict, field: int) -> dict:
+    """The class form of one product from its class sums, values that
+    vanish left out.  With one class every value is a monomial
+    n * zeta_N^p, which vanishes only when n does."""
+    if len(sums) == 1:
+        ((key, acc),) = sums.items()
+        terms = {freq: n for freq, n in acc.items() if n}
+        return {key: terms} if terms else {}
+    return _split(_vectors(field, sums))
+
+
+def _vectors(field: int, *class_forms) -> dict:
+    """{freq: (vec, label)} of the sum of class sums or class-form entries:
+    each class term is a monomial vector, merged as the TrigPoly fold adds
+    (trigpoly._merge_vectors), so a frequency's label is the lcm of the
+    classes that hold it, and values that vanish are left out."""
+    monomials = []
+    for classes in class_forms:
+        for (label, p), terms in classes.items():
+            for freq, n in terms.items():
+                vec = [0] * field
+                vec[p] = n
+                monomials.append((freq, (vec, label)))
+    return _merge_vectors(field, monomials)
+
+
+def _split(vectors: dict) -> dict:
+    """The class form of {freq: (vec, label)}."""
+    classes: dict = {}
+    for freq, (vec, label) in vectors.items():
+        for p, n in enumerate(vec):
+            if n:
+                classes.setdefault((label, p), {})[freq] = n
+    return classes
 
 
 def second_difference_scheme(T: MatrixMask, ctx: DilationContext) -> MatrixMask:
@@ -468,13 +519,9 @@ def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int
     The bound of the L-fold operator is its operator norm, times the
     infinity norm of growth^L when a growth matrix is given; the search stops
     at the first certified power or at power_cap."""
-    if scheme.is_rational():
-        norms = _rational_norms(scheme, ctx.matrix, power_cap)
-    else:
-        norms = ((L, operator_norm(symbol, dilation, precision_bits))
-                 for L, symbol, dilation in operator_powers(scheme, ctx, power_cap))
     bounds = []
-    for L, bound in norms:
+    for L, symbol, step in _powers(scheme, ctx.matrix, power_cap):
+        bound = _norm(symbol, step, precision_bits)
         if growth is not None:
             bound = bound * power_inf_norm(growth, L)
         bounds.append((L, bound))

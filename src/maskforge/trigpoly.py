@@ -23,10 +23,9 @@ from numbers import Rational
 from itertools import chain
 from operator import add, index, mul, sub
 
-from .cyclotomic import (_F0, CyclotomicNumber, _reduce_coords, coerce,
-                         magnitude_sum)
+from .cyclotomic import (_F0, CyclotomicNumber, _canonical, _reduce_coords,
+                         coerce)
 from .errors import DimensionMismatch, WrongCount
-from .intervals import RatInterval
 from .lattice import DilationContext, mat_vec
 
 
@@ -206,15 +205,6 @@ class TrigPoly:
         """
         return derivative_at(self.terms.items(), 1, alpha, point)
 
-    # -- norms ---------------------------------------------------------------
-
-    def l1_norm(self, precision_bits: int = 128) -> RatInterval:
-        """Certified enclosure of the sum of coefficient magnitudes.
-
-        Exact (point interval) whenever every coefficient is rational.
-        """
-        return magnitude_sum(self.terms.values(), precision_bits)
-
     # -- misc ----------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -310,11 +300,9 @@ def _product(a: dict, b: dict) -> dict:
 def _number(vec: list, field: int, order: int, den: int) -> CyclotomicNumber:
     """Numerators over den at order `field`, held at `order` (which every
     nonzero position's order divides): read at stride field/order, reduced once."""
-    coords = vec[::field // order]
-    if any(coords[1:]):  # else a rational, canonical at every order
-        coords = _reduce_coords(coords, order)
     return CyclotomicNumber(
-        order, [Fraction(c, den) if c else _F0 for c in coords], reduce=False)
+        order, [Fraction(c, den) if c else _F0 for c in _canonical(vec, field, order)],
+        reduce=False)
 
 
 def _vanishes(vec: list, field: int) -> bool:

@@ -9,11 +9,14 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from mpmath import iv
 
 from maskforge.cyclotomic import (CyclotomicNumber, coerce, exp_of_rational,
-                                  root_of_unity)
+                                  magnitude_interval, root_of_unity)
+from maskforge.decompose import MaskDecomposition, decompose_levels
+from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
 from maskforge.lattice import DilationContext, determinant, mat_mul, mat_vec
+from maskforge.subdivision import MatrixMask, _as_matrix_mask, _dilation_matrix
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
-                                multi_indices_up_to)
+                                multi_indices_up_to, sum_rule_order)
 from maskforge.trigpoly import TrigPoly
 
 # hypothesis keeps caches under its home directory, ./.hypothesis by default;
@@ -290,3 +293,127 @@ def reference_magnitude_interval(x, precision_bits=128) -> RatInterval:
     finally:
         iv.prec = old_prec
     return RatInterval(max(lo, Fraction(0)), max(hi, Fraction(0)))
+
+
+# -- names the library no longer calls, kept as references ------------------
+
+def operator_powers(mask, dilation, cap: int):
+    """Yield (L, symbol, dilation^L) for the L-fold operator, L = 1..cap, as
+    TrigPoly matrices folded by MatrixMask.matmul_dilated: the reference of
+    the integer power loop subdivision._powers.  Each product is formed only
+    when its item is requested."""
+    mask = _as_matrix_mask(mask)
+    if mask.rows != mask.cols:
+        raise ShapeMismatch("powers need a square mask")
+    matrix = _dilation_matrix(dilation)
+    symbol, step = mask, matrix
+    for L in range(1, cap + 1):
+        if L > 1:
+            symbol = symbol.matmul_dilated(mask, step)
+            step = mat_mul(step, matrix)
+        yield L, symbol, step
+
+
+def power_symbol(mask, dilation, k: int) -> MatrixMask:
+    """Symbol of the k-fold operator (see operator_powers)."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    *_, (_, symbol, _) = operator_powers(mask, dilation, k)
+    return symbol
+
+
+def coefficient_support(mask: MatrixMask) -> set:
+    """Every frequency that carries a coefficient in some entry."""
+    return {freq for row in mask.entries for entry in row for freq in entry.terms}
+
+
+def interval_max(intervals) -> RatInterval:
+    """Enclosure of max(x_i) over one point x_i drawn from each interval."""
+    items = list(intervals)
+    if not items:
+        return RatInterval.exact(0)
+    return RatInterval(max(i.lo for i in items), max(i.hi for i in items))
+
+
+def sup_norm(f) -> Fraction:
+    """Exact sup of the component magnitudes of a sequence of rational values."""
+    return max((abs(Fraction(v)) for vec in f.values.values() for v in vec),
+               default=Fraction(0))
+
+
+def l1_norm(t: TrigPoly, precision_bits: int = 128) -> RatInterval:
+    """Certified enclosure of the sum of coefficient magnitudes; exact
+    (a point interval) whenever every coefficient is rational."""
+    return sum((magnitude_interval(c, precision_bits) for c in t.terms.values()),
+               RatInterval.exact(0))
+
+
+def coset_coefficient_sums(mask, ctx: DilationContext) -> list:
+    """For each digit: the exact (signed) sum of coefficient matrices over its
+    coset, the value at 0 of each entry's polyphase component.  For a
+    difference scheme of a normalized order-1 mask these all equal the
+    inverse-transpose dilation matrix."""
+    splits = [[entry.polyphase_split(ctx) for entry in row]
+              for row in _as_matrix_mask(mask).entries]
+    return [[[parts[nu].value_at_zero() for parts in row] for row in splits]
+            for nu in range(ctx.m)]
+
+
+def digit_fourier_matrix(ctx: DilationContext) -> list:
+    """The m-by-m matrix of e^(2*pi*i*(r_k, dual_digit_l)) in exact arithmetic.
+
+    Scaled by 1/sqrt(m) this matrix is unitary; that property underpins both
+    the polyphase value identities and the digit interpolants.
+    """
+    return [[exp_of_rational(sum((rk[i] * sl[i] for i in range(ctx.dim)),
+                                 start=Fraction(0)))
+             for sl in ctx.dual_digits] for rk in ctx.digit_fractions]
+
+
+def digit_fourier_is_unitary(ctx: DilationContext) -> bool:
+    """Exact check that U Uh == m I for the digit Fourier matrix."""
+    u = digit_fourier_matrix(ctx)
+    m = ctx.m
+    for i in range(m):
+        for j in range(m):
+            acc = CyclotomicNumber.zero()
+            for l in range(m):
+                acc = acc + u[i][l] * u[j][l].conjugate()
+            if acc != (m if i == j else 0):
+                return False
+    return True
+
+
+def kronecker_power(matrix, n: int):
+    """n-th Kronecker power; entries may be int, Fraction, or anything with
+    ring arithmetic."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    result = ((Fraction(1),),)
+    for _ in range(n):
+        rows = len(result)
+        cols = len(result[0])
+        out = []
+        for i in range(len(matrix)):
+            for r in range(rows):
+                row = []
+                for j in range(len(matrix[0])):
+                    for c in range(cols):
+                        row.append(matrix[i][j] * result[r][c])
+                out.append(tuple(row))
+        result = tuple(out)
+    return result
+
+
+def iterated_decomposition(t: TrigPoly, ctx: DilationContext, levels: int,
+                           source_order: int) -> MaskDecomposition:
+    """Iterated decomposition of a mask that satisfies the order-(source_order
+    - 1) sum rules, with levels <= source_order; NotInClass otherwise.  See
+    decompose_levels."""
+    if levels > source_order:
+        raise NotInClass("levels may not exceed the source order")
+    have = sum_rule_order(t, ctx, cap=max(source_order - 1, 0))
+    if have < source_order - 1:
+        raise NotInClass(
+            f"mask has sum-rule order {have}, below {source_order - 1}")
+    return decompose_levels(t, ctx, levels, source_order - 1)

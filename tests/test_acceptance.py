@@ -10,18 +10,16 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_class_mask, random_mask, random_sequence
+from conftest import (coset_coefficient_sums, digit_fourier_is_unitary,
+                      iterated_decomposition, kronecker_power, power_symbol,
+                      random_class_mask, random_mask, random_sequence)
 from maskforge.cli import main
 from maskforge.decompose import (MaskDecomposition, decompose_mask,
-                                 iterated_decomposition, kronecker_power,
                                  refine_decomposition)
-from maskforge.lattice import (DilationContext, digit_fourier_is_unitary,
-                               matrix_power, determinant)
+from maskforge.lattice import DilationContext, matrix_power, determinant
 from maskforge.subdivision import (MatrixMask, Sequence, apply,
                                    check_convergence, gradient, operator_norm,
-                                   power_symbol, refine,
-                                   second_difference_scheme,
-                                   coset_coefficient_sums)
+                                   refine, second_difference_scheme)
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to, sum_rule_order,
                                 sum_rule_order_direct)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION, dilations, points,
@@ -25,7 +25,7 @@ from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True,
-                   database=None)
+                   database=None, phases=[Phase.explicit, Phase.generate])
 
 
 def scalar_masks(dim):

@@ -11,7 +11,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, coset_fraction_key, dilations, points,
@@ -23,7 +23,7 @@ from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in under a second
 PROFILE = settings(max_examples=15, deadline=None, derandomize=True,
-                   database=None)
+                   database=None, phases=[Phase.explicit, Phase.generate])
 
 DIMS = pytest.mark.parametrize("dim", [1, 2, 3])
 

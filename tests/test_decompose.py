@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import fraction_dilated_derivative, random_class_mask, random_mask
+from conftest import (fraction_dilated_derivative, iterated_decomposition,
+                      kronecker_power, random_class_mask, random_mask)
 from maskforge.decompose import (MaskDecomposition, NotInZ0, decompose_mask,
                                  decompose_to_class, dilated_difference,
-                                 iterated_decomposition, kronecker_power,
                                  refine_decomposition)
 from maskforge.errors import NotInClass
 from maskforge.lattice import DilationContext

@@ -13,7 +13,7 @@ their order by both sum-rule checkers.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, fraction_dilated_derivative, points,
@@ -26,7 +26,7 @@ from test_exact_kernels import coefficients
 
 # deterministic and small: the whole module runs in about two seconds
 PROFILE = settings(max_examples=5, deadline=None, derandomize=True,
-                   database=None)
+                   database=None, phases=[Phase.explicit, Phase.generate])
 
 
 @CASES

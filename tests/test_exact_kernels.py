@@ -20,22 +20,23 @@ from operator import add
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (coset_fraction_key, fraction_derivative,
+from conftest import (coefficient_support, coset_fraction_key,
+                      fraction_derivative, interval_max,
                       reference_magnitude_interval)
 from maskforge import cyclotomic
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
-from maskforge.intervals import RatInterval, interval_max
+from maskforge.intervals import RatInterval
 from maskforge.lattice import matrix_inverse
 from maskforge.subdivision import MatrixMask, operator_norm
 from maskforge.trigpoly import TrigPoly, derivative_at
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=40, deadline=None, derandomize=True,
-                   database=None)
+                   database=None, phases=[Phase.explicit, Phase.generate])
 
 ORDERS = (1, 2, 3, 4, 5, 12)
 
@@ -78,7 +79,7 @@ def folded_norm(mask, matrix, precision_bits=128):
     cyclotomic magnitude enclosed by the iv context."""
     inverse = matrix_inverse(matrix)
     groups = {}
-    for alpha in mask.coefficient_support():
+    for alpha in coefficient_support(mask):
         groups.setdefault(coset_fraction_key(inverse, alpha), []).append(alpha)
     best = RatInterval.exact(0)
     for alphas in groups.values():

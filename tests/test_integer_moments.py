@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, folded_plain_rows, points,
@@ -208,7 +208,7 @@ def spread_class_mask(data, ctx):
 
 
 @CASES
-@settings(PROFILE, phases=[Phase.explicit, Phase.generate])
+@PROFILE
 @given(data=st.data())
 def test_telescoping_matches_the_fold(dim, positive, data):
     # every entry coefficient keeps the order the TrigPoly fold holds it at,

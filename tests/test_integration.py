@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 
-from conftest import random_class_mask, random_mask, random_sequence
+from conftest import (digit_fourier_is_unitary, random_class_mask, random_mask,
+                      random_sequence)
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.decompose import decompose_mask, refine_decomposition
-from maskforge.lattice import DilationContext, digit_fourier_is_unitary
+from maskforge.lattice import DilationContext
 from maskforge.subdivision import (MatrixMask, apply, check_c1, gradient,
                                    second_difference_scheme)
 from maskforge.sumrules import (DerivativeTable, derivative_table,

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from maskforge.errors import MaskforgeError, UserDigitsInvalid
-from maskforge.lattice import (DilationContext, determinant,
-                               digit_fourier_is_unitary, digit_set,
+from conftest import digit_fourier_is_unitary
+from maskforge.lattice import (DilationContext, determinant, digit_set,
                                is_isotropic, mat_vec, matrix_power,
                                power_inf_norm, transpose)
 

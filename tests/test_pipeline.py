@@ -2,6 +2,7 @@
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,26 +12,25 @@ from maskforge import subdivision, sumrules
 from maskforge.cli import main
 from maskforge.decompose import MaskDecomposition, decompose_to_class
 from maskforge.errors import InternalIdentityViolation
-from maskforge.subdivision import MatrixMask, check_c1, operator_powers
+from maskforge.lattice import DilationContext
+from maskforge.subdivision import (MatrixMask, _certificate_search, _powers,
+                                   check_c1)
+from maskforge.trigpoly import TrigPoly
 from test_golden_machine import order2_mask
 
 
 @pytest.fixture
 def products(monkeypatch):
-    """Left operands of every power product, in call order: the generic
-    MatrixMask.matmul_dilated and the integer product of rational schemes."""
+    """Left operands of every power product, in call order: the one product
+    kernel of the certificate search."""
     calls = []
+    product = subdivision._dilated_product
 
-    def counted(product):
-        def wrapper(left, *args):
-            calls.append(left)
-            return product(left, *args)
-        return wrapper
+    def counted(left, *args):
+        calls.append(left)
+        return product(left, *args)
 
-    monkeypatch.setattr(MatrixMask, "matmul_dilated",
-                        counted(MatrixMask.matmul_dilated))
-    monkeypatch.setattr(subdivision, "_dilated_product",
-                        counted(subdivision._dilated_product))
+    monkeypatch.setattr(subdivision, "_dilated_product", counted)
     return calls
 
 
@@ -71,14 +71,26 @@ def test_check_c1_scans_its_mask_once(monkeypatch, products):
     assert len(products) == 2
 
 
-def test_operator_powers_are_lazy(products, example_ctx, example_mask):
+def test_power_loop_is_lazy(products, example_ctx, example_mask):
     T = MatrixMask.from_decomposition(decompose_to_class(example_mask, example_ctx, 0))
-    powers = operator_powers(T, example_ctx, 3)
-    L, symbol, dilation = next(powers)
-    assert (L, symbol, dilation) == (1, T, example_ctx.matrix)
+    powers = _powers(T, example_ctx.matrix, 3)
+    L, _, step = next(powers)
+    assert (L, step) == (1, example_ctx.matrix)
     assert not products
     assert [L for L, _, _ in powers] == [2, 3]
     assert len(products) == 2            # none past the cap
+    # no product past the first certified power: the example's scheme
+    # certifies at L=1, the constant scheme below at L=2
+    products.clear()
+    assert _certificate_search(T, example_ctx, 3, 128)[1] == 1
+    assert not products
+    scheme = MatrixMask([[TrigPoly.constant(1, Fraction(n, 16)) for n in row]
+                         for row in ((8, 12), (0, 4))])
+    bounds, certificate = _certificate_search(scheme, DilationContext.create([[2]]),
+                                              3, 128)
+    assert bounds == [(1, Fraction(5, 4)), (2, Fraction(13, 16))]
+    assert certificate == 2
+    assert len(products) == 1
 
 
 def test_order1_entry_guard_raises(monkeypatch, example_ctx):

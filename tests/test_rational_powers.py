@@ -1,26 +1,31 @@
-"""The certificate search of rational schemes against the generic reference.
+"""The one power loop of the certificate search against the TrigPoly reference.
 
-For a rational square scheme, the certificate search forms each operator
-power in integers over one denominator D^L and reads its norm as one
-Fraction.  operator_powers and operator_norm, which hold every power as a
-TrigPoly matrix, are the reference: the properties below draw rational
-matrix masks (1x1 to 3x3, coefficients held at field orders 1, 2 and 4)
-over dilations in dimensions 1-3 with determinants of both signs, and
-require the same bounds at every power up to 3, with and without a growth
-matrix.
+The certificate search forms each operator power as integer numerators over
+one denominator D^L at the scheme's field order N (N = 1 for a rational
+scheme) and reads its norm through one magnitude sum.  operator_powers and
+operator_norm, which fold every power as a TrigPoly matrix, are the
+reference.  The properties below draw rational matrix masks (1x1 to 3x3,
+coefficients held at field orders 1, 2 and 4) and cyclotomic ones (1x1 and
+2x2, coefficients at orders 3, 5 and 15, rationals among them) over
+dilations in dimensions 1-3 with determinants of both signs, and require
+the same bounds at every power, with and without a growth matrix, and the
+same coefficients in every power.  A cyclotomic power is compared field for
+field, (order, coords): the order a value is held at decides its certified
+magnitude, and == would promote across orders.
 """
 
 import random
 from fractions import Fraction
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, contexts, random_class_mask
+from conftest import CASES, contexts, operator_powers, random_class_mask
+from maskforge.cyclotomic import root_of_unity
 from maskforge.lattice import DilationContext, power_inf_norm, transpose
-from maskforge.subdivision import (MatrixMask, _certificate_search,
-                                   check_convergence, operator_norm,
-                                   operator_powers)
+from maskforge.subdivision import (MatrixMask, _certificate_search, _powers,
+                                   _vectors, check_convergence, operator_norm)
+from maskforge.trigpoly import TrigPoly, _number
 from test_exact_kernels import coefficients, polys
 
 # deterministic and small; no shrinking, as in test_intertwining
@@ -35,16 +40,46 @@ def rational_masks(dim):
             MatrixMask)
 
 
-def reference_search(mask, ctx, cap, growth):
-    bounds = []
-    for L, symbol, dilation in operator_powers(mask, ctx, cap):
-        bound = operator_norm(symbol, dilation)
-        if growth is not None:
-            bound = bound * power_inf_norm(growth, L)
-        bounds.append((L, bound))
-        if bound.certified_below(1):
-            break
-    return bounds
+def cyclotomic_masks(dim):
+    entries = polys(dim, values=coefficients(orders=(1, 3, 5, 15)), min_size=1)
+    return st.integers(1, 2).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)).map(
+            MatrixMask).filter(lambda mask: not mask.is_rational())
+
+
+@st.composite
+def cyclotomic_cases(draw):
+    dim, positive = draw(st.integers(1, 3)), draw(st.booleans())
+    return draw(contexts(dim, positive)), draw(cyclotomic_masks(dim))
+
+
+def check_search(mask, ctx, cap):
+    """The search's bounds and certificate, with and without growth, equal
+    those of the reference powers' norms, and each power equals the TrigPoly
+    power: field for field when the mask is not rational, by value when it
+    is."""
+    want = list(operator_powers(mask, ctx, cap))
+    norms = [operator_norm(symbol, step) for _, symbol, step in want]
+    for growth in (None, transpose(ctx.matrix)):
+        reference = []
+        for L, norm in enumerate(norms, 1):
+            bound = norm if growth is None else norm * power_inf_norm(growth, L)
+            reference.append((L, bound))
+            if bound.certified_below(1):
+                break
+        bounds, certificate = _certificate_search(mask, ctx, cap, 128, growth)
+        assert bounds == reference
+        assert certificate == (bounds[-1][0] if bounds[-1][1].certified_below(1)
+                               else None)
+    fields = (lambda c: c) if mask.is_rational() else (lambda c: (c.order, c.coords))
+    for (L, symbol, step), (_, power, power_step) in zip(
+            _powers(mask, ctx.matrix, cap), want, strict=True):
+        assert step == power_step
+        got = [[{freq: fields(_number(vec, symbol.field, label, symbol.den))
+                 for freq, (vec, label) in _vectors(symbol.field, entry).items()}
+                for entry in row] for row in symbol.entries]
+        assert got == [[{freq: fields(c) for freq, c in entry.terms.items()}
+                        for entry in row] for row in power.entries], L
 
 
 @CASES
@@ -54,11 +89,37 @@ def test_integer_search_matches_the_reference(dim, positive, data):
     ctx = data.draw(contexts(dim, positive))
     mask = data.draw(rational_masks(dim))
     assert mask.is_rational()
-    for growth in (None, transpose(ctx.matrix)):
-        bounds, certificate = _certificate_search(mask, ctx, 3, 128, growth)
-        assert bounds == reference_search(mask, ctx, 3, growth)
-        assert certificate == (bounds[-1][0] if bounds[-1][1].certified_below(1)
-                               else None)
+    check_search(mask, ctx, 3)
+
+
+Z3 = root_of_unity(3, 1)
+HALF = Fraction(1, 2)
+DOUBLING = DilationContext.create([[2]])
+
+
+def constants(rows):
+    return MatrixMask([[TrigPoly.constant(1, c) for c in row] for row in rows])
+
+
+@settings(PROFILE, max_examples=12)
+@given(case=cyclotomic_cases())
+# the square's first product at z^2 pairs (z^2, 1) and (1, z^2) of
+# Z3(1 + z - z^2) and vanishes with order 3; the second adds 1/2, held at
+# order 1 as the fold holds it, not at the lcm 3 of every pair
+@example(case=(DOUBLING, MatrixMask([
+    [TrigPoly(1, {(0,): Z3, (1,): Z3, (2,): -Z3}), TrigPoly(1, {(2,): HALF})],
+    [TrigPoly.constant(1, 1), TrigPoly.constant(1, HALF)]])))
+# the same vanishing product at z^2, second: the first, (1/2 + z^2)(1/2 + z^4),
+# leaves 1/2 there, held at order 1
+@example(case=(DOUBLING, MatrixMask([
+    [TrigPoly(1, {(0,): HALF, (2,): 1}), TrigPoly(1, {(0,): Z3, (1,): Z3, (2,): -Z3})],
+    [TrigPoly(1, {(0,): 1, (1,): 1}), TrigPoly.constant(1, HALF)]])))
+# the square's entry (0, 0) sums Z3^2 - Z3^2 + 1/2: the running sum vanishes
+# after two products, so 1/2 is held at order 1
+@example(case=(DOUBLING, constants([[Z3, Z3, HALF], [-Z3, 1, 1], [1, 1, 1]])))
+def test_cyclotomic_search_matches_the_reference(case):
+    ctx, mask = case
+    check_search(mask, ctx, 3)
 
 
 def test_large_3d_trajectory_norms():

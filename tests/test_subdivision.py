@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import (contexts, coset_fraction_key, points, random_class_mask,
-                      random_sequence, rationals)
+from conftest import (coefficient_support, contexts, coset_coefficient_sums,
+                      coset_fraction_key, points, power_symbol,
+                      random_class_mask, random_sequence, rationals, sup_norm)
 from maskforge.decompose import decompose_mask
 from maskforge.errors import ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
 from maskforge.subdivision import (MatrixMask, Sequence, apply, check_c1,
-                                   check_convergence, coset_coefficient_sums,
-                                   gradient, operator_norm, power_symbol,
+                                   check_convergence, gradient, operator_norm,
                                    refine, second_difference_scheme)
 from maskforge.trigpoly import TrigPoly
 
@@ -140,7 +140,7 @@ def brute_force_norm(mask: MatrixMask, ctx: DilationContext) -> Fraction:
     the exact sup of output magnitudes over one representative per coset."""
     inverse = ctx.inverse
     best = Fraction(0)
-    support = sorted(mask.coefficient_support())
+    support = sorted(coefficient_support(mask))
     groups = {}
     for alpha in support:
         groups.setdefault(coset_fraction_key(inverse, alpha), []).append(alpha)
@@ -195,7 +195,8 @@ def test_apply_cyclotomic_probe(ctx1):
     assert out.value((1,))[0] == Fraction(1, 2)
 
 
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None,
+          phases=[Phase.explicit, Phase.generate])
 @given(data=st.data())
 def test_operator_norm_against_brute_force(data):
     # rational masks only: the brute force enumerates sign patterns
@@ -322,6 +323,6 @@ def test_refine_cauchy_on_example(example_ctx, example_mask):
     current = seq
     for _ in range(4):
         current = apply(example_mask, example_ctx, current)
-        sups.append(gradient(current).sup_norm())
+        sups.append(sup_norm(gradient(current)))
     assert sups[-1] < sups[0]
     assert all(s > 0 for s in sups)
