@@ -7,7 +7,8 @@ block is stable for tooling; --format json emits just that block).
 Exit codes: 0 success, 2 parse error, 3 invalid digit set, 4 class
 precondition failed (or verification failure), 5 shape error, 6 internal
 error (a bug guard fired: an exact identity failed or the two sum-rule
-checkers disagreed).
+checkers disagreed), 7 size budget exceeded (refine stopped before a round
+that would form too many products).
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ import sys
 from functools import lru_cache
 
 from .decompose import MaskDecomposition, decompose_levels, decompose_to_class
-from .errors import (InternalIdentityViolation, MaskforgeError,
-                     MethodDisagreement, NotInClass, ShapeMismatch,
-                     UserDigitsInvalid)
+from .errors import (BudgetExceeded, InternalIdentityViolation,
+                     MaskforgeError, MethodDisagreement, NotInClass,
+                     ShapeMismatch, UserDigitsInvalid)
 from .maskfile import (ParseError, format_rational, load_mask_file,
-                       output_file, read_sequence_csv, write_refined_csv)
+                       output_file, read_sequence_csv, refined_rows,
+                       write_refined_csv)
 from .subdivision import Sequence, check_c1, check_convergence, refine
 from .sumrules import DEFAULT_ORDER_CAP, sum_rule_order
 
@@ -33,6 +35,7 @@ EXIT_DIGITS = 3
 EXIT_CLASS = 4
 EXIT_SHAPE = 5
 EXIT_INTERNAL = 6
+EXIT_BUDGET = 7
 
 
 def _precision_bits() -> int:
@@ -213,14 +216,13 @@ def cmd_refine(args) -> int:
             return EXIT_SHAPE
     else:
         seq = Sequence.delta(ctx.dim)
-    _, points = refine(mask, ctx, seq, args.rounds)
+    refined = refine(mask, ctx, seq, args.rounds)
     if args.out:
-        write_refined_csv(args.out, points)
-        print(f"wrote {len(points)} rows to {args.out}")
+        write_refined_csv(args.out, refined)
+        print(f"wrote {len(refined.values)} rows to {args.out}")
     else:
-        for grid, vec in points:
-            print(",".join([*(format_rational(g) for g in grid),
-                            *(format_rational(v) for v in vec)]))
+        for cells in refined_rows(refined):
+            print(",".join(cells))
     return EXIT_OK
 
 
@@ -291,6 +293,9 @@ def main(argv=None) -> int:
     except ShapeMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (InternalIdentityViolation, MethodDisagreement) as exc:
         print(f"error: internal error (bug guard): {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -31,3 +31,8 @@ class MethodDisagreement(MaskforgeError):
 
 class InternalIdentityViolation(MaskforgeError):
     """An exactly-preserved polynomial identity failed mid-computation (bug guard)."""
+
+
+class BudgetExceeded(MaskforgeError):
+    """An operation would grow past its size budget; it stops before it
+    allocates."""

@@ -15,11 +15,12 @@ import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import CyclotomicNumber, coerce
 from .errors import MaskforgeError
 from .lattice import DilationContext
-from .subdivision import Sequence
+from .subdivision import Refined, Sequence
 from .trigpoly import TrigPoly
 
 
@@ -33,6 +34,16 @@ def format_rational(value) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_ratio(p: int, q: int) -> str:
+    """format_rational(Fraction(p, q)) straight from the integers: reduced,
+    the sign on the numerator, "p" when the denominator is 1."""
+    g = gcd(p, q)
+    if q < 0:
+        g = -g
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -220,10 +231,19 @@ def write_sequence_csv(path, seq: Sequence) -> None:
             writer.writerow([*alpha, *(format_rational(v) for v in vec)])
 
 
-def write_refined_csv(path, points) -> None:
-    """Rows: rational grid columns, then value columns."""
+def refined_rows(refined: Refined):
+    """The cells of each refined row in lattice order: the grid point
+    matrix^-rounds alpha, then the value."""
+    grid_den, den = refined.grid_den, refined.den
+    for grid, n in refined.rows():
+        cells = [format_ratio(x, grid_den) for x in grid]
+        cells.append(format_ratio(n, den))
+        yield cells
+
+
+def write_refined_csv(path, refined: Refined) -> None:
+    """Rows: rational grid columns, then value columns, in CSV lines ended by
+    \r\n (no cell needs quoting)."""
     with output_file(path, newline="") as handle:
-        writer = csv.writer(handle)
-        for grid, vec in points:
-            writer.writerow([*(format_rational(g) for g in grid),
-                             *(format_rational(v) for v in vec)])
+        handle.writelines(",".join(cells) + "\r\n"
+                          for cells in refined_rows(refined))

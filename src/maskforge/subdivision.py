@@ -29,6 +29,7 @@ once.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -39,7 +40,7 @@ from typing import NamedTuple
 from .cyclotomic import CyclotomicNumber, _canonical, max_magnitude_sum
 from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
-from .errors import ShapeMismatch
+from .errors import BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
 from .lattice import (DilationContext, IsotropyReport, adjugate, coset_key,
                       determinant, is_isotropic, mat_mul, mat_vec,
@@ -48,6 +49,9 @@ from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly, _merge_vectors
 
 DEFAULT_POWER_CAP = 8
+# the most products |supp f| * |supp a| one refine round may form: the
+# example mask's eighth round forms about 7.4 M, its tenth about 120 M
+REFINE_BUDGET = 1 << 24
 # largest sum-rule order check_convergence scans for (its report prints the
 # capped order)
 ORDER_SCAN_CAP = 3
@@ -221,34 +225,126 @@ def apply(mask, dilation, f: Sequence) -> Sequence:
 
 
 def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
-    """Fraction-free apply: the coefficients are integers n over their common
-    denominator D_a, the samples integers p over D_f, and each output value is
+    """Fraction-free apply: one round of the integer kernel, each output value
     built once as (sum of n * p) / (D_a * D_f)."""
+    kernel = _kernel(mask)
+    codec = _Codec.for_rounds(matrix, mask, f.values, 1)
+    d_f, columns = _data_numerators(f, codec)
+    out = [{codec.point(c): n for c, n in row.items()}
+           for row in _subdivide(kernel, codec, columns)]
+    den = kernel.den * d_f
+    support = dict.fromkeys(itertools.chain.from_iterable(out))
+    return Sequence._trusted(f.dim, mask.rows, {
+        alpha: tuple(Fraction(row.get(alpha, 0), den) for row in out)
+        for alpha in support})
+
+
+class _Kernel(NamedTuple):
+    """A rational matrix mask in integers: columns[j] lists (alpha, i, n) for
+    each coefficient n / den of entry (i, j) at offset alpha."""
+    den: int
+    rows: int
+    columns: list
+
+
+def _kernel(mask: MatrixMask) -> _Kernel:
     symbol = _numerators(mask)  # N = 1: one class of numerators per entry
-    by_offset: dict[tuple, list] = {}
+    columns = [[] for _ in range(mask.cols)]
     for i, row in enumerate(symbol.entries):
         for j, entry in enumerate(row):
             for terms in entry.values():
-                for alpha, n in terms.items():
-                    by_offset.setdefault(alpha, []).append((i, j, n))
-    kernel = list(by_offset.items())
+                columns[j].extend((alpha, i, n) for alpha, n in terms.items())
+    return _Kernel(symbol.den, mask.rows, columns)
+
+
+class _Codec:
+    """Lattice points as single ints: balanced base-`base` digits with the
+    first coordinate most significant.  On points whose coordinates all lie
+    within `half` of 0 the code is one to one and ordered as the points are,
+    and it is additive, so a round shifts by an offset with one int add and
+    keys its sums by ints."""
+
+    __slots__ = ("dim", "base", "half", "shift", "reversed_columns", "origin")
+
+    def __init__(self, matrix, half: int) -> None:
+        self.dim = len(matrix)
+        self.base = 2 * half + 1
+        self.half = half
+        self.shift = self.code((half,) * self.dim)
+        # the codes of matrix e_j, last first: code(matrix beta) is the sum of
+        # beta_j times the j-th, and beta_j + half is the j-th digit from the
+        # end of code(beta) + shift
+        columns = [self.code(column) for column in zip(*matrix)]
+        self.reversed_columns = columns[::-1]
+        self.origin = -half * sum(columns)
+
+    @classmethod
+    def for_rounds(cls, matrix, mask: MatrixMask, points, rounds: int) -> "_Codec":
+        """A codec that holds the points and every point the given number of
+        rounds of the mask's offsets plus matrix times a point can reach."""
+        offsets = {alpha for row in mask.entries for entry in row
+                   for alpha in entry.terms}
+        dim = len(matrix)
+        reach = [max((abs(a[i]) for a in offsets), default=0) for i in range(dim)]
+        radius = [max((abs(b[i]) for b in points), default=0) for i in range(dim)]
+        half = max(radius)
+        for _ in range(rounds):
+            radius = [r + sum(abs(m) * x for m, x in zip(row, radius))
+                      for r, row in zip(reach, matrix)]
+            half = max(half, *radius)
+        return cls(matrix, half)
+
+    def code(self, point) -> int:
+        c = 0
+        for x in point:
+            c = c * self.base + x
+        return c
+
+    def point(self, c: int) -> tuple:
+        c += self.shift
+        digits = []
+        for _ in range(self.dim):
+            c, r = divmod(c, self.base)
+            digits.append(r - self.half)
+        digits.reverse()
+        return tuple(digits)
+
+    def dilated(self, c: int) -> int:
+        """The code of matrix times point(c)."""
+        c += self.shift
+        out = self.origin
+        for column in self.reversed_columns:
+            c, r = divmod(c, self.base)
+            out += r * column
+        return out
+
+
+def _data_numerators(f: Sequence, codec: _Codec) -> tuple[int, list]:
+    """(D_f, one {code(beta): p} per component): rational data as integer
+    numerators over the common denominator D_f of its values, zeros left
+    out."""
     d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
-    rows = mask.rows
-    acc: dict[tuple, list] = {}
-    for beta, vec in f.values.items():
-        p = [v.numerator * (d_f // v.denominator) for v in vec]
-        m_beta = mat_vec(matrix, beta)
-        for alpha, terms in kernel:
-            target = tuple(map(add, alpha, m_beta))
-            out = acc.get(target)
-            if out is None:
-                out = acc[target] = [0] * rows
-            for i, j, n in terms:
-                out[i] += n * p[j]
-    den = symbol.den * d_f
-    return Sequence._trusted(f.dim, rows, {
-        target: tuple(Fraction(x, den) for x in out)
-        for target, out in acc.items() if any(out)})
+    return d_f, [{codec.code(beta): vec[j].numerator * (d_f // vec[j].denominator)
+                  for beta, vec in f.values.items() if vec[j]}
+                 for j in range(f.width)]
+
+
+def _subdivide(kernel: _Kernel, codec: _Codec, columns: list) -> list:
+    """One subdivision round in integers: column j of the data as
+    {code(beta): p} over one denominator D, the result as one
+    {code(alpha): sum of n * p} per row over kernel.den * D, sums that vanish
+    left out."""
+    out = [defaultdict(int) for _ in range(kernel.rows)]
+    for terms, column in zip(kernel.columns, columns):
+        terms = [(codec.code(alpha), out[i], n) for alpha, i, n in terms]
+        for c, p in column.items():
+            m_beta = codec.dilated(c)
+            for alpha, acc, n in terms:
+                acc[alpha + m_beta] += n * p
+    for acc in out:
+        for c in [c for c, x in acc.items() if not x]:
+            del acc[c]
+    return out
 
 
 def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
@@ -632,19 +728,64 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
                             second_difference_mask=Q)
 
 
+class Refined(NamedTuple):
+    """refine's result in integers: `values` maps codec.code(alpha) to n for
+    each point alpha of the support, whose value n / den sits at the grid
+    point mat_vec(grid, alpha) / grid_den, which is matrix^-rounds alpha
+    (grid = adjugate^rounds, grid_den = det^rounds)."""
+    grid: tuple
+    grid_den: int
+    den: int
+    codec: _Codec
+    values: dict
+
+    def rows(self):
+        """(mat_vec(grid, alpha), n) for each point alpha of the support, in
+        lattice order.  Points in a run that differs only in the last
+        coordinate share every other digit of their codes, so each grid
+        point of the run is found from the run's first by adding a multiple
+        of the grid's last column."""
+        codec, grid, values = self.codec, self.grid, self.values
+        last = [row[-1] for row in grid]
+        run = None
+        for c in sorted(values):
+            head, digit = divmod(c + codec.shift, codec.base)
+            if head != run:
+                run = head
+                start = [x - digit * g for x, g in
+                         zip(mat_vec(grid, codec.point(c)), last)]
+            yield [x + digit * g for x, g in zip(start, last)], values[c]
+
+
 def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
-           rounds: int) -> tuple[Sequence, list]:
-    """Iterate the scheme and attach grid metadata: after the given number of
-    rounds, the value at alpha approximates the limit at matrix^-rounds alpha."""
+           rounds: int) -> Refined:
+    """Iterate the scheme on scalar data: after the given number of rounds,
+    the value at alpha approximates the limit at matrix^-rounds alpha.
+
+    The rounds run on integer numerators {code(alpha): n} over the one
+    denominator D_a^rounds * D_f.  A round that would form more than
+    REFINE_BUDGET products |supp f| * |supp t| raises BudgetExceeded before
+    it starts."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    current = f
-    for _ in range(rounds):
-        current = apply(t, ctx, current)
-    # matrix^-rounds = adjugate^rounds / det^rounds, so each grid point is an
-    # integer vector over one integer denominator
-    grid_num = matrix_power(ctx.adjugate, rounds)
-    grid_den = ctx.det ** rounds
-    points = [(tuple(Fraction(x, grid_den) for x in mat_vec(grid_num, alpha)), vec)
-              for alpha, vec in sorted(current.support())]
-    return current, points
+    if f.width != 1:
+        raise ShapeMismatch(f"refine acts on scalar sequences, got width {f.width}")
+    mask = MatrixMask.from_scalar(t)
+    if not (mask.is_rational() and all(isinstance(v, Rational)
+                                       for (v,) in f.values.values())):
+        raise TypeError("refine needs a rational mask and rational data")
+    kernel = _kernel(mask)
+    codec = _Codec.for_rounds(ctx.matrix, mask, f.values, rounds)
+    den, (values,) = _data_numerators(f, codec)
+    for done in range(rounds):
+        size = len(values) * len(t.terms)
+        if size > REFINE_BUDGET:
+            raise BudgetExceeded(
+                f"refine stopped after {done} of {rounds} rounds: round "
+                f"{done + 1} would form {size} products ({len(values)} points "
+                f"x {len(t.terms)} mask terms), over the budget of "
+                f"{REFINE_BUDGET}")
+        (values,) = _subdivide(kernel, codec, [values])
+        den *= kernel.den
+    return Refined(matrix_power(ctx.adjugate, rounds), ctx.det ** rounds, den,
+                   codec, values)

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from conftest import (coset_coefficient_sums, digit_fourier_is_unitary,
                       iterated_decomposition, kronecker_power, power_symbol,
-                      random_class_mask, random_mask, random_sequence)
+                      random_class_mask, random_mask, random_sequence,
+                      refined_points)
 from maskforge.cli import main
 from maskforge.decompose import (MaskDecomposition, decompose_mask,
                                  refine_decomposition)
@@ -271,9 +272,9 @@ def test_acceptance_9_one_dimensional_sanity():
     report = check_convergence(hat_mask, ctx)
     assert report.verdict == "convergent"
 
-    _, points = refine(hat_mask, ctx, Sequence.delta(1), 10)
+    refined = refine(hat_mask, ctx, Sequence.delta(1), 10)
     worst = Fraction(0)
-    for (x,), (v,) in points:
+    for (x,), (v,) in refined_points(refined):
         target = max(Fraction(0), 1 - abs(x - 1))
         worst = max(worst, abs(v - target))
     assert worst < Fraction(1, 1000)

@@ -288,6 +288,22 @@ def test_cli_refine_rounds_zero(tmp_path, capsys):
     assert lines == ["-1,1/5", "3,2/3"]
 
 
+def test_cli_refine_stdout_rows_equal_out_rows(tmp_path, capsys):
+    # three rounds of a determinant -4 dilation: every grid cell is formed
+    # over a negative denominator
+    data = tmp_path / "data.csv"
+    data.write_text("0,0,1/3\n1,-1,-2/5\n")
+    argv = ["refine", EXAMPLE, "--rounds", "3", "--data", str(data)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    out = tmp_path / "r.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    written = out.read_bytes().decode().split("\r\n")
+    assert written.pop() == ""
+    assert printed == written
+    assert len(printed) > 100
+
+
 def test_cli_refine_negative_rounds(capsys):
     assert main(["refine", EXAMPLE, "--rounds", "-1"]) == 2
     assert "--rounds" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import (coefficient_support, contexts, coset_coefficient_sums,
                       coset_fraction_key, points, power_symbol,
-                      random_class_mask, random_sequence, rationals, sup_norm)
+                      random_class_mask, random_sequence, rationals,
+                      refined_points, refined_sequence, sup_norm)
 from maskforge.decompose import decompose_mask
 from maskforge.errors import ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
@@ -300,17 +301,17 @@ def test_check_c1_gates(example_ctx, example_mask, ctx1):
 
 def test_refine_rounds_zero(ctx1, hat):
     f = Sequence(1, 1, {(2,): (Fraction(3),), (-1,): (Fraction(1, 2),)})
-    out, points = refine(hat, ctx1, f, 0)
-    assert out == f
-    assert points == [((Fraction(-1),), (Fraction(1, 2),)),
-                      ((Fraction(2),), (Fraction(3),))]
+    refined = refine(hat, ctx1, f, 0)
+    assert refined_sequence(refined) == f
+    assert refined_points(refined) == [((Fraction(-1),), (Fraction(1, 2),)),
+                                       ((Fraction(2),), (Fraction(3),))]
 
 
 def test_refine_approaches_hat_function(ctx1, hat):
     rounds = 10
-    _, points = refine(hat, ctx1, Sequence.delta(1), rounds)
+    refined = refine(hat, ctx1, Sequence.delta(1), rounds)
     worst = Fraction(0)
-    for (x,), (v,) in points:
+    for (x,), (v,) in refined_points(refined):
         target = max(Fraction(0), 1 - abs(x - 1))
         worst = max(worst, abs(v - target))
     assert worst < Fraction(1, 1000)
