@@ -15,9 +15,9 @@ from .errors import MaskforgeError
 from .intervals import RatInterval
 from .lattice import (DilationContext, determinant, digit_set, is_isotropic,
                       power_inf_norm)
-from .subdivision import (MatrixMask, Sequence, apply, check_c1,
-                          check_convergence, gradient, operator_norm, refine,
-                          second_difference_scheme)
+from .subdivision import (IntSequence, MatrixMask, Refined, Sequence, apply,
+                          check_c1, check_convergence, gradient,
+                          operator_norm, refine, second_difference_scheme)
 from .sumrules import (DerivativeTable, derivative_table, digit_interpolant,
                        mask_from_derivative_table, sum_rule_order,
                        unit_derivative_poly)
@@ -30,7 +30,7 @@ __all__ = [
     "root_of_unity", "MaskDecomposition", "decompose_levels",
     "decompose_mask", "decompose_to_class", "refine_decomposition",
     "MaskforgeError", "RatInterval", "DilationContext", "determinant",
-    "digit_set", "is_isotropic", "power_inf_norm", "MatrixMask", "Sequence",
+    "digit_set", "is_isotropic", "power_inf_norm", "IntSequence", "MatrixMask", "Refined", "Sequence",
     "apply", "check_c1", "check_convergence", "gradient", "operator_norm",
     "refine", "second_difference_scheme", "DerivativeTable",
     "derivative_table", "digit_interpolant", "mask_from_derivative_table",

@@ -219,7 +219,7 @@ def cmd_refine(args) -> int:
     refined = refine(mask, ctx, seq, args.rounds)
     if args.out:
         write_refined_csv(args.out, refined)
-        print(f"wrote {len(refined.values)} rows to {args.out}")
+        print(f"wrote {len(refined.data.values)} rows to {args.out}")
     else:
         for cells in refined_rows(refined):
             print(",".join(cells))

@@ -234,7 +234,7 @@ def write_sequence_csv(path, seq: Sequence) -> None:
 def refined_rows(refined: Refined):
     """The cells of each refined row in lattice order: the grid point
     matrix^-rounds alpha, then the value."""
-    grid_den, den = refined.grid_den, refined.den
+    grid_den, den = refined.grid_den, refined.data.den
     for grid, n in refined.rows():
         cells = [format_ratio(x, grid_den) for x in grid]
         cells.append(format_ratio(n, den))

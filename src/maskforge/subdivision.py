@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
-from operator import add, index
+from operator import add, index, mul
 from typing import NamedTuple
 
 from .cyclotomic import CyclotomicNumber, _canonical, max_magnitude_sum
@@ -145,10 +145,11 @@ class MatrixMask:
     matrix subdivision operator, whose coefficient matrix at offset alpha
     holds each entry's coefficient at frequency alpha."""
 
-    __slots__ = ("rows", "cols", "dim", "entries")
+    __slots__ = ("rows", "cols", "dim", "entries", "_kernel")
 
     def __init__(self, entries) -> None:
         self.entries = [list(row) for row in entries]
+        self._kernel = None
         self.rows = len(self.entries)
         self.cols = len(self.entries[0])
         if any(len(row) != self.cols for row in self.entries):
@@ -208,14 +209,22 @@ def _dilation_matrix(dilation):
     return tuple(tuple(int(x) for x in row) for row in dilation)
 
 
-def apply(mask, dilation, f: Sequence) -> Sequence:
+def apply(mask, dilation, f):
     """One subdivision step: (S f)_alpha = sum A_(alpha - M beta) f_beta.
 
-    Rational masks acting on rational data take the integer-numerator kernel;
-    anything cyclotomic takes the generic exact path.  Both give the same
-    sequence."""
+    f is a Sequence, or an IntSequence under a rational scalar mask: that is
+    stepped in integers, and the result is the IntSequence of S f over
+    f.den * D_a, with no Fraction built.  Rational masks acting on rational
+    Sequences take the same integer kernel; anything cyclotomic takes the
+    generic exact path.  Both give the same sequence."""
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
+    if isinstance(f, IntSequence):
+        if (mask.rows, mask.cols) != (1, 1):
+            raise ShapeMismatch("integer data needs a scalar mask")
+        kernel = _kernel(mask)
+        (values,) = _subdivide(kernel, matrix, [f.values])
+        return IntSequence(f.dim, f.den * kernel.den, values)
     if mask.cols != f.width:
         raise ShapeMismatch(f"mask expects width {mask.cols}, sequence has {f.width}")
     if mask.is_rational() and all(isinstance(v, Rational)
@@ -224,14 +233,34 @@ def apply(mask, dilation, f: Sequence) -> Sequence:
     return _apply_generic(mask, matrix, f)
 
 
+class IntSequence(NamedTuple):
+    """Scalar rational data held in integers: `values` maps each point alpha
+    of the support to a nonzero int n, the value at alpha being n / den."""
+    dim: int
+    den: int
+    values: dict
+
+    @classmethod
+    def from_sequence(cls, f: Sequence) -> "IntSequence":
+        """f's values as integer numerators over their common denominator."""
+        if f.width != 1:
+            raise ShapeMismatch(f"integer data is scalar, got width {f.width}")
+        if not all(isinstance(v, Rational) for (v,) in f.values.values()):
+            raise TypeError("integer data needs rational values")
+        den, (values,) = _data_numerators(f)
+        return cls(f.dim, den, values)
+
+    def to_sequence(self) -> Sequence:
+        return Sequence._trusted(self.dim, 1, {
+            alpha: (Fraction(n, self.den),) for alpha, n in self.values.items()})
+
+
 def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
     """Fraction-free apply: one round of the integer kernel, each output value
     built once as (sum of n * p) / (D_a * D_f)."""
     kernel = _kernel(mask)
-    codec = _Codec.for_rounds(matrix, mask, f.values, 1)
-    d_f, columns = _data_numerators(f, codec)
-    out = [{codec.point(c): n for c, n in row.items()}
-           for row in _subdivide(kernel, codec, columns)]
+    d_f, columns = _data_numerators(f)
+    out = _subdivide(kernel, matrix, columns)
     den = kernel.den * d_f
     support = dict.fromkeys(itertools.chain.from_iterable(out))
     return Sequence._trusted(f.dim, mask.rows, {
@@ -248,103 +277,80 @@ class _Kernel(NamedTuple):
 
 
 def _kernel(mask: MatrixMask) -> _Kernel:
-    symbol = _numerators(mask)  # N = 1: one class of numerators per entry
-    columns = [[] for _ in range(mask.cols)]
-    for i, row in enumerate(symbol.entries):
-        for j, entry in enumerate(row):
-            for terms in entry.values():
-                columns[j].extend((alpha, i, n) for alpha, n in terms.items())
-    return _Kernel(symbol.den, mask.rows, columns)
+    """The mask in integers, built once per mask object: raises TypeError
+    unless every coefficient is rational."""
+    if mask._kernel is None:
+        if not mask.is_rational():
+            raise TypeError("the integer kernel needs a rational mask")
+        symbol = _numerators(mask)  # N = 1: one class of numerators per entry
+        columns = [[] for _ in range(mask.cols)]
+        for i, row in enumerate(symbol.entries):
+            for j, entry in enumerate(row):
+                for terms in entry.values():
+                    columns[j].extend((alpha, i, n) for alpha, n in terms.items())
+        mask._kernel = _Kernel(symbol.den, mask.rows, columns)
+    return mask._kernel
 
 
-class _Codec:
-    """Lattice points as single ints: balanced base-`base` digits with the
-    first coordinate most significant.  On points whose coordinates all lie
-    within `half` of 0 the code is one to one and ordered as the points are,
-    and it is additive, so a round shifts by an offset with one int add and
-    keys its sums by ints."""
-
-    __slots__ = ("dim", "base", "half", "shift", "reversed_columns", "origin")
-
-    def __init__(self, matrix, half: int) -> None:
-        self.dim = len(matrix)
-        self.base = 2 * half + 1
-        self.half = half
-        self.shift = self.code((half,) * self.dim)
-        # the codes of matrix e_j, last first: code(matrix beta) is the sum of
-        # beta_j times the j-th, and beta_j + half is the j-th digit from the
-        # end of code(beta) + shift
-        columns = [self.code(column) for column in zip(*matrix)]
-        self.reversed_columns = columns[::-1]
-        self.origin = -half * sum(columns)
-
-    @classmethod
-    def for_rounds(cls, matrix, mask: MatrixMask, points, rounds: int) -> "_Codec":
-        """A codec that holds the points and every point the given number of
-        rounds of the mask's offsets plus matrix times a point can reach."""
-        offsets = {alpha for row in mask.entries for entry in row
-                   for alpha in entry.terms}
-        dim = len(matrix)
-        reach = [max((abs(a[i]) for a in offsets), default=0) for i in range(dim)]
-        radius = [max((abs(b[i]) for b in points), default=0) for i in range(dim)]
-        half = max(radius)
-        for _ in range(rounds):
-            radius = [r + sum(abs(m) * x for m, x in zip(row, radius))
-                      for r, row in zip(reach, matrix)]
-            half = max(half, *radius)
-        return cls(matrix, half)
-
-    def code(self, point) -> int:
-        c = 0
-        for x in point:
-            c = c * self.base + x
-        return c
-
-    def point(self, c: int) -> tuple:
-        c += self.shift
-        digits = []
-        for _ in range(self.dim):
-            c, r = divmod(c, self.base)
-            digits.append(r - self.half)
-        digits.reverse()
-        return tuple(digits)
-
-    def dilated(self, c: int) -> int:
-        """The code of matrix times point(c)."""
-        c += self.shift
-        out = self.origin
-        for column in self.reversed_columns:
-            c, r = divmod(c, self.base)
-            out += r * column
-        return out
-
-
-def _data_numerators(f: Sequence, codec: _Codec) -> tuple[int, list]:
-    """(D_f, one {code(beta): p} per component): rational data as integer
+def _data_numerators(f: Sequence) -> tuple[int, list]:
+    """(D_f, one {beta: p} per component): rational data as integer
     numerators over the common denominator D_f of its values, zeros left
     out."""
     d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
-    return d_f, [{codec.code(beta): vec[j].numerator * (d_f // vec[j].denominator)
+    return d_f, [{beta: vec[j].numerator * (d_f // vec[j].denominator)
                   for beta, vec in f.values.items() if vec[j]}
                  for j in range(f.width)]
 
 
-def _subdivide(kernel: _Kernel, codec: _Codec, columns: list) -> list:
-    """One subdivision round in integers: column j of the data as
-    {code(beta): p} over one denominator D, the result as one
-    {code(alpha): sum of n * p} per row over kernel.den * D, sums that vanish
-    left out."""
+def _subdivide(kernel: _Kernel, matrix, columns: list) -> list:
+    """One subdivision round in integers: column j of the data as {beta: p}
+    over one denominator D, the result as one {alpha: sum of n * p} per row
+    over kernel.den * D, sums that vanish left out.
+
+    In the loop each lattice point x is the int x . strides, with strides
+    from a box lo..hi that holds every target alpha + matrix beta: on that
+    box the code is one to one, and it is additive, so a product is placed
+    with one int add and summed under an int key."""
+    offsets = [alpha for terms in kernel.columns for alpha, _, _ in terms]
+    points = [beta for column in columns for beta in column]
+    if not offsets or not points:
+        return [{} for _ in range(kernel.rows)]
+    reach = [max(map(abs, x)) for x in zip(*points)]
+    radius = [sum(abs(m) * r for m, r in zip(row, reach)) for row in matrix]
+    lo = [min(x) - r for x, r in zip(zip(*offsets), radius)]
+    hi = [max(x) + r for x, r in zip(zip(*offsets), radius)]
+    strides = [1]
+    for low, high in zip(lo[:0:-1], hi[:0:-1]):
+        strides.append(strides[-1] * (high - low + 1))
+    strides.reverse()
+    # the code of matrix beta is beta . (the codes of the matrix's columns)
+    dilated = [sum(map(mul, column, strides)) for column in zip(*matrix)]
     out = [defaultdict(int) for _ in range(kernel.rows)]
     for terms, column in zip(kernel.columns, columns):
-        terms = [(codec.code(alpha), out[i], n) for alpha, i, n in terms]
-        for c, p in column.items():
-            m_beta = codec.dilated(c)
-            for alpha, acc, n in terms:
-                acc[alpha + m_beta] += n * p
-    for acc in out:
-        for c in [c for c, x in acc.items() if not x]:
-            del acc[c]
-    return out
+        terms = [(sum(map(mul, alpha, strides)), out[i], n)
+                 for alpha, i, n in terms]
+        for beta, p in column.items():
+            c = sum(map(mul, beta, dilated))
+            for a, acc, n in terms:
+                acc[a + c] += n * p
+    origin = sum(map(mul, lo, strides))
+    return [_decoded(acc, strides, lo, origin) for acc in out]
+
+
+def _decoded(acc: dict, strides, lo, origin: int) -> dict:
+    """{point: x} in lattice order for each code c with a nonzero sum x in
+    acc, the point's coordinates the digits of c - origin in the strides,
+    shifted by lo; code order is lattice order.  acc is emptied first, so
+    its table is freed before the points are built."""
+    codes = sorted(c for c, x in acc.items() if x)
+    values = [acc[c] for c in codes]
+    acc.clear()
+    codes = [c - origin for c in codes]
+    coordinates = []
+    for stride, low in zip(strides, lo):
+        coordinates.append([c // stride + low for c in codes])
+        codes = [c % stride for c in codes]
+    return dict(zip(zip(*coordinates), values))
 
 
 def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
@@ -729,63 +735,41 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
 
 
 class Refined(NamedTuple):
-    """refine's result in integers: `values` maps codec.code(alpha) to n for
-    each point alpha of the support, whose value n / den sits at the grid
-    point mat_vec(grid, alpha) / grid_den, which is matrix^-rounds alpha
-    (grid = adjugate^rounds, grid_den = det^rounds)."""
+    """refine's result: the data after the rounds, whose value n / data.den
+    at alpha sits at the grid point mat_vec(grid, alpha) / grid_den, which is
+    matrix^-rounds alpha (grid = adjugate^rounds, grid_den = det^rounds)."""
+    data: IntSequence
     grid: tuple
     grid_den: int
-    den: int
-    codec: _Codec
-    values: dict
 
     def rows(self):
         """(mat_vec(grid, alpha), n) for each point alpha of the support, in
-        lattice order.  Points in a run that differs only in the last
-        coordinate share every other digit of their codes, so each grid
-        point of the run is found from the run's first by adding a multiple
-        of the grid's last column."""
-        codec, grid, values = self.codec, self.grid, self.values
-        last = [row[-1] for row in grid]
-        run = None
-        for c in sorted(values):
-            head, digit = divmod(c + codec.shift, codec.base)
-            if head != run:
-                run = head
-                start = [x - digit * g for x, g in
-                         zip(mat_vec(grid, codec.point(c)), last)]
-            yield [x + digit * g for x, g in zip(start, last)], values[c]
+        lattice order."""
+        grid, values = self.grid, self.data.values
+        for alpha in sorted(values):
+            yield mat_vec(grid, alpha), values[alpha]
 
 
 def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
            rounds: int) -> Refined:
-    """Iterate the scheme on scalar data: after the given number of rounds,
-    the value at alpha approximates the limit at matrix^-rounds alpha.
+    """Iterate the scheme on scalar rational data: after the given number of
+    rounds, the value at alpha approximates the limit at matrix^-rounds alpha.
 
-    The rounds run on integer numerators {code(alpha): n} over the one
-    denominator D_a^rounds * D_f.  A round that would form more than
+    Each round is one apply on integer numerators, so the values stay over
+    the one denominator D_a^rounds * D_f.  A round that would form more than
     REFINE_BUDGET products |supp f| * |supp t| raises BudgetExceeded before
     it starts."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    if f.width != 1:
-        raise ShapeMismatch(f"refine acts on scalar sequences, got width {f.width}")
     mask = MatrixMask.from_scalar(t)
-    if not (mask.is_rational() and all(isinstance(v, Rational)
-                                       for (v,) in f.values.values())):
-        raise TypeError("refine needs a rational mask and rational data")
-    kernel = _kernel(mask)
-    codec = _Codec.for_rounds(ctx.matrix, mask, f.values, rounds)
-    den, (values,) = _data_numerators(f, codec)
+    data = IntSequence.from_sequence(f)
     for done in range(rounds):
-        size = len(values) * len(t.terms)
+        size = len(data.values) * len(t.terms)
         if size > REFINE_BUDGET:
             raise BudgetExceeded(
                 f"refine stopped after {done} of {rounds} rounds: round "
-                f"{done + 1} would form {size} products ({len(values)} points "
-                f"x {len(t.terms)} mask terms), over the budget of "
+                f"{done + 1} would form {size} products ({len(data.values)} "
+                f"points x {len(t.terms)} mask terms), over the budget of "
                 f"{REFINE_BUDGET}")
-        (values,) = _subdivide(kernel, codec, [values])
-        den *= kernel.den
-    return Refined(matrix_power(ctx.adjugate, rounds), ctx.det ** rounds, den,
-                   codec, values)
+        data = apply(mask, ctx, data)
+    return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

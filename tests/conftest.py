@@ -14,8 +14,7 @@ from maskforge.decompose import MaskDecomposition, decompose_levels
 from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
 from maskforge.lattice import DilationContext, determinant, mat_mul, mat_vec
-from maskforge.subdivision import (MatrixMask, Sequence, _as_matrix_mask,
-                                   _dilation_matrix)
+from maskforge.subdivision import MatrixMask, _as_matrix_mask, _dilation_matrix
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to, sum_rule_order)
 from maskforge.trigpoly import TrigPoly
@@ -342,20 +341,11 @@ def sup_norm(f) -> Fraction:
                default=Fraction(0))
 
 
-def refined_sequence(refined) -> Sequence:
-    """The values of subdivision.refine's integer result as a Sequence of
-    Fractions."""
-    return Sequence(len(refined.grid), 1, {
-        refined.codec.point(c): (Fraction(n, refined.den),)
-        for c, n in refined.values.items()})
-
-
 def refined_points(refined) -> list:
-    """[(grid point, (value,))] of subdivision.refine's integer result in
-    lattice order, in Fractions, each grid point mat_vec(grid, alpha) /
-    grid_den."""
-    return [(tuple(Fraction(x, refined.grid_den) for x in mat_vec(refined.grid, alpha)),
-             vec) for alpha, vec in sorted(refined_sequence(refined).support())]
+    """[(grid point, (value,))] of subdivision.refine's result in lattice
+    order, in Fractions."""
+    return [(tuple(Fraction(x, refined.grid_den) for x in grid),
+             (Fraction(n, refined.data.den),)) for grid, n in refined.rows()]
 
 
 def l1_norm(t: TrigPoly, precision_bits: int = 128) -> RatInterval:

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, contexts, points, rationals, refined_sequence
+from conftest import CASES, contexts, points, rationals
 from maskforge import subdivision
 from maskforge.cli import main
 from maskforge.cyclotomic import root_of_unity
 from maskforge.errors import BudgetExceeded, ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
 from maskforge.maskfile import format_ratio, format_rational, refined_rows
-from maskforge.subdivision import MatrixMask, Sequence, refine
+from maskforge.subdivision import IntSequence, MatrixMask, Sequence, refine
 from maskforge.trigpoly import TrigPoly
 
 from test_cli import EXAMPLE
@@ -44,8 +44,8 @@ def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
     reference = f
     for rounds in range(4):
         refined = refine(t, ctx, f, rounds)
-        assert all(type(n) is int for n in refined.values.values())
-        assert refined_sequence(refined) == reference
+        assert all(type(n) is int for n in refined.data.values.values())
+        assert refined.data.to_sequence() == reference
         inverse = matrix_power(ctx.inverse, rounds)
         assert list(refined_rows(refined)) == [
             [*map(format_rational, mat_vec(inverse, alpha)), format_rational(v)]
@@ -70,7 +70,7 @@ def test_refine_stops_at_the_budget(monkeypatch, example_ctx, example_mask):
     # the impulse's first round forms `terms` products; its second forms
     # terms * |supp S delta| > terms
     monkeypatch.setattr(subdivision, "REFINE_BUDGET", terms)
-    assert len(refine(example_mask, example_ctx, Sequence.delta(2), 1).values) > 1
+    assert len(refine(example_mask, example_ctx, Sequence.delta(2), 1).data.values) > 1
     with pytest.raises(BudgetExceeded, match="after 1 of 3 rounds") as info:
         refine(example_mask, example_ctx, Sequence.delta(2), 3)
     assert f"x {terms} mask terms" in str(info.value)
@@ -98,3 +98,16 @@ def test_refine_rejects_cyclotomic_and_vector_data():
         refine(hat, ctx, Sequence(1, 1, {(0,): (root_of_unity(3, 1),)}), 1)
     with pytest.raises(ShapeMismatch):
         refine(hat, ctx, Sequence.delta(1, width=2), 1)
+    with pytest.raises(ShapeMismatch):
+        subdivision.apply(MatrixMask([[hat], [hat]]), ctx,
+                          IntSequence.from_sequence(Sequence.delta(1)))
+
+
+def test_apply_steps_integer_data_as_it_steps_fractions(example_ctx, example_mask):
+    f = Sequence(2, 1, {(0, 0): (Fraction(1, 3),), (1, -1): (Fraction(-2, 5),)})
+    data = IntSequence.from_sequence(f)
+    assert (data.den, data.values) == (15, {(0, 0): 5, (1, -1): -6})
+    stepped = subdivision.apply(example_mask, example_ctx, data)
+    assert all(type(n) is int for n in stepped.values.values())
+    assert list(stepped.values) == sorted(stepped.values)
+    assert stepped.to_sequence() == subdivision.apply(example_mask, example_ctx, f)

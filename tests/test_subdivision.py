@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (coefficient_support, contexts, coset_coefficient_sums,
                       coset_fraction_key, points, power_symbol,
                       random_class_mask, random_sequence, rationals,
-                      refined_points, refined_sequence, sup_norm)
+                      refined_points, sup_norm)
 from maskforge.decompose import decompose_mask
 from maskforge.errors import ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
@@ -302,7 +302,7 @@ def test_check_c1_gates(example_ctx, example_mask, ctx1):
 def test_refine_rounds_zero(ctx1, hat):
     f = Sequence(1, 1, {(2,): (Fraction(3),), (-1,): (Fraction(1, 2),)})
     refined = refine(hat, ctx1, f, 0)
-    assert refined_sequence(refined) == f
+    assert refined.data.to_sequence() == f
     assert refined_points(refined) == [((Fraction(-1),), (Fraction(1, 2),)),
                                        ((Fraction(2),), (Fraction(3),))]
 
