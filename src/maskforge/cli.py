@@ -169,38 +169,31 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def cmd_converge(args) -> int:
+def _certify(args, check, bounds: str, label: str) -> int:
+    """converge and smooth: run the check up to --lmax and report its
+    verdict, the certificate power with its bound (the report's `bounds` list
+    holds one (power, interval) pair per power), and the reasons."""
     _at_least("--lmax", args.lmax, 1)
     mask, ctx = _load_mask(args)
-    report = check_convergence(mask, ctx, power_cap=args.lmax,
-                               precision_bits=_precision_bits())
+    report = check(mask, ctx, power_cap=args.lmax,
+                   precision_bits=_precision_bits())
     machine = report.to_json()
     human = [f"verdict: {report.verdict}"]
     if report.certificate_power:
-        norm = dict(report.norms)[report.certificate_power]
+        bound = dict(getattr(report, bounds))[report.certificate_power]
         human.append(f"certificate: power L={report.certificate_power}, "
-                     f"norm <= {format_rational(norm.hi)}")
-    for reason in report.reasons:
-        human.append(f"reason: {reason}")
+                     f"{label} <= {format_rational(bound.hi)}")
+    human.extend(f"reason: {reason}" for reason in report.reasons)
     _emit(human, machine, args.format)
     return EXIT_OK
+
+
+def cmd_converge(args) -> int:
+    return _certify(args, check_convergence, "norms", "norm")
 
 
 def cmd_smooth(args) -> int:
-    _at_least("--lmax", args.lmax, 1)
-    mask, ctx = _load_mask(args)
-    report = check_c1(mask, ctx, power_cap=args.lmax,
-                      precision_bits=_precision_bits())
-    machine = report.to_json()
-    human = [f"verdict: {report.verdict}"]
-    if report.certificate_power:
-        product = dict(report.products)[report.certificate_power]
-        human.append(f"certificate: power L={report.certificate_power}, "
-                     f"growth*norm <= {format_rational(product.hi)}")
-    for reason in report.reasons:
-        human.append(f"reason: {reason}")
-    _emit(human, machine, args.format)
-    return EXIT_OK
+    return _certify(args, check_c1, "products", "growth*norm")
 
 
 def cmd_refine(args) -> int:

@@ -86,10 +86,12 @@ class MaskDecomposition:
               for j_tuple in self.axis_tuples())]) for k_tuple in self.axis_tuples())
 
     def value_constraint_holds(self) -> bool:
-        """Entry values at 0 are products of inverse-matrix entries times t(0)."""
-        t0, inverse = self.source.value_at_zero(), self.ctx.inverse
+        """Entry values at 0 are products of inverse-matrix entries times t(0),
+        the inverse being the adjugate over det."""
+        t0, adj, det = self.source.value_at_zero(), self.ctx.adjugate, self.ctx.det
         return all(entry.value_at_zero()
-                   == t0 * prod(inverse[j - 1][k - 1] for j, k in zip(*key))
+                   == t0 * Fraction(prod(adj[j - 1][k - 1] for j, k in zip(*key)),
+                                    det ** len(key[0]))
                    for key, entry in self.entries.items())
 
     def entries_reach(self, order: int) -> bool:

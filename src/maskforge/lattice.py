@@ -1,13 +1,15 @@
 """Integer dilation-matrix arithmetic.
 
-Exact determinants and inverses, coset classification of the integer lattice
-modulo an expanding integer matrix, deterministic digit-set construction, and
-the matrix norms / spectral probes used by the smoothness gates.
+The lattice works in integers: exact determinants and the adjugate, coset
+classification of the integer lattice modulo an expanding integer matrix,
+deterministic digit-set construction, and the matrix norms / spectral probes
+used by the smoothness gates.
 
-Cosets are decided in integers: inverse = adjugate / det, so two vectors are
-congruent modulo the matrix exactly when their adjugate images agree modulo
-|det| (the fraction-free idiom determinant() uses), and the quotient of a
-vector by the matrix is its adjugate image divided exactly by det.
+The inverse is held only as the adjugate over det: two vectors are congruent
+modulo the matrix exactly when their adjugate images agree modulo |det| (the
+fraction-free idiom determinant() uses), the quotient of a vector by the
+matrix is its adjugate image divided exactly by det, and |M^-k| is
+|adjugate^k| / |det|^k.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 
 import numpy as np
@@ -41,7 +42,8 @@ def as_int_matrix(rows) -> IntMatrix:
 
 
 def determinant(matrix) -> int:
-    """Exact determinant of a square integer matrix (fraction-free elimination)."""
+    """Exact determinant of a square integer matrix (fraction-free elimination);
+    the empty matrix has determinant 1."""
     mat = [list(row) for row in as_int_matrix(matrix)]
     n = len(mat)
     sign = 1
@@ -60,7 +62,7 @@ def determinant(matrix) -> int:
                 mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
             mat[i][k] = 0
         prev = mat[k][k]
-    return sign * mat[-1][-1]
+    return sign * mat[-1][-1] if n else 1
 
 
 def matrix_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -124,9 +126,13 @@ def power_inf_norm(matrix, exponent: int):
 
 
 def adjugate(matrix) -> IntMatrix:
-    """det(matrix) * inverse(matrix), an integer matrix."""
-    det = determinant(matrix)
-    return tuple(tuple(int(x * det) for x in row) for row in matrix_inverse(matrix))
+    """det(matrix) * inverse(matrix): the transposed signed cofactors, each
+    minor's determinant taken fraction-free."""
+    matrix = as_int_matrix(matrix)
+    axes = range(len(matrix))
+    return tuple(tuple((-1) ** (i + j) * determinant(
+        [row[:i] + row[i + 1:] for r, row in enumerate(matrix) if r != j])
+        for j in axes) for i in axes)
 
 
 def _key(image, modulus: int) -> IntVector:
@@ -217,17 +223,20 @@ def is_isotropic(matrix) -> IsotropyReport:
     The defining uniform bound over all powers is not decidable by finite
     computation; the operative test is equal eigenvalue moduli plus a
     numerically full-rank eigenvector basis.  The exact similarity products
-    |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH are reported alongside.
+    |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH are reported alongside, each
+    as |M^k| * |adjugate^k| / |det|^k from integer powers.
     """
     matrix = as_int_matrix(matrix)
     eigvals, eigvecs = np.linalg.eig(np.array(matrix, dtype=float))
     moduli = tuple(sorted(float(abs(v)) for v in eigvals))
 
-    inverse = matrix_inverse(matrix)
-    best = Fraction(0)
+    m, adj = abs(determinant(matrix)), adjugate(matrix)
+    if m == 0:
+        raise MaskforgeError("matrix is singular")
+    power, adj_power, best = matrix, adj, Fraction(0)
     for k in range(1, ISOTROPY_PROBE_DEPTH + 1):
-        prod = inf_norm(matrix_power(matrix, k)) * inf_norm(matrix_power(inverse, k))
-        best = max(best, Fraction(prod))
+        best = max(best, Fraction(inf_norm(power) * inf_norm(adj_power), m ** k))
+        power, adj_power = mat_mul(power, matrix), mat_mul(adj_power, adj)
 
     scale = max(moduli[-1], 1.0)
     if moduli[-1] - moduli[0] > ISOTROPY_MODULUS_RTOL * scale:
@@ -240,9 +249,9 @@ def is_isotropic(matrix) -> IsotropyReport:
 
 
 def _coset_table(adj: IntMatrix, modulus: int, digits) -> tuple:
-    """(adj, coset key -> digit index, adj @ digit for each digit)."""
+    """(coset key -> digit index, adj @ digit for each digit)."""
     images = tuple(mat_vec(adj, s) for s in digits)
-    return adj, {_key(image, modulus): i for i, image in enumerate(images)}, images
+    return {_key(image, modulus): i for i, image in enumerate(images)}, images
 
 
 @dataclass(frozen=True)
@@ -258,9 +267,7 @@ class DilationContext:
     digits: tuple[IntVector, ...]
     dual_digits: tuple[IntVector, ...]
     adjugate: IntMatrix = field(repr=False)
-    inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    dual_inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    _cosets: tuple = field(repr=False, compare=False)  # primal, dual
+    _cosets: tuple = field(repr=False, compare=False)  # keys, digit images
 
     @classmethod
     def create(cls, matrix, digits=None, dual_digits=None) -> "DilationContext":
@@ -277,7 +284,6 @@ class DilationContext:
         if m < 2:
             raise MaskforgeError("a dilation matrix needs |det| >= 2")
         adj = adjugate(matrix)
-        inverse = tuple(tuple(Fraction(x, det) for x in row) for row in adj)
         digits = digit_set(matrix, digits)
         dual_digits = digit_set(transpose(matrix), dual_digits)
         return cls(
@@ -288,36 +294,24 @@ class DilationContext:
             digits=digits,
             dual_digits=dual_digits,
             adjugate=adj,
-            inverse=inverse,
-            dual_inverse=transpose(inverse),
-            # adjugate(transpose(matrix)) = transpose(adjugate)
-            _cosets=(_coset_table(adj, m, digits),
-                     _coset_table(transpose(adj), m, dual_digits)),
+            _cosets=_coset_table(adj, m, digits),
         )
 
     @property
     def dual_matrix(self) -> IntMatrix:
         return transpose(self.matrix)
 
-    @cached_property
-    def digit_fractions(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The points inverse @ digit, one per digit; denominators divide m.
-        Computed on first use and kept (the context never changes)."""
-        return tuple(mat_vec(self.inverse, s) for s in self.digits)
+    def coset_index(self, vec, image=None) -> int:
+        """Index of the digit congruent to vec modulo the matrix; image, if
+        known, is the adjugate's image of vec."""
+        image = mat_vec(self.adjugate, vec) if image is None else image
+        return self._cosets[0][_key(image, self.m)]
 
-    def coset_index(self, vec, dual: bool = False, image=None) -> int:
-        """Index of the digit congruent to vec (mod the matrix, or its
-        transpose); image, if known, is the adjugate's image of vec."""
-        adj, keys, _ = self._cosets[dual]
-        image = mat_vec(adj, vec) if image is None else image
-        return keys[_key(image, self.m)]
-
-    def base_point(self, vec, dual: bool = False) -> tuple[int, IntVector]:
+    def base_point(self, vec) -> tuple[int, IntVector]:
         """(index, quotient) with vec = matrix @ quotient + digit[index]."""
-        adj, _, images = self._cosets[dual]
-        image = mat_vec(adj, vec)
-        idx = self.coset_index(vec, dual, image)
-        quot = [divmod(x - s, self.det) for x, s in zip(image, images[idx])]
+        image = mat_vec(self.adjugate, vec)
+        idx = self.coset_index(vec, image)
+        quot = [divmod(x - s, self.det) for x, s in zip(image, self._cosets[1][idx])]
         if any(r for _, r in quot):
             raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
         return idx, tuple(q for q, _ in quot)

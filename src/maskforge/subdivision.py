@@ -235,20 +235,25 @@ def apply(mask, dilation, f):
 
 class IntSequence(NamedTuple):
     """Scalar rational data held in integers: `values` maps each point alpha
-    of the support to a nonzero int n, the value at alpha being n / den."""
+    of the support to a nonzero int n, the value at alpha being n / den.
+
+    `values` iterates in lattice order (lexicographic on the points):
+    from_sequence sorts the data once, and each integer apply round emits its
+    sums in that order."""
     dim: int
     den: int
     values: dict
 
     @classmethod
     def from_sequence(cls, f: Sequence) -> "IntSequence":
-        """f's values as integer numerators over their common denominator."""
+        """f's values as integer numerators over their common denominator, in
+        lattice order."""
         if f.width != 1:
             raise ShapeMismatch(f"integer data is scalar, got width {f.width}")
         if not all(isinstance(v, Rational) for (v,) in f.values.values()):
             raise TypeError("integer data needs rational values")
         den, (values,) = _data_numerators(f)
-        return cls(f.dim, den, values)
+        return cls(f.dim, den, dict(sorted(values.items())))
 
     def to_sequence(self) -> Sequence:
         return Sequence._trusted(self.dim, 1, {
@@ -744,10 +749,10 @@ class Refined(NamedTuple):
 
     def rows(self):
         """(mat_vec(grid, alpha), n) for each point alpha of the support, in
-        lattice order."""
-        grid, values = self.grid, self.data.values
-        for alpha in sorted(values):
-            yield mat_vec(grid, alpha), values[alpha]
+        the lattice order the data keeps."""
+        grid = self.grid
+        for alpha, n in self.data.values.items():
+            yield mat_vec(grid, alpha), n
 
 
 def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,

@@ -240,17 +240,14 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
     """Extract the parameter table of a mask known to satisfy order-n sum rules.
 
     The leading polyphase makes the defining relations triangular, so the
-    table is read off polyphase 0 and then verified against every other
-    polyphase; failure means the mask is not in the class.
+    order scan of sum_rule_order, capped at the order, reads the table off
+    polyphase 0 and verifies it against every other polyphase; a scan that
+    stops short means the mask is not in the class.
     """
-    taus = _polyphase_moments(t, ctx)
-    table: dict = {}
-    for total in range(order + 1):
-        if not _polyphase_order_holds(taus, table, ctx, total):
-            raise NotInClass(f"mask fails the order-{total} sum rules")
-    field, den, _ = taus
-    return DerivativeTable(ctx.dim, order, {
-        b: _number(v, field, held, den) * ctx.m for b, (v, held) in table.items()})
+    found, table = sum_rule_order(t, ctx, cap=order, with_table=True)
+    if found < order:
+        raise NotInClass(f"mask fails the order-{found + 1} sum rules")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from maskforge.cyclotomic import (CyclotomicNumber, coerce, exp_of_rational,
 from maskforge.decompose import MaskDecomposition, decompose_levels
 from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
-from maskforge.lattice import DilationContext, determinant, mat_mul, mat_vec
+from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
+                               determinant, inf_norm, mat_mul, mat_vec,
+                               matrix_inverse, matrix_power, transpose)
 from maskforge.subdivision import MatrixMask, _as_matrix_mask, _dilation_matrix
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to, sum_rule_order)
@@ -113,6 +115,33 @@ def contexts(dim, positive):
     return dilations(dim).map(lambda matrix: signed(matrix, positive)).filter(
         lambda matrix: 0 < determinant(matrix) * (1 if positive else -1) <= 8
     ).map(DilationContext.create)
+
+
+def dual_context(ctx: DilationContext) -> DilationContext:
+    """The context of the transposed dilation with ctx's dual digits, whose
+    cosets are those of the dual lattice."""
+    return DilationContext.create(transpose(ctx.matrix), digits=ctx.dual_digits)
+
+
+def fraction_inverse(ctx: DilationContext):
+    """The dilation's inverse in Fractions, the oracle for the library's
+    adjugate over det."""
+    return matrix_inverse(ctx.matrix)
+
+
+def digit_fractions(ctx: DilationContext):
+    """The points inverse @ digit, one per digit; denominators divide m."""
+    inverse = fraction_inverse(ctx)
+    return tuple(mat_vec(inverse, s) for s in ctx.digits)
+
+
+def similarity_reference(matrix) -> Fraction:
+    """max over k <= ISOTROPY_PROBE_DEPTH of |M^k| * |M^-k|, each power of the
+    Fraction inverse raised from scratch: the oracle for is_isotropic."""
+    inverse = matrix_inverse(matrix)
+    return max(Fraction(inf_norm(matrix_power(matrix, k))
+                        * inf_norm(matrix_power(inverse, k)))
+               for k in range(1, ISOTROPY_PROBE_DEPTH + 1))
 
 
 def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
@@ -374,7 +403,7 @@ def digit_fourier_matrix(ctx: DilationContext) -> list:
     """
     return [[exp_of_rational(sum((rk[i] * sl[i] for i in range(ctx.dim)),
                                  start=Fraction(0)))
-             for sl in ctx.dual_digits] for rk in ctx.digit_fractions]
+             for sl in ctx.dual_digits] for rk in digit_fractions(ctx)]
 
 
 def digit_fourier_is_unitary(ctx: DilationContext) -> bool:

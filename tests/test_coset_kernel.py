@@ -5,6 +5,9 @@ by exact division by det.  The properties below draw dilations in dimensions
 1-3 and check that kernel against the fractional part of inverse @ vec (the
 key the kernel replaced, kept in conftest), the polyphase round trip of
 base_point, the inverse-dilation substitution and the digit-set validation.
+The dual lattice is the context of the transposed dilation with the dual
+digits.  The integer adjugate and similarity products are checked against
+the Fraction inverse they replaced.
 """
 
 import itertools
@@ -14,10 +17,12 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import (CASES, contexts, coset_fraction_key, dilations, points,
-                      rationals)
+from conftest import (CASES, contexts, coset_fraction_key, dilations,
+                      dual_context, fraction_inverse, points, rationals,
+                      similarity_reference)
 from maskforge.errors import UserDigitsInvalid
-from maskforge.lattice import DilationContext, digit_set, mat_vec, transpose
+from maskforge.lattice import (DilationContext, adjugate, digit_set,
+                               is_isotropic, mat_vec)
 from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
 
@@ -32,29 +37,28 @@ DIMS = pytest.mark.parametrize("dim", [1, 2, 3])
 @PROFILE
 @given(data=st.data())
 def test_coset_index_partitions_as_fraction_oracle(dim, data):
-    ctx = DilationContext.create(data.draw(dilations(dim)))
+    primal = DilationContext.create(data.draw(dilations(dim)))
     vecs = data.draw(st.lists(points(dim, 4), min_size=2, max_size=8))
-    for dual, inverse in ((False, ctx.inverse), (True, ctx.dual_inverse)):
-        digits = ctx.dual_digits if dual else ctx.digits
-        assert [ctx.coset_index(s, dual) for s in digits] == list(range(ctx.m))
+    for ctx in (primal, dual_context(primal)):
+        inverse = fraction_inverse(ctx)
+        assert [ctx.coset_index(s) for s in ctx.digits] == list(range(ctx.m))
         for a, b in itertools.combinations(vecs, 2):
             same = coset_fraction_key(inverse, a) == coset_fraction_key(inverse, b)
-            assert (ctx.coset_index(a, dual) == ctx.coset_index(b, dual)) == same
+            assert (ctx.coset_index(a) == ctx.coset_index(b)) == same
 
 
 @DIMS
 @PROFILE
 @given(data=st.data())
 def test_base_point_round_trip(dim, data):
-    ctx = DilationContext.create(data.draw(dilations(dim)))
+    primal = DilationContext.create(data.draw(dilations(dim)))
     vec = data.draw(points(dim, 6))
-    for dual in (False, True):
-        matrix = transpose(ctx.matrix) if dual else ctx.matrix
-        digits = ctx.dual_digits if dual else ctx.digits
-        idx, quot = ctx.base_point(vec, dual)
-        assert idx == ctx.coset_index(vec, dual)
+    for ctx in (primal, dual_context(primal)):
+        idx, quot = ctx.base_point(vec)
+        assert idx == ctx.coset_index(vec)
         assert all(type(q) is int for q in quot)
-        assert tuple(x + s for x, s in zip(mat_vec(matrix, quot), digits[idx])) == vec
+        assert tuple(x + s for x, s in
+                     zip(mat_vec(ctx.matrix, quot), ctx.digits[idx])) == vec
 
 
 @CASES
@@ -62,14 +66,26 @@ def test_base_point_round_trip(dim, data):
 @given(data=st.data())
 def test_base_point_recovers_quotient_and_digit(dim, positive, data):
     # vec = matrix @ q + digit[idx] is split back into exactly (idx, q)
-    ctx = data.draw(contexts(dim, positive))
+    primal = data.draw(contexts(dim, positive))
     q = data.draw(points(dim, 6))
-    for dual in (False, True):
-        matrix = transpose(ctx.matrix) if dual else ctx.matrix
-        digits = ctx.dual_digits if dual else ctx.digits
+    for ctx in (primal, dual_context(primal)):
         idx = data.draw(st.integers(0, ctx.m - 1))
-        vec = tuple(x + s for x, s in zip(mat_vec(matrix, q), digits[idx]))
-        assert ctx.base_point(vec, dual) == (idx, q)
+        vec = tuple(x + s for x, s in zip(mat_vec(ctx.matrix, q), ctx.digits[idx]))
+        assert ctx.base_point(vec) == (idx, q)
+
+
+@CASES
+@PROFILE
+@given(data=st.data())
+def test_adjugate_and_similarity_products_match_the_fraction_inverse(
+        dim, positive, data):
+    # the adjugate is det times the Fraction inverse, and the similarity
+    # products from integer powers over |det|^k equal those of the inverse
+    ctx = data.draw(contexts(dim, positive))
+    assert adjugate(ctx.matrix) == ctx.adjugate == tuple(
+        tuple(ctx.det * x for x in row) for row in fraction_inverse(ctx))
+    assert is_isotropic(ctx.matrix).max_similarity_product \
+        == similarity_reference(ctx.matrix)
 
 
 @DIMS

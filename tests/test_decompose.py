@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (fraction_dilated_derivative, iterated_decomposition,
-                      kronecker_power, random_class_mask, random_mask)
+from conftest import (fraction_dilated_derivative, fraction_inverse,
+                      iterated_decomposition, kronecker_power,
+                      random_class_mask, random_mask)
 from maskforge.decompose import (MaskDecomposition, NotInZ0, decompose_mask,
                                  decompose_to_class, dilated_difference,
                                  refine_decomposition)
 from maskforge.errors import NotInClass
-from maskforge.lattice import DilationContext
+from maskforge.lattice import DilationContext, transpose
 from maskforge.sumrules import digit_interpolant, sum_rule_order_direct
 from maskforge.trigpoly import TrigPoly
 
@@ -144,7 +145,7 @@ def test_refinement_matches_two_dimensional_specialization(example_ctx):
     for k in (1, 2):
         correction = TrigPoly.zero(2)
         for nu in range(1, ctx.m):
-            w = fraction_dilated_derivative(entries[0][k - 1], ctx.inverse,
+            w = fraction_dilated_derivative(entries[0][k - 1], fraction_inverse(ctx),
                                             (0, 1), ctx.dual_digits[nu])
             correction = correction + digit_interpolant(nu, ctx).scale(w)
         entries[0][k - 1] = entries[0][k - 1] + delta[1] * correction
@@ -184,7 +185,7 @@ def test_iterated_depth_two(example_ctx):
     assert nested.identity_holds()
     assert nested.value_constraint_holds()
     # value form of the Kronecker statement at depth 2
-    kron = kronecker_power(example_ctx.dual_inverse, 2)
+    kron = kronecker_power(transpose(fraction_inverse(example_ctx)), 2)
     tuples = nested.axis_tuples()
     t0 = t.value_at_zero()
     matrix = nested.symbol_matrix()

@@ -23,8 +23,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (CASES, contexts, folded_plain_rows, points,
-                      random_class_mask, random_cyclotomic_class_mask)
+from conftest import (CASES, contexts, folded_plain_rows, fraction_inverse,
+                      points, random_class_mask, random_cyclotomic_class_mask)
 from maskforge import cli
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.decompose import (MaskDecomposition, _plain,
@@ -148,11 +148,11 @@ def reference_identity_holds(dec):
 
 
 def reference_value_constraint_holds(dec):
-    t0 = fold_value_at_zero(dec.source)
+    t0, inverse = fold_value_at_zero(dec.source), fraction_inverse(dec.ctx)
     for (j_tuple, k_tuple), entry in dec.entries.items():
         factor = Fraction(1)
         for j, k in zip(j_tuple, k_tuple):
-            factor *= dec.ctx.inverse[j - 1][k - 1]
+            factor *= inverse[j - 1][k - 1]
         if fold_value_at_zero(entry) != t0 * factor:
             return False
     return True

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, contexts, points, rationals
+from conftest import CASES, contexts, fraction_inverse, points, rationals
 from maskforge import subdivision
 from maskforge.cli import main
 from maskforge.cyclotomic import root_of_unity
@@ -46,7 +46,7 @@ def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
         refined = refine(t, ctx, f, rounds)
         assert all(type(n) is int for n in refined.data.values.values())
         assert refined.data.to_sequence() == reference
-        inverse = matrix_power(ctx.inverse, rounds)
+        inverse = matrix_power(fraction_inverse(ctx), rounds)
         assert list(refined_rows(refined)) == [
             [*map(format_rational, mat_vec(inverse, alpha)), format_rational(v)]
             for alpha, (v,) in sorted(reference.values.items())]

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from maskforge.errors import MaskforgeError, UserDigitsInvalid
-from conftest import digit_fourier_is_unitary
+from conftest import digit_fourier_is_unitary, digit_fractions, dual_context
 from maskforge.lattice import (DilationContext, determinant, digit_set,
                                is_isotropic, mat_vec, matrix_power,
                                power_inf_norm, transpose)
@@ -86,15 +86,16 @@ def test_coset_index_examples(example_ctx):
 def test_coset_index_translation_invariant(example_ctx):
     rng = random.Random(11)
     ctx = example_ctx
+    dual = dual_context(ctx)
     for _ in range(50):
         n = tuple(rng.randint(-6, 6) for _ in range(2))
         ell = tuple(rng.randint(-3, 3) for _ in range(2))
         shifted = tuple(a + sum(row[j] * ell[j] for j in range(2))
                         for a, row in zip(n, ctx.matrix))
         assert ctx.coset_index(n) == ctx.coset_index(shifted)
-        assert ctx.coset_index(n, dual=True) == ctx.coset_index(
+        assert dual.coset_index(n) == dual.coset_index(
             tuple(a + sum(ctx.dual_matrix[i][j] * ell[j] for j in range(2))
-                  for i, a in enumerate(n)), dual=True)
+                  for i, a in enumerate(n)))
 
 
 def test_power_inf_norm():
@@ -141,17 +142,20 @@ def test_dilation_context_validation():
 
 
 def test_digit_fractions_denominators(example_ctx):
-    for r in example_ctx.digit_fractions:
+    # the adjugate image of each digit over det is inverse @ digit
+    ctx = example_ctx
+    for s, r in zip(ctx.digits, digit_fractions(ctx)):
+        assert tuple(Fraction(x, ctx.det) for x in mat_vec(ctx.adjugate, s)) == r
         for x in r:
-            assert example_ctx.m % x.denominator == 0
-    assert example_ctx.digit_fractions[0] == (0, 0)
+            assert ctx.m % x.denominator == 0
+    assert digit_fractions(ctx)[0] == (0, 0)
 
 
-def test_digit_fractions_computed_once():
+def test_context_holds_integers_only():
     ctx = DilationContext.create([[0, 2], [2, -1]])
-    first = ctx.digit_fractions
-    assert ctx.digit_fractions is first
-    assert first == tuple(mat_vec(ctx.inverse, s) for s in ctx.digits)
+    assert ctx.adjugate == ((-1, -2), (-2, 0))
+    for name in ("matrix", "digits", "dual_digits", "adjugate"):
+        assert all(type(x) is int for row in getattr(ctx, name) for x in row)
     assert ctx == DilationContext.create([[0, 2], [2, -1]])
 
 
