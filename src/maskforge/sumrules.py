@@ -241,8 +241,8 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
 
     The leading polyphase makes the defining relations triangular, so the
     order scan of sum_rule_order, capped at the order, reads the table off
-    polyphase 0 and verifies it against every other polyphase; a scan that
-    stops short means the mask is not in the class.
+    polyphase 0 and verifies it against every other polyphase and the direct
+    definition; a scan that stops short means the mask is not in the class.
     """
     found, table = sum_rule_order(t, ctx, cap=order, with_table=True)
     if found < order:
