@@ -8,7 +8,9 @@ cube roots of unity, one of order 1 carrying cube and fifth roots.  Their
 files were recorded before evaluation reduced once per value and before
 rational products ran on integer numerators, and must still match byte for
 byte.  The order-1 mask has no "decompose --order 2" case: the CLI rejects
-it for that order.
+it for that order.  The two "decompose --levels 2" files pin the iterated
+path, which prints the lifted entries' decompositions at orders 3 and 15;
+they were recorded before TrigPoly held integer numerators.
 """
 
 import json
@@ -29,9 +31,12 @@ CASES = [
     ("cyc3_order2_analyze", "cyc3_order2", ["analyze"]),
     ("cyc3_order2_decompose_order1", "cyc3_order2", ["decompose", "--order", "1"]),
     ("cyc3_order2_decompose_order2", "cyc3_order2", ["decompose", "--order", "2"]),
+    ("cyc3_order2_decompose_levels2", "cyc3_order2", ["decompose", "--levels", "2"]),
     ("cyc3_order2_smooth_lmax2", "cyc3_order2", ["smooth", "--lmax", "2"]),
     ("cyc35_order1_analyze", "cyc35_order1", ["analyze"]),
     ("cyc35_order1_decompose_order1", "cyc35_order1", ["decompose", "--order", "1"]),
+    ("cyc35_order1_decompose_levels2", "cyc35_order1",
+     ["decompose", "--levels", "2"]),
     ("cyc35_order1_smooth_lmax2", "cyc35_order1", ["smooth", "--lmax", "2"]),
 ]
 
