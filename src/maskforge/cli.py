@@ -199,7 +199,7 @@ def cmd_smooth(args) -> int:
 def cmd_refine(args) -> int:
     _at_least("--rounds", args.rounds, 0)
     mask, ctx = _load_mask(args)
-    if not all(c.is_rational() for c in mask.terms.values()):
+    if not mask.is_rational():
         print("error: refine needs a rational-coefficient mask", file=sys.stderr)
         return EXIT_SHAPE
     if args.data:

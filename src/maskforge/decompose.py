@@ -7,12 +7,12 @@ of masks t_jk with, for every axis k,
         = sum_j t_jk(x) (1 - e^(2*pi*i*(Mt x, e_j))),     (Mt = transpose)
 
 computed through the polyphase components and a fixed telescoping division
-sweep along the axes.  The telescoping runs on integer numerator vectors over
-one denominator, at the lcm F of the mask's coefficient orders, and only adds
+sweep along the axes.  The telescoping runs on the mask's integer numerator
+vectors (TrigPoly.vectors: one denominator, one field order F) and only adds
 and subtracts.  Each vector carries the order label the CyclotomicNumber fold
 would hold its value at (the lcm of the labels summed into it), because that
-order is part of the value's printed bytes; each value becomes a
-CyclotomicNumber once, at its label.  A refinement pass lifts the entries'
+order is part of the value's printed bytes; the entries are TrigPolys of the
+telescoped vectors as they are.  A refinement pass lifts the entries'
 sum-rule order one step at a time by moving explicitly constructed
 corrections between rows without changing the defining sums, and an iterated
 form indexes repeated decompositions by tuples of axes.
@@ -31,8 +31,8 @@ from .lattice import DilationContext, mat_vec
 from .sumrules import (dilated_derivatives, multi_indices, sum_rule_order,
                        sum_rule_order_direct, digit_interpolant,
                        unit_derivative_poly)
-from .trigpoly import (TrigPoly, _integer_coords, _merge_vectors, _number,
-                       _vanishes, _vanishing_sum)
+from .trigpoly import (TrigPoly, _assembled, _merge_vectors, _vanishes,
+                       _vanishing_sum)
 
 
 class NotInZ0(NotInClass):
@@ -199,27 +199,19 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
 def _telescope(t: TrigPoly, ctx: DilationContext) -> list:
     """The plain entries rows[j-1][k-1] of a mask in the order-0 class.
 
-    The coefficients are placed once as integer numerator vectors over one
-    denominator D at the lcm F of their orders, labelled with their orders,
-    and split by coset.  Per plain axis k and coset nu, the shifted polyphase
-    of the coset of digit_nu - e_k is subtracted; then for j = 1..d the
-    difference minus its collapse z_j := 1 is divided by (1 - z_j), and the
-    collapse carries on to the next axis.  Each merge labels a sum with the
-    lcm of its labels and drops sums that vanish modulo Phi_F, as the
-    TrigPoly fold does.  Each quotient value becomes a CyclotomicNumber
-    once, at its label, in the assembly, whose merge drops the running sums
-    that vanish.
+    The mask's labelled numerator vectors (one denominator D, field order F)
+    are split by coset.  Per plain axis k and coset nu, the shifted
+    polyphase of the coset of digit_nu - e_k is subtracted; then for j =
+    1..d the difference minus its collapse z_j := 1 is divided by (1 - z_j),
+    and the collapse carries on to the next axis.  Each merge labels a sum
+    with the lcm of its labels and drops sums that vanish modulo Phi_F, as
+    the CyclotomicNumber fold does; the quotients are assembled over D.
     """
-    d = ctx.dim
-    field = lcm(*(c.order for c in t.terms.values()))
-    den, placed = _integer_coords(t.terms, field)
+    d, field = ctx.dim, t.field
     taus = [{} for _ in range(ctx.m)]
-    for freq, xs, order in placed:
-        vec = [0] * field
-        for p, x in xs:
-            vec[p] = x
+    for freq, slot in t.vectors.items():
         nu, base = ctx.base_point(freq)
-        taus[nu][base] = (vec, order)
+        taus[nu][base] = slot
     # per-entry polyphase tables, indexed [j-1][k-1][nu]
     tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
     for k in range(d):
@@ -241,18 +233,16 @@ def _telescope(t: TrigPoly, ctx: DilationContext) -> list:
             if remaining:
                 raise InternalIdentityViolation(
                     "telescoping left a nonzero constant")  # source not order-0
-    return [[TrigPoly.polyphase_assemble([TrigPoly._from_pairs(d, (
-        (base, _number(vec, field, label, den))
-        for base, (vec, label) in part.items())) for part in parts], ctx)
-        for parts in row] for row in tables]
+    return [[_assembled(ctx, field, t.den, parts) for parts in row]
+            for row in tables]
 
 
 def _divide_one_minus_z(poly: dict, j: int, field: int) -> dict:
     """The exact quotient by (1 - z_(j+1)) of a {freq: (vec, label)} dict,
     by running sums along each line of frequencies that differ only at
     index j.  A running sum is labelled with the lcm of the labels on its
-    line up to its exponent (1 before any).  Sums that vanish are kept for
-    the assembly to drop; a line whose total does not vanish is a bug."""
+    line up to its exponent (1 before any).  Sums that vanish are dropped;
+    a line whose total does not vanish is a bug."""
     lines: dict = {}
     for freq, slot in poly.items():
         lines.setdefault(freq[:j] + freq[j + 1:], {})[freq[j]] = slot
@@ -265,7 +255,8 @@ def _divide_one_minus_z(poly: dict, j: int, field: int) -> dict:
                 vec, order = line[e]
                 running = list(map(add, running, vec))
                 label = lcm(label, order)
-            out[rest[:j] + (e,) + rest[j:]] = (running, label)
+            if not _vanishes(running, field):
+                out[rest[:j] + (e,) + rest[j:]] = (running, label)
         if not _vanishes(list(map(add, running, line[hi][0])), field):
             raise InternalIdentityViolation(f"remainder along axis {j + 1}")
     return out

@@ -65,25 +65,6 @@ def determinant(matrix) -> int:
     return sign * mat[-1][-1] if n else 1
 
 
-def matrix_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix with integer or rational entries."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise MaskforgeError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def transpose(matrix):
     return tuple(tuple(row[j] for row in matrix) for j in range(len(matrix)))
 

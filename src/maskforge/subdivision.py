@@ -32,7 +32,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from operator import add, index, mul
 from typing import NamedTuple
@@ -173,8 +173,7 @@ class MatrixMask:
         return self.entries[i][j]
 
     def is_rational(self) -> bool:
-        return all(c.is_rational() for row in self.entries
-                   for entry in row for c in entry.terms.values())
+        return all(entry.is_rational() for row in self.entries for entry in row)
 
     def matmul_dilated(self, other: "MatrixMask", dilation) -> "MatrixMask":
         """self(x) @ other(transpose(dilation) x)."""
@@ -416,28 +415,28 @@ class _Numerators(NamedTuple):
 
 
 def _numerators(mask: MatrixMask) -> _Numerators:
-    """The mask's coefficients at the lcm N of their orders, over the common
-    denominator D of their coordinates, each labelled with its order.  A
-    rational mask is held at N = 1: its products are rational, and the norm
-    of a rational value does not depend on the order it is held at."""
-    coeffs = [c for row in mask.entries for entry in row for c in entry.terms.values()]
-    rational = all(c.is_rational() for c in coeffs)
-    field = 1 if rational else lcm(*(c.order for c in coeffs))
-    den = lcm(*(x.denominator for c in coeffs for x in c.coords))
-    entries = []
-    for row in mask.entries:
-        out_row = []
-        for entry in row:
-            classes: dict = {}
-            for freq, c in entry.terms.items():
-                order = 1 if rational else c.order  # a rational is read as coords[0]
-                for i, x in enumerate(c.coords[:order]):
+    """The mask's values read at their labels and reduced (_canonical), at
+    the lcm N of the labels over the common denominator D.  A rational mask
+    is held at N = 1: its products are rational, and the norm of a rational
+    value does not depend on the order it is held at."""
+    common = lcm(*(entry.den for row in mask.entries for entry in row))
+    values = [[[(f, label, [x * (common // entry.den)
+                            for x in _canonical(vec, entry.field, label)])
+                for f, (vec, label) in entry.vectors.items()] for entry in row]
+              for row in mask.entries]
+    flat = [value for row in values for entry in row for value in entry]
+    rational = not any(any(coords[1:]) for *_, coords in flat)
+    field = 1 if rational else lcm(*(label for _, label, _ in flat))
+    g = gcd(common, *(x for *_, coords in flat for x in coords))
+    entries = [[{} for _ in row] for row in values]
+    for row, out_row in zip(values, entries):
+        for entry, classes in zip(row, out_row):
+            for freq, label, coords in entry:
+                order = 1 if rational else label  # a rational is read as coords[0]
+                for i, x in enumerate(coords[:order]):
                     if x:
-                        classes.setdefault((order, i * (field // order)), {})[freq] = \
-                            x.numerator * (den // x.denominator)
-            out_row.append(classes)
-        entries.append(out_row)
-    return _Numerators(field, den, entries)
+                        classes.setdefault((order, i * (field // order)), {})[freq] = x // g
+    return _Numerators(field, common // g, entries)
 
 
 def _norm(symbol: _Numerators, matrix, precision_bits: int) -> RatInterval:
@@ -769,12 +768,12 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     mask = MatrixMask.from_scalar(t)
     data = IntSequence.from_sequence(f)
     for done in range(rounds):
-        size = len(data.values) * len(t.terms)
+        size = len(data.values) * len(t.vectors)
         if size > REFINE_BUDGET:
             raise BudgetExceeded(
                 f"refine stopped after {done} of {rounds} rounds: round "
                 f"{done + 1} would form {size} products ({len(data.values)} "
-                f"points x {len(t.terms)} mask terms), over the budget of "
+                f"points x {len(t.vectors)} mask terms), over the budget of "
                 f"{REFINE_BUDGET}")
         data = apply(mask, ctx, data)
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

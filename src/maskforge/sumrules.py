@@ -20,8 +20,8 @@ from operator import index, mul
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
-from .lattice import DilationContext, mat_vec, matrix_inverse
-from .trigpoly import (TrigPoly, _integer_coords, _number, _vanishes,
+from .lattice import DilationContext, adjugate, determinant, mat_vec
+from .trigpoly import (TrigPoly, _number, _placed, _sparse, _vanishes,
                        derivative_at)
 
 DEFAULT_ORDER_CAP = 4
@@ -71,11 +71,11 @@ def dilated_derivatives(t: TrigPoly, ctx: DilationContext):
 
 
 def _direct_kernel(t: TrigPoly, ctx: DilationContext):
-    """The field F = lcm(m, coefficient orders), each frequency's image g =
-    sign(det) * adjugate @ freq, and per nonzero dual digit delta each term's
-    numerators over one denominator at positions shifted by F/m * (g, delta)."""
-    field = lcm(ctx.m, *(c.order for c in t.terms.values()))
-    _, placed = _integer_coords(t.terms, field)
+    """The field F = lcm(m, t.field), each frequency's image g = sign(det) *
+    adjugate @ freq, and per nonzero dual digit delta each term's numerators
+    over t.den at positions shifted by F/m * (g, delta)."""
+    field = lcm(ctx.m, t.field)
+    placed = _sparse(t, field)
     adj = _signed_adjugate(ctx)
     images = [mat_vec(adj, freq) for freq, _, _ in placed]
     return field, images, [
@@ -102,17 +102,15 @@ def _direct_order_holds(kernel, ctx: DilationContext, total: int) -> bool:
 
 
 def _polyphase_moments(t: TrigPoly, ctx: DilationContext):
-    """The field F of the lcm of t's coefficient orders, t's one denominator
-    D, and per polyphase the digit's sign(det) * adjugate image and its terms
-    (base point, [(position, numerator)], order)."""
-    field = lcm(*(c.order for c in t.terms.values()))
-    den, placed = _integer_coords(t.terms, field)
+    """t's field F and denominator D, and per polyphase the digit's sign(det)
+    * adjugate image and its terms (base point, [(position, numerator)],
+    label)."""
     adj = _signed_adjugate(ctx)
     parts = [(mat_vec(adj, digit), []) for digit in ctx.digits]
-    for freq, xs, order in placed:
+    for freq, xs, label in _sparse(t, t.field):
         nu, base = ctx.base_point(freq)
-        parts[nu][1].append((base, xs, order))
-    return field, den, parts
+        parts[nu][1].append((base, xs, label))
+    return t.field, t.den, parts
 
 
 def _origin_moment(part: list, alpha, field: int) -> tuple[list, int]:
@@ -174,6 +172,8 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
     """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
+    if t.is_zero() and not with_table:
+        return cap  # every derivative of the zero polynomial vanishes
     kernel = _direct_kernel(t, ctx)
     taus = _polyphase_moments(t, ctx)
     table: dict = {}
@@ -200,7 +200,10 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
 
 def sum_rule_order_direct(t: TrigPoly, ctx: DilationContext,
                           cap: int = DEFAULT_ORDER_CAP) -> int:
-    """Order by the direct definition only (an independent certification path)."""
+    """Order by the direct definition only (an independent certification path).
+    Every rule holds for 0; a nonzero t with k terms fails below order k."""
+    if t.is_zero():
+        return cap
     kernel = _direct_kernel(t, ctx)
     return next((total - 1 for total in range(cap + 1)
                  if not _direct_order_holds(kernel, ctx, total)), cap)
@@ -257,10 +260,11 @@ def derivative_table(t: TrigPoly, ctx: DilationContext, order: int) -> Derivativ
 @lru_cache(maxsize=None)
 def _unit_moment_line(cap: int, target: int) -> tuple[Fraction, ...]:
     """Coefficients u_0..u_cap on nodes 0..cap with sum u_s * s^gamma = [gamma==target]
-    for gamma = 0..cap: column `target` of the inverse Vandermonde matrix."""
-    inverse = matrix_inverse([[s ** g for s in range(cap + 1)]
-                              for g in range(cap + 1)])
-    return tuple(row[target] for row in inverse)
+    for gamma = 0..cap: column `target` of the inverse Vandermonde matrix,
+    its adjugate over its determinant."""
+    nodes = [[s ** g for s in range(cap + 1)] for g in range(cap + 1)]
+    det = determinant(nodes)
+    return tuple(Fraction(row[target], det) for row in adjugate(nodes))
 
 
 def unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
@@ -317,11 +321,9 @@ def mask_from_derivative_table(ctx: DilationContext,
                                table: DerivativeTable) -> TrigPoly:
     """Construct a mask whose polyphase derivatives at the origin realize the
     table, hence satisfying the sum rules of the table's order."""
-    n = table.order
-    field = lcm(*(v.order for v in table.values.values()))
-    den, placed = _integer_coords(table.values, field)
-    moments = {beta: ([dict(xs).get(i, 0) for i in range(field)], held)
-               for beta, xs, held in placed}
+    n, zero = table.order, (0,) * ctx.dim
+    field, den, placed = _placed(table.values.items())
+    moments = dict(placed)
     adj = _signed_adjugate(ctx)
     parts = []
     for digit in ctx.digits:
@@ -329,12 +331,12 @@ def mask_from_derivative_table(ctx: DilationContext,
         tau = TrigPoly.zero(ctx.dim)
         for alpha in multi_indices_up_to(ctx.dim, n):
             # over D m^(|alpha|+1): table values are m times the moments
-            coeff = _number(_polyphase_targets(moments, alpha, shift, ctx.m),
-                            field, lcm(*(moments[beta][1]
-                                         for beta in indices_below(alpha))),
-                            den * ctx.m ** (sum(alpha) + 1))
-            if not coeff.is_zero():
-                tau = tau + unit_derivative_poly(n, alpha, ctx.dim).scale(coeff)
+            vec = _polyphase_targets(moments, alpha, shift, ctx.m)
+            if not _vanishes(vec, field):
+                coeff = TrigPoly._merged(
+                    ctx.dim, field, den * ctx.m ** (sum(alpha) + 1), [(zero, (
+                        vec, lcm(*(moments[b][1] for b in indices_below(alpha)))))])
+                tau = tau + unit_derivative_poly(n, alpha, ctx.dim) * coeff
         parts.append(tau)
     mask = TrigPoly.polyphase_assemble(parts, ctx)
     achieved = sum_rule_order(mask, ctx, cap=n)

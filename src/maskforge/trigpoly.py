@@ -2,17 +2,21 @@
 
 A TrigPoly is a Laurent polynomial: finitely many terms
 coeff * e^(2*pi*i*(freq, x)) with integer frequency vectors freq, so the
-z_k = e^(2*pi*i*x_k) exponents coincide with frequencies.  Products sum
-integer coordinates, one vector per frequency, and reduce each value once.
-Derivatives of t(inverse-transpose x) that leave the library as values are
-read by `derivative_at` from frequencies mapped through the adjugate over
-|det| (sumrules.dilated_derivatives); zero tests run on integer vectors.
+z_k = e^(2*pi*i*x_k) exponents coincide with frequencies.  It is held in
+integers: `vectors` maps each frequency to (vec, label), vec the unreduced
+numerators over one denominator `den` against the powers of zeta_field, and
+label the order the CyclotomicNumber fold of the same sums holds the value
+at.  No vector vanishes.  Every polynomial is built by one merge,
+`_merge_vectors`, and has the gcd of its numerators and denominator divided
+out.  `terms`, the {freq: CyclotomicNumber} view, is built once, where
+values leave the library (JSON, `derivative_at`, sequences).  Derivatives
+of t(inverse-transpose x) that leave the library as values are read by
+`derivative_at` from frequencies mapped through the adjugate over |det|
+(sumrules.dilated_derivatives); zero tests run on integer vectors.
 
-Every polynomial is built by one merge, `TrigPoly._from_pairs`, which sums
-coefficients at equal frequencies and drops zero sums.  Terms are checked
-once, where they enter: the public constructor requires integer frequency
-components of the right length and coerces coefficients; results built
-inside the library go to the merge directly.
+Terms are checked once, where they enter: the public constructor requires
+integer frequency components of the right length and coerces coefficients;
+results built inside the library go to the merge directly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .lattice import DilationContext, mat_vec
 
 
 class TrigPoly:
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "field", "den", "vectors", "_terms")
 
     def __init__(self, dim: int, terms=None) -> None:
         """The polynomial with the given {frequency: coefficient} terms.
@@ -47,20 +51,26 @@ class TrigPoly:
             if len(freq) != dim:
                 raise DimensionMismatch(f"frequency {freq} has wrong dimension")
             pairs.append((freq, coerce(coeff)))
-        self.dim = dim
-        self.terms = TrigPoly._from_pairs(dim, pairs).terms
+        poly = TrigPoly._from_pairs(dim, pairs)
+        for name in TrigPoly.__slots__:
+            setattr(self, name, getattr(poly, name))
 
     @classmethod
     def _from_pairs(cls, dim: int, pairs) -> "TrigPoly":
         """The polynomial of checked (integer tuple, CyclotomicNumber) pairs
-        in arrival order: coefficients at equal frequencies are summed, and
-        sums that vanish are dropped once every pair has been seen."""
-        terms: dict[tuple[int, ...], CyclotomicNumber] = {}
-        for freq, coeff in pairs:
-            terms[freq] = terms[freq] + coeff if freq in terms else coeff
+        in arrival order, merged as their CyclotomicNumber fold adds them."""
+        return cls._merged(dim, *_placed(pairs))
+
+    @classmethod
+    def _merged(cls, dim: int, field: int, den: int, plus, minus=()) -> "TrigPoly":
+        """The polynomial of _merge_vectors(field, plus, minus) over den, with
+        the gcd of den and the numerators divided out."""
+        vectors = _merge_vectors(field, plus, minus)
+        g = gcd(den, *chain.from_iterable(vec for vec, _ in vectors.values()))
         poly = cls.__new__(cls)
-        poly.dim = dim
-        poly.terms = {f: c for f, c in terms.items() if not c.is_zero()}
+        poly.dim, poly.field, poly.den, poly._terms = dim, field, den // g, None
+        poly.vectors = vectors if g == 1 else {
+            f: ([x // g for x in vec], label) for f, (vec, label) in vectors.items()}
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -90,80 +100,78 @@ class TrigPoly:
 
     # -- basics ------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{freq: CyclotomicNumber}, each value reduced once at its label."""
+        if self._terms is None:
+            self._terms = {f: _number(vec, self.field, label, self.den)
+                           for f, (vec, label) in self.vectors.items()}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vectors
+
+    def is_rational(self) -> bool:
+        return not any(any(_canonical(vec, self.field, label)[1:])
+                       for vec, label in self.vectors.values())
 
     def support(self):
         return self.terms.items()
 
     def value_at_zero(self) -> CyclotomicNumber:
-        """The sum of the coefficients, in integers at the lcm of their orders
-        and reduced once: the order and coords of the term-by-term sum."""
-        field = lcm(*(c.order for c in self.terms.values()))
-        den, placed = _integer_coords(self.terms, field)
-        vec = [0] * field
-        for p, x in chain.from_iterable(xs for _, xs, _ in placed):
-            vec[p] += x
-        return _number(vec, field, field, den)
-
-    def _check_dim(self, other: "TrigPoly") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim}-d vs {other.dim}-d")
+        """The sum of the coefficients, reduced once at the lcm of their labels
+        (not the field, which a vanished sum leaves larger): the fold's sum."""
+        total = [sum(xs) for xs in zip(*(vec for vec, _ in self.vectors.values()))]
+        return _number(total or [0] * self.field, self.field,
+                       lcm(*(label for _, label in self.vectors.values())), self.den)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "TrigPoly":
-        other = self._coerce_operand(other)
-        self._check_dim(other)
-        return TrigPoly._from_pairs(
-            self.dim, chain(self.terms.items(), other.terms.items()))
+        field, den, (a, b) = _aligned(self, self._operand(other))
+        return TrigPoly._merged(self.dim, field, den, chain(a.items(), b.items()))
 
     __radd__ = __add__
 
     def __neg__(self) -> "TrigPoly":
-        return TrigPoly._from_pairs(self.dim, ((f, -c) for f, c in self.terms.items()))
+        return TrigPoly._merged(self.dim, self.field, self.den, (),
+                                self.vectors.items())
 
     def __sub__(self, other) -> "TrigPoly":
-        return self + (-self._coerce_operand(other))
+        return self + -self._operand(other)
 
     def __mul__(self, other) -> "TrigPoly":
         if isinstance(other, (Rational, CyclotomicNumber)):
             return self.scale(other)
-        other = self._coerce_operand(other)
-        self._check_dim(other)
-        return TrigPoly._from_pairs(self.dim, _product(self.terms, other.terms).items())
+        return _product(self, self._operand(other))
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "TrigPoly":
-        factor = coerce(factor)
-        return TrigPoly._from_pairs(
-            self.dim, ((f, c * factor) for f, c in self.terms.items()))
+        return _product(self, self._operand(factor))
 
-    def _coerce_operand(self, other) -> "TrigPoly":
-        if isinstance(other, TrigPoly):
-            return other
+    def _operand(self, other) -> "TrigPoly":
         if isinstance(other, (Rational, CyclotomicNumber)):
-            return TrigPoly.constant(self.dim, other)
-        raise TypeError(f"cannot combine TrigPoly with {other!r}")
+            return TrigPoly._from_pairs(self.dim, [((0,) * self.dim, coerce(other))])
+        if not isinstance(other, TrigPoly):
+            raise TypeError(f"cannot combine TrigPoly with {other!r}")
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"{self.dim}-d vs {other.dim}-d")
+        return other
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (Rational, CyclotomicNumber)):
-            other = TrigPoly.constant(self.dim, other)
+            other = self._operand(other)
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[f] == other.terms[f] for f in self.terms)
+        return self.dim == other.dim and (self - other).is_zero()
 
     # -- dilation substitutions --------------------------------------------
 
     def compose_dilate(self, matrix) -> "TrigPoly":
         """t(transpose(matrix) @ x): frequency map freq -> matrix @ freq."""
-        return TrigPoly._from_pairs(
-            self.dim, ((mat_vec(matrix, f), c) for f, c in self.terms.items()))
+        return TrigPoly._merged(self.dim, self.field, self.den, (
+            (mat_vec(matrix, f), slot) for f, slot in self.vectors.items()))
 
     # -- polyphase ---------------------------------------------------------
 
@@ -174,10 +182,10 @@ class TrigPoly:
         re-indexed by k; assembling the parts reproduces the mask exactly.
         """
         parts: list[list] = [[] for _ in range(ctx.m)]
-        for freq, coeff in self.terms.items():
+        for freq, slot in self.vectors.items():
             nu, base = ctx.base_point(freq)
-            parts[nu].append((base, coeff))
-        return [TrigPoly._from_pairs(self.dim, p) for p in parts]
+            parts[nu].append((base, slot))
+        return [TrigPoly._merged(self.dim, self.field, self.den, p) for p in parts]
 
     @classmethod
     def polyphase_assemble(cls, parts, ctx: DilationContext) -> "TrigPoly":
@@ -185,10 +193,7 @@ class TrigPoly:
         parts = list(parts)
         if len(parts) != ctx.m:
             raise WrongCount(f"need {ctx.m} polyphase components, got {len(parts)}")
-        return cls._from_pairs(ctx.dim, (
-            (tuple(map(add, mat_vec(ctx.matrix, freq), digit)), coeff)
-            for part, digit in zip(parts, ctx.digits)
-            for freq, coeff in part.terms.items()))
+        return _assembled(ctx, *_aligned(*parts))
 
     # -- evaluation and derivatives ------------------------------------------
 
@@ -216,6 +221,27 @@ class TrigPoly:
             bits.append(f"({self.terms[freq]!r})*{mono}")
         return "TrigPoly(" + " + ".join(bits) + ")"
 
+
+def _aligned(*polys: TrigPoly) -> tuple[int, int, list]:
+    """(F, D, each poly's vectors at F over D), the lcms of fields and dens."""
+    field, den = lcm(*(p.field for p in polys)), lcm(*(p.den for p in polys))
+    return field, den, [p.vectors if (p.field, p.den) == (field, den) else {
+        f: (_spread(vec, field, den // p.den), label)
+        for f, (vec, label) in p.vectors.items()} for p in polys]
+
+
+def _spread(vec: list, field: int, scale: int) -> list:
+    """vec times scale, moved from order len(vec) to order `field`."""
+    wide = [0] * field
+    wide[::field // len(vec)] = [x * scale for x in vec]
+    return wide
+
+
+def _assembled(ctx: DilationContext, field: int, den: int, parts) -> TrigPoly:
+    """The polynomial with polyphase components of the vectors parts[nu]."""
+    return TrigPoly._merged(ctx.dim, field, den, (
+        (tuple(map(add, mat_vec(ctx.matrix, freq), digit)), slot)
+        for part, digit in zip(parts, ctx.digits) for freq, slot in part.items()))
 
 
 def derivative_at(terms, denom: int, alpha, point) -> CyclotomicNumber:
@@ -264,37 +290,37 @@ def derivative_at(terms, denom: int, alpha, point) -> CyclotomicNumber:
         coords = [c / below for c in coords]
     return CyclotomicNumber(order, coords)
 
-def _product(a: dict, b: dict) -> dict:
-    """Coefficients of the product of two term dicts, summed once per
-    frequency in integers and reduced once.
-
-    With N the lcm of all orders, coefficients become integer numerators over
-    each operand's common denominator at positions i * N/order, and each pair
-    of terms adds x * y at (p + q) mod N of its frequency's vector.  Keys come
-    in the order the pairwise sum of CyclotomicNumber products meets them;
-    each value is read at stride N/n and reduced at the order n that sum
-    reaches, the lcm of its pairs' orders (a rational held at order 4 stays
-    there).  Canonical forms are unique, so order and coords are that sum's.
-    Values that reduce to zero are left for the merge to drop."""
-    field = lcm(*(c.order for c in a.values()), *(c.order for c in b.values()))
-    d_a, left = _integer_coords(a, field)
-    d_b, right = _integer_coords(b, field)
+def _product(a: TrigPoly, b: TrigPoly) -> TrigPoly:
+    """a * b over a.den * b.den: at the lcm N of the fields, each pair of
+    terms adds x * y at (p + q) mod N of its frequency's vector, keys in the
+    order the pairwise sum of CyclotomicNumber products meets them.  A sum is
+    labelled with the lcm of its pairs' labels (a rational held at order 4
+    stays there) and dropped if it vanishes."""
+    field = lcm(a.field, b.field)
+    left, right = _sparse(a, field), _sparse(b, field)
     sums: dict[tuple[int, ...], list] = {}
-    for fa, xs, oa in left:
-        for fb, ys, ob in right:
+    for fa, xs, la in left:
+        for fb, ys, lb in right:
             freq = tuple(map(add, fa, fb))
             slot = sums.get(freq)
             if slot is None:
-                slot = sums[freq] = [[0] * field, lcm(oa, ob)]
+                slot = sums[freq] = [[0] * field, lcm(la, lb)]
             else:
-                slot[1] = lcm(slot[1], oa, ob)
+                slot[1] = lcm(slot[1], la, lb)
             vec = slot[0]
             for p, x in xs:
                 for q, y in ys:
                     vec[(p + q) % field] += x * y
-    den = d_a * d_b
-    return {freq: _number(vec, field, order, den)
-            for freq, (vec, order) in sums.items()}
+    return TrigPoly._merged(a.dim, field, a.den * b.den, (
+        (freq, (vec, label)) for freq, (vec, label) in sums.items()
+        if not _vanishes(vec, field)))
+
+
+def _sparse(poly: TrigPoly, field: int) -> list:
+    """(freq, [(position at order `field`, numerator) if nonzero], label)."""
+    step = field // poly.field
+    return [(f, [(p * step, x) for p, x in enumerate(vec) if x], label)
+            for f, (vec, label) in poly.vectors.items()]
 
 
 def _number(vec: list, field: int, order: int, den: int) -> CyclotomicNumber:
@@ -311,51 +337,52 @@ def _vanishes(vec: list, field: int) -> bool:
     return not any(vec) or field > 1 and not any(_reduce_coords(vec, field))
 
 
+def _placed(pairs) -> tuple[int, int, list]:
+    """(F, D, [(key, (vec, order))]) of (key, CyclotomicNumber) pairs: their
+    coordinates over one denominator D at the lcm F of the orders; zeros kept."""
+    pairs = list(pairs)
+    field = lcm(*(c.order for _, c in pairs))
+    den = lcm(*(x.denominator for _, c in pairs for x in c.coords))
+    return field, den, [(key, (_spread([x.numerator * (den // x.denominator)
+                                        for x in c.coords], field, 1), c.order))
+                        for key, c in pairs]
+
+
 def _merge_vectors(field: int, plus, minus=()) -> dict:
-    """The integer twin of TrigPoly._from_pairs, on (freq, (vec, label))
-    pairs of numerator vectors at order `field` over one denominator: the
-    vectors of `plus`, then the negated vectors of `minus`, are summed per
-    frequency in arrival order.  Each sum is labelled with the lcm of its
-    pairs' labels, the order the CyclotomicNumber fold holds it at, and sums
-    that vanish modulo Phi_field are dropped once every pair has been seen.
-    No vector is changed in place."""
+    """{freq: (vec, label)} of the vectors of `plus` and the negated vectors
+    of `minus` (at order `field` over one denominator), summed per frequency
+    in arrival order.  A sum is labelled with the lcm of its labels, as the
+    CyclotomicNumber fold holds it, and dropped if it vanishes mod Phi_field;
+    a vector met once, only if all zeros.  No vector is changed in place."""
     sums: dict = {}
-    for freq, (vec, label) in plus:
-        slot = sums.get(freq)
-        sums[freq] = (vec, label) if slot is None else \
-            (list(map(add, slot[0], vec)), lcm(slot[1], label))
-    for freq, (vec, label) in minus:
-        slot = sums.get(freq)
-        sums[freq] = ([-x for x in vec], label) if slot is None else \
-            (list(map(sub, slot[0], vec)), lcm(slot[1], label))
-    return {f: s for f, s in sums.items() if not _vanishes(s[0], field)}
-
-
-def _integer_coords(terms: dict, field: int) -> tuple[int, list]:
-    """The common denominator D of all coordinates and, per term, (freq,
-    [(position at order `field`, numerator over D) per nonzero coord], order)."""
-    den = lcm(*(c.denominator for coeff in terms.values() for c in coeff.coords))
-    return den, [(f, [(i * (field // coeff.order), c.numerator * (den // c.denominator))
-                      for i, c in enumerate(coeff.coords) if c], coeff.order)
-                 for f, coeff in terms.items()]
+    summed = set()
+    for pairs, op in ((plus, add), (minus, sub)):
+        for freq, (vec, label) in pairs:
+            slot = sums.get(freq)
+            if slot is None:
+                sums[freq] = (vec if op is add else [-x for x in vec], label)
+            else:
+                sums[freq] = (list(map(op, slot[0], vec)), lcm(slot[1], label))
+                summed.add(freq)
+    return {f: s for f, s in sums.items()
+            if any(s[0]) and not (f in summed and _vanishes(s[0], field))}
 
 
 def _vanishing_sum(dim: int, parts) -> bool:
     """Does the sum of sign * poly * prod(1 - z^v for v in vectors) over the
     (sign, poly, vectors) parts vanish?  Each product is signed shifts of the
-    poly's integer numerators (over one denominator, at the lcm F of every
-    order), added into one vector per frequency and tested modulo Phi_F."""
-    coeffs = [c for _, poly, _ in parts for c in poly.terms.values()]
-    field = lcm(*(c.order for c in coeffs))
-    den = lcm(*(x.denominator for c in coeffs for x in c.coords))
+    poly's numerators, at the lcm F of the fields over the lcm of the
+    denominators, added into one vector per frequency and tested mod Phi_F."""
+    field = lcm(*(poly.field for _, poly, _ in parts))
+    den = lcm(*(poly.den for _, poly, _ in parts))
     sums: dict = {}
     for sign, poly, vectors in parts:
-        d, placed = _integer_coords(poly.terms, field)
-        shifts = {(0,) * dim: sign * (den // d)}
+        shifts = {(0,) * dim: sign * (den // poly.den)}
         for v in vectors:
             for shift, count in list(shifts.items()):
                 moved = tuple(map(add, shift, v))
                 shifts[moved] = shifts.get(moved, 0) - count
+        placed = _sparse(poly, field)
         for shift, count in shifts.items():
             for freq, xs, _ in placed:
                 moved = tuple(map(add, freq, shift))

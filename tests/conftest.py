@@ -15,7 +15,7 @@ from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
 from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
                                determinant, inf_norm, mat_mul, mat_vec,
-                               matrix_inverse, matrix_power, transpose)
+                               matrix_power, transpose)
 from maskforge.subdivision import MatrixMask, _as_matrix_mask, _dilation_matrix
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to, sum_rule_order)
@@ -123,6 +123,25 @@ def dual_context(ctx: DilationContext) -> DilationContext:
     return DilationContext.create(transpose(ctx.matrix), digits=ctx.dual_digits)
 
 
+def matrix_inverse(matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square matrix with integer or rational entries, by
+    Gauss-Jordan elimination in Fractions: the oracle for the library's
+    adjugate over det."""
+    n = len(matrix)
+    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
+           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def fraction_inverse(ctx: DilationContext):
     """The dilation's inverse in Fractions, the oracle for the library's
     adjugate over det."""
@@ -226,6 +245,48 @@ def random_sequence(rng: random.Random, dim: int, width: int = 1,
         values[alpha] = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                               for _ in range(width))
     return Sequence(dim, width, values)
+
+
+# -- the CyclotomicNumber fold, the reference of the integer TrigPoly ---------
+
+def fold(pairs) -> dict:
+    """{freq: CyclotomicNumber} of (freq, CyclotomicNumber) pairs, as
+    TrigPoly._from_pairs merged them when a TrigPoly held CyclotomicNumbers:
+    values at one frequency added one CyclotomicNumber addition at a time in
+    arrival order, sums that vanish dropped once every pair has been seen."""
+    terms = {}
+    for freq, coeff in pairs:
+        terms[freq] = terms[freq] + coeff if freq in terms else coeff
+    return {f: c for f, c in terms.items() if not c.is_zero()}
+
+
+def fold_product(a: TrigPoly, b: TrigPoly) -> dict:
+    """The pairwise product: one CyclotomicNumber product per pair of terms,
+    folded in the order of the pairs."""
+    return fold((tuple(x + y for x, y in zip(f, g)), c * e)
+                for f, c in a.terms.items() for g, e in b.terms.items())
+
+
+def fold_split(t: TrigPoly, ctx: DilationContext) -> list:
+    """The polyphase components' terms, each folded from t's terms."""
+    parts = [[] for _ in range(ctx.m)]
+    for freq, coeff in t.terms.items():
+        nu, base = ctx.base_point(freq)
+        parts[nu].append((base, coeff))
+    return [fold(part) for part in parts]
+
+
+def fold_assemble(parts, ctx: DilationContext) -> dict:
+    """The terms of the mask with the given polyphase components."""
+    return fold((tuple(x + s for x, s in zip(mat_vec(ctx.matrix, f), digit)), c)
+                for part, digit in zip(parts, ctx.digits)
+                for f, c in part.terms.items())
+
+
+def term_fields(terms: dict) -> list:
+    """(freq, order, coords) per term in key order: == would promote across
+    orders and hide a value held in the wrong field."""
+    return [(f, c.order, c.coords) for f, c in terms.items()]
 
 
 # -- the TrigPoly telescoping, the reference of decompose._telescope ----------

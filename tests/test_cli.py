@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,6 +225,28 @@ def test_cli_decompose_and_verify(tmp_path, capsys):
     bad = tmp_path / "tampered.json"
     bad.write_text(json.dumps(doc))
     assert main(["decompose", EXAMPLE, "--verify-only", str(bad)]) == 4
+
+
+def test_verify_only_zero_entry_under_a_huge_class_returns_at_once(tmp_path,
+                                                                   capsys):
+    # the zero polynomial satisfies every sum rule, so its class check
+    # returns at once instead of scanning every order up to the claimed
+    # class; a nonzero entry fails below its number of terms
+    out = tmp_path / "dec.json"
+    assert main(["decompose", EXAMPLE, "--order", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    doc["entries"][0]["mask"]["coefficients"] = []
+    blocks = {}
+    for achieved in (60, 10 ** 6):
+        doc["achieved_class"] = achieved
+        path = tmp_path / f"class_{achieved}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["decompose", EXAMPLE, "--verify-only", str(path)]) == 4
+        assert time.perf_counter() - start < 1
+        blocks[achieved] = machine_block(capsys)
+    assert blocks[10 ** 6] == {**blocks[60], "achieved_class": 10 ** 6}
 
 
 def test_cli_decompose_class_gate(capsys):

@@ -7,30 +7,29 @@ integer numerators in one coordinate vector per frequency and reduce each
 once, whatever the coefficient fields; operator_norm sums rational
 magnitudes as one Fraction per row and encloses each distinct cyclotomic
 value once per call.  The references below are the earlier
-per-term loops.
+per-term loops; products and merges are checked against conftest.fold, the
+CyclotomicNumber fold.
 Results are compared field for field, (order, coords) and the key order of
 the terms, because == promotes across orders and would hide a value held in
 the wrong field.
 """
 
 from fractions import Fraction
-from functools import reduce
 from math import lcm
-from operator import add
 
 import mpmath
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (coefficient_support, coset_fraction_key,
-                      fraction_derivative, interval_max,
-                      reference_magnitude_interval)
+from conftest import (coefficient_support, coset_fraction_key, fold,
+                      fold_product, fraction_derivative, interval_max,
+                      matrix_inverse, reference_magnitude_interval,
+                      term_fields)
 from maskforge import cyclotomic
 from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval
-from maskforge.lattice import matrix_inverse
 from maskforge.subdivision import MatrixMask, operator_norm
 from maskforge.trigpoly import TrigPoly, derivative_at
 
@@ -60,18 +59,6 @@ def folded_value(t, denom, point):
                     start=Fraction(0)) / denom
         acc = acc + coeff * exp_of_rational(turns)
     return acc
-
-
-def pairwise_product(x, y):
-    """The pairwise loop of TrigPoly.__mul__: one CyclotomicNumber product
-    and one sum per pair of terms."""
-    out = {}
-    for fa, ca in x.terms.items():
-        for fb, cb in y.terms.items():
-            freq = tuple(u + v for u, v in zip(fa, fb))
-            prod = ca * cb
-            out[freq] = out[freq] + prod if freq in out else prod
-    return TrigPoly(x.dim, out)
 
 
 def folded_norm(mask, matrix, precision_bits=128):
@@ -104,7 +91,7 @@ def number_fields(x):
 
 
 def poly_fields(t):
-    return t.dim, [(f, c.order, c.coords) for f, c in t.terms.items()]
+    return term_fields(t.terms)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -239,7 +226,7 @@ def cancelling_products(draw):
 @given(products())
 def test_product_matches_pairwise_loop(case):
     x, y = case
-    assert poly_fields(x * y) == poly_fields(pairwise_product(x, y))
+    assert poly_fields(x * y) == term_fields(fold_product(x, y))
 
 
 @PROFILE
@@ -248,14 +235,14 @@ def test_product_drops_cancelled_sums(case):
     x, y, f = case
     got = x * y
     assert f not in got.terms
-    assert poly_fields(got) == poly_fields(pairwise_product(x, y))
+    assert poly_fields(got) == term_fields(fold_product(x, y))
 
 
 def test_order_four_rationals_times_order_one():
     x = TrigPoly(1, {(0,): CyclotomicNumber(4, [Fraction(1, 2)]), (1,): 3})
     y = TrigPoly(1, {(0,): 1, (2,): Fraction(-1, 3)})
     got = x * y
-    assert poly_fields(got) == poly_fields(pairwise_product(x, y))
+    assert poly_fields(got) == term_fields(fold_product(x, y))
     assert {f: c.order for f, c in got.terms.items()} == \
         {(0,): 4, (1,): 1, (2,): 4, (3,): 1}
 
@@ -266,14 +253,14 @@ def test_sum_that_reduces_to_zero_is_dropped():
     y = TrigPoly(1, {(-k,): 1 for k in range(3)})
     got = x * y
     assert (0,) not in got.terms
-    assert poly_fields(got) == poly_fields(pairwise_product(x, y))
+    assert poly_fields(got) == term_fields(fold_product(x, y))
 
 
 def test_products_multiply_no_cyclotomic_numbers(monkeypatch):
     x = TrigPoly(2, {(0, 0): Fraction(1, 2), (1, 0): CyclotomicNumber(4, [2])})
     w = TrigPoly(2, {(0, 1): root_of_unity(3, 1), (1, 1): Fraction(-1, 3)})
     cases = [(x, x), (x, w), (w, w)]
-    want = [poly_fields(pairwise_product(p, q)) for p, q in cases]
+    want = [term_fields(fold_product(p, q)) for p, q in cases]
 
     def refuse(self, other):
         raise AssertionError("TrigPoly product multiplied a CyclotomicNumber")
@@ -297,23 +284,12 @@ def merge_cases(draw):
     return dim, pairs
 
 
-def folded_merge(pairs):
-    """Per frequency, in order of first arrival, the + fold of its values;
-    zero sums left out."""
-    out = []
-    for freq in dict.fromkeys(f for f, _ in pairs):
-        total = reduce(add, [c for f, c in pairs if f == freq])
-        if not total.is_zero():
-            out.append((freq, total.order, total.coords))
-    return out
-
-
 @PROFILE
 @given(merge_cases())
 def test_merge_matches_pairwise_fold(case):
     dim, pairs = case
     got = TrigPoly._from_pairs(dim, pairs)
-    assert poly_fields(got) == (dim, folded_merge(pairs))
+    assert poly_fields(got) == term_fields(fold(pairs))
 
 
 # -- operator norm --------------------------------------------------------------

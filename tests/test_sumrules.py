@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_class_mask, random_mask
+from conftest import matrix_inverse, random_class_mask, random_mask
 from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.errors import NotInClass
 from maskforge.lattice import DilationContext
-from maskforge.sumrules import (DerivativeTable, derivative_table,
+from maskforge.sumrules import (DerivativeTable, _unit_moment_line,
+                                derivative_table,
                                 digit_interpolant, dilated_derivatives,
                                 mask_from_derivative_table, multi_indices,
                                 multi_indices_up_to, sum_rule_order,
@@ -18,6 +19,24 @@ from maskforge.trigpoly import TrigPoly
 @pytest.fixture(scope="module")
 def ctx1():
     return DilationContext.create([[2]])
+
+
+def test_zero_polynomial_reaches_any_cap_at_once(ctx1, example_ctx):
+    # every derivative of 0 vanishes; a scan to the cap would take O(cap^d)
+    for ctx in (ctx1, example_ctx):
+        zero = TrigPoly.zero(ctx.dim)
+        assert sum_rule_order(zero, ctx, cap=10 ** 9) == 10 ** 9
+        assert sum_rule_order_direct(zero, ctx, cap=10 ** 9) == 10 ** 9
+
+
+def test_unit_moment_line_is_a_column_of_the_fraction_inverse():
+    # the adjugate over the determinant, against Gauss-Jordan in Fractions
+    for cap in range(8):
+        inverse = matrix_inverse([[s ** g for s in range(cap + 1)]
+                                  for g in range(cap + 1)])
+        for target in range(cap + 1):
+            assert _unit_moment_line(cap, target) == \
+                tuple(row[target] for row in inverse)
 
 
 def test_order_examples_1d(ctx1):
