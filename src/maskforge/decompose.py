@@ -13,9 +13,9 @@ and subtracts.  Each vector carries the order label the CyclotomicNumber fold
 would hold its value at (the lcm of the labels summed into it), because that
 order is part of the value's printed bytes; the entries are TrigPolys of the
 telescoped vectors as they are.  A refinement pass lifts the entries'
-sum-rule order one step at a time by moving explicitly constructed
-corrections between rows without changing the defining sums, and an iterated
-form indexes repeated decompositions by tuples of axes.
+sum-rule order step by step, moving corrections weighted by the direct
+checker's integer moments between rows without changing the defining sums;
+an iterated form indexes repeated decompositions by tuples of axes.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from operator import add, sub
 
 from .errors import InternalIdentityViolation, NotInClass
 from .lattice import DilationContext, mat_vec
-from .sumrules import (dilated_derivatives, multi_indices, sum_rule_order,
-                       sum_rule_order_direct, digit_interpolant,
-                       unit_derivative_poly)
-from .trigpoly import (TrigPoly, _assembled, _merge_vectors, _vanishes,
-                       _vanishing_sum)
+from .sumrules import (_direct_kernel, _dual_moments, _dual_orders,
+                       digit_interpolant, multi_indices, sum_rule_order,
+                       sum_rule_order_direct, unit_derivative_poly)
+from .trigpoly import (TrigPoly, _assembled, _coefficient_sum, _merge_vectors,
+                       _vanishes, _vanishing_sum)
 
 
 class NotInZ0(NotInClass):
@@ -87,12 +87,16 @@ class MaskDecomposition:
 
     def value_constraint_holds(self) -> bool:
         """Entry values at 0 are products of inverse-matrix entries times t(0),
-        the inverse being the adjugate over det."""
-        t0, adj, det = self.source.value_at_zero(), self.ctx.adjugate, self.ctx.det
-        return all(entry.value_at_zero()
-                   == t0 * Fraction(prod(adj[j - 1][k - 1] for j, k in zip(*key)),
-                                    det ** len(key[0]))
-                   for key, entry in self.entries.items())
+        the inverse being the adjugate over det; compared as summed numerators."""
+        t, adj, det = self.source, self.ctx.adjugate, self.ctx.det
+        for (j_t, k_t), entry in self.entries.items():
+            field = lcm(t.field, entry.field)
+            have = _coefficient_sum(entry, field, t.den * det ** len(j_t))
+            want = _coefficient_sum(t, field, entry.den * prod(
+                adj[j - 1][k - 1] for j, k in zip(j_t, k_t)))
+            if not _vanishes(list(map(sub, have, want)), field):
+                return False
+        return True
 
     def entries_reach(self, order: int) -> bool:
         """Does every entry satisfy the order-`order` sum rules?  Decided by the
@@ -140,9 +144,10 @@ class MaskDecomposition:
             achieved = parse_integer(doc.get("achieved_class", -1))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad decomposition: {exc!r}") from None
-        expected = ctx.dim ** (2 * order)
-        if len(entries) != expected:
-            raise ParseError(f"expected {expected} entries, found {len(entries)}")
+        # d^(2n) is taken only once an entry's tuples bound n by the file size
+        if order < 1 or not entries or len(entries) != ctx.dim ** (2 * order):
+            raise ParseError(f"need order >= 1 and {ctx.dim}^(2*order) entries, "
+                             f"got order {order} and {len(entries)} entries")
         return cls(source=source, ctx=ctx, order=order, entries=entries,
                    achieved_class=achieved)
 
@@ -273,7 +278,7 @@ def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
         achieved_class=achieved_class)
 
 
-def _correction_block(dilated_row, ctx: DilationContext, interpolants: list,
+def _correction_block(kernel, ctx: DilationContext, interpolants: list,
                       order: int, l: int, j: int) -> TrigPoly:
     """Sum of the explicit corrections moving order-`order` residues of row l
     into row j (axes 1-based, j > l).
@@ -281,14 +286,14 @@ def _correction_block(dilated_row, ctx: DilationContext, interpolants: list,
     Each correction is  -(1/beta_j) * G(Mt x) * sum_nu H_nu(x) * w(beta, nu)
     where G selects the (beta - e_j)-th normalized derivative through order
     order-1, H_nu interpolates the dual digits, and w is the normalized beta
-    derivative of the dilated row entry (dilated_row, its dilated_derivatives)
-    at dual digit nu; interpolants[nu] is H_nu, built once per lift.  The
-    2*pi*i powers of the three factors cancel exactly, which keeps everything
-    cyclotomic; the 1/beta_j factor makes the moved residue match the
-    derivative it kills (the product rule contributes beta_j through the
-    single surviving term).
+    derivative of the dilated row entry at dual digit nu, read off its
+    _direct_kernel over D * m^|beta| (D the entry's den), skipped if zero;
+    interpolants[nu] is H_nu, built once per lift.  The 2*pi*i powers of the
+    three factors cancel exactly, which keeps everything cyclotomic; the
+    1/beta_j factor makes the moved residue match the derivative it kills
+    (the product rule contributes beta_j through the single surviving term).
     """
-    d = ctx.dim
+    d, (field, den, _, _), zero = ctx.dim, kernel, (0,) * ctx.dim
     total = TrigPoly.zero(d)
     for beta in multi_indices(d, order):
         if beta[j - 1] == 0:
@@ -296,10 +301,11 @@ def _correction_block(dilated_row, ctx: DilationContext, interpolants: list,
         if any(beta[i - 1] for i in range(l + 1, j)):
             continue
         weight_sum = TrigPoly.zero(d)
-        for nu in range(1, ctx.m):
-            w = dilated_row(beta, ctx.dual_digits[nu])
-            if not w.is_zero():
-                weight_sum = weight_sum + interpolants[nu].scale(w)
+        moments = zip(_dual_moments(kernel, beta), _dual_orders(kernel, beta))
+        for nu, slot in enumerate(moments, 1):
+            if not _vanishes(slot[0], field):
+                w = TrigPoly._merged(d, field, den * ctx.m ** order, [(zero, slot)])
+                weight_sum = weight_sum + interpolants[nu] * w
         if weight_sum.is_zero():
             continue
         reduced = tuple(b - int(i == j - 1) for i, b in enumerate(beta))
@@ -335,9 +341,9 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
         for l in range(1, d):
             before = [row[:] for row in entries]
             for k in range(1, d + 1):
-                dilated_row = dilated_derivatives(entries[l - 1][k - 1], ctx)
+                kernel = _direct_kernel(entries[l - 1][k - 1], ctx)
                 for j in range(l + 1, d + 1):
-                    block = _correction_block(dilated_row, ctx, interpolants,
+                    block = _correction_block(kernel, ctx, interpolants,
                                               order, l, j)
                     if block.is_zero():
                         continue

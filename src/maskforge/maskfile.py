@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 
-from .cyclotomic import CyclotomicNumber, coerce
+from .cyclotomic import CyclotomicNumber
 from .errors import MaskforgeError
 from .lattice import DilationContext
 from .subdivision import Refined, Sequence
@@ -105,7 +105,7 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
                 raise ParseError(f"frequency {freq} has wrong dimension")
             if freq in terms:
                 raise ParseError(f"frequency {freq} appears twice")
-            terms[freq] = coerce(parse_scalar(item["value"]))
+            terms[freq] = parse_scalar(item["value"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coefficient list: {exc!r}") from None
     return TrigPoly._from_pairs(dim, terms.items())

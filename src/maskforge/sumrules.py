@@ -7,6 +7,7 @@ polyphase criterion expressing all derivative values at the origin through a
 single table of parameters.  Both are exact and must agree; both decide by
 integer moments (numerator * frequency^beta over one denominator) and one
 test of divisibility by the cyclotomic polynomial Phi_F of the field order F.
+The decomposition's lift reads its weights off the direct route's moments.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from math import comb, lcm, prod
+from functools import lru_cache
+from math import comb, gcd, lcm, prod
 from operator import index, mul
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
 from .lattice import DilationContext, adjugate, determinant, mat_vec
-from .trigpoly import (TrigPoly, _number, _placed, _sparse, _vanishes,
-                       derivative_at)
+from .trigpoly import TrigPoly, _number, _placed, _sparse, _vanishes
 
 DEFAULT_ORDER_CAP = 4
 
@@ -61,44 +61,51 @@ def _signed_adjugate(ctx: DilationContext):
         tuple(tuple(-x for x in row) for row in ctx.adjugate)
 
 
-def dilated_derivatives(t: TrigPoly, ctx: DilationContext):
-    """(beta, point) -> the normalized beta-derivative of t(inverse-transpose
-    x) at the point.  inverse = adjugate / det, so each frequency maps once,
-    here, to sign(det) * adjugate @ freq over the denominator m = |det|."""
-    adj = _signed_adjugate(ctx)
-    terms = [(mat_vec(adj, freq), coeff) for freq, coeff in t.terms.items()]
-    return partial(derivative_at, terms, ctx.m)
-
-
 def _direct_kernel(t: TrigPoly, ctx: DilationContext):
-    """The field F = lcm(m, t.field), each frequency's image g = sign(det) *
-    adjugate @ freq, and per nonzero dual digit delta each term's numerators
-    over t.den at positions shifted by F/m * (g, delta)."""
-    field = lcm(ctx.m, t.field)
+    """The field F = lcm(m, t.field), D = t.den, each frequency's image g =
+    sign(det) * adjugate @ freq, and per nonzero dual digit delta, with k =
+    (g, delta) mod m, each term's numerators over D at positions shifted by
+    F/m * k and the order lcm(label, m/gcd(k, m)) its value there is held at."""
+    field, m = lcm(ctx.m, t.field), ctx.m
     placed = _sparse(t, field)
     adj = _signed_adjugate(ctx)
     images = [mat_vec(adj, freq) for freq, _, _ in placed]
-    return field, images, [
-        [[((p + field // ctx.m * (sum(map(mul, g, dual)) % ctx.m)) % field, x)
-          for p, x in xs]
-         for g, (_, xs, _) in zip(images, placed)] for dual in ctx.dual_digits[1:]]
+    return field, t.den, images, [
+        ([[((p + field // m * k) % field, x) for p, x in xs]
+          for k, (_, xs, _) in zip(ks, placed)],
+         [lcm(label, m // gcd(k, m)) for k, (_, _, label) in zip(ks, placed)])
+        for ks in ([sum(map(mul, g, dual)) % m for g in images]
+                   for dual in ctx.dual_digits[1:])]
+
+
+def _dual_moments(kernel, beta):
+    """Per nonzero dual digit delta, the integer vector at F of numerator *
+    g^beta summed over the digit's shifted terms: m^|beta| * D times the
+    normalized beta-derivative of t(inverse-transpose x) at delta."""
+    field, _, images, shifted = kernel
+    factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
+    for terms, _ in shifted:
+        vec = [0] * field
+        for factor, xs in zip(factors, terms):
+            for p, x in xs if factor else ():
+                vec[p] += factor * x
+        yield vec
+
+
+def _dual_orders(kernel, beta) -> list:
+    """Per nonzero dual digit, the order its _dual_moments value is held at:
+    the lcm of 1 and the orders of the terms whose g^beta is nonzero."""
+    _, _, images, shifted = kernel
+    nonzero = [all(x for x, b in zip(g, beta) if b) for g in images]
+    return [lcm(1, *itertools.compress(labels, nonzero)) for _, labels in shifted]
 
 
 def _direct_order_holds(kernel, ctx: DilationContext, total: int) -> bool:
     """Do all total-order derivatives of t(inverse-transpose x) vanish at the
-    nonzero dual digits?  Each is m^-|beta| / D times the sum of numerator *
-    g^beta over _direct_kernel's shifted positions, an integer vector."""
-    field, images, shifted = kernel
-    for beta in multi_indices(ctx.dim, total):
-        factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
-        for terms in shifted:
-            vec = [0] * field
-            for factor, xs in zip(factors, terms):
-                for p, x in xs if factor else ():
-                    vec[p] += factor * x
-            if not _vanishes(vec, field):
-                return False
-    return True
+    nonzero dual digits?  Each is decided on its _dual_moments vector."""
+    field = kernel[0]
+    return all(_vanishes(vec, field) for beta in multi_indices(ctx.dim, total)
+               for vec in _dual_moments(kernel, beta))
 
 
 def _polyphase_moments(t: TrigPoly, ctx: DilationContext):

@@ -9,10 +9,9 @@ label the order the CyclotomicNumber fold of the same sums holds the value
 at.  No vector vanishes.  Every polynomial is built by one merge,
 `_merge_vectors`, and has the gcd of its numerators and denominator divided
 out.  `terms`, the {freq: CyclotomicNumber} view, is built once, where
-values leave the library (JSON, `derivative_at`, sequences).  Derivatives
-of t(inverse-transpose x) that leave the library as values are read by
-`derivative_at` from frequencies mapped through the adjugate over |det|
-(sumrules.dilated_derivatives); zero tests run on integer vectors.
+values leave the library (JSON, `normalized_derivative`, sequences); sums at
+the origin, derivative moments at the dual digits and zero tests run on
+the integer vectors.
 
 Terms are checked once, where they enter: the public constructor requires
 integer frequency components of the right length and coerces coefficients;
@@ -57,8 +56,8 @@ class TrigPoly:
 
     @classmethod
     def _from_pairs(cls, dim: int, pairs) -> "TrigPoly":
-        """The polynomial of checked (integer tuple, CyclotomicNumber) pairs
-        in arrival order, merged as their CyclotomicNumber fold adds them."""
+        """The polynomial of checked (integer tuple, _placed value) pairs in
+        arrival order, merged as their CyclotomicNumber fold adds them."""
         return cls._merged(dim, *_placed(pairs))
 
     @classmethod
@@ -121,8 +120,7 @@ class TrigPoly:
     def value_at_zero(self) -> CyclotomicNumber:
         """The sum of the coefficients, reduced once at the lcm of their labels
         (not the field, which a vanished sum leaves larger): the fold's sum."""
-        total = [sum(xs) for xs in zip(*(vec for vec, _ in self.vectors.values()))]
-        return _number(total or [0] * self.field, self.field,
+        return _number(_coefficient_sum(self, self.field), self.field,
                        lcm(*(label for _, label in self.vectors.values())), self.den)
 
     # -- ring operations ---------------------------------------------------
@@ -141,8 +139,6 @@ class TrigPoly:
         return self + -self._operand(other)
 
     def __mul__(self, other) -> "TrigPoly":
-        if isinstance(other, (Rational, CyclotomicNumber)):
-            return self.scale(other)
         return _product(self, self._operand(other))
 
     __rmul__ = __mul__
@@ -152,7 +148,7 @@ class TrigPoly:
 
     def _operand(self, other) -> "TrigPoly":
         if isinstance(other, (Rational, CyclotomicNumber)):
-            return TrigPoly._from_pairs(self.dim, [((0,) * self.dim, coerce(other))])
+            return TrigPoly._from_pairs(self.dim, [((0,) * self.dim, other)])
         if not isinstance(other, TrigPoly):
             raise TypeError(f"cannot combine TrigPoly with {other!r}")
         if self.dim != other.dim:
@@ -202,13 +198,9 @@ class TrigPoly:
         return self.normalized_derivative((0,) * self.dim, point)
 
     def normalized_derivative(self, alpha, point) -> CyclotomicNumber:
-        """The alpha-derivative at the point, divided by (2*pi*i)^|alpha|.
-
-        Equals sum of coeff * freq^alpha * e^(2*pi*i*(freq, point)), which
-        stays inside the cyclotomic field; it vanishes exactly when the true
-        derivative does.
-        """
-        return derivative_at(self.terms.items(), 1, alpha, point)
+        """The alpha-derivative at the point over (2*pi*i)^|alpha|: a value in
+        the cyclotomic field that vanishes exactly when the derivative does."""
+        return derivative_at(self.terms.items(), alpha, point)
 
     # -- misc ----------------------------------------------------------------
 
@@ -244,27 +236,17 @@ def _assembled(ctx: DilationContext, field: int, den: int, parts) -> TrigPoly:
         for part, digit in zip(parts, ctx.digits) for freq, slot in part.items()))
 
 
-def derivative_at(terms, denom: int, alpha, point) -> CyclotomicNumber:
-    """sum of coeff * (freq/denom)^alpha * e^(2*pi*i*(freq/denom, point)) over
-    (integer freq, coeff) pairs and a positive denominator: the normalized
-    alpha-derivative at the point of the exponential sum with frequencies
-    freq/denom.  With the frequencies of t mapped to adjugate images over
-    |det| (sign included), this is the derivative of t(inverse-transpose x).
-
-    With q = denom * lcm(point denominators), each term is coeff times
-    freq^alpha / denom^|alpha| times zeta_q^k, k = (freq, q * point/denom).
-    The terms are placed as coordinates in the field of the lcm N of their
-    orders (coeff.order and q/gcd(k, q)), the order a term-by-term sum
-    reaches, and reduced once; canonical forms are unique, so the value has
-    the same order and coords as that sum.  A denominator sharing a factor
-    with every frequency gives the same value as the reduced one: each
-    term's order and factor are unchanged as fractions.
-    """
+def derivative_at(terms, alpha, point) -> CyclotomicNumber:
+    """sum of coeff * freq^alpha * e^(2*pi*i*(freq, point)) over (integer
+    freq, coeff) pairs.  With q = lcm(point denominators), each term is coeff
+    times freq^alpha times zeta_q^k, k = (freq, q * point), placed in the
+    field of the lcm N of the terms' orders (coeff.order and q/gcd(k, q)),
+    the order a term-by-term sum reaches, and reduced once; canonical forms
+    are unique, so the value has the same order and coords as that sum."""
     alpha = tuple(int(a) for a in alpha)
     point = [Fraction(p) for p in point]
-    scale = lcm(1, *(p.denominator for p in point))
-    scaled = [int(p * scale) for p in point]
-    q = denom * scale
+    q = lcm(1, *(p.denominator for p in point))
+    scaled = [int(p * q) for p in point]
     powers = [(i, a) for i, a in enumerate(alpha) if a]
     order = 1
     placed = []
@@ -285,9 +267,6 @@ def derivative_at(terms, denom: int, alpha, point) -> CyclotomicNumber:
             if c:
                 at = (i * step + shift) % order
                 coords[at] += c * factor
-    below = denom ** sum(alpha)
-    if below != 1:
-        coords = [c / below for c in coords]
     return CyclotomicNumber(order, coords)
 
 def _product(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -338,14 +317,22 @@ def _vanishes(vec: list, field: int) -> bool:
 
 
 def _placed(pairs) -> tuple[int, int, list]:
-    """(F, D, [(key, (vec, order))]) of (key, CyclotomicNumber) pairs: their
-    coordinates over one denominator D at the lcm F of the orders; zeros kept."""
-    pairs = list(pairs)
-    field = lcm(*(c.order for _, c in pairs))
-    den = lcm(*(x.denominator for _, c in pairs for x in c.coords))
+    """(F, D, [(key, (vec, order))]) of (key, value) pairs, each value a
+    CyclotomicNumber or a Rational (an order-1 value): their coordinates over
+    one denominator D at the lcm F of the orders; zeros kept."""
+    pairs = [(key, (1, (c,)) if isinstance(c, Rational) else (c.order, c.coords))
+             for key, c in pairs]
+    field = lcm(*(order for _, (order, _) in pairs))
+    den = lcm(*(x.denominator for _, (_, coords) in pairs for x in coords))
     return field, den, [(key, (_spread([x.numerator * (den // x.denominator)
-                                        for x in c.coords], field, 1), c.order))
-                        for key, c in pairs]
+                                        for x in coords], field, 1), order))
+                        for key, (order, coords) in pairs]
+
+
+def _coefficient_sum(poly: TrigPoly, field: int, scale: int = 1) -> list:
+    """scale times poly's numerator vectors summed (t(0) over den), at `field`."""
+    return _spread([sum(xs) for xs in zip(*(vec for vec, _ in poly.vectors.values()))]
+                   or [0] * poly.field, field, scale)
 
 
 def _merge_vectors(field: int, plus, minus=()) -> dict:

@@ -227,6 +227,25 @@ def test_cli_decompose_and_verify(tmp_path, capsys):
     assert main(["decompose", EXAMPLE, "--verify-only", str(bad)]) == 4
 
 
+def test_verify_only_rejects_an_order_out_of_range(tmp_path, capsys):
+    # a decomposition of order n has d^(2n) entries; an order below 1, an
+    # empty entry list and a count too long to print are parse errors, and
+    # the message never prints d^(2n)
+    one = {"coefficients": [{"freq": [0, 0], "value": "1"}]}
+    docs = [{"order": 20000, "entries": []},
+            {"order": 8000, "entries": [{"j": [1] * 8000, "k": [1] * 8000,
+                                         "mask": one}]},
+            {"order": 7000, "entries": [{"j": [1] * 7000, "k": [1] * 7000,
+                                         "mask": one}]},
+            {"order": -1, "entries": []}]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"dec_{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["decompose", EXAMPLE, "--verify-only", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200
+
+
 def test_verify_only_zero_entry_under_a_huge_class_returns_at_once(tmp_path,
                                                                    capsys):
     # the zero polynomial satisfies every sum rule, so its class check

@@ -18,12 +18,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, coset_fraction_key, dilations,
-                      dual_context, fraction_inverse, points, rationals,
+                      dual_context, fraction_dilated_derivative,
+                      fraction_inverse, points, rationals,
                       similarity_reference)
 from maskforge.errors import UserDigitsInvalid
 from maskforge.lattice import (DilationContext, adjugate, digit_set,
                                is_isotropic, mat_vec)
-from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in under a second
@@ -96,11 +96,12 @@ def test_compose_dilate_undoes_inverse_dilate(dim, data):
     terms = data.draw(st.dictionaries(points(dim, 3), rationals(), max_size=5))
     t = TrigPoly(dim, terms)
     # t(transpose(matrix) inverse-transpose x) = t(x), field for field
-    back = dilated_derivatives(t.compose_dilate(ctx.matrix), ctx)
+    dilated, inverse = t.compose_dilate(ctx.matrix), fraction_inverse(ctx)
     beta = data.draw(st.tuples(*[st.integers(0, 1)] * dim))
     for p in data.draw(st.lists(points(dim).map(
             lambda v: tuple(Fraction(x, 6) for x in v)), min_size=1, max_size=3)):
-        got, want = back(beta, p), t.normalized_derivative(beta, p)
+        got = fraction_dilated_derivative(dilated, inverse, beta, p)
+        want = t.normalized_derivative(beta, p)
         assert (got.order, got.coords) == (want.order, want.coords)
 
 

@@ -1,14 +1,17 @@
 """The dilated evaluation t(inverse-transpose x) against the Fraction oracle,
 over random dilations.
 
-dilated_derivatives maps each integer frequency to sign(det) * adjugate @
-freq over m = |det|, and derivative_at evaluates those terms.  The
-properties below draw dilations in dimensions 1-3 with determinants of both
-signs and masks with rational and cyclotomic coefficients.  They require
-every derivative of order at most 2 at every dual digit to equal, field for
-field, the sum of coeff * (inverse @ freq)^beta * e^(2*pi*i*(inverse @ freq,
-p)) folded in Fractions, and masks built from derivative tables to reach
-their order by both sum-rule checkers.
+The direct checker's kernel maps each integer frequency to g = sign(det) *
+adjugate @ freq over m = |det| and sums numerator * g^beta at the nonzero
+dual digits (sumrules._dual_moments), each sum labelled with the order its
+value is held at; the lift reads its weights there.  The properties below
+draw dilations in dimensions 1-3 with determinants of both signs and masks
+with rational and cyclotomic coefficients.  They require every derivative
+of order at most 2 at every nonzero dual digit, read off the kernel at its
+label over t.den * m^|beta|, to equal, field for field, the sum of coeff *
+(inverse @ freq)^beta * e^(2*pi*i*(inverse @ freq, p)) folded in Fractions,
+and masks built from derivative tables to reach their order by both
+sum-rule checkers.
 """
 
 import random
@@ -19,9 +22,10 @@ from hypothesis import strategies as st
 from conftest import (CASES, contexts, fraction_dilated_derivative,
                       fraction_inverse, points, random_class_mask,
                       random_cyclotomic_class_mask, rationals)
-from maskforge.sumrules import (dilated_derivatives, multi_indices_up_to,
-                                sum_rule_order, sum_rule_order_direct)
-from maskforge.trigpoly import TrigPoly
+from maskforge.sumrules import (_direct_kernel, _dual_moments, _dual_orders,
+                                multi_indices_up_to, sum_rule_order,
+                                sum_rule_order_direct)
+from maskforge.trigpoly import TrigPoly, _number
 from test_exact_kernels import coefficients
 
 # deterministic and small: the whole module runs in about two seconds
@@ -36,10 +40,11 @@ def test_dilated_derivatives_match_the_fraction_oracle(dim, positive, data):
     ctx = data.draw(contexts(dim, positive))
     t = TrigPoly(dim, data.draw(st.dictionaries(
         points(dim, 3), coefficients(orders=(1, 1, 3, 4)), max_size=5)))
-    dilated, inverse = dilated_derivatives(t, ctx), fraction_inverse(ctx)
+    kernel, inverse = _direct_kernel(t, ctx), fraction_inverse(ctx)
     for beta in multi_indices_up_to(dim, 2):
-        for dual in ctx.dual_digits:
-            got = dilated(beta, dual)
+        moments = zip(_dual_moments(kernel, beta), _dual_orders(kernel, beta))
+        for dual, (vec, order) in zip(ctx.dual_digits[1:], moments, strict=True):
+            got = _number(vec, kernel[0], order, kernel[1] * ctx.m ** sum(beta))
             want = fraction_dilated_derivative(t, inverse, beta, dual)
             assert (got.order, got.coords) == (want.order, want.coords)
 

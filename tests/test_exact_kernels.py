@@ -1,8 +1,8 @@
 """The single-reduction evaluation, the reduce-once product and the row-sum
 operator norm against the per-term folds they replaced.
 
-derivative_at, over integer frequencies and a denominator, places every
-term in one coordinate vector and reduces once; TrigPoly products sum
+normalized_derivative (derivative_at) places every term in one coordinate
+vector and reduces once; TrigPoly products sum
 integer numerators in one coordinate vector per frequency and reduce each
 once, whatever the coefficient fields; operator_norm sums rational
 magnitudes as one Fraction per row and encloses each distinct cyclotomic
@@ -31,7 +31,7 @@ from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.intervals import RatInterval
 from maskforge.subdivision import MatrixMask, operator_norm
-from maskforge.trigpoly import TrigPoly, derivative_at
+from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=40, deadline=None, derandomize=True,
@@ -42,21 +42,19 @@ ORDERS = (1, 2, 3, 4, 5, 12)
 
 # -- references: the per-term folds -----------------------------------------
 
-def folded_derivative(t, denom, alpha, point):
-    """derivative_at as it was, over the frequencies freq/denom: one product,
-    one promotion and one reduction per term."""
-    return fraction_derivative(
-        [(tuple(Fraction(n, denom) for n in f), c) for f, c in t.terms.items()],
-        alpha, point)
+def folded_derivative(t, alpha, point):
+    """normalized_derivative as it was: one product, one promotion and one
+    reduction per term."""
+    return fraction_derivative(t.terms.items(), alpha, point)
 
 
-def folded_value(t, denom, point):
-    """eval_at_rational as it was, over the frequencies freq/denom."""
+def folded_value(t, point):
+    """eval_at_rational as it was."""
     point = [Fraction(p) for p in point]
     acc = CyclotomicNumber.zero()
     for freq, coeff in t.terms.items():
         turns = sum((Fraction(n) * p for n, p in zip(freq, point)),
-                    start=Fraction(0)) / denom
+                    start=Fraction(0))
         acc = acc + coeff * exp_of_rational(turns)
     return acc
 
@@ -122,9 +120,6 @@ def polys(draw, dim, values=coefficients(), min_size=0):
     return TrigPoly(dim, terms)
 
 
-DENOMS = st.sampled_from((1, 1, 2, 3, 6))
-
-
 def rational_points(dim):
     return st.tuples(*[st.builds(Fraction, st.integers(-5, 5),
                                  st.sampled_from((1, 2, 3, 4, 5, 6)))] * dim)
@@ -139,8 +134,7 @@ def multi_indices(dim):
 @st.composite
 def evaluation_cases(draw):
     dim = draw(st.integers(1, 3))
-    return (draw(polys(dim)), draw(DENOMS), draw(multi_indices(dim)),
-            draw(rational_points(dim)))
+    return draw(polys(dim)), draw(multi_indices(dim)), draw(rational_points(dim))
 
 
 @st.composite
@@ -149,13 +143,12 @@ def cancelling_evaluations(draw):
     root-of-unity values there, so the value cancels to zero."""
     dim = draw(st.integers(1, 3))
     t = draw(polys(dim, min_size=1).filter(lambda p: not p.is_zero()))
-    denom = draw(DENOMS)
     point = draw(rational_points(dim))
     axis = draw(st.integers(0, dim - 1))
-    period = denom * lcm(*(p.denominator for p in point))
+    period = lcm(*(p.denominator for p in point))
     shifted = TrigPoly(dim, {tuple(x + period * (i == axis) for i, x in enumerate(f)):
                              -c for f, c in t.terms.items()})
-    return t + shifted, denom, point
+    return t + shifted, point
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -163,41 +156,35 @@ def cancelling_evaluations(draw):
 @PROFILE
 @given(evaluation_cases())
 def test_normalized_derivative_matches_fold(case):
-    t, denom, alpha, point = case
-    got = derivative_at(t.terms.items(), denom, alpha, point)
-    assert number_fields(got) == \
-        number_fields(folded_derivative(t, denom, alpha, point))
+    t, alpha, point = case
     assert number_fields(t.normalized_derivative(alpha, point)) == \
-        number_fields(folded_derivative(t, 1, alpha, point))
+        number_fields(folded_derivative(t, alpha, point))
 
 
 @PROFILE
 @given(evaluation_cases())
 def test_eval_at_rational_matches_fold(case):
-    t, denom, _, point = case
-    zero = (0,) * t.dim
-    assert number_fields(derivative_at(t.terms.items(), denom, zero, point)) == \
-        number_fields(folded_value(t, denom, point))
+    t, _, point = case
     assert number_fields(t.eval_at_rational(point)) == \
-        number_fields(folded_value(t, 1, point))
+        number_fields(folded_value(t, point))
 
 
 @PROFILE
 @given(cancelling_evaluations())
 def test_cancelled_value_keeps_the_fold_order(case):
-    t, denom, point = case
-    got = derivative_at(t.terms.items(), denom, (0,) * t.dim, point)
+    t, point = case
+    got = t.eval_at_rational(point)
     assert got.is_zero()
-    assert number_fields(got) == number_fields(folded_value(t, denom, point))
+    assert number_fields(got) == number_fields(folded_value(t, point))
 
 
 def test_zero_factors_give_the_order_one_zero():
     t = TrigPoly(2, {(0, 1): root_of_unity(5, 2), (0, -2): Fraction(1, 3)})
     point = (Fraction(1, 2), Fraction(1, 7))
-    got = derivative_at(t.terms.items(), 3, (1, 0), point)
+    got = t.normalized_derivative((1, 0), point)
     assert number_fields(got) == (1, (Fraction(0),))
     assert number_fields(got) == number_fields(
-        folded_derivative(t, 3, (1, 0), point))
+        folded_derivative(t, (1, 0), point))
 
 
 # -- products -------------------------------------------------------------------

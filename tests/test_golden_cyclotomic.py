@@ -11,6 +11,14 @@ byte.  The order-1 mask has no "decompose --order 2" case: the CLI rejects
 it for that order.  The two "decompose --levels 2" files pin the iterated
 path, which prints the lifted entries' decompositions at orders 3 and 15;
 they were recorded before TrigPoly held integer numerators.
+
+Two more Q(zeta_3) masks sit on 2I with its canonical digits (m = 4), in two
+and three dimensions; their "decompose" files were recorded before the lift
+read its weights off the direct checker's integer moments.  At m = 2 every
+digit interpolant already holds order 2, which hides a wrong order label on
+a weight; at m = 4 it does not.  The 2-d mask at order 3 makes the lift run
+two passes, and the 3-d one runs the rule that skips a beta with a component
+between the two rows exchanged, which no 2-d lift reaches.
 """
 
 import json
@@ -24,8 +32,13 @@ from maskforge.lattice import DilationContext
 from maskforge.maskfile import mask_document
 from test_golden_machine import GOLDEN, machine_text
 
-# name: (seed, sum-rule order, orders of the roots of unity in the table)
-MASKS = {"cyc3_order2": (1, 2, (3,)), "cyc35_order1": (1, 1, (3, 5))}
+# name: (dilation, digits, seed, sum-rule order, orders of the roots of
+# unity in the table); digits None takes the canonical ones
+MASKS = {"cyc3_order2": (EXAMPLE_DILATION, EXAMPLE_DIGITS, 1, 2, (3,)),
+         "cyc35_order1": (EXAMPLE_DILATION, EXAMPLE_DIGITS, 1, 1, (3, 5)),
+         "twice2_cyc3_order3": (((2, 0), (0, 2)), None, 1, 3, (3,)),
+         "twice3_cyc3_order2": (((2, 0, 0), (0, 2, 0), (0, 0, 2)), None, 1, 2,
+                                (3,))}
 
 CASES = [
     ("cyc3_order2_analyze", "cyc3_order2", ["analyze"]),
@@ -38,12 +51,16 @@ CASES = [
     ("cyc35_order1_decompose_levels2", "cyc35_order1",
      ["decompose", "--levels", "2"]),
     ("cyc35_order1_smooth_lmax2", "cyc35_order1", ["smooth", "--lmax", "2"]),
+    ("twice2_cyc3_order3_decompose_order3", "twice2_cyc3_order3",
+     ["decompose", "--order", "3"]),
+    ("twice3_cyc3_order2_decompose_order2", "twice3_cyc3_order2",
+     ["decompose", "--order", "2"]),
 ]
 
 
 def cyclotomic_mask(name):
-    seed, order, roots = MASKS[name]
-    ctx = DilationContext.create(EXAMPLE_DILATION, digits=EXAMPLE_DIGITS)
+    dilation, digits, seed, order, roots = MASKS[name]
+    ctx = DilationContext.create(dilation, digits=digits)
     return random_cyclotomic_class_mask(random.Random(seed), ctx, order,
                                         roots), ctx
 

@@ -2,8 +2,9 @@
 field-arithmetic references they replaced, over random dilations.
 
 The direct checker decides each order on integer vectors tested modulo the
-cyclotomic polynomial; the reference asks derivative_at for every derivative
-value and whether it is zero.  The decomposition guards decide the identity
+cyclotomic polynomial; the reference asks the Fraction oracle
+(conftest.fraction_dilated_derivative) for every derivative value and
+whether it is zero.  The decomposition guards decide the identity
 by shifted integer numerators; the reference multiplies TrigPolys.  The plain
 decomposition telescopes integer numerator vectors; the reference subtracts,
 collapses and divides TrigPolys (conftest.folded_plain_rows).  The
@@ -23,8 +24,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (CASES, contexts, folded_plain_rows, fraction_inverse,
-                      points, random_class_mask, random_cyclotomic_class_mask)
+from conftest import (CASES, contexts, folded_plain_rows,
+                      fraction_dilated_derivative, fraction_inverse, points,
+                      random_class_mask, random_cyclotomic_class_mask)
 from maskforge import cli
 from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.decompose import (MaskDecomposition, _plain,
@@ -33,8 +35,7 @@ from maskforge.decompose import (MaskDecomposition, _plain,
 from maskforge.lattice import mat_vec
 from maskforge.sumrules import (_direct_kernel, _direct_order_holds,
                                 derivative_table, digit_interpolant,
-                                dilated_derivatives, multi_indices,
-                                unit_derivative_poly)
+                                multi_indices, unit_derivative_poly)
 from maskforge.trigpoly import TrigPoly
 from test_dilated_evaluation import PROFILE
 from test_exact_kernels import coefficients
@@ -44,9 +45,10 @@ ORDERS = (1, 3, 4, 5, 15)
 
 def reference_order_holds(t, ctx, total):
     """Every total-order derivative value at every nonzero dual digit is
-    zero, asked of derivative_at value by value."""
-    dilated = dilated_derivatives(t, ctx)
-    return all(dilated(beta, dual).is_zero() for dual in ctx.dual_digits[1:]
+    zero, asked of the Fraction oracle value by value."""
+    inverse = fraction_inverse(ctx)
+    return all(fraction_dilated_derivative(t, inverse, beta, dual).is_zero()
+               for dual in ctx.dual_digits[1:]
                for beta in multi_indices(ctx.dim, total))
 
 
@@ -89,12 +91,13 @@ def test_direct_kernel_decides_each_dual_digit(dim, positive, data):
     ctx = data.draw(contexts(dim, positive))
     nu = data.draw(st.integers(1, ctx.m - 1)) if ctx.m > 1 else 0
     t = digit_interpolant(nu, ctx).scale(data.draw(coefficients(orders=ORDERS)))
-    field, images, shifted = _direct_kernel(t, ctx)
-    dilated = dilated_derivatives(t, ctx)
+    field, den, images, shifted = _direct_kernel(t, ctx)
+    inverse = fraction_inverse(ctx)
     for total in range(3):
         for dual, terms in zip(ctx.dual_digits[1:], shifted):
-            assert _direct_order_holds((field, images, [terms]), ctx, total) == \
-                all(dilated(beta, dual).is_zero()
+            assert _direct_order_holds((field, den, images, [terms]), ctx,
+                                       total) == \
+                all(fraction_dilated_derivative(t, inverse, beta, dual).is_zero()
                     for beta in multi_indices(dim, total))
 
 

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matrix_inverse, random_class_mask, random_mask
+from conftest import (fraction_dilated_derivative, fraction_inverse,
+                      matrix_inverse, random_class_mask, random_mask)
 from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.errors import NotInClass
 from maskforge.lattice import DilationContext
 from maskforge.sumrules import (DerivativeTable, _unit_moment_line,
                                 derivative_table,
-                                digit_interpolant, dilated_derivatives,
+                                digit_interpolant,
                                 mask_from_derivative_table, multi_indices,
                                 multi_indices_up_to, sum_rule_order,
                                 sum_rule_order_direct, unit_derivative_poly)
@@ -169,10 +170,12 @@ def test_unit_derivative_poly_examples():
 
 def test_digit_interpolant_matrix_identity(example_ctx):
     # interpolation matrix across all digit pairs is exactly the identity
+    inverse = fraction_inverse(example_ctx)
     for nu in range(example_ctx.m):
-        h = dilated_derivatives(digit_interpolant(nu, example_ctx), example_ctx)
+        h = digit_interpolant(nu, example_ctx)
         for mu, dual in enumerate(example_ctx.dual_digits):
-            assert h((0, 0), dual) == Fraction(int(mu == nu))
+            assert fraction_dilated_derivative(h, inverse, (0, 0), dual) == \
+                Fraction(int(mu == nu))
 
 
 def test_digit_interpolant_leading(example_ctx):
@@ -185,9 +188,10 @@ def test_digit_interpolants_sum_to_one_at_duals(example_ctx):
     total = TrigPoly.zero(2)
     for nu in range(example_ctx.m):
         total = total + digit_interpolant(nu, example_ctx)
-    dilated = dilated_derivatives(total, example_ctx)
+    inverse = fraction_inverse(example_ctx)
     for dual in example_ctx.dual_digits:
-        assert dilated((0, 0), dual) == Fraction(1)
+        assert fraction_dilated_derivative(total, inverse, (0, 0), dual) == \
+            Fraction(1)
 
 
 def test_multi_index_enumeration():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (NotDivisible, divide_one_minus_z, l1_norm,
+from conftest import (NotDivisible, divide_one_minus_z,
+                      fraction_dilated_derivative, fraction_inverse, l1_norm,
                       random_class_mask, random_mask, substitute_one)
 from maskforge.decompose import _telescope
 from maskforge.errors import DimensionMismatch, WrongCount
 from maskforge.lattice import DilationContext
-from maskforge.sumrules import dilated_derivatives
 from maskforge.trigpoly import TrigPoly
 
 
@@ -92,13 +92,14 @@ def test_compose_dilate(example_ctx):
     # the inverse-dilated evaluation undoes it
     rng = random.Random(2)
     points = [(0, 0), (Fraction(1, 2), Fraction(-1, 3)), (Fraction(2, 5), 1)]
+    inverse = fraction_inverse(example_ctx)
     for _ in range(10):
         t = random_mask(rng, 2)
-        back = dilated_derivatives(t.compose_dilate(example_ctx.matrix),
-                                   example_ctx)
+        back = t.compose_dilate(example_ctx.matrix)
         for beta in ((0, 0), (1, 0), (1, 1)):
             for p in points:
-                assert back(beta, p) == t.normalized_derivative(beta, p)
+                assert fraction_dilated_derivative(back, inverse, beta, p) \
+                    == t.normalized_derivative(beta, p)
 
 
 def test_polyphase_split_examples(example_ctx):
@@ -137,9 +138,10 @@ def test_eval_examples(example_ctx, example_mask):
     assert TrigPoly.one_minus_exp(1, (1,)).eval_at_rational([0]).is_zero()
     one_plus = TrigPoly(1, {(0,): 1, (1,): 1})
     assert one_plus.eval_at_rational([Fraction(1, 2)]).is_zero()
-    dilated = dilated_derivatives(example_mask, example_ctx)
+    inverse = fraction_inverse(example_ctx)
     for dual in example_ctx.dual_digits[1:]:
-        assert dilated((0, 0), dual).is_zero()
+        assert fraction_dilated_derivative(example_mask, inverse, (0, 0),
+                                           dual).is_zero()
 
 
 def test_normalized_derivative_examples():
