@@ -2,9 +2,9 @@
 operator norm against the per-term folds they replaced.
 
 normalized_derivative (derivative_at) places every term in one coordinate
-vector and reduces once; TrigPoly products sum
-integer numerators in one coordinate vector per frequency and reduce each
-once, whatever the coefficient fields; operator_norm sums rational
+vector and reduces once; TrigPoly products sum integer numerators in one
+coordinate vector per frequency and reduce each once, whatever the
+coefficient fields; operator_norm sums rational
 magnitudes as one Fraction per row and encloses each distinct cyclotomic
 value once per call.  The references below are the earlier
 per-term loops; products and merges are checked against conftest.fold, the
