@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 parse error, 3 invalid digit set, 4 class
 precondition failed (or verification failure), 5 shape error, 6 internal
 error (a bug guard fired: an exact identity failed or the two sum-rule
 checkers disagreed), 7 size budget exceeded (refine stopped before a round
-that would form too many products).
+that would form too many products, or a mask or decomposition file names
+cyclotomic orders whose lcm is over the parser's limit of 840).
 """
 
 from __future__ import annotations

@@ -28,11 +28,10 @@ from operator import add, sub
 
 from .errors import InternalIdentityViolation, NotInClass
 from .lattice import DilationContext, mat_vec
-from .sumrules import (_direct_kernel, _dual_moments, _dual_orders,
-                       digit_interpolant, multi_indices, sum_rule_order,
-                       sum_rule_order_direct, unit_derivative_poly)
+from .sumrules import (_direct_kernel, digit_interpolant, multi_indices,
+                       sum_rule_order, sum_rule_order_direct, unit_derivative_poly)
 from .trigpoly import (TrigPoly, _assembled, _coefficient_sum, _merge_vectors,
-                       _vanishes, _vanishing_sum)
+                       _point_moments, _point_orders, _vanishes, _vanishing_sum)
 
 
 class NotInZ0(NotInClass):
@@ -127,7 +126,7 @@ class MaskDecomposition:
                   ctx: DilationContext) -> "MaskDecomposition":
         """Read back a to_json document as a decomposition of source;
         ParseError when it is malformed.  Nothing is verified here."""
-        from .maskfile import ParseError, mask_terms_from_json, parse_integer
+        from .maskfile import ParseError, field_order, mask_terms_from_json, parse_integer
         try:
             order = parse_integer(doc["order"])
             entries = {}
@@ -148,6 +147,7 @@ class MaskDecomposition:
         if order < 1 or not entries or len(entries) != ctx.dim ** (2 * order):
             raise ParseError(f"need order >= 1 and {ctx.dim}^(2*order) entries, "
                              f"got order {order} and {len(entries)} entries")
+        field_order([source.field, *(entry.field for entry in entries.values())])
         return cls(source=source, ctx=ctx, order=order, entries=entries,
                    achieved_class=achieved)
 
@@ -278,20 +278,19 @@ def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
         achieved_class=achieved_class)
 
 
-def _correction_block(kernel, ctx: DilationContext, interpolants: list,
-                      order: int, l: int, j: int) -> TrigPoly:
+def _correction_block(kernel, ctx: DilationContext, order: int, l: int, j: int) -> TrigPoly:
     """Sum of the explicit corrections moving order-`order` residues of row l
     into row j (axes 1-based, j > l).
 
     Each correction is  -(1/beta_j) * G(Mt x) * sum_nu H_nu(x) * w(beta, nu)
     where G selects the (beta - e_j)-th normalized derivative through order
-    order-1, H_nu interpolates the dual digits, and w is the normalized beta
-    derivative of the dilated row entry at dual digit nu, read off its
-    _direct_kernel over D * m^|beta| (D the entry's den), skipped if zero;
-    interpolants[nu] is H_nu, built once per lift.  The 2*pi*i powers of the
-    three factors cancel exactly, which keeps everything cyclotomic; the
-    1/beta_j factor makes the moved residue match the derivative it kills
-    (the product rule contributes beta_j through the single surviving term).
+    order-1, H_nu = digit_interpolant(nu, ctx) interpolates the dual digits,
+    and w is the normalized beta derivative of the dilated row entry at dual
+    digit nu, read off its _direct_kernel over D * m^|beta| (D the entry's
+    den), skipped if zero.  The 2*pi*i powers of the three factors cancel
+    exactly, which keeps everything cyclotomic; the 1/beta_j factor makes the
+    moved residue match the derivative it kills (the product rule contributes
+    beta_j through the single surviving term).
     """
     d, (field, den, _, _), zero = ctx.dim, kernel, (0,) * ctx.dim
     total = TrigPoly.zero(d)
@@ -301,11 +300,11 @@ def _correction_block(kernel, ctx: DilationContext, interpolants: list,
         if any(beta[i - 1] for i in range(l + 1, j)):
             continue
         weight_sum = TrigPoly.zero(d)
-        moments = zip(_dual_moments(kernel, beta), _dual_orders(kernel, beta))
+        moments = zip(_point_moments(kernel, beta), _point_orders(kernel, beta))
         for nu, slot in enumerate(moments, 1):
             if not _vanishes(slot[0], field):
                 w = TrigPoly._merged(d, field, den * ctx.m ** order, [(zero, slot)])
-                weight_sum = weight_sum + interpolants[nu] * w
+                weight_sum = weight_sum + digit_interpolant(nu, ctx) * w
         if weight_sum.is_zero():
             continue
         reduced = tuple(b - int(i == j - 1) for i, b in enumerate(beta))
@@ -336,15 +335,13 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
     d = ctx.dim
     entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
     deltas = [dilated_difference(ctx, j) for j in range(1, d + 1)]
-    interpolants = [digit_interpolant(nu, ctx) for nu in range(ctx.m)]
     for order in range(1, n_cap):
         for l in range(1, d):
             before = [row[:] for row in entries]
             for k in range(1, d + 1):
                 kernel = _direct_kernel(entries[l - 1][k - 1], ctx)
                 for j in range(l + 1, d + 1):
-                    block = _correction_block(kernel, ctx, interpolants,
-                                              order, l, j)
+                    block = _correction_block(kernel, ctx, order, l, j)
                     if block.is_zero():
                         continue
                     entries[l - 1][k - 1] = entries[l - 1][k - 1] \

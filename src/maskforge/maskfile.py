@@ -15,17 +15,32 @@ import json
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import CyclotomicNumber
-from .errors import MaskforgeError
+from .errors import BudgetExceeded, MaskforgeError
 from .lattice import DilationContext
 from .subdivision import Refined, Sequence
 from .trigpoly import TrigPoly
 
 
+# the largest cyclotomic field order, or lcm of orders combined, a file may
+# name: lcm(1..8).  Reducing a dense value at order N takes about N * phi(N)
+# steps (0.5 s at 840, 11 s at 5,040), and each term is placed in N entries
+FIELD_ORDER_LIMIT = 840
+
+
 class ParseError(MaskforgeError):
     pass
+
+
+def field_order(orders) -> None:
+    """BudgetExceeded if the lcm of the orders passes FIELD_ORDER_LIMIT."""
+    field = 1
+    for order in orders:
+        field = lcm(field, order)
+        if field > FIELD_ORDER_LIMIT:
+            raise BudgetExceeded(f"cyclotomic field order {field} > limit {FIELD_ORDER_LIMIT}")
 
 
 def format_rational(value) -> str:
@@ -97,18 +112,21 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
     """The mask of a {"coefficients": [...]} object; ParseError if malformed."""
     if not isinstance(payload, dict):
         raise ParseError(f"mask must be a JSON object, got {payload!r}")
-    terms = {}
+    values = {}
     try:
         for item in payload.get("coefficients", []):
             freq = tuple(parse_integer(x) for x in item["freq"])
             if len(freq) != dim:
                 raise ParseError(f"frequency {freq} has wrong dimension")
-            if freq in terms:
+            if freq in values:
                 raise ParseError(f"frequency {freq} appears twice")
-            terms[freq] = parse_scalar(item["value"])
+            values[freq] = item["value"]
+        field_order(parse_integer(v["order"]) for v in values.values()
+                    if isinstance(v, dict))
+        terms = [(freq, parse_scalar(v)) for freq, v in values.items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coefficient list: {exc!r}") from None
-    return TrigPoly._from_pairs(dim, terms.items())
+    return TrigPoly._from_pairs(dim, terms)
 
 
 def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
@@ -152,6 +170,7 @@ def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
             raise ParseError(f"bad polyphase digit index {nu}")
         seen.add(nu)
         parts[nu] = mask_terms_from_json(item, ctx.dim)
+    field_order(part.field for part in parts)
     mask = TrigPoly.polyphase_assemble(parts, ctx)
     if mask.is_zero():
         raise ParseError("mask has no nonzero coefficients")

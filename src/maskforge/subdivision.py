@@ -83,8 +83,8 @@ class Sequence:
             for v in vec:
                 if not isinstance(v, (Rational, CyclotomicNumber)):
                     raise TypeError(f"sequence value {v!r} is not an exact number")
-            vec = tuple(_simplify(Fraction(v) if isinstance(v, int) else v)
-                        for v in vec)
+            vec = tuple(_simplify(Fraction(int(v.numerator), int(v.denominator))
+                                  if isinstance(v, Rational) else v) for v in vec)
             if len(vec) != width:
                 raise ShapeMismatch("value vector has wrong width")
             if any(vec):

@@ -7,7 +7,8 @@ polyphase criterion expressing all derivative values at the origin through a
 single table of parameters.  Both are exact and must agree; both decide by
 integer moments (numerator * frequency^beta over one denominator) and one
 test of divisibility by the cyclotomic polynomial Phi_F of the field order F.
-The decomposition's lift reads its weights off the direct route's moments.
+The direct route and the lift read trigpoly._point_kernel; the polyphase
+route sums its own origin moments, so a summation fault cannot pass both.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from operator import index, mul
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
 from .lattice import DilationContext, adjugate, determinant, mat_vec
-from .trigpoly import TrigPoly, _number, _placed, _sparse, _vanishes
+from .trigpoly import (TrigPoly, _number, _placed, _point_kernel,
+                       _point_moments, _sparse, _vanishes)
 
 DEFAULT_ORDER_CAP = 4
 
@@ -62,50 +64,21 @@ def _signed_adjugate(ctx: DilationContext):
 
 
 def _direct_kernel(t: TrigPoly, ctx: DilationContext):
-    """The field F = lcm(m, t.field), D = t.den, each frequency's image g =
-    sign(det) * adjugate @ freq, and per nonzero dual digit delta, with k =
-    (g, delta) mod m, each term's numerators over D at positions shifted by
-    F/m * k and the order lcm(label, m/gcd(k, m)) its value there is held at."""
-    field, m = lcm(ctx.m, t.field), ctx.m
-    placed = _sparse(t, field)
+    """trigpoly._point_kernel of t at the nonzero dual digits over q = m, each
+    frequency read at its image g = sign(det) * adjugate @ freq: per digit
+    delta, its _point_moments vector is m^|beta| * D times the normalized
+    beta-derivative of t(inverse-transpose x) at delta."""
     adj = _signed_adjugate(ctx)
-    images = [mat_vec(adj, freq) for freq, _, _ in placed]
-    return field, t.den, images, [
-        ([[((p + field // m * k) % field, x) for p, x in xs]
-          for k, (_, xs, _) in zip(ks, placed)],
-         [lcm(label, m // gcd(k, m)) for k, (_, _, label) in zip(ks, placed)])
-        for ks in ([sum(map(mul, g, dual)) % m for g in images]
-                   for dual in ctx.dual_digits[1:])]
-
-
-def _dual_moments(kernel, beta):
-    """Per nonzero dual digit delta, the integer vector at F of numerator *
-    g^beta summed over the digit's shifted terms: m^|beta| * D times the
-    normalized beta-derivative of t(inverse-transpose x) at delta."""
-    field, _, images, shifted = kernel
-    factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
-    for terms, _ in shifted:
-        vec = [0] * field
-        for factor, xs in zip(factors, terms):
-            for p, x in xs if factor else ():
-                vec[p] += factor * x
-        yield vec
-
-
-def _dual_orders(kernel, beta) -> list:
-    """Per nonzero dual digit, the order its _dual_moments value is held at:
-    the lcm of 1 and the orders of the terms whose g^beta is nonzero."""
-    _, _, images, shifted = kernel
-    nonzero = [all(x for x, b in zip(g, beta) if b) for g in images]
-    return [lcm(1, *itertools.compress(labels, nonzero)) for _, labels in shifted]
+    return _point_kernel(t, [mat_vec(adj, freq) for freq in t.vectors], ctx.m,
+                         ctx.dual_digits[1:])
 
 
 def _direct_order_holds(kernel, ctx: DilationContext, total: int) -> bool:
     """Do all total-order derivatives of t(inverse-transpose x) vanish at the
-    nonzero dual digits?  Each is decided on its _dual_moments vector."""
+    nonzero dual digits?  Each is decided on its _point_moments vector."""
     field = kernel[0]
     return all(_vanishes(vec, field) for beta in multi_indices(ctx.dim, total)
-               for vec in _dual_moments(kernel, beta))
+               for vec in _point_moments(kernel, beta))
 
 
 def _polyphase_moments(t: TrigPoly, ctx: DilationContext):
@@ -201,7 +174,7 @@ def sum_rule_order(t: TrigPoly, ctx: DilationContext,
         return order, None
     field, den, _ = taus  # table values are m times polyphase 0's moments
     return order, DerivativeTable(ctx.dim, order, {
-        b: _number(v, field, held, den) * ctx.m
+        b: _number([x * ctx.m for x in v], field, held, den)
         for b, (v, held) in table.items() if sum(b) <= order})
 
 
@@ -308,9 +281,10 @@ def _unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
     return poly
 
 
+@lru_cache(maxsize=None)
 def digit_interpolant(nu: int, ctx: DilationContext) -> TrigPoly:
     """Integer-frequency polynomial H with H(inverse-transpose x) taking the
-    value 1 at dual digit nu and 0 at the other dual digits.
+    value 1 at dual digit nu and 0 at the other dual digits (cached).
 
     Coefficients are (1/m) e^(-2*pi*i*(dual_digit_nu, r_mu)) at frequency
     digit_mu; the interpolation property is exactly the unitarity of the digit

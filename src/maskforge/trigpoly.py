@@ -9,25 +9,25 @@ label the order the CyclotomicNumber fold of the same sums holds the value
 at.  No vector vanishes.  Every polynomial is built by one merge,
 `_merge_vectors`, and has the gcd of its numerators and denominator divided
 out.  `terms`, the {freq: CyclotomicNumber} view, is built once, where
-values leave the library (JSON, `normalized_derivative`, sequences); sums at
-the origin, derivative moments at the dual digits and zero tests run on
-the integer vectors.
+values leave the library (JSON, sequences); sums at the origin and zero
+tests run on the integer vectors, and values and derivatives at rational
+points on one integer evaluator, `_point_kernel`.
 
 Terms are checked once, where they enter: the public constructor requires
-integer frequency components of the right length and coerces coefficients;
-results built inside the library go to the merge directly.
+integer frequency components of the right length and Rational or
+CyclotomicNumber coefficients, placed as Python int numerators; results
+built inside the library go to the merge directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from numbers import Rational
-from itertools import chain
+from itertools import chain, compress
 from operator import add, index, mul, sub
 
-from .cyclotomic import (_F0, CyclotomicNumber, _canonical, _reduce_coords,
-                         coerce)
+from .cyclotomic import _F0, CyclotomicNumber, _canonical, _reduce_coords
 from .errors import DimensionMismatch, WrongCount
 from .lattice import DilationContext, mat_vec
 
@@ -40,7 +40,7 @@ class TrigPoly:
 
         Each frequency component must be an integer (operator.index: floats,
         Fractions and strings raise TypeError) and each frequency must have
-        `dim` components; coefficients are coerced to cyclotomic numbers.
+        `dim` components; coefficients must be Rationals or CyclotomicNumbers.
         """
         if dim < 1:
             raise ValueError("dimension must be positive")
@@ -49,7 +49,9 @@ class TrigPoly:
             freq = tuple(map(index, freq))
             if len(freq) != dim:
                 raise DimensionMismatch(f"frequency {freq} has wrong dimension")
-            pairs.append((freq, coerce(coeff)))
+            if not isinstance(coeff, (Rational, CyclotomicNumber)):
+                raise TypeError(f"cannot interpret {coeff!r} as a cyclotomic number")
+            pairs.append((freq, coeff))
         poly = TrigPoly._from_pairs(dim, pairs)
         for name in TrigPoly.__slots__:
             setattr(self, name, getattr(poly, name))
@@ -142,9 +144,7 @@ class TrigPoly:
         return _product(self, self._operand(other))
 
     __rmul__ = __mul__
-
-    def scale(self, factor) -> "TrigPoly":
-        return _product(self, self._operand(factor))
+    scale = __mul__
 
     def _operand(self, other) -> "TrigPoly":
         if isinstance(other, (Rational, CyclotomicNumber)):
@@ -198,9 +198,15 @@ class TrigPoly:
         return self.normalized_derivative((0,) * self.dim, point)
 
     def normalized_derivative(self, alpha, point) -> CyclotomicNumber:
-        """The alpha-derivative at the point over (2*pi*i)^|alpha|: a value in
-        the cyclotomic field that vanishes exactly when the derivative does."""
-        return derivative_at(self.terms.items(), alpha, point)
+        """The alpha-derivative at the point over (2*pi*i)^|alpha|, read off
+        _point_kernel: a cyclotomic value, zero exactly when the derivative is."""
+        if len(alpha) != self.dim or len(point) != self.dim:
+            raise DimensionMismatch(f"alpha and point need {self.dim} components")
+        point = [Fraction(p) for p in point]
+        q = lcm(1, *(p.denominator for p in point))
+        kernel = _point_kernel(self, list(self.vectors), q, [[int(p * q) for p in point]])
+        (vec,), (order,) = _point_moments(kernel, alpha), _point_orders(kernel, alpha)
+        return _number(vec, kernel[0], order, self.den)
 
     # -- misc ----------------------------------------------------------------
 
@@ -236,38 +242,41 @@ def _assembled(ctx: DilationContext, field: int, den: int, parts) -> TrigPoly:
         for part, digit in zip(parts, ctx.digits) for freq, slot in part.items()))
 
 
-def derivative_at(terms, alpha, point) -> CyclotomicNumber:
-    """sum of coeff * freq^alpha * e^(2*pi*i*(freq, point)) over (integer
-    freq, coeff) pairs.  With q = lcm(point denominators), each term is coeff
-    times freq^alpha times zeta_q^k, k = (freq, q * point), placed in the
-    field of the lcm N of the terms' orders (coeff.order and q/gcd(k, q)),
-    the order a term-by-term sum reaches, and reduced once; canonical forms
-    are unique, so the value has the same order and coords as that sum."""
-    alpha = tuple(int(a) for a in alpha)
-    point = [Fraction(p) for p in point]
-    q = lcm(1, *(p.denominator for p in point))
-    scaled = [int(p * q) for p in point]
-    powers = [(i, a) for i, a in enumerate(alpha) if a]
-    order = 1
-    placed = []
-    for freq, coeff in terms:
-        factor = 1
-        for i, a in powers:
-            factor *= freq[i] ** a
-        if not factor:
-            continue
-        k = sum(map(mul, freq, scaled)) % q
-        order = lcm(order, coeff.order, q // gcd(k, q))
-        placed.append((coeff, factor, k))
-    coords = [Fraction(0)] * order
-    for coeff, factor, k in placed:
-        shift = k * order // q
-        step = order // coeff.order
-        for i, c in enumerate(coeff.coords):
-            if c:
-                at = (i * step + shift) % order
-                coords[at] += c * factor
-    return CyclotomicNumber(order, coords)
+def _point_kernel(t: TrigPoly, images: list, q: int, points) -> tuple:
+    """t's terms, term i at frequency g = images[i], at rational points over
+    one denominator q: F = lcm(q, t.field), D = t.den, the images, and per
+    point s (the point times q), with k = (g, s) mod q, each term's
+    numerators over D shifted by F/q * k and the order lcm(label, q/gcd(k, q))
+    its value there is held at, as a term-by-term CyclotomicNumber sum is."""
+    field = lcm(q, t.field)
+    placed = _sparse(t, field)
+    return field, t.den, images, [
+        ([[((p + field // q * k) % field, x) for p, x in xs]
+          for k, (_, xs, _) in zip(ks, placed)],
+         [lcm(label, q // gcd(k, q)) for k, (_, _, label) in zip(ks, placed)])
+        for ks in ([sum(map(mul, g, s)) % q for g in images] for s in points)]
+
+
+def _point_moments(kernel, beta):
+    """Per point, the integer vector at F of numerator * g^beta summed over
+    the point's shifted terms: D times sum value * g^beta * zeta_q^(g, s)."""
+    field, _, images, shifted = kernel
+    factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
+    for terms, _ in shifted:
+        vec = [0] * field
+        for factor, xs in zip(factors, terms):
+            for p, x in xs if factor else ():
+                vec[p] += factor * x
+        yield vec
+
+
+def _point_orders(kernel, beta) -> list:
+    """Per point, the order its _point_moments value is held at: the lcm of
+    1 and the orders of the terms whose g^beta is nonzero."""
+    _, _, images, shifted = kernel
+    nonzero = [all(x for x, b in zip(g, beta) if b) for g in images]
+    return [lcm(1, *compress(labels, nonzero)) for _, labels in shifted]
+
 
 def _product(a: TrigPoly, b: TrigPoly) -> TrigPoly:
     """a * b over a.den * b.den: at the lcm N of the fields, each pair of
@@ -319,12 +328,12 @@ def _vanishes(vec: list, field: int) -> bool:
 def _placed(pairs) -> tuple[int, int, list]:
     """(F, D, [(key, (vec, order))]) of (key, value) pairs, each value a
     CyclotomicNumber or a Rational (an order-1 value): their coordinates over
-    one denominator D at the lcm F of the orders; zeros kept."""
+    one denominator D at the lcm F of the orders, as Python ints; zeros kept."""
     pairs = [(key, (1, (c,)) if isinstance(c, Rational) else (c.order, c.coords))
              for key, c in pairs]
     field = lcm(*(order for _, (order, _) in pairs))
-    den = lcm(*(x.denominator for _, (_, coords) in pairs for x in coords))
-    return field, den, [(key, (_spread([x.numerator * (den // x.denominator)
+    den = lcm(*(int(x.denominator) for _, (_, coords) in pairs for x in coords))
+    return field, den, [(key, (_spread([int(x.numerator) * (den // int(x.denominator))
                                         for x in coords], field, 1), order))
                         for key, (order, coords) in pairs]
 

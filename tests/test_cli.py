@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from maskforge.cli import main
+from maskforge.cyclotomic import CyclotomicNumber
+from maskforge.errors import BudgetExceeded
 from maskforge.maskfile import (ParseError, format_rational, load_mask_document,
                                 mask_document, parse_rational, parse_scalar,
                                 read_sequence_csv, write_sequence_csv)
@@ -266,6 +268,70 @@ def test_verify_only_zero_entry_under_a_huge_class_returns_at_once(tmp_path,
         assert time.perf_counter() - start < 1
         blocks[achieved] = machine_block(capsys)
     assert blocks[10 ** 6] == {**blocks[60], "achieved_class": 10 ** 6}
+
+
+def cyclotomic_value(order):
+    return {"order": order, "coords": ["0", "1"]}
+
+
+FIELD_ORDER_FILES = {
+    # one value whose field alone would take minutes to reduce
+    "order_55440": {"dim": 1, "dilation": [[2]], "coefficients": [
+        {"freq": [0], "value": {"order": 55440, "coords": ["1"]}},
+        {"freq": [1], "value": "1"}]},
+    # orders 64 and 81 are each small, but one list puts every term in
+    # lcm(64, 81) = 5,184 entries
+    "list_64_81": {"dim": 1, "dilation": [[2]], "coefficients": [
+        {"freq": [0], "value": cyclotomic_value(64)},
+        {"freq": [1], "value": cyclotomic_value(81)}]},
+    # the same lcm across the polyphase parts, before they are assembled
+    "polyphase_64_81": {"dim": 1, "dilation": [[2]], "digits": [[0], [1]],
+                        "polyphase": [
+        {"digit": nu, "coefficients": [{"freq": [0], "value": cyclotomic_value(order)}]}
+        for nu, order in ((0, 64), (1, 81))]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_ORDER_FILES))
+def test_field_order_over_the_limit_exits_7_at_once(name, tmp_path, capsys,
+                                                    monkeypatch):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(FIELD_ORDER_FILES[name]))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 7
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error: cyclotomic field order")
+    if name != "polyphase_64_81":
+        # refused before any value of the list is built
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a CyclotomicNumber was built")
+        monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
+        with pytest.raises(BudgetExceeded):
+            load_mask_document(FIELD_ORDER_FILES[name])
+
+
+def test_field_order_at_the_limit_is_read():
+    doc = {"dim": 1, "dilation": [[2]], "coefficients": [
+        {"freq": [0], "value": cyclotomic_value(8)},
+        {"freq": [1], "value": cyclotomic_value(105)}]}
+    mask, _ = load_mask_document(doc)
+    assert mask.field == 840
+
+
+def test_verify_only_refuses_entry_fields_over_the_limit(tmp_path, capsys):
+    # each entry is within the limit; together they would align the
+    # identity check at lcm(64, 81) = 5,184
+    orders = {(1, 1): 64, (1, 2): 81}
+    doc = {"order": 1, "achieved_class": -1, "entries": [
+        {"j": [j], "k": [k], "mask": {"coefficients": [{"freq": [0, 0], "value":
+            cyclotomic_value(orders[j, k]) if (j, k) in orders else "1"}]}}
+        for j in (1, 2) for k in (1, 2)]}
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["decompose", EXAMPLE, "--verify-only", str(path)]) == 7
+    assert time.perf_counter() - start < 1
+    assert "5184" in capsys.readouterr().err
 
 
 def test_cli_decompose_class_gate(capsys):

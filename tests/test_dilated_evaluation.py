@@ -3,7 +3,7 @@ over random dilations.
 
 The direct checker's kernel maps each integer frequency to g = sign(det) *
 adjugate @ freq over m = |det| and sums numerator * g^beta at the nonzero
-dual digits (sumrules._dual_moments), each sum labelled with the order its
+dual digits (trigpoly._point_moments), each sum labelled with the order its
 value is held at; the lift reads its weights there.  The properties below
 draw dilations in dimensions 1-3 with determinants of both signs and masks
 with rational and cyclotomic coefficients.  They require every derivative
@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from conftest import (CASES, contexts, fraction_dilated_derivative,
                       fraction_inverse, points, random_class_mask,
                       random_cyclotomic_class_mask, rationals)
-from maskforge.sumrules import (_direct_kernel, _dual_moments, _dual_orders,
-                                multi_indices_up_to, sum_rule_order,
-                                sum_rule_order_direct)
-from maskforge.trigpoly import TrigPoly, _number
+from maskforge.sumrules import (_direct_kernel, multi_indices_up_to,
+                                sum_rule_order, sum_rule_order_direct)
+from maskforge.trigpoly import (TrigPoly, _number, _point_moments,
+                                _point_orders)
 from test_exact_kernels import coefficients
 
 # deterministic and small: the whole module runs in about two seconds
@@ -42,7 +42,7 @@ def test_dilated_derivatives_match_the_fraction_oracle(dim, positive, data):
         points(dim, 3), coefficients(orders=(1, 1, 3, 4)), max_size=5)))
     kernel, inverse = _direct_kernel(t, ctx), fraction_inverse(ctx)
     for beta in multi_indices_up_to(dim, 2):
-        moments = zip(_dual_moments(kernel, beta), _dual_orders(kernel, beta))
+        moments = zip(_point_moments(kernel, beta), _point_orders(kernel, beta))
         for dual, (vec, order) in zip(ctx.dual_digits[1:], moments, strict=True):
             got = _number(vec, kernel[0], order, kernel[1] * ctx.m ** sum(beta))
             want = fraction_dilated_derivative(t, inverse, beta, dual)

@@ -1,12 +1,12 @@
 """The single-reduction evaluation, the reduce-once product and the row-sum
 operator norm against the per-term folds they replaced.
 
-normalized_derivative (derivative_at) places every term in one coordinate
-vector and reduces once; TrigPoly products sum integer numerators in one
-coordinate vector per frequency and reduce each once, whatever the
-coefficient fields; operator_norm sums rational
-magnitudes as one Fraction per row and encloses each distinct cyclotomic
-value once per call.  The references below are the earlier
+normalized_derivative reads trigpoly._point_kernel, which places every term
+in one coordinate vector, and reduces once; TrigPoly products sum integer
+numerators in one coordinate vector per frequency and reduce each once,
+whatever the coefficient fields; operator_norm sums rational magnitudes as
+one Fraction per row and encloses each distinct cyclotomic value once per
+call.  The references below are the earlier
 per-term loops; products and merges are checked against conftest.fold, the
 CyclotomicNumber fold.
 Results are compared field for field, (order, coords) and the key order of

@@ -19,15 +19,17 @@ does.  The differential property compares each operation with
 conftest.fold field for field, key order included.
 """
 
+from fractions import Fraction
 from functools import reduce
 from itertools import chain, cycle, islice
 from operator import add
 
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, fold, fold_assemble, fold_product,
-                      fold_split, points, term_fields)
+                      fold_split, points, rationals, term_fields)
 from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.lattice import mat_vec
 from maskforge.trigpoly import TrigPoly
@@ -125,3 +127,20 @@ def test_operations_match_the_fold(dim, positive, data):
     want = reduce(add, fold(chain(terms_a, terms_b)).values(),
                   CyclotomicNumber.zero())
     assert (value.order, value.coords) == (want.order, want.coords)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@PROFILE
+@given(data=st.data())
+def test_constructor_places_rationals_as_order_one_values(dim, data):
+    # the constructor places a Rational directly; the same value passed as
+    # CyclotomicNumber.from_rational must give the same field, denominator
+    # and labelled vectors, in the same key order
+    terms = data.draw(st.dictionaries(points(dim, 2), st.one_of(
+        rationals(), st.integers(-9, 9), coefficients(orders=ORDERS)), max_size=6))
+    got = TrigPoly(dim, terms)
+    want = TrigPoly(dim, {f: CyclotomicNumber.from_rational(c)
+                          if isinstance(c, (int, Fraction)) else c
+                          for f, c in terms.items()})
+    assert (got.field, got.den, list(got.vectors.items())) == \
+        (want.field, want.den, list(want.vectors.items()))

@@ -30,6 +30,14 @@ def hat():
     return TrigPoly(1, {(0,): Fraction(1, 2), (1,): 1, (2,): Fraction(1, 2)})
 
 
+def test_numpy_integer_data_is_read_as_python_ints(ctx1):
+    # the value 2^124 at 0 overflowed an np.int64 numerator and was dropped
+    mask = TrigPoly(1, {(0,): 2 ** 62, (1,): 1})
+    out = apply(mask, ctx1, Sequence(1, 1, {(0,): (np.int64(2 ** 62),)}))
+    assert out.values == {(0,): (Fraction(2 ** 124),), (1,): (Fraction(2 ** 62),)}
+    assert all(type(v.numerator) is int for vec in out.values.values() for v in vec)
+
+
 def test_apply_identity_symbol(example_ctx):
     eye = MatrixMask([[TrigPoly.constant(2, 1), TrigPoly.zero(2)],
                       [TrigPoly.zero(2), TrigPoly.constant(2, 1)]])

@@ -184,6 +184,17 @@ def test_digit_interpolant_leading(example_ctx):
     assert set(h0.terms) == set(example_ctx.digits)
 
 
+def test_digit_interpolants_are_built_once_per_context(example_ctx):
+    # equal contexts hash alike, so a lift on a context built again reads
+    # the interpolants already built
+    again = DilationContext.create(example_ctx.matrix, example_ctx.digits,
+                                   example_ctx.dual_digits)
+    assert all(digit_interpolant(nu, again) is digit_interpolant(nu, example_ctx)
+               for nu in range(example_ctx.m))
+    with pytest.raises(ValueError):
+        digit_interpolant(-1, example_ctx)
+
+
 def test_digit_interpolants_sum_to_one_at_duals(example_ctx):
     total = TrigPoly.zero(2)
     for nu in range(example_ctx.m):

@@ -24,6 +24,15 @@ def test_ring_examples():
     assert c1 + c2 == TrigPoly(2, {(0, 0): 2, (1, 0): -1, (0, 1): -1})
 
 
+def test_numpy_integer_coefficients_are_read_as_python_ints():
+    # np.int64 is a numbers.Rational whose products wrap around silently
+    a = TrigPoly(1, {(0,): np.int64(2 ** 62)})
+    assert (a * a).terms == {(0,): 2 ** 124}
+    b = TrigPoly.constant(1, 1) * np.int64(3)
+    assert b.vectors == {(0,): ([3], 1)}
+    assert type(b.vectors[(0,)][0][0]) is int
+
+
 def test_ring_laws_random():
     rng = random.Random(1)
     for _ in range(15):
@@ -142,6 +151,16 @@ def test_eval_examples(example_ctx, example_mask):
     for dual in example_ctx.dual_digits[1:]:
         assert fraction_dilated_derivative(example_mask, inverse, (0, 0),
                                            dual).is_zero()
+
+
+def test_evaluation_needs_dim_components():
+    # zip would drop the extra components and answer for a shorter index
+    t = TrigPoly(2, {(1, 2): 1})
+    for alpha, point in [((1, 0, 5), (0, 0)), ((1,), (0, 0)), ((1, 0), (0, 0, 1))]:
+        with pytest.raises(DimensionMismatch):
+            t.normalized_derivative(alpha, point)
+    with pytest.raises(DimensionMismatch):
+        t.eval_at_rational([Fraction(1, 2)])
 
 
 def test_normalized_derivative_examples():
