@@ -3,8 +3,9 @@
 Decompose trigonometric-polynomial masks against difference factors relative
 to a general integer dilation matrix, detect sum-rule orders, and certify
 convergence and C1 smoothness of the associated subdivision schemes.
-All verdict-bearing computations are exact (rational / cyclotomic); floating
-point appears only in certified interval enclosures and heuristic spectra.
+All verdict-bearing computations are exact (rational / cyclotomic), the
+expansion and isotropy gates included; floating point appears only in
+certified interval enclosures.
 """
 
 from .cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,

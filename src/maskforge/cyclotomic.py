@@ -11,6 +11,7 @@ tuples, so each endpoint is a dyadic rational; a sum of magnitudes adds them
 exactly as integer numerators, one Fraction per end.  A caller's memo dict,
 living for one operator norm, holds each distinct value's enclosure, keyed
 by its order and integer coordinates over the norm's one denominator.
+Only these enclosures need mpmath, imported by the first of them.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from numbers import Rational
-
-from mpmath import iv
-from mpmath.libmp import (from_int, fzero, mpi_add, mpi_div, mpi_mul, mpi_sqrt,
-                          round_ceiling, round_floor)
 
 from .errors import MaskforgeError
 from .intervals import RatInterval
@@ -255,10 +252,17 @@ def _dyadic_add(total: tuple[int, int], end: Fraction) -> tuple[int, int]:
     return num + (man << (e - exp)), exp
 
 
+@lru_cache(maxsize=None)
+def _mpmath():
+    import mpmath
+    return mpmath
+
+
 @lru_cache(maxsize=4096)
 def _root_enclosure(k: int, order: int, prec: int):
     """Raw (lo, hi) enclosures of cos and sin of the angle 2*pi*k/order,
     evaluated in the iv context at precision prec."""
+    iv = _mpmath().iv
     old_prec = iv.prec
     try:
         iv.prec = prec
@@ -268,8 +272,9 @@ def _root_enclosure(k: int, order: int, prec: int):
         iv.prec = old_prec
 
 
-def _enclose_int(n: int, prec: int):
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
+def _enclose_int(libmp, n: int, prec: int):
+    return (libmp.from_int(n, prec, libmp.round_floor),
+            libmp.from_int(n, prec, libmp.round_ceiling))
 
 
 def _magnitude(x: CyclotomicNumber, prec: int):
@@ -279,11 +284,13 @@ def _magnitude(x: CyclotomicNumber, prec: int):
     endpoint is the mpf it gives: re and im sum num/den times the (cos, sin)
     of each root in k order, then sqrt(re*re + im*im).
     """
+    libmp = _mpmath().libmp
+    mpi_add, mpi_mul, fzero = libmp.mpi_add, libmp.mpi_mul, libmp.fzero
     re = im = (fzero, fzero)
     for k, c in enumerate(x.coords):
         if c:
-            coeff = mpi_div(_enclose_int(c.numerator, prec),
-                            _enclose_int(c.denominator, prec), prec)
+            coeff = libmp.mpi_div(_enclose_int(libmp, c.numerator, prec),
+                                  _enclose_int(libmp, c.denominator, prec), prec)
             cos, sin = _root_enclosure(k, x.order, prec)
             re = mpi_add(re, mpi_mul(coeff, cos, prec), prec)
             im = mpi_add(im, mpi_mul(coeff, sin, prec), prec)
@@ -291,7 +298,7 @@ def _magnitude(x: CyclotomicNumber, prec: int):
     if sq_lo[0]:
         # a negative lower end (sign bit set) is rounding slack: |x|^2 >= 0
         sq_lo = fzero
-    return mpi_sqrt((sq_lo, sq_hi), prec)
+    return libmp.mpi_sqrt((sq_lo, sq_hi), prec)
 
 
 def magnitude_interval(x: CyclotomicNumber,

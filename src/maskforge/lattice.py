@@ -1,9 +1,9 @@
 """Integer dilation-matrix arithmetic.
 
-The lattice works in integers: exact determinants and the adjugate, coset
-classification of the integer lattice modulo an expanding integer matrix,
-deterministic digit-set construction, and the matrix norms / spectral probes
-used by the smoothness gates.
+The lattice works in integers: exact determinants, the adjugate and the
+characteristic polynomial, coset classification of the integer lattice
+modulo an expanding integer matrix, deterministic digit-set construction,
+and the matrix norms and exact spectral gates of the smoothness checks.
 
 The inverse is held only as the adjugate over det: two vectors are congruent
 modulo the matrix exactly when their adjugate images agree modulo |det| (the
@@ -19,16 +19,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-import numpy as np
-
+from .cyclotomic import _divide_monic
 from .errors import InternalIdentityViolation, MaskforgeError, UserDigitsInvalid
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
-DILATION_EIGENVALUE_TOL = 1e-9
-ISOTROPY_MODULUS_RTOL = 1e-9
-EIGENBASIS_CONDITION_CAP = 1e8
 # powers k whose similarity products |M^k| * |M^-k| the isotropy report lists
 ISOTROPY_PROBE_DEPTH = 8
 
@@ -116,6 +112,45 @@ def adjugate(matrix) -> IntMatrix:
         for j in axes) for i in axes)
 
 
+def _mul_add(a, b, c: int):
+    """a @ b + c * identity."""
+    return tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
+                 for i, row in enumerate(mat_mul(a, b)))
+
+
+def characteristic_polynomial(matrix) -> tuple[int, ...]:
+    """det(x*identity - matrix), constant term first as cyclotomic_polynomial
+    orders it, by Faddeev-LeVerrier: every division by k is exact."""
+    matrix = as_int_matrix(matrix)
+    coeffs, aux = [1], ((0,) * len(matrix),) * len(matrix)
+    for k in range(1, len(matrix) + 1):
+        aux = _mul_add(matrix, aux, coeffs[-1])
+        coeffs.append(-sum(row[i] for i, row in enumerate(mat_mul(matrix, aux))) // k)
+    return tuple(reversed(coeffs))
+
+
+def _inside_unit_circle(poly) -> bool:
+    """Whether every root of an integer polynomial (constant term first) lies
+    strictly inside the unit circle, by the Schur-Cohn test: while |a_0| <
+    |a_n|, p passes exactly when (a_n*p - a_0*reversed(p)) / x does."""
+    while len(poly) > 1 and abs(poly[0]) < abs(poly[-1]):
+        poly = [poly[-1] * poly[k + 1] - poly[0] * poly[-2 - k]
+                for k in range(len(poly) - 1)]
+    return len(poly) == 1
+
+
+def _squarefree_part(poly) -> list[int]:
+    """poly / gcd(poly, poly'); for a monic integer poly the monic gcd is integral."""
+    a, b = [Fraction(c) for c in poly], [Fraction(k * c) for k, c in enumerate(poly)][1:]
+    while any(b):
+        b = b[:max(i for i, x in enumerate(b) if x) + 1]  # drop zero top terms
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            a = [x - q * y for x, y in zip(a, [0] * (len(a) - len(b)) + b)][:-1]
+        a, b = b, a
+    return _divide_monic(poly, [int(c / a[-1]) for c in a])
+
+
 def _key(image, modulus: int) -> IntVector:
     return tuple(x % modulus for x in image)
 
@@ -185,32 +220,30 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
 
 @dataclass(frozen=True)
 class IsotropyReport:
-    verdict: str                      # "yes" | "no" | "inconclusive"
-    eigenvalue_moduli: tuple[float, ...]
+    verdict: str                      # "yes" | "no"
+    characteristic_polynomial: tuple[int, ...]
     max_similarity_product: Fraction  # max over k<=depth of |M^k| * |M^-k|
     probe_depth: int
 
     def to_json(self) -> dict:
         from .maskfile import format_rational
         return {"verdict": self.verdict,
-                "eigenvalue_moduli": list(self.eigenvalue_moduli),
+                "characteristic_polynomial": list(self.characteristic_polynomial),
                 "max_similarity_product": format_rational(self.max_similarity_product),
                 "probe_depth": self.probe_depth}
 
 
 def is_isotropic(matrix) -> IsotropyReport:
-    """Three-valued isotropy verdict.
-
-    The defining uniform bound over all powers is not decidable by finite
-    computation; the operative test is equal eigenvalue moduli plus a
-    numerically full-rank eigenvector basis.  The exact similarity products
-    |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH are reported alongside, each
-    as |M^k| * |adjugate^k| / |det|^k from integer powers.
+    """Exact isotropy verdict: "yes" exactly when M is diagonalizable with
+    eigenvalues of equal moduli, decided on A = M^dim, whose eigenvalues then
+    all have modulus |det M|.  The squarefree part s of det(x - A) must
+    annihilate A (so A, and the nonsingular M, are diagonalizable), and
+    s(|det M| * x) must be self-inversive with its derivative's roots strictly
+    inside the unit circle (Cohn's criterion; strict, as s has simple roots).
+    The exact similarity products |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH
+    are reported alongside, each as |M^k| * |adjugate^k| / |det|^k.
     """
     matrix = as_int_matrix(matrix)
-    eigvals, eigvecs = np.linalg.eig(np.array(matrix, dtype=float))
-    moduli = tuple(sorted(float(abs(v)) for v in eigvals))
-
     m, adj = abs(determinant(matrix)), adjugate(matrix)
     if m == 0:
         raise MaskforgeError("matrix is singular")
@@ -219,14 +252,16 @@ def is_isotropic(matrix) -> IsotropyReport:
         best = max(best, Fraction(inf_norm(power) * inf_norm(adj_power), m ** k))
         power, adj_power = mat_mul(power, matrix), mat_mul(adj_power, adj)
 
-    scale = max(moduli[-1], 1.0)
-    if moduli[-1] - moduli[0] > ISOTROPY_MODULUS_RTOL * scale:
-        verdict = "no"
-    else:
-        finite = np.all(np.isfinite(eigvecs))
-        cond = np.linalg.cond(eigvecs) if finite else float("inf")
-        verdict = "yes" if cond < EIGENBASIS_CONDITION_CAP else "inconclusive"
-    return IsotropyReport(verdict, moduli, best, ISOTROPY_PROBE_DEPTH)
+    power = matrix_power(matrix, len(matrix))
+    squarefree = _squarefree_part(characteristic_polynomial(power))
+    value = ((0,) * len(matrix),) * len(matrix)
+    for c in reversed(squarefree):
+        value = _mul_add(value, power, c)
+    scaled = [c * m ** k for k, c in enumerate(squarefree)]
+    equal_moduli = (scaled[::-1] in (scaled, [-c for c in scaled]) and
+                    _inside_unit_circle([k * c for k, c in enumerate(scaled)][1:]))
+    return IsotropyReport("yes" if equal_moduli and not any(map(any, value)) else "no",
+                          characteristic_polynomial(matrix), best, ISOTROPY_PROBE_DEPTH)
 
 
 def _coset_table(adj: IntMatrix, modulus: int, digits) -> tuple:
@@ -257,13 +292,10 @@ class DilationContext:
         det = determinant(matrix)
         if det == 0:
             raise MaskforgeError("dilation matrix must be nonsingular")
-        eigvals = np.linalg.eigvals(np.array(matrix, dtype=float))
-        if min(abs(v) for v in eigvals) <= 1 + DILATION_EIGENVALUE_TOL:
+        if not _inside_unit_circle(characteristic_polynomial(matrix)[::-1]):
             raise MaskforgeError(
                 "all eigenvalues of a dilation matrix must exceed 1 in modulus")
         m = abs(det)
-        if m < 2:
-            raise MaskforgeError("a dilation matrix needs |det| >= 2")
         adj = adjugate(matrix)
         digits = digit_set(matrix, digits)
         dual_digits = digit_set(transpose(matrix), dual_digits)

@@ -163,6 +163,18 @@ def similarity_reference(matrix) -> Fraction:
                for k in range(1, ISOTROPY_PROBE_DEPTH + 1))
 
 
+def characteristic_values_hold(matrix, chi) -> bool:
+    """chi(k) == det(k*identity - matrix) for k = 0..d: the d + 1 values fix
+    a polynomial of degree d, so this is the oracle for
+    characteristic_polynomial."""
+    d = len(matrix)
+    return len(chi) == d + 1 and all(
+        sum(c * k ** j for j, c in enumerate(chi)) == determinant(
+            [[k * (i == j) - x for j, x in enumerate(row)]
+             for i, row in enumerate(matrix)])
+        for k in range(d + 1))
+
+
 def coset_fraction_key(inverse, vec) -> tuple[Fraction, ...]:
     """Fractional part of inverse @ vec; equal keys mean congruent vectors."""
     out = []

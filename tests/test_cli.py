@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import maskforge
 from maskforge.cli import main
 from maskforge.cyclotomic import CyclotomicNumber
 from maskforge.errors import BudgetExceeded
@@ -360,6 +364,20 @@ def test_cli_smooth(capsys):
     machine = machine_block(capsys)
     assert machine["verdict"] == "inconclusive"
     assert machine["isotropy"]["verdict"] == "no"
+
+
+def test_rational_smooth_imports_neither_numpy_nor_mpmath():
+    # both gates are decided in integers, and only the enclosure of a
+    # non-rational magnitude imports mpmath; a fresh process keeps the
+    # modules the test session has already loaded out of the picture
+    code = ("import sys; from maskforge.cli import main; "
+            f"main(['smooth', {EXAMPLE!r}, '--lmax', '3']); "
+            "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(maskforge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, check=True)
+    assert "MACHINE " in result.stdout
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_refine_round_trip(tmp_path, capsys):
