@@ -16,6 +16,7 @@ import re
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .cyclotomic import CyclotomicNumber
 from .errors import BudgetExceeded, MaskforgeError
@@ -252,12 +253,20 @@ def write_sequence_csv(path, seq: Sequence) -> None:
 
 def refined_rows(refined: Refined):
     """The cells of each refined row in lattice order: the grid point
-    matrix^-rounds alpha, then the value."""
-    grid_den, den = refined.grid_den, refined.data.den
-    for grid, n in refined.rows():
-        cells = [format_ratio(x, grid_den) for x in grid]
-        cells.append(format_ratio(n, den))
-        yield cells
+    matrix^-rounds alpha, then the value.  Each grid numerator is the dot
+    product of a grid row with alpha, and each distinct one is formatted
+    once over grid_den, by a dict that lives for this call only (grid_den
+    changes with the rounds)."""
+    grid, grid_den, den = refined.grid, refined.grid_den, refined.data.den
+    cells = {}
+    for alpha, n in refined.data.values.items():
+        row = []
+        for g in grid:
+            x = sum(map(mul, g, alpha))
+            row.append(cells.get(x)
+                       or cells.setdefault(x, format_ratio(x, grid_den)))
+        row.append(format_ratio(n, den))
+        yield row
 
 
 def write_refined_csv(path, refined: Refined) -> None:

@@ -345,14 +345,16 @@ def _decoded(acc: dict, strides, lo, origin: int) -> dict:
     """{point: x} in lattice order for each code c with a nonzero sum x in
     acc, the point's coordinates the digits of c - origin in the strides,
     shifted by lo; code order is lattice order.  acc is emptied first, so
-    its table is freed before the points are built."""
+    its table is freed before the points are built, and the points share one
+    int object per coordinate value."""
     codes = sorted(c for c, x in acc.items() if x)
     values = [acc[c] for c in codes]
     acc.clear()
     codes = [c - origin for c in codes]
     coordinates = []
     for stride, low in zip(strides, lo):
-        coordinates.append([c // stride + low for c in codes])
+        ints = list(range(low, low + max(codes, default=0) // stride + 1))
+        coordinates.append([ints[c // stride] for c in codes])
         codes = [c % stride for c in codes]
     return dict(zip(zip(*coordinates), values))
 
@@ -745,13 +747,6 @@ class Refined(NamedTuple):
     data: IntSequence
     grid: tuple
     grid_den: int
-
-    def rows(self):
-        """(mat_vec(grid, alpha), n) for each point alpha of the support, in
-        the lattice order the data keeps."""
-        grid = self.grid
-        for alpha, n in self.data.values.items():
-            yield mat_vec(grid, alpha), n
 
 
 def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,

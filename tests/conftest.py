@@ -61,6 +61,8 @@ KNOWN_DILATIONS = [
     ((2,),), ((3,),), ((-2,),),
     EXAMPLE_DILATION, ((1, 1), (-1, 1)), ((2, 0), (0, 2)), ((1, -2), (2, 1)),
     ((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 0, 2), (1, 0, 0), (0, 1, 0)),
+    # companion of x^3 - 2x^2 - x + 3: det -3, eigenvalues of unequal moduli
+    ((0, 0, -3), (1, 0, 1), (0, 1, 2)),
 ]
 
 
@@ -443,11 +445,21 @@ def sup_norm(f) -> Fraction:
                default=Fraction(0))
 
 
+def refined_grid_rows(refined):
+    """(mat_vec(grid, alpha), n) for each point alpha of subdivision.refine's
+    result, in the lattice order the data keeps: the grid numerators and the
+    value numerator of each row, one mat_vec per row."""
+    grid = refined.grid
+    for alpha, n in refined.data.values.items():
+        yield mat_vec(grid, alpha), n
+
+
 def refined_points(refined) -> list:
     """[(grid point, (value,))] of subdivision.refine's result in lattice
     order, in Fractions."""
     return [(tuple(Fraction(x, refined.grid_den) for x in grid),
-             (Fraction(n, refined.data.den),)) for grid, n in refined.rows()]
+             (Fraction(n, refined.data.den),))
+            for grid, n in refined_grid_rows(refined)]
 
 
 def l1_norm(t: TrigPoly, precision_bits: int = 128) -> RatInterval:
