@@ -445,21 +445,14 @@ def sup_norm(f) -> Fraction:
                default=Fraction(0))
 
 
-def refined_grid_rows(refined):
-    """(mat_vec(grid, alpha), n) for each point alpha of subdivision.refine's
-    result, in the lattice order the data keeps: the grid numerators and the
-    value numerator of each row, one mat_vec per row."""
-    grid = refined.grid
-    for alpha, n in refined.data.values.items():
-        yield mat_vec(grid, alpha), n
-
-
 def refined_points(refined) -> list:
     """[(grid point, (value,))] of subdivision.refine's result in lattice
-    order, in Fractions."""
-    return [(tuple(Fraction(x, refined.grid_den) for x in grid),
+    order, in Fractions: the grid point of alpha is mat_vec(grid, alpha)
+    over grid_den, one mat_vec per point."""
+    return [(tuple(Fraction(x, refined.grid_den)
+                   for x in mat_vec(refined.grid, alpha)),
              (Fraction(n, refined.data.den),))
-            for grid, n in refined_grid_rows(refined)]
+            for alpha, n in refined.data.values.items()]
 
 
 def l1_norm(t: TrigPoly, precision_bits: int = 128) -> RatInterval:
