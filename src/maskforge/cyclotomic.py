@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import lcm
 from numbers import Rational
 
-from .errors import MaskforgeError
+from .errors import InternalIdentityViolation, MaskforgeError
 from .intervals import RatInterval
 
 DEFAULT_PRECISION_BITS = 128
@@ -46,7 +46,7 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
 
 
 def _divide_monic(num: list, den: list) -> list:
-    """Exact quotient of polynomials with den monic; raises if a remainder is left."""
+    """Exact quotient of polynomials with den monic; a remainder is a bug."""
     num = list(num)
     dd = len(den) - 1
     quot = [0] * (len(num) - dd)
@@ -57,7 +57,7 @@ def _divide_monic(num: list, den: list) -> list:
             for j in range(dd + 1):
                 num[i - dd + j] -= c * den[j]
     if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
+        raise InternalIdentityViolation("polynomial division left a remainder")
     return quot
 
 

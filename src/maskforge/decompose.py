@@ -14,8 +14,9 @@ would hold its value at (the lcm of the labels summed into it), because that
 order is part of the value's printed bytes; the entries are TrigPolys of the
 telescoped vectors as they are.  A refinement pass lifts the entries'
 sum-rule order step by step, moving corrections weighted by the direct
-checker's integer moments between rows without changing the defining sums;
-an iterated form indexes repeated decompositions by tuples of axes.
+checker's integer moments between rows, where the identity's sums cancel
+them; each decomposition returned is checked once, on the result (_checked).
+An iterated form indexes repeated decompositions by tuples of axes.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
     carry order source_order - 1 (refining when source_order >= 2).
 
     The caller has certified the source order; the mask is not scanned again.
-    Each result is guarded where it is produced instead: the lift checks the
-    entries of an order-n source at class n-1, and the entries of an order-1
-    source are checked at class 0.  An order-0 source guarantees no class.
+    The returned decomposition, lifted or not, is guarded once (_checked):
+    its identity, its values at the origin and its entries at class
+    source_order - 1, which for an order-0 source is -1 and holds trivially.
 
     The plain decomposition works through the polyphase components: for each
     plain axis k and coset nu, the shifted polyphase matching the coset of
@@ -186,18 +187,21 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
     the lcm of the orders summed into it, dropped sums not counted.
     Deterministic given the context's digit order.
     """
-    dec = _plain(t, ctx, _telescope(t, ctx), -1)
+    dec = _plain(t, ctx, _telescope(t, ctx), source_order - 1)
+    return _checked(_lift(dec, source_order) if source_order >= 2 else dec)
+
+
+def _checked(dec: MaskDecomposition) -> MaskDecomposition:
+    """dec, once its identity, its values at the origin and its entries'
+    class (in that order) hold; InternalIdentityViolation naming the first
+    that fails.  The one guard of every decomposition this module builds."""
     if not dec.identity_holds():
         raise InternalIdentityViolation("decomposition identity failed")
     if not dec.value_constraint_holds():
         raise InternalIdentityViolation("origin value constraint failed")
-    if source_order >= 2:
-        return _lift(dec, source_order)
-    if source_order == 1:
-        if not dec.entries_reach(0):
-            raise InternalIdentityViolation(
-                "entry of an order-1 mask fell outside the order-0 class")
-        dec.achieved_class = 0
+    if not dec.entries_reach(dec.achieved_class):
+        raise InternalIdentityViolation(
+            f"entry fell outside the order-{dec.achieved_class} class")
     return dec
 
 
@@ -322,22 +326,23 @@ def refine_decomposition(t: TrigPoly, dec: MaskDecomposition, ctx: DilationConte
     nothing moves below N = 2."""
     if sum_rule_order(t, ctx, cap=target_order) < target_order:
         raise NotInClass(f"mask does not satisfy the order-{target_order} sum rules")
-    return _lift(dec, target_order) if target_order >= 2 else dec
+    return _checked(_lift(dec, target_order)) if target_order >= 2 else dec
 
 
 def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
     """One pass per order n = 1..N-1 (N = n_cap >= 2); within a pass, rows are
-    fixed left to right, each step exchanging corrections between row l and
-    the later rows while preserving the defining sums exactly (checked, as a
-    bug guard).  In one dimension there is nothing to exchange: the single
-    entry inherits the full order drop automatically."""
+    fixed left to right, each step moving a block B from row l to a later row
+    j: row l loses delta_j * B, row j gains delta_l * B (delta_j the dilated
+    difference), and the two cancel in sum_j t_jk * delta_j; delta_j(0) = 0
+    moves no value at the origin.  It only builds; the caller checks.  In one
+    dimension there is nothing to exchange: the single entry inherits the
+    full order drop automatically."""
     ctx = dec.ctx
     d = ctx.dim
     entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
     deltas = [dilated_difference(ctx, j) for j in range(1, d + 1)]
     for order in range(1, n_cap):
         for l in range(1, d):
-            before = [row[:] for row in entries]
             for k in range(1, d + 1):
                 kernel = _direct_kernel(entries[l - 1][k - 1], ctx)
                 for j in range(l + 1, d + 1):
@@ -348,19 +353,7 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
                         - deltas[j - 1] * block
                     entries[j - 1][k - 1] = entries[j - 1][k - 1] \
                         + deltas[l - 1] * block
-            for k in range(d):  # defining sums, after minus before
-                if not _vanishing_sum(d, [
-                        (s, rows[j][k], [[row[j] for row in ctx.matrix]])
-                        for j in range(d) for s, rows in ((1, entries), (-1, before))]):
-                    raise InternalIdentityViolation(
-                        f"row exchange changed the defining sum at k={k + 1}")
-    result = _plain(dec.source, ctx, entries, n_cap - 1)
-    if not result.identity_holds() or not result.value_constraint_holds():
-        raise InternalIdentityViolation("refined decomposition lost its identity")
-    if not result.entries_reach(n_cap - 1):
-        raise InternalIdentityViolation(
-            "refined entry fell short of its guaranteed order")
-    return result
+    return _plain(dec.source, ctx, entries, n_cap - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,8 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
             found[key] = point
             if len(found) == m:
                 return tuple(found.values())
-    raise MaskforgeError(
+    # unreachable: M[0,1)^dim meets every coset and lies inside the box
+    raise InternalIdentityViolation(
         f"enumeration box of radius {radius} met only {len(found)} of {m} cosets")
 
 

@@ -62,7 +62,8 @@ def format_ratio(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
@@ -205,7 +206,8 @@ def mask_document(mask: TrigPoly, ctx: DilationContext) -> dict:
 # ---------------------------------------------------------------------------
 
 def read_sequence_csv(path, dim: int) -> Sequence:
-    """Rows: dim integer columns, then the value columns as exact rationals."""
+    """Rows: dim integer columns, then the value columns as exact rationals,
+    written in ASCII decimal digits."""
     values = {}
     width = None
     try:
@@ -215,10 +217,10 @@ def read_sequence_csv(path, dim: int) -> Sequence:
                     continue
                 if len(row) <= dim:
                     raise ParseError(f"row {row!r} is too short for dim={dim}")
-                try:
-                    alpha = tuple(int(cell) for cell in row[:dim])
-                except ValueError as exc:
-                    raise ParseError(f"bad lattice point in {row!r}: {exc}") from None
+                cells = [cell.strip() for cell in row[:dim]]
+                if not all(map(_INTEGER.fullmatch, cells)):
+                    raise ParseError(f"bad lattice point in {row!r}: not integers")
+                alpha = tuple(map(int, cells))
                 vec = tuple(parse_rational(cell) for cell in row[dim:])
                 if width is None:
                     width = len(vec)

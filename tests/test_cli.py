@@ -10,12 +10,15 @@ import pytest
 
 import maskforge
 from maskforge.cli import main
-from maskforge.cyclotomic import CyclotomicNumber
+from maskforge.cyclotomic import CyclotomicNumber, _divide_monic
+from maskforge.decompose import dilated_difference
 from maskforge.errors import BudgetExceeded
 from maskforge.maskfile import (ParseError, format_rational, load_mask_document,
                                 mask_document, parse_rational, parse_scalar,
                                 read_sequence_csv, write_sequence_csv)
 from maskforge.subdivision import Sequence
+from maskforge.trigpoly import TrigPoly
+from test_golden_machine import order2_mask
 
 DATA = Path(__file__).parent / "data"
 EXAMPLE = str(DATA / "example_mask_2d.json")
@@ -87,6 +90,15 @@ def test_sequence_csv_errors(tmp_path):
     path.write_text("")
     with pytest.raises(ParseError):
         read_sequence_csv(path, 2)
+    # lattice cells are ASCII decimal integers: int() would read 1_0 as 10
+    # and an Arabic-Indic three as 3
+    for cell in ("1_0", "\u0663"):
+        path.write_text(f"{cell},0,1\n")
+        with pytest.raises(ParseError, match="bad lattice point"):
+            read_sequence_csv(path, 2)
+        path.write_text(f"0,0,{cell}\n")
+        with pytest.raises(ParseError, match="bad rational"):
+            read_sequence_csv(path, 2)
 
 
 def test_sequence_csv_repeated_point(tmp_path):
@@ -565,23 +577,44 @@ def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):
     assert "MASKFORGE_PRECISION_BITS" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, target, attr, replacement", [
-    ("decompose", "maskforge.decompose.MaskDecomposition", "identity_holds",
-     lambda self: False),
-    ("analyze", "maskforge.sumrules", "_direct_order_holds",
+ORDER2 = "order2.json"  # the order-2 table mask, written to tmp_path
+
+
+@pytest.mark.parametrize("argv, target, attr, replacement", [
+    (["decompose", EXAMPLE], "maskforge.decompose.MaskDecomposition",
+     "identity_holds", lambda self: False),
+    (["analyze", EXAMPLE], "maskforge.sumrules", "_direct_order_holds",
      lambda *args: False),
     # a line of the telescoping whose total does not vanish
-    ("decompose", "maskforge.decompose", "_vanishes", lambda *args: False),
+    (["decompose", EXAMPLE], "maskforge.decompose", "_vanishes",
+     lambda *args: False),
     # a coset index that does not match the vector
-    ("analyze", "maskforge.lattice.DilationContext", "coset_index",
+    (["analyze", EXAMPLE], "maskforge.lattice.DilationContext", "coset_index",
      lambda *args: 0),
-])
-def test_bug_guard_exit_code(monkeypatch, capsys, command, target, attr,
+    # the canonical digit search meets one coset only (the dual digits of
+    # the example are searched, not given)
+    (["analyze", EXAMPLE], "maskforge.lattice", "_canonical_candidates",
+     lambda dim, radius: iter([(0,) * dim])),
+    # an exact division that leaves a remainder: x^2 + 1 by x + 1
+    (["smooth", EXAMPLE], "maskforge.lattice", "_squarefree_part",
+     lambda poly: _divide_monic([1, 0, 1], [1, 1])),
+    # lift faults: no correction moves, so the entries stay a class short
+    (["decompose", ORDER2, "--order", "2"], "maskforge.decompose",
+     "_correction_block", lambda kernel, ctx, *args: TrigPoly.zero(ctx.dim)),
+    # every exchange uses axis 1's difference, which breaks the identity
+    (["decompose", ORDER2, "--order", "2"], "maskforge.decompose",
+     "dilated_difference", lambda ctx, axis: dilated_difference(ctx, 1)),
+], ids=lambda value: value[0] if isinstance(value, list) else None)  # argv: its subcommand
+def test_bug_guard_exit_code(monkeypatch, capsys, tmp_path, argv, target, attr,
                              replacement):
     # a failed identity check, a checker disagreement, a remainder in an
-    # exact division and a failed coset split are bugs, not input errors:
-    # all get the internal-error exit code
+    # exact division, a failed coset split, a digit search that misses a
+    # coset and a broken lift are bugs, not input errors: all get the
+    # internal-error exit code
     from maskforge.cli import EXIT_INTERNAL
+    mask_file = tmp_path / ORDER2
+    mask_file.write_text(json.dumps(mask_document(*order2_mask())))
+    argv = [str(mask_file) if arg == ORDER2 else arg for arg in argv]
     monkeypatch.setattr(target + "." + attr, replacement)
-    assert main([command, EXAMPLE]) == EXIT_INTERNAL == 6
+    assert main(argv) == EXIT_INTERNAL == 6
     assert "internal error (bug guard)" in capsys.readouterr().err

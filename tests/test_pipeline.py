@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_class_mask
-from maskforge import subdivision, sumrules
+from maskforge import decompose, subdivision, sumrules
 from maskforge.cli import main
 from maskforge.decompose import MaskDecomposition, decompose_to_class
 from maskforge.errors import InternalIdentityViolation
@@ -16,6 +16,7 @@ from maskforge.lattice import DilationContext
 from maskforge.subdivision import (MatrixMask, _certificate_search, _powers,
                                    check_c1)
 from maskforge.trigpoly import TrigPoly
+from test_golden_cyclotomic import cyclotomic_mask
 from test_golden_machine import order2_mask
 
 
@@ -98,6 +99,40 @@ def test_order1_entry_guard_raises(monkeypatch, example_ctx):
     monkeypatch.setattr(MaskDecomposition, "entries_reach", lambda self, n: False)
     with pytest.raises(InternalIdentityViolation):
         decompose_to_class(t, example_ctx, 1)
+
+
+@pytest.mark.parametrize("name, order", [("order2", 2), ("twice2_cyc3_order3", 3)])
+def test_each_decomposition_is_checked_once(monkeypatch, name, order):
+    # the lift only builds; the decomposition it returns is the one checked
+    t, ctx = order2_mask() if name == "order2" else cyclotomic_mask(name)
+    calls = []                       # (check, called inside the lift)
+    inside_lift = [False]
+
+    def counted(check, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((check, inside_lift[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for check in ("identity_holds", "value_constraint_holds"):
+        monkeypatch.setattr(MaskDecomposition, check,
+                            counted(check, getattr(MaskDecomposition, check)))
+    monkeypatch.setattr(decompose, "_vanishing_sum",
+                        counted("_vanishing_sum", decompose._vanishing_sum))
+    lift = decompose._lift
+
+    def flagged(*args):
+        inside_lift[0] = True
+        try:
+            return lift(*args)
+        finally:
+            inside_lift[0] = False
+
+    monkeypatch.setattr(decompose, "_lift", flagged)
+    assert decompose_to_class(t, ctx, order).achieved_class == order - 1
+    assert [check for check, _ in calls if check != "_vanishing_sum"] == \
+        ["identity_holds", "value_constraint_holds"]
+    assert not any(in_lift for _, in_lift in calls)
 
 
 def test_analyze_checks_each_order_once(monkeypatch, capsys):
