@@ -8,8 +8,10 @@ Exit codes: 0 success, 2 parse error, 3 invalid digit set, 4 class
 precondition failed (or verification failure), 5 shape error, 6 internal
 error (a bug guard fired: an exact identity failed or the two sum-rule
 checkers disagreed), 7 size budget exceeded (refine stopped before a round
-that would form too many products, or a mask or decomposition file names
-cyclotomic orders whose lcm is over the parser's limit of 840).
+that would form too many products, a mask or decomposition file names
+cyclotomic orders whose lcm is over the parser's limit of 840,
+MASKFORGE_PRECISION_BITS is over 8,192, or a value to print has more
+decimal digits than the interpreter prints in one integer).
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ EXIT_SHAPE = 5
 EXIT_INTERNAL = 6
 EXIT_BUDGET = 7
 
+# MASKFORGE_PRECISION_BITS is read as at least 32 and refused above this: the
+# enclosures slow with it, and millions of bits run for minutes
+PRECISION_BITS_LIMIT = 8192
+
 
 def _precision_bits() -> int:
     raw = os.environ.get("MASKFORGE_PRECISION_BITS", "128")
@@ -46,6 +52,9 @@ def _precision_bits() -> int:
     except ValueError:
         raise ParseError(
             f"MASKFORGE_PRECISION_BITS must be an integer, got {raw!r}") from None
+    if bits > PRECISION_BITS_LIMIT:
+        raise BudgetExceeded(
+            f"MASKFORGE_PRECISION_BITS {bits} > limit {PRECISION_BITS_LIMIT}")
     return max(bits, 32)
 
 
@@ -175,9 +184,9 @@ def _certify(args, check, bounds: str, label: str) -> int:
     verdict, the certificate power with its bound (the report's `bounds` list
     holds one (power, interval) pair per power), and the reasons."""
     _at_least("--lmax", args.lmax, 1)
+    bits = _precision_bits()
     mask, ctx = _load_mask(args)
-    report = check(mask, ctx, power_cap=args.lmax,
-                   precision_bits=_precision_bits())
+    report = check(mask, ctx, power_cap=args.lmax, precision_bits=bits)
     machine = report.to_json()
     human = [f"verdict: {report.verdict}"]
     if report.certificate_power:
@@ -271,31 +280,24 @@ def build_parser() -> argparse.ArgumentParser:
 _shared_parser = lru_cache(maxsize=None)(build_parser)  # built on first use
 
 
+# the exit code and message prefix of each error type, the first match taken
+ERROR_EXITS = [(UserDigitsInvalid, EXIT_DIGITS, "invalid digit set: "),
+               (NotInClass, EXIT_CLASS, ""), (ShapeMismatch, EXIT_SHAPE, ""),
+               (BudgetExceeded, EXIT_BUDGET, ""),
+               ((InternalIdentityViolation, MethodDisagreement), EXIT_INTERNAL,
+                "internal error (bug guard): "),
+               (MaskforgeError, EXIT_PARSE, "")]  # ParseError among them
+
+
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UserDigitsInvalid as exc:
-        print(f"error: invalid digit set: {exc}", file=sys.stderr)
-        return EXIT_DIGITS
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotInClass as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CLASS
-    except ShapeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (InternalIdentityViolation, MethodDisagreement) as exc:
-        print(f"error: internal error (bug guard): {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except MaskforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        code, prefix = next((code, prefix) for kinds, code, prefix in ERROR_EXITS
+                            if isinstance(exc, kinds))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

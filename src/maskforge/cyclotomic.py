@@ -4,13 +4,14 @@ Values are stored as length-N rational coordinate vectors against the power
 basis 1, zeta, ..., zeta^(N-1), kept in canonical form: the representative
 polynomial is reduced modulo the N-th cyclotomic polynomial, so equality of
 coordinates is equality of field values.  Reduction modulo x^N - 1 alone would
-not be faithful (that ring has zero divisors), hence the cyclotomic modulus.
+not be faithful (that ring has zero divisors), hence the cyclotomic modulus;
+each coordinate i >= deg Phi_N adds its multiple of a cached row x^i mod Phi_N.
 
 |x| is enclosed in outward-rounded interval arithmetic on raw mpmath.libmp
 tuples, so each endpoint is a dyadic rational; a sum of magnitudes adds them
-exactly as integer numerators, one Fraction per end.  A caller's memo dict,
-living for one operator norm, holds each distinct value's enclosure, keyed
-by its order and integer coordinates over the norm's one denominator.
+exactly as integer numerators, one Fraction per end.  Dicts living for one
+operator norm hold each distinct value's enclosure, keyed by its order and
+integer coords over the norm's denominator, and each term's products.
 Only these enclosures need mpmath, imported by the first of them.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 
 from .errors import InternalIdentityViolation, MaskforgeError
@@ -61,17 +62,30 @@ def _divide_monic(num: list, den: list) -> list:
     return quot
 
 
-def _reduce_coords(coords: list[Fraction], order: int) -> tuple[Fraction, ...]:
-    """Reduce a length-`order` coordinate vector modulo the cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def _power_rows(order: int) -> tuple:
+    """x^i mod Phi_order for i = deg Phi_order .. order - 1, each as the
+    sparse row of its (position, integer coefficient) pairs."""
     phi = cyclotomic_polynomial(order)
     deg = len(phi) - 1
-    rem = list(coords)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
+    rows, row = [], [-c for c in phi[:deg]]  # x^deg
+    for _ in range(deg, order):
+        rows.append(tuple((j, c) for j, c in enumerate(row) if c))
+        row = [r - row[-1] * c for r, c in zip([0, *row[:-1]], phi)]  # times x
+    return tuple(rows)
+
+
+def _reduce_coords(coords, order: int) -> tuple:
+    """The canonical coordinates (at most deg Phi_order of them) of a vector
+    of at most `order` ints or Fractions: each nonzero coordinate past them
+    adds its multiple of one precomputed row of x^i mod Phi_order."""
+    rows = _power_rows(order)
+    deg = order - len(rows)
+    rem = list(coords[:deg])
+    for c, row in zip(coords[deg:], rows):
         if c:
-            rem[i] = _F0
-            for j in range(deg):
-                rem[i - deg + j] -= c * phi[j]
+            for j, r in row:
+                rem[j] += c * r
     return tuple(rem)
 
 
@@ -85,7 +99,7 @@ def _canonical(vec: list, field: int, order: int) -> tuple:
     field/order and reduced once, the tail that reduction zeroes left off."""
     coords = tuple(vec[::field // order])
     if any(coords[1:]):  # else a rational, canonical at every order
-        coords = _reduce_coords(coords, order)[:len(cyclotomic_polynomial(order)) - 1]
+        coords = _reduce_coords(coords, order)
     return coords
 
 
@@ -98,12 +112,12 @@ class CyclotomicNumber:
         if order < 1:
             raise ValueError("order must be a positive integer")
         coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
-        if len(coords) < order:
-            coords += [_F0] * (order - len(coords))
-        elif len(coords) > order:
+        if len(coords) > order:
             raise ValueError("coordinate vector longer than the field order")
         self.order = order
-        self.coords = _reduce_coords(coords, order) if reduce else tuple(coords)
+        if reduce:
+            coords = _reduce_coords(coords, order)
+        self.coords = (*coords, *[_F0] * (order - len(coords)))
 
     @classmethod
     def from_rational(cls, value) -> "CyclotomicNumber":
@@ -130,11 +144,8 @@ class CyclotomicNumber:
             return self
         if order % self.order:
             raise ValueError("target order must be a multiple of the current order")
-        step = order // self.order
         coords = [_F0] * order
-        for k, c in enumerate(self.coords):
-            if c:
-                coords[(k * step) % order] += c
+        coords[::order // self.order] = self.coords
         return CyclotomicNumber(order, coords)
 
     def _pair(self, other) -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
@@ -178,13 +189,8 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def conjugate(self) -> "CyclotomicNumber":
-        """Complex conjugate (zeta -> zeta^(order-1))."""
-        n = self.order
-        coords = [_F0] * n
-        for k, c in enumerate(self.coords):
-            if c:
-                coords[(-k) % n] += c
-        return CyclotomicNumber(n, coords)
+        """Complex conjugate (zeta^k -> zeta^(order-k))."""
+        return CyclotomicNumber(self.order, [self.coords[0], *self.coords[:0:-1]])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
@@ -277,45 +283,48 @@ def _enclose_int(libmp, n: int, prec: int):
             libmp.from_int(n, prec, libmp.round_ceiling))
 
 
-def _magnitude(x: CyclotomicNumber, prec: int):
-    """Raw (lo, hi) mpf enclosure of |x| for a non-rational x, with lo >= 0.
+def magnitude_interval(x, precision_bits: int = DEFAULT_PRECISION_BITS,
+                       den: int = 1, products: dict | None = None) -> RatInterval:
+    """Certified rational enclosure of |x|, for a CyclotomicNumber or
+    Rational x, or for x = (order, integer coords over den).
 
-    The iv context's operations in its order at precision prec, so each
-    endpoint is the mpf it gives: re and im sum num/den times the (cos, sin)
-    of each root in k order, then sqrt(re*re + im*im).
+    Rational values get an exact point interval.  Otherwise each endpoint is
+    the dyadic mpf the iv context gives at precision_bits + 16: re and im sum
+    num/den times the (cos, sin) of each root in k order, then
+    sqrt(re*re + im*im).  `products`, a caller's dict used at one precision,
+    keeps each term's products, keyed by (num, den, k, order) in lowest terms.
     """
-    libmp = _mpmath().libmp
+    if precision_bits < 32:
+        raise ValueError("precision_bits must be at least 32")
+    if not isinstance(x, tuple):
+        x = coerce(x)
+        if x.is_rational():
+            return RatInterval.exact(abs(x.coords[0]))
+        den = lcm(*(c.denominator for c in x.coords))
+        x = (x.order, [c.numerator * (den // c.denominator) for c in x.coords])
+    order, coords = x
+    products = {} if products is None else products
+    libmp, prec = _mpmath().libmp, precision_bits + 16
     mpi_add, mpi_mul, fzero = libmp.mpi_add, libmp.mpi_mul, libmp.fzero
     re = im = (fzero, fzero)
-    for k, c in enumerate(x.coords):
-        if c:
-            coeff = libmp.mpi_div(_enclose_int(libmp, c.numerator, prec),
-                                  _enclose_int(libmp, c.denominator, prec), prec)
-            cos, sin = _root_enclosure(k, x.order, prec)
-            re = mpi_add(re, mpi_mul(coeff, cos, prec), prec)
-            im = mpi_add(im, mpi_mul(coeff, sin, prec), prec)
+    for k, n in enumerate(coords):
+        if n:
+            g = gcd(n, den)
+            key = (n // g, den // g, k, order)
+            pair = products.get(key)
+            if pair is None:
+                coeff = libmp.mpi_div(_enclose_int(libmp, key[0], prec),
+                                      _enclose_int(libmp, key[1], prec), prec)
+                cos, sin = _root_enclosure(k, order, prec)
+                pair = products[key] = (mpi_mul(coeff, cos, prec),
+                                        mpi_mul(coeff, sin, prec))
+            re = mpi_add(re, pair[0], prec)
+            im = mpi_add(im, pair[1], prec)
     sq_lo, sq_hi = mpi_add(mpi_mul(re, re, prec), mpi_mul(im, im, prec), prec)
     if sq_lo[0]:
         # a negative lower end (sign bit set) is rounding slack: |x|^2 >= 0
         sq_lo = fzero
-    return libmp.mpi_sqrt((sq_lo, sq_hi), prec)
-
-
-def magnitude_interval(x: CyclotomicNumber,
-                       precision_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
-    """Certified rational enclosure of |x|.
-
-    Rational values get an exact point interval; otherwise the value is
-    evaluated in outward-rounded interval arithmetic at precision_bits + 16,
-    so the result always contains the true magnitude, and both endpoints
-    are dyadic.
-    """
-    if precision_bits < 32:
-        raise ValueError("precision_bits must be at least 32")
-    x = coerce(x)
-    if x.is_rational():
-        return RatInterval.exact(abs(x.coords[0]))
-    lo, hi = _magnitude(x, precision_bits + 16)
+    lo, hi = libmp.mpi_sqrt((sq_lo, sq_hi), prec)
     return RatInterval(_dyadic(lo[1], lo[2]), _dyadic(hi[1], hi[2]))
 
 
@@ -326,13 +335,14 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
     order).
 
     Rational values are summed exactly in integers.  Every other distinct
-    value is enclosed once per call by magnitude_interval, with its
-    CyclotomicNumber built only then; each end of a row's enclosures is
-    summed as one integer numerator and one exponent.  A row of rational
+    value is enclosed once per call by magnitude_interval, from its integer
+    coords, and each term product once per call; each end of a row's
+    enclosures is summed as one integer numerator and one exponent.  A row of rational
     values is compared as one integer, so the result is a point interval
     whenever every value is rational.
     """
     memo: dict = {}
+    products: dict = {}
     best_exact = 0
     best_lo = best_hi = _F0
     for row in rows:
@@ -344,10 +354,8 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
                 continue
             enclosure = memo.get(value)
             if enclosure is None:
-                order, coords = value
-                enclosure = memo[value] = magnitude_interval(CyclotomicNumber(
-                    order, [Fraction(c, den) for c in coords], reduce=False),
-                    precision_bits)
+                enclosure = memo[value] = magnitude_interval(
+                    value, precision_bits, den, products)
             lo = _dyadic_add(lo, enclosure.lo)
             hi = _dyadic_add(hi, enclosure.hi)
         if hi == (0, 0):  # no enclosure: |x| > 0 for every value enclosed

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, _reduce_coords
 from .errors import BudgetExceeded, MaskforgeError
 from .lattice import DilationContext
 from .subdivision import Refined, Sequence
@@ -35,53 +37,59 @@ class ParseError(MaskforgeError):
     pass
 
 
-def field_order(orders) -> None:
-    """BudgetExceeded if the lcm of the orders passes FIELD_ORDER_LIMIT."""
+def field_order(orders) -> int:
+    """The lcm of the orders; BudgetExceeded once it passes FIELD_ORDER_LIMIT."""
     field = 1
     for order in orders:
         field = lcm(field, order)
         if field > FIELD_ORDER_LIMIT:
             raise BudgetExceeded(f"cyclotomic field order {field} > limit {FIELD_ORDER_LIMIT}")
+    return field
 
 
 def format_rational(value) -> str:
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
 
 
 def format_ratio(p: int, q: int) -> str:
     """format_rational(Fraction(p, q)) straight from the integers: reduced,
-    the sign on the numerator, "p" when the denominator is 1."""
+    the sign on the numerator, "p" when the denominator is 1; BudgetExceeded
+    past the interpreter's limit on the decimal digits of a printed int."""
     g = gcd(p, q)
     if q < 0:
         g = -g
     p, q = p // g, q // g
-    return str(p) if q == 1 else f"{p}/{q}"
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # only that limit raises here
+        raise BudgetExceeded(f"a value has more than {sys.get_int_max_str_digits()} "
+                             "decimal digits, the limit on a printed int") from None
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
-_RATIONAL = re.compile(_INTEGER.pattern + r"(/[0-9]+)?")
+_RATIONAL = re.compile(_INTEGER.pattern + r"(/0*[1-9][0-9]*)?")  # q > 0
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(p, q), q > 0, of a JSON integer or a "p" / "p/q" string; decimal and
+    exponent strings are rejected, so no value is expanded from a short
+    exponent."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value, 1
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value.strip()):
+        raise ParseError(f"bad rational {value!r}: expected p or p/q, q > 0")
+    p, _, q = value.strip().partition("/")
+    try:
+        p, q = int(p), int(q or 1)
+    except ValueError as exc:  # past the int-from-str digit limit
+        raise ParseError(f"bad rational {value!r}: {exc}") from None
+    return p, q
 
 
 def parse_rational(value) -> Fraction:
-    """A JSON integer or a "p" / "p/q" string; decimal and exponent strings
-    are rejected, so no value is expanded from a short exponent."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"rational values must be exact, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL.fullmatch(text):
-            raise ParseError(f"bad rational {value!r}: expected p or p/q")
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational {value!r}: {exc}") from None
-    raise ParseError(f"cannot parse rational from {value!r}")
+    """A JSON integer or a "p" / "p/q" string, as _ratio reads it."""
+    return Fraction(*_ratio(value))
 
 
 def parse_integer(value) -> int:
@@ -91,18 +99,26 @@ def parse_integer(value) -> int:
     return value
 
 
+def _ratios(value) -> tuple[int, list]:
+    """(order, the (p, q) of each coord) of a coefficient: a rational is one
+    coord at order 1, a cyclotomic object at most `order` of them."""
+    if not isinstance(value, dict):
+        return 1, [_ratio(value)]
+    try:
+        order, coords = parse_integer(value["order"]), value["coords"]
+        if not isinstance(coords, list) or order < 1 or len(coords) > order:
+            raise ValueError("coords must be a list of at most order >= 1 values")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad cyclotomic object {value!r}: {exc}") from None
+    return order, [_ratio(c) for c in coords]
+
+
 def parse_scalar(value):
     """A coefficient: rational string/int, or a cyclotomic object."""
-    if isinstance(value, dict):
-        try:
-            coords = value["coords"]
-            if not isinstance(coords, list):
-                raise ParseError(f"cyclotomic coords must be a list, got {coords!r}")
-            return CyclotomicNumber(parse_integer(value["order"]),
-                                    [parse_rational(c) for c in coords])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad cyclotomic object {value!r}: {exc}") from None
-    return parse_rational(value)
+    order, ratios = _ratios(value)
+    if not isinstance(value, dict):
+        return Fraction(*ratios[0])
+    return CyclotomicNumber(order, [Fraction(*r) for r in ratios])
 
 
 def mask_terms_json(t: TrigPoly) -> dict:
@@ -111,7 +127,9 @@ def mask_terms_json(t: TrigPoly) -> dict:
 
 
 def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
-    """The mask of a {"coefficients": [...]} object; ParseError if malformed."""
+    """The mask of a {"coefficients": [...]} object; ParseError if malformed.
+    Each value's numerators over the file's common denominator are reduced
+    in integers at its order (one that vanishes to zeros, which are dropped)."""
     if not isinstance(payload, dict):
         raise ParseError(f"mask must be a JSON object, got {payload!r}")
     values = {}
@@ -123,12 +141,18 @@ def mask_terms_from_json(payload: dict, dim: int) -> TrigPoly:
             if freq in values:
                 raise ParseError(f"frequency {freq} appears twice")
             values[freq] = item["value"]
-        field_order(parse_integer(v["order"]) for v in values.values()
-                    if isinstance(v, dict))
-        terms = [(freq, parse_scalar(v)) for freq, v in values.items()]
+        parsed = [(freq, *_ratios(v)) for freq, v in values.items()]
+        field = field_order(order for _, order, _ in parsed)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad coefficient list: {exc!r}") from None
-    return TrigPoly._from_pairs(dim, terms)
+    den = lcm(1, *(q for _, _, ratios in parsed for _, q in ratios))
+    pairs = []
+    for freq, order, ratios in parsed:
+        coords = _reduce_coords([p * (den // q) for p, q in ratios], order)
+        vec, step = [0] * field, field // order
+        vec[:step * len(coords):step] = coords
+        pairs.append((freq, (vec, order)))
+    return TrigPoly._merged(dim, field, den, pairs)
 
 
 def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
@@ -238,10 +262,16 @@ def read_sequence_csv(path, dim: int) -> Sequence:
 
 @contextmanager
 def output_file(path, newline=None):
-    """A text file opened for writing; OSError becomes ParseError."""
+    """A text file opened for writing, removed if writing fails; OSError
+    becomes ParseError."""
     try:
         with open(path, "w", newline=newline) as handle:
-            yield handle
+            try:
+                yield handle
+            except BaseException:
+                handle.close()
+                os.remove(path)
+                raise
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from None
 

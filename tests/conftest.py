@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from mpmath import iv
 
-from maskforge.cyclotomic import (CyclotomicNumber, coerce, exp_of_rational,
+from maskforge.cyclotomic import (CyclotomicNumber, coerce,
+                                  cyclotomic_polynomial, exp_of_rational,
                                   magnitude_interval, root_of_unity)
 from maskforge.decompose import MaskDecomposition, decompose_levels
 from maskforge.errors import NotInClass, ShapeMismatch
@@ -301,6 +302,44 @@ def term_fields(terms: dict) -> list:
     """(freq, order, coords) per term in key order: == would promote across
     orders and hide a value held in the wrong field."""
     return [(f, c.order, c.coords) for f, c in terms.items()]
+
+
+# -- the parse and reduction references of maskfile and cyclotomic -----------
+
+def reference_reduce_coords(coords, order: int) -> tuple:
+    """cyclotomic._reduce_coords as it was: top-down division by Phi_order,
+    one multiple of Phi_order per nonzero coordinate from the top, the
+    whole length-`order` vector returned (its tail zeroed)."""
+    phi = cyclotomic_polynomial(order)
+    deg = len(phi) - 1
+    rem = list(coords)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            rem[i] = Fraction(0)
+            for j in range(deg):
+                rem[i - deg + j] -= c * phi[j]
+    return tuple(rem)
+
+
+def reference_scalar(value):
+    """maskfile.parse_scalar as it was, for well-formed values: a Fraction,
+    or a CyclotomicNumber of Fraction coords reduced top-down."""
+    if not isinstance(value, dict):
+        return Fraction(value)
+    order = value["order"]
+    coords = [Fraction(c) for c in value["coords"]]
+    coords += [Fraction(0)] * (order - len(coords))
+    return CyclotomicNumber(order, reference_reduce_coords(coords, order),
+                            reduce=False)
+
+
+def reference_mask_terms(payload: dict, dim: int) -> TrigPoly:
+    """maskfile.mask_terms_from_json as it was, for well-formed payloads:
+    one reference_scalar per value, merged by TrigPoly._from_pairs."""
+    pairs = [(tuple(item["freq"]), reference_scalar(item["value"]))
+             for item in payload["coefficients"]]
+    return TrigPoly._from_pairs(dim, pairs)
 
 
 # -- the TrigPoly telescoping, the reference of decompose._telescope ----------

@@ -13,8 +13,9 @@ from maskforge.cli import main
 from maskforge.cyclotomic import CyclotomicNumber, _divide_monic
 from maskforge.decompose import dilated_difference
 from maskforge.errors import BudgetExceeded
-from maskforge.maskfile import (ParseError, format_rational, load_mask_document,
-                                mask_document, parse_rational, parse_scalar,
+from maskforge.maskfile import (ParseError, format_ratio, format_rational,
+                                load_mask_document, mask_document,
+                                parse_rational, parse_scalar,
                                 read_sequence_csv, write_sequence_csv)
 from maskforge.subdivision import Sequence
 from maskforge.trigpoly import TrigPoly
@@ -560,6 +561,21 @@ def test_precision_env(monkeypatch):
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "junk")
     with pytest.raises(ParseError, match="MASKFORGE_PRECISION_BITS"):
         _precision_bits()
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "8192")
+    assert _precision_bits() == 8192
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "8193")
+    with pytest.raises(BudgetExceeded, match="limit 8192"):
+        _precision_bits()
+
+
+@pytest.mark.parametrize("command", ["converge", "smooth"])
+def test_precision_over_the_limit_exits_7_at_once(command, monkeypatch, capsys):
+    # millions of bits would run for minutes; the value is refused unread
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "3000000")
+    start = time.perf_counter()
+    assert main([command, EXAMPLE, "--lmax", "1"]) == 7
+    assert time.perf_counter() - start < 1
+    assert "limit 8192" in capsys.readouterr().err
 
 
 def test_cli_refined_example_mask(tmp_path, capsys):
@@ -569,6 +585,47 @@ def test_cli_refined_example_mask(tmp_path, capsys):
     for line in out.read_text().splitlines():
         for cell in line.split(","):
             Fraction(cell)  # parses exactly; raises otherwise
+
+
+# 1/(10^3000 + 1) and 1/(10^3000 + 3) parse, but their sum's denominator has
+# 6,001 digits, past the interpreter's 4,300-digit limit on printing one int
+LONG_VALUES = [f"1/{10 ** 3000 + 1}", f"1/{10 ** 3000 + 3}"]
+digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter prints integers of any length")
+
+
+@digit_limit
+def test_formatting_past_the_digit_limit_raises_budget_exceeded():
+    den = (10 ** 3000 + 1) * (10 ** 3000 + 3)
+    limit = str(sys.get_int_max_str_digits())
+    with pytest.raises(BudgetExceeded, match=limit):
+        format_ratio(1, den)
+    with pytest.raises(BudgetExceeded, match=limit):
+        format_rational(Fraction(1, den))
+
+
+@digit_limit
+def test_analyze_past_the_digit_limit_exits_7(tmp_path, capsys):
+    doc = {"dim": 1, "dilation": [[2]], "coefficients": [
+        {"freq": [k], "value": value} for k, value in enumerate(LONG_VALUES)]}
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(sys.get_int_max_str_digits()) in captured.err
+
+
+@digit_limit
+def test_refine_past_the_digit_limit_leaves_no_file(tmp_path, capsys):
+    data = tmp_path / "long.csv"
+    data.write_text("".join(f"{k},0,{value}\n" for k, value in enumerate(LONG_VALUES)))
+    out = tmp_path / "out.csv"
+    assert main(["refine", EXAMPLE, "--rounds", "1", "--data", str(data),
+                 "--out", str(out)]) == 7
+    assert str(sys.get_int_max_str_digits()) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):

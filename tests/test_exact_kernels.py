@@ -327,16 +327,17 @@ def test_operator_norm_encloses_each_value_once(monkeypatch):
     want = folded_norm(mask, ((2,),))
     enclosed = []
 
-    def counting(x, precision_bits):
-        enclosed.append((x.order, x.coords))
-        return magnitude_interval(x, precision_bits)
+    def counting(x, precision_bits, den, products):
+        order, coords = x
+        enclosed.append((order, CyclotomicNumber(
+            order, [Fraction(c, den) for c in coords]).coords))
+        return magnitude_interval(x, precision_bits, den, products)
     monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
     got = operator_norm(mask, ((2,),))
     assert not got.is_exact
     assert (got.lo, got.hi) == (want.lo, want.hi)
-    assert sorted(enclosed) == sorted(set(enclosed))
-    assert len(enclosed) < sum(len(entry.terms) for row in mask.entries
-                               for entry in row)
+    # each distinct non-rational value exactly once, held at its own order
+    assert sorted(enclosed) == sorted([(z.order, z.coords), (w.order, w.coords)])
 
 
 # -- raw magnitude enclosures against the iv context -----------------------------

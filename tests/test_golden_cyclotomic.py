@@ -19,10 +19,15 @@ digit interpolant already holds order 2, which hides a wrong order label on
 a weight; at m = 4 it does not.  The 2-d mask at order 3 makes the lift run
 two passes, and the 3-d one runs the rule that skips a beta with a component
 between the two rows exchanged, which no 2-d lift reaches.
+
+The order-2 Q(zeta_3) mask is also read from a file that writes the same
+values with other coords (non_canonical_document); its analyze, decompose
+and smooth blocks must be the golden bytes.
 """
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -88,4 +93,36 @@ def test_machine_block_matches_golden(name, mask, args, mask_files):
     command, *options = args
     got = machine_text([command, mask_files[mask], *options])
     assert '"coords"' in got or command == "smooth"
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+def non_canonical_document(name):
+    """The mask file of a Q(zeta_3) mask with the same values written in
+    other coords: each order-3 value plus c * (1 + zeta_3 + zeta_3^2), c a
+    different rational per value, and one more frequency whose value
+    1 + zeta_3 + zeta_3^2 vanishes."""
+    doc = mask_document(*cyclotomic_mask(name))
+    terms = doc["coefficients"]
+    for k, item in enumerate(terms):
+        value = item["value"]
+        if isinstance(value, dict) and value["order"] == 3:
+            value["coords"] = [str(Fraction(x) + Fraction(k + 1, 3))
+                               for x in value["coords"]]
+    far = max(item["freq"] for item in terms)
+    terms.append({"freq": [far[0] + 1, *far[1:]],
+                  "value": {"order": 3, "coords": ["1", "1", "1"]}})
+    return doc
+
+
+NON_CANONICAL = [case for case in CASES if case[0] in (
+    "cyc3_order2_analyze", "cyc3_order2_decompose_order2", "cyc3_order2_smooth_lmax2")]
+
+
+@pytest.mark.parametrize("name, mask, args", NON_CANONICAL,
+                         ids=[c[0] for c in NON_CANONICAL])
+def test_non_canonical_coords_give_the_golden_bytes(name, mask, args, tmp_path):
+    path = tmp_path / f"{mask}_non_canonical.json"
+    path.write_text(json.dumps(non_canonical_document(mask)))
+    command, *options = args
+    got = machine_text([command, str(path), *options])
     assert got == (GOLDEN / f"{name}.json").read_text()
