@@ -21,9 +21,13 @@ coefficient field: each power's symbol is held as integer numerators over
 one denominator D^L at the scheme's field order N (N = 1 for a rational
 scheme), each coefficient labelled with the order the TrigPoly fold of
 MatrixMask.matmul_dilated holds it at, because a certified magnitude depends
-on that order.  One norm serves every power and operator_norm: it sums
-rational magnitudes exactly and encloses each distinct non-rational value
-once.
+on that order.  Past L = 1 every frequency is one int code on one box that
+holds every power up to the cap, so a pair product is placed with one int
+add.  One norm serves every power and operator_norm: in one pass over each
+entry's terms it sums rational magnitudes per row and coset exactly, finds
+each distinct frequency's coset once, and encloses each distinct
+non-rational value once.  A power whose pair products would pass
+PRODUCT_BUDGET is not formed: the search stops before it, inconclusive.
 """
 
 from __future__ import annotations
@@ -42,16 +46,18 @@ from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
 from .errors import BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
-from .lattice import (DilationContext, IsotropyReport, adjugate, coset_key,
-                      determinant, is_isotropic, mat_mul, mat_vec,
-                      matrix_power, power_inf_norm, transpose)
+from .lattice import (DilationContext, IsotropyReport, adjugate, determinant,
+                      is_isotropic, mat_mul, mat_vec, matrix_power,
+                      power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly, _merge_vectors
 
 DEFAULT_POWER_CAP = 8
-# the most products |supp f| * |supp a| one refine round may form: the
-# example mask's eighth round forms about 7.4 M, its tenth about 120 M
-REFINE_BUDGET = 1 << 24
+# the most pair products one step may form: a refine round forms
+# |supp f| * |supp a| (the example mask's eighth round about 7.4 M, its tenth
+# about 120 M), an operator power the sum over its entries of
+# |left_ik| * |right_kj| (the 3-d 2I order-2 scheme's fourth power 16.1 M)
+PRODUCT_BUDGET = 1 << 24
 # largest sum-rule order check_convergence scans for (its report prints the
 # capped order)
 ORDER_SCAN_CAP = 3
@@ -306,15 +312,53 @@ def _data_numerators(f: Sequence) -> tuple[int, list]:
                  for j in range(f.width)]
 
 
+class _Box(NamedTuple):
+    """The lattice points of the box lo..hi, each coded as the int
+    x . strides.  On the box the code is one to one, and it is additive: a
+    sum of points that lies in the box is coded by the sum of their codes,
+    and matrix x by x . columns(matrix)."""
+    lo: list
+    strides: list
+
+    @classmethod
+    def spanning(cls, lo, hi) -> "_Box":
+        strides = [1]
+        for low, high in zip(lo[:0:-1], hi[:0:-1]):
+            strides.append(strides[-1] * (high - low + 1))
+        strides.reverse()
+        return cls(list(lo), strides)
+
+    def code(self, x) -> int:
+        return sum(map(mul, x, self.strides))
+
+    def columns(self, matrix) -> list:
+        """The codes of the matrix's columns."""
+        return [self.code(column) for column in zip(*matrix)]
+
+    @property
+    def origin(self) -> int:
+        """The code of lo."""
+        return self.code(self.lo)
+
+    def digits(self, codes) -> list:
+        """One list per axis: each coded point's coordinate less lo."""
+        origin = self.origin
+        codes = [c - origin for c in codes]
+        axes = []
+        for stride in self.strides:
+            axes.append([c // stride for c in codes])
+            codes = [c % stride for c in codes]
+        return axes
+
+
 def _subdivide(kernel: _Kernel, matrix, columns: list) -> list:
     """One subdivision round in integers: column j of the data as {beta: p}
     over one denominator D, the result as one {alpha: sum of n * p} per row
     over kernel.den * D, sums that vanish left out.
 
-    In the loop each lattice point x is the int x . strides, with strides
-    from a box lo..hi that holds every target alpha + matrix beta: on that
-    box the code is one to one, and it is additive, so a product is placed
-    with one int add and summed under an int key."""
+    In the loop each lattice point is coded on a _Box that holds every
+    target alpha + matrix beta, so a product is placed with one int add and
+    summed under an int key."""
     offsets = [alpha for terms in kernel.columns for alpha, _, _ in terms]
     points = [beta for column in columns for beta in column]
     if not offsets or not points:
@@ -323,36 +367,31 @@ def _subdivide(kernel: _Kernel, matrix, columns: list) -> list:
     radius = [sum(abs(m) * r for m, r in zip(row, reach)) for row in matrix]
     lo = [min(x) - r for x, r in zip(zip(*offsets), radius)]
     hi = [max(x) + r for x, r in zip(zip(*offsets), radius)]
-    strides = [1]
-    for low, high in zip(lo[:0:-1], hi[:0:-1]):
-        strides.append(strides[-1] * (high - low + 1))
-    strides.reverse()
-    # the code of matrix beta is beta . (the codes of the matrix's columns)
-    dilated = [sum(map(mul, column, strides)) for column in zip(*matrix)]
+    box = _Box.spanning(lo, hi)
+    dilated = box.columns(matrix)
     out = [defaultdict(int) for _ in range(kernel.rows)]
     for terms, column in zip(kernel.columns, columns):
-        terms = [(sum(map(mul, alpha, strides)), out[i], n)
-                 for alpha, i, n in terms]
+        terms = [(box.code(alpha), out[i], n) for alpha, i, n in terms]
         for beta, p in column.items():
             c = sum(map(mul, beta, dilated))
             for a, acc, n in terms:
                 acc[a + c] += n * p
-    origin = sum(map(mul, lo, strides))
-    return [_decoded(acc, strides, lo, origin) for acc in out]
+    return [_decoded(acc, box) for acc in out]
 
 
-def _decoded(acc: dict, strides, lo, origin: int) -> dict:
-    """{point: x} in lattice order for each code c with a nonzero sum x in
-    acc, the point's coordinates the digits of c - origin in the strides,
-    shifted by lo; code order is lattice order.  acc is emptied first, so
+def _decoded(acc: dict, box: _Box) -> dict:
+    """{point: x} in lattice order for each code c on box with a nonzero sum
+    x in acc, the point's coordinates the digits of c - box.origin in the
+    strides, shifted by lo; code order is lattice order.  acc is emptied first, so
     its table is freed before the points are built, and the points share one
     int object per coordinate value."""
     codes = sorted(c for c, x in acc.items() if x)
     values = [acc[c] for c in codes]
     acc.clear()
+    origin = box.origin
     codes = [c - origin for c in codes]
     coordinates = []
-    for stride, low in zip(strides, lo):
+    for stride, low in zip(box.strides, box.lo):
         ints = list(range(low, low + max(codes, default=0) // stride + 1))
         coordinates.append([ints[c // stride] for c in codes])
         codes = [c % stride for c in codes]
@@ -410,10 +449,12 @@ class _Numerators(NamedTuple):
     n * zeta_N^position over the classes that hold freq, as numerators over
     `den` at N = `field`.  The classes that hold freq share its label, the
     order the TrigPoly fold holds the value at, which every nonzero
-    position's order divides."""
+    position's order divides.  Each freq is a point tuple, or its int code
+    on `box` when there is one."""
     field: int
     den: int
     entries: list
+    box: _Box | None = None
 
 
 def _numerators(mask: MatrixMask) -> _Numerators:
@@ -441,20 +482,45 @@ def _numerators(mask: MatrixMask) -> _Numerators:
     return _Numerators(field, common // g, entries)
 
 
+def _support(symbol: _Numerators) -> set:
+    """Every frequency that carries a class term in some entry."""
+    return set().union(*(terms for row in symbol.entries for entry in row
+                         for terms in entry.values()))
+
+
 def _norm(symbol: _Numerators, matrix, precision_bits: int) -> RatInterval:
-    """operator_norm of a symbol in integers: each coset's row sums of
-    coefficient magnitudes, each distinct non-rational value enclosed once
-    per call.  An entry whose classes all sit at position 0 holds rational
-    numerators as they are; any other entry's values are reduced once at
-    their labels."""
-    field, den, entries = symbol
-    values = [[list(entry.values()) if all(p == 0 for _, p in entry)
-               else [_reduced(entry, field)] for entry in row] for row in entries]
-    support = set().union(*(d for row in values for parts in row for d in parts))
-    return max_magnitude_sum(([d[alpha] for parts in row for d in parts for alpha in alphas
-                               if alpha in d]
-                              for alphas in _cosets(support, matrix) for row in values),
-                             den, precision_bits)
+    """operator_norm of a symbol in integers, in one pass over each entry's
+    terms: per row and coset of matrix Z^d, the rational magnitudes are
+    summed as one integer and the other values gathered, each distinct
+    non-rational value enclosed once per call (max_magnitude_sum).  An entry
+    whose classes all sit at position 0 holds rational numerators as they
+    are; any other entry's values are reduced once at their labels."""
+    field, den, entries, box = symbol
+    support = list(_support(symbol))
+    coset = dict(zip(support, _coset_indices(support, matrix, box)))
+    best = 0                      # the largest all-rational sum
+    rows = []                     # the sums that hold other values
+    for row in entries:
+        exact = defaultdict(int)
+        other = defaultdict(list)
+        for entry in row:
+            if all(p == 0 for _, p in entry):
+                for terms in entry.values():
+                    for c, n in zip(map(coset.__getitem__, terms),
+                                    map(abs, terms.values())):
+                        exact[c] += n
+                continue
+            for freq, value in _reduced(entry, field).items():
+                if isinstance(value, int):
+                    exact[coset[freq]] += abs(value)
+                else:
+                    other[coset[freq]].append(value)
+        for c, values in other.items():
+            values.append(exact.pop(c, 0))
+            rows.append(values)
+        best = max(best, max(exact.values(), default=0))
+    rows.append([best])
+    return max_magnitude_sum(rows, den, precision_bits)
 
 
 def _reduced(entry: dict, field: int) -> dict:
@@ -467,13 +533,39 @@ def _reduced(entry: dict, field: int) -> dict:
     return out
 
 
-def _cosets(support, matrix):
-    """The frequencies of the support grouped by their coset of matrix Z^d."""
-    adj, modulus = adjugate(matrix), abs(determinant(matrix))
-    groups: dict[tuple, list] = {}
-    for alpha in support:
-        groups.setdefault(coset_key(adj, modulus, alpha), []).append(alpha)
-    return groups.values()
+def _coset_indices(support: list, matrix, box: _Box | None) -> list:
+    """For each point of the support (a tuple, or an int code on box), the
+    index of its coset of matrix Z^d: two points get one index exactly when
+    they are congruent, that is when adj(matrix) x = adj(matrix) y mod |det|.
+
+    That vector is packed as one int, a digit of radix (d + 1) |det| per
+    component: the sum over the axes i of a table entry for x_i, the
+    multiple x_i adj e_i with each component reduced mod |det|, one entry
+    per distinct coordinate.  No digit of a sum of d entries carries, so
+    each distinct sum is reduced once more, digit by digit, to the index."""
+    adj, m = adjugate(matrix), abs(determinant(matrix))
+    radix = (len(adj) + 1) * m
+    if box is None:
+        axes, offsets = list(zip(*support)), [0] * len(adj)
+    else:
+        axes, offsets = box.digits(support), box.lo
+    packed = [0] * len(support)
+    for column, coords, low in zip(zip(*adj), axes, offsets):
+        table = {}
+        for x in set(coords):
+            digit = 0
+            for a in reversed(column):
+                digit = digit * radix + a * (x + low) % m
+            table[x] = digit
+        packed = list(map(add, packed, map(table.__getitem__, coords)))
+    reduced = {}
+    for p in set(packed):
+        index, rest = 0, p
+        for _ in adj:
+            rest, digit = divmod(rest, radix)
+            index = index * m + digit % m
+        reduced[p] = index
+    return list(map(reduced.__getitem__, packed))
 
 
 def _powers(scheme: MatrixMask, matrix, cap: int):
@@ -483,31 +575,86 @@ def _powers(scheme: MatrixMask, matrix, cap: int):
     with its images under increasing dilation powers, held as _Numerators
     over D^L; it acts with matrix^L.  Each product is formed only when its
     item is requested, so a consumer that stops early pays for no further
-    power."""
+    power.  The first product codes the base on one _Box (_power_box) that
+    holds every power up to cap, and every later power stays coded there;
+    L = 1 keeps its point tuples.  A power whose pair products
+    (_pair_products) would pass PRODUCT_BUDGET raises BudgetExceeded
+    instead of being formed."""
     base = _numerators(scheme)
     power, step = base, matrix
     for L in range(1, cap + 1):
         if L > 1:
+            count = _pair_products(power, base)
+            if count > PRODUCT_BUDGET:
+                raise BudgetExceeded(
+                    f"stopped before power L={L}: it would form {count} pair "
+                    f"products, over the budget of {PRODUCT_BUDGET}")
+            if power.box is None:
+                power = _coded(base, _power_box(base, matrix, cap))
             power = _dilated_product(power, base, step)
             step = mat_mul(step, matrix)
         yield L, power, step
 
 
+def _pair_products(left: _Numerators, right: _Numerators) -> int:
+    """The pair products _dilated_product(left, right, ...) forms: the sum
+    over its output entries (i, j) of |left_ik| * |right_kj|, |entry| its
+    class terms."""
+    def sizes(symbol):
+        return [[sum(map(len, entry.values())) for entry in row]
+                for row in symbol.entries]
+    # the sum over i, j, k is the sum over k of (column k of left's sizes)
+    # times (row k of right's)
+    return sum(sum(column) * sum(row)
+               for column, row in zip(zip(*sizes(left)), sizes(right)))
+
+
+def _power_box(base: _Numerators, matrix, cap: int) -> _Box:
+    """The box that holds every power up to cap: power L's frequencies are
+    sums f_0 + M f_1 + ... + M^(L-1) f_(L-1) of base frequencies, so its
+    corner along each axis is the sum over l < L of the extreme of M^l S on
+    that axis, S the base's support."""
+    support = _support(base) or {(0,) * len(matrix)}
+    low = high = [0] * len(matrix)
+    lows, highs = [], []
+    step = matrix_power(matrix, 0)
+    for _ in range(cap):
+        images = list(zip(*(mat_vec(step, s) for s in support)))
+        low = list(map(add, low, map(min, images)))
+        high = list(map(add, high, map(max, images)))
+        lows.append(low)
+        highs.append(high)
+        step = mat_mul(step, matrix)
+    return _Box.spanning([min(x) for x in zip(*lows)],
+                         [max(x) for x in zip(*highs)])
+
+
+def _coded(symbol: _Numerators, box: _Box) -> _Numerators:
+    """symbol with each point tuple replaced by its code on box."""
+    return symbol._replace(box=box, entries=[
+        [{key: {box.code(f): n for f, n in terms.items()}
+          for key, terms in entry.items()} for entry in row]
+        for row in symbol.entries])
+
+
 def _dilated_product(left: _Numerators, right: _Numerators,
                      dilation) -> _Numerators:
     """left(x) @ right(transpose(dilation) x), each coefficient labelled as
-    MatrixMask.matmul_dilated's TrigPoly fold holds it.
+    MatrixMask.matmul_dilated's TrigPoly fold holds it; left is coded on its
+    box, right holds point tuples, and the product is coded on left's box.
 
-    The pair loop adds plain ints: the classes (la, p) and (lb, q) sum into
-    the class (lcm(la, lb), p + q mod N).  The k-th products of an output
-    entry are folded one at a time: a product's label at a frequency is the
-    lcm of the classes that reach it, a product that vanishes modulo Phi_N
-    is dropped, and so is a running sum that vanishes
-    (trigpoly._merge_vectors), label and all.  When every class pair of the
-    entry has one label, each product and running sum is held at it, so the
-    products are summed as one and folded once."""
-    field = left.field
-    dilated = [[[(key, [(mat_vec(dilation, g), n) for g, n in terms.items()])
+    A frequency f + dilation g of the product is placed as code(f) +
+    g . box.columns(dilation), one int add.  The pair loop adds plain ints:
+    the classes (la, p) and (lb, q) sum into the class (lcm(la, lb), p + q
+    mod N).  The k-th products of an output entry are folded one at a time:
+    a product's label at a frequency is the lcm of the classes that reach it,
+    a product that vanishes modulo Phi_N is dropped, and so is a running sum
+    that vanishes (trigpoly._merge_vectors), label and all.  When every class
+    pair of the entry has one label, each product and running sum is held at
+    it, so the products are summed as one and folded once."""
+    field, box = left.field, left.box
+    columns = box.columns(dilation)
+    dilated = [[[(key, [(sum(map(mul, g, columns)), n) for g, n in terms.items()])
                  for key, terms in entry.items()] for entry in row]
                for row in right.entries]
     out = []
@@ -530,13 +677,13 @@ def _dilated_product(left: _Numerators, right: _Numerators,
                                 acc = sums[key] = {}
                             for f, a in left_terms.items():
                                 for g, b in right_terms:
-                                    freq = tuple(map(add, f, g))
-                                    acc[freq] = acc.get(freq, 0) + a * b
+                                    c = f + g
+                                    acc[c] = acc.get(c, 0) + a * b
                 product = _fold(sums, field)
                 total = _split(_vectors(field, total, product)) if total else product
             out_row.append(total)
         out.append(out_row)
-    return _Numerators(field, left.den * right.den, out)
+    return _Numerators(field, left.den * right.den, out, box)
 
 
 def _fold(sums: dict, field: int) -> dict:
@@ -621,21 +768,27 @@ class ConvergenceReport:
 
 
 def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int,
-                        precision_bits: int, growth=None) -> tuple[list, int | None]:
-    """([(L, bound)], first L whose bound is certified below 1, or None).
+                        precision_bits: int,
+                        growth=None) -> tuple[list, int | None, str | None]:
+    """([(L, bound)], first L whose bound is certified below 1 or None, why
+    the search stopped short of power_cap or None).
 
     The bound of the L-fold operator is its operator norm, times the
     infinity norm of growth^L when a growth matrix is given; the search stops
-    at the first certified power or at power_cap."""
+    at the first certified power, at power_cap, or before a power whose pair
+    products would pass PRODUCT_BUDGET."""
     bounds = []
-    for L, symbol, step in _powers(scheme, ctx.matrix, power_cap):
-        bound = _norm(symbol, step, precision_bits)
-        if growth is not None:
-            bound = bound * power_inf_norm(growth, L)
-        bounds.append((L, bound))
-        if bound.certified_below(1):
-            return bounds, L
-    return bounds, None
+    try:
+        for L, symbol, step in _powers(scheme, ctx.matrix, power_cap):
+            bound = _norm(symbol, step, precision_bits)
+            if growth is not None:
+                bound = bound * power_inf_norm(growth, L)
+            bounds.append((L, bound))
+            if bound.certified_below(1):
+                return bounds, L, None
+    except BudgetExceeded as stop:
+        return bounds, None, str(stop)
+    return bounds, None, None
 
 
 def check_convergence(t: TrigPoly, ctx: DilationContext,
@@ -661,10 +814,11 @@ def check_convergence(t: TrigPoly, ctx: DilationContext,
     certificate = None
     if in_z0:
         T = MatrixMask.from_decomposition(decompose_to_class(t, ctx, order))
-        norms, certificate = _certificate_search(T, ctx, power_cap, precision_bits)
+        norms, certificate, stopped = _certificate_search(T, ctx, power_cap,
+                                                          precision_bits)
         if certificate is None:
-            reasons.append(
-                f"no operator power up to {power_cap} has norm certified below 1")
+            reasons.append(stopped or f"no operator power up to {power_cap} "
+                           "has norm certified below 1")
     verdict = "convergent" if (normalized and in_z0 and certificate) else "inconclusive"
     return ConvergenceReport(verdict=verdict, mask_value_at_zero=t0,
                              normalized=normalized, sum_rule_order=order,
@@ -725,11 +879,11 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     certificate = None
     if in_z1 and T is not None:
         Q = second_difference_scheme(T, ctx)
-        products, certificate = _certificate_search(
+        products, certificate, stopped = _certificate_search(
             Q, ctx, power_cap, precision_bits, growth=transpose(ctx.matrix))
         if certificate is None:
-            reasons.append(
-                f"no power up to {power_cap} contracts against the dilation growth")
+            reasons.append(stopped or f"no power up to {power_cap} contracts "
+                           "against the dilation growth")
     verdict = "C1" if (isotropy.verdict == "yes"
                        and convergence.verdict == "convergent"
                        and in_z1 and certificate) else "inconclusive"
@@ -756,7 +910,7 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
 
     Each round is one apply on integer numerators, so the values stay over
     the one denominator D_a^rounds * D_f.  A round that would form more than
-    REFINE_BUDGET products |supp f| * |supp t| raises BudgetExceeded before
+    PRODUCT_BUDGET products |supp f| * |supp t| raises BudgetExceeded before
     it starts."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
@@ -764,11 +918,11 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     data = IntSequence.from_sequence(f)
     for done in range(rounds):
         size = len(data.values) * len(t.vectors)
-        if size > REFINE_BUDGET:
+        if size > PRODUCT_BUDGET:
             raise BudgetExceeded(
                 f"refine stopped after {done} of {rounds} rounds: round "
                 f"{done + 1} would form {size} products ({len(data.values)} "
                 f"points x {len(t.vectors)} mask terms), over the budget of "
-                f"{REFINE_BUDGET}")
+                f"{PRODUCT_BUDGET}")
         data = apply(mask, ctx, data)
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

@@ -1,6 +1,8 @@
 import random
 import tempfile
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 import mpmath
 import pytest
@@ -10,14 +12,17 @@ from mpmath import iv
 
 from maskforge.cyclotomic import (CyclotomicNumber, coerce,
                                   cyclotomic_polynomial, exp_of_rational,
-                                  magnitude_interval, root_of_unity)
+                                  magnitude_interval, max_magnitude_sum,
+                                  root_of_unity)
 from maskforge.decompose import MaskDecomposition, decompose_levels
 from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
 from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
-                               determinant, inf_norm, mat_mul, mat_vec,
-                               matrix_power, transpose)
-from maskforge.subdivision import MatrixMask, _as_matrix_mask, _dilation_matrix
+                               adjugate, coset_key, determinant, inf_norm,
+                               mat_mul, mat_vec, matrix_power, transpose)
+from maskforge.subdivision import (MatrixMask, _as_matrix_mask, _decoded,
+                                   _dilation_matrix, _fold, _Numerators,
+                                   _numerators, _reduced, _split, _vectors)
 from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
                                 multi_indices_up_to, sum_rule_order)
 from maskforge.trigpoly import TrigPoly
@@ -455,6 +460,90 @@ def operator_powers(mask, dilation, cap: int):
             symbol = symbol.matmul_dilated(mask, step)
             step = mat_mul(step, matrix)
         yield L, symbol, step
+
+
+def reference_powers(mask, matrix, cap: int):
+    """Yield (L, symbol, matrix^L) as the integer power loop did before it
+    coded frequencies: every power a _Numerators on point tuples, formed by
+    reference_dilated_product.  The reference of subdivision._powers."""
+    base = _numerators(_as_matrix_mask(mask))
+    power, step = base, matrix
+    for L in range(1, cap + 1):
+        if L > 1:
+            power = reference_dilated_product(power, base, step)
+            step = mat_mul(step, matrix)
+        yield L, power, step
+
+
+def reference_dilated_product(left, right, dilation):
+    """left(x) @ right(transpose(dilation) x) on point tuples, each
+    frequency built as a tuple per pair product; the same loop order, class
+    sums and folds as subdivision._dilated_product."""
+    field = left.field
+    dilated = [[[(key, [(mat_vec(dilation, g), n) for g, n in terms.items()])
+                 for key, terms in entry.items()] for entry in row]
+               for row in right.entries]
+    out = []
+    for left_row in left.entries:
+        out_row = []
+        for j in range(len(dilated[0])):
+            products = [(a.items(), row[j]) for a, row in zip(left_row, dilated)]
+            labels = {lcm(la, lb) for a, b in products
+                      for (la, _), _ in a for (lb, _), _ in b}
+            runs = [products] if len(labels) == 1 else [[pair] for pair in products]
+            total: dict = {}
+            for run in runs:
+                sums: dict = {}
+                for left_classes, right_classes in run:
+                    for (la, p), left_terms in left_classes:
+                        for (lb, q), right_terms in right_classes:
+                            key = (lcm(la, lb), (p + q) % field)
+                            acc = sums.get(key)
+                            if acc is None:
+                                acc = sums[key] = {}
+                            for f, a in left_terms.items():
+                                for g, b in right_terms:
+                                    freq = tuple(map(add, f, g))
+                                    acc[freq] = acc.get(freq, 0) + a * b
+                product = _fold(sums, field)
+                total = _split(_vectors(field, total, product)) if total else product
+            out_row.append(total)
+        out.append(out_row)
+    return _Numerators(field, left.den * right.den, out)
+
+
+def reference_cosets(support, matrix):
+    """The frequencies of the support grouped by their coset of matrix Z^d,
+    one coset_key (a mat_vec and a modulo per component) per frequency."""
+    adj, modulus = adjugate(matrix), abs(determinant(matrix))
+    groups: dict[tuple, list] = {}
+    for alpha in support:
+        groups.setdefault(coset_key(adj, modulus, alpha), []).append(alpha)
+    return groups.values()
+
+
+def reference_norm(symbol, matrix, precision_bits: int = 128) -> RatInterval:
+    """The norm of a symbol on point tuples as subdivision._norm took it
+    before it indexed cosets: a scan of every row, coset and frequency of the
+    support, one magnitude sum per (coset, row)."""
+    field, den, entries, _ = symbol
+    values = [[list(entry.values()) if all(p == 0 for _, p in entry)
+               else [_reduced(entry, field)] for entry in row] for row in entries]
+    support = set().union(*(d for row in values for parts in row for d in parts))
+    return max_magnitude_sum(([d[alpha] for parts in row for d in parts
+                               for alpha in alphas if alpha in d]
+                              for alphas in reference_cosets(support, matrix)
+                              for row in values),
+                             den, precision_bits)
+
+
+def point_entries(symbol) -> list:
+    """symbol's entries with point tuples as frequencies: a power past L = 1
+    holds the int codes of its box."""
+    if symbol.box is None:
+        return symbol.entries
+    return [[{key: _decoded(dict(terms), symbol.box) for key, terms in entry.items()}
+             for entry in row] for row in symbol.entries]
 
 
 def power_symbol(mask, dilation, k: int) -> MatrixMask:

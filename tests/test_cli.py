@@ -628,6 +628,19 @@ def test_refine_past_the_digit_limit_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@digit_limit
+def test_refine_past_the_digit_limit_prints_no_row(tmp_path, capsys):
+    # without --out the rows go to stdout; the values at (0, 0) and (1, 0)
+    # are summed in later rows than the first, so rows that fit the limit
+    # come before the one that does not, and none of them may be printed
+    data = tmp_path / "long.csv"
+    data.write_text("".join(f"{k},0,{value}\n" for k, value in enumerate(LONG_VALUES)))
+    assert main(["refine", EXAMPLE, "--rounds", "1", "--data", str(data)]) == 7
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(sys.get_int_max_str_digits()) in captured.err
+
+
 def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", "abc")
     assert main(["converge", EXAMPLE]) == 2

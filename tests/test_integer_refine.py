@@ -69,7 +69,7 @@ def test_refine_stops_at_the_budget(monkeypatch, example_ctx, example_mask):
     terms = len(example_mask.terms)
     # the impulse's first round forms `terms` products; its second forms
     # terms * |supp S delta| > terms
-    monkeypatch.setattr(subdivision, "REFINE_BUDGET", terms)
+    monkeypatch.setattr(subdivision, "PRODUCT_BUDGET", terms)
     assert len(refine(example_mask, example_ctx, Sequence.delta(2), 1).data.values) > 1
     with pytest.raises(BudgetExceeded, match="after 1 of 3 rounds") as info:
         refine(example_mask, example_ctx, Sequence.delta(2), 3)
@@ -78,7 +78,7 @@ def test_refine_stops_at_the_budget(monkeypatch, example_ctx, example_mask):
 
 def test_cli_refine_budget_exit_7(monkeypatch, tmp_path, capsys):
     # the example impulse's rounds form 23, 23 * 23 and 171 * 23 products
-    monkeypatch.setattr(subdivision, "REFINE_BUDGET", 1000)
+    monkeypatch.setattr(subdivision, "PRODUCT_BUDGET", 1000)
     out = tmp_path / "r.csv"
     assert main(["refine", EXAMPLE, "--rounds", "4", "--out", str(out)]) == 7
     captured = capsys.readouterr()

@@ -14,10 +14,10 @@ from maskforge.decompose import MaskDecomposition, decompose_to_class
 from maskforge.errors import InternalIdentityViolation
 from maskforge.lattice import DilationContext
 from maskforge.subdivision import (MatrixMask, _certificate_search, _powers,
-                                   check_c1)
+                                   check_c1, check_convergence)
 from maskforge.trigpoly import TrigPoly
 from test_golden_cyclotomic import cyclotomic_mask
-from test_golden_machine import order2_mask
+from test_golden_machine import order2_mask, seeded_mask
 
 
 @pytest.fixture
@@ -87,11 +87,52 @@ def test_power_loop_is_lazy(products, example_ctx, example_mask):
     assert not products
     scheme = MatrixMask([[TrigPoly.constant(1, Fraction(n, 16)) for n in row]
                          for row in ((8, 12), (0, 4))])
-    bounds, certificate = _certificate_search(scheme, DilationContext.create([[2]]),
-                                              3, 128)
+    bounds, certificate, stopped = _certificate_search(
+        scheme, DilationContext.create([[2]]), 3, 128)
     assert bounds == [(1, Fraction(5, 4)), (2, Fraction(13, 16))]
     assert certificate == 2
+    assert stopped is None
     assert len(products) == 1
+
+
+def pair_count(scheme: MatrixMask) -> int:
+    """The pair products of the scheme's square, a rational scheme's entry
+    counted by its terms."""
+    n = scheme.rows
+    return sum(len(scheme.entry(i, k).vectors) * len(scheme.entry(k, j).vectors)
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def test_power_budget_stops_each_search(monkeypatch, products):
+    # on 3-d 2I the difference scheme's square forms 1,632 pair products and
+    # the second-difference scheme's 3,044: a budget of 1,631 stops the
+    # convergence search before L=2, and one of 1,632 lets it form its square
+    # but stops the C1 products before theirs
+    t, ctx = seeded_mask("twice3")
+    full = check_c1(t, ctx, power_cap=2)
+    counts = (pair_count(full.difference_mask),
+              pair_count(full.second_difference_mask))
+    assert counts == (1632, 3044)
+    products.clear()
+
+    monkeypatch.setattr(subdivision, "PRODUCT_BUDGET", 1631)
+    report = check_convergence(t, ctx, power_cap=8)
+    assert report.verdict == "inconclusive"
+    assert report.norms == full.convergence.norms[:1]
+    assert report.certificate_power is None
+    assert report.reasons == ["stopped before power L=2: it would form 1632 "
+                              "pair products, over the budget of 1631"]
+    assert not products
+
+    monkeypatch.setattr(subdivision, "PRODUCT_BUDGET", 1632)
+    report = check_c1(t, ctx, power_cap=2)
+    assert report.verdict == "inconclusive"
+    assert report.convergence.to_json() == full.convergence.to_json()
+    assert report.products == full.products[:1]
+    assert report.reasons == ["no convergence certificate",
+                              "stopped before power L=2: it would form 3044 "
+                              "pair products, over the budget of 1632"]
+    assert len(products) == 1            # the convergence search's square
 
 
 def test_order1_entry_guard_raises(monkeypatch, example_ctx):

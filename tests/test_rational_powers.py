@@ -11,7 +11,12 @@ dilations in dimensions 1-3 with determinants of both signs, and require
 the same bounds at every power, with and without a growth matrix, and the
 same coefficients in every power.  A cyclotomic power is compared field for
 field, (order, coords): the order a value is held at decides its certified
-magnitude, and == would promote across orders.
+magnitude, and == would promote across orders.  Past L = 1 the loop holds
+each frequency as an int code on one box:
+test_coded_powers_match_the_tuple_reference decodes each power and compares
+its classes and numerators, and its norm, with conftest.reference_powers and
+reference_norm, the loop and norm on point tuples that the coded ones
+replaced.
 """
 
 import random
@@ -20,11 +25,13 @@ from fractions import Fraction
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, contexts, operator_powers, random_class_mask
+from conftest import (CASES, contexts, operator_powers, point_entries,
+                      random_class_mask, reference_norm, reference_powers)
 from maskforge.cyclotomic import root_of_unity
 from maskforge.lattice import DilationContext, power_inf_norm, transpose
-from maskforge.subdivision import (MatrixMask, _certificate_search, _powers,
-                                   _vectors, check_convergence, operator_norm)
+from maskforge.subdivision import (MatrixMask, _certificate_search, _norm,
+                                   _powers, _vectors, check_convergence,
+                                   operator_norm)
 from maskforge.trigpoly import TrigPoly, _number
 from test_exact_kernels import coefficients, polys
 
@@ -67,7 +74,9 @@ def check_search(mask, ctx, cap):
             reference.append((L, bound))
             if bound.certified_below(1):
                 break
-        bounds, certificate = _certificate_search(mask, ctx, cap, 128, growth)
+        bounds, certificate, stopped = _certificate_search(mask, ctx, cap, 128,
+                                                           growth)
+        assert stopped is None
         assert bounds == reference
         assert certificate == (bounds[-1][0] if bounds[-1][1].certified_below(1)
                                else None)
@@ -77,7 +86,7 @@ def check_search(mask, ctx, cap):
         assert step == power_step
         got = [[{freq: fields(_number(vec, symbol.field, label, symbol.den))
                  for freq, (vec, label) in _vectors(symbol.field, entry).items()}
-                for entry in row] for row in symbol.entries]
+                for entry in row] for row in point_entries(symbol)]
         assert got == [[{freq: fields(c) for freq, c in entry.terms.items()}
                         for entry in row] for row in power.entries], L
 
@@ -122,13 +131,54 @@ def test_cyclotomic_search_matches_the_reference(case):
     check_search(mask, ctx, 3)
 
 
+@st.composite
+def power_cases(draw):
+    dim, positive = draw(st.integers(1, 3)), draw(st.booleans())
+    mask = draw(st.one_of(rational_masks(dim), cyclotomic_masks(dim)))
+    return draw(contexts(dim, positive)).matrix, mask, draw(st.integers(1, 3))
+
+
+@settings(PROFILE, max_examples=20)
+@given(case=power_cases())
+# no base frequency at 0: the lowest is 1, so the lower corner of box(L) is
+# 1 + 2 + ... + 2^(L-1) and moves with L
+@example(case=(((2,),), MatrixMask([
+    [TrigPoly(1, {(1,): HALF, (2,): Z3}), TrigPoly(1, {(3,): 1})],
+    [TrigPoly(1, {(2,): -Z3}), TrigPoly(1, {(1,): HALF, (3,): Z3})]]), 3))
+@example(case=(((0, 2), (2, -1)), MatrixMask([
+    [TrigPoly(2, {(1, 2): HALF, (2, -1): Fraction(-1, 4)})]]), 3))
+# cap 1: the one power is the base, never coded
+@example(case=(((2, 0), (0, 2)), constants([[HALF, 1], [Z3, -HALF]]), 1))
+# negative determinants, in one and three dimensions
+@example(case=(((-3,),), MatrixMask([
+    [TrigPoly(1, {(-1,): Z3, (0,): HALF, (2,): 1})]]), 3))
+@example(case=(((0, 0, -3), (1, 0, 1), (0, 1, 2)), MatrixMask([
+    [TrigPoly(3, {(0, 0, 0): HALF, (1, 0, -1): Z3}),
+     TrigPoly(3, {(0, 1, 0): 1})],
+    [TrigPoly(3, {(0, 0, 1): -HALF}), TrigPoly(3, {(1, 1, 0): Z3})]]), 2))
+def test_coded_powers_match_the_tuple_reference(case):
+    # each power, decoded, holds the reference's classes and numerators
+    # field for field, and its norm is the reference's coset scan
+    matrix, mask, cap = case
+    for (L, symbol, step), (_, want, want_step) in zip(
+            _powers(mask, matrix, cap), reference_powers(mask, matrix, cap),
+            strict=True):
+        assert step == want_step
+        assert (symbol.box is None) == (L == 1)
+        assert (symbol.field, symbol.den) == (want.field, want.den)
+        assert point_entries(symbol) == want.entries, L
+        for bits in (64, 128):
+            assert _norm(symbol, step, bits) == reference_norm(want, step, bits), L
+
+
 def test_large_3d_trajectory_norms():
     # values recorded from the generic TrigPoly path; 309,324 frequencies
     # at L=4, which is why the test stops at L=3
     ctx = DilationContext.create(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
     t = random_class_mask(random.Random(4), ctx, 2)
     T = check_convergence(t, ctx, power_cap=0).difference_mask
-    bounds, certificate = _certificate_search(T, ctx, 3, 128)
+    bounds, certificate, stopped = _certificate_search(T, ctx, 3, 128)
     assert bounds == [(1, Fraction(1937, 48)), (2, Fraction(9820145, 18432)),
                       (3, Fraction(463800598219, 226492416))]
     assert certificate is None
+    assert stopped is None
