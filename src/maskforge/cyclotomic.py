@@ -7,19 +7,22 @@ coordinates is equality of field values.  Reduction modulo x^N - 1 alone would
 not be faithful (that ring has zero divisors), hence the cyclotomic modulus;
 each coordinate i >= deg Phi_N adds its multiple of a cached row x^i mod Phi_N.
 
-|x| is enclosed in outward-rounded interval arithmetic on raw mpmath.libmp
-tuples, so each endpoint is a dyadic rational; a sum of magnitudes adds them
-exactly as integer numerators, one Fraction per end.  Dicts living for one
-operator norm hold each distinct value's enclosure, keyed by its order and
-integer coords over the norm's denominator, and each term's products.
-Only these enclosures need mpmath, imported by the first of them.
+|x| is enclosed in outward-rounded interval arithmetic on integer dyadics,
+(signed mantissa, exponent) pairs: each operation is computed exactly in ints
+and each end rounded once, down or up, to the working precision, so every
+endpoint is the one mpmath's iv context gives.  A sum of magnitudes adds the
+ends exactly as integer numerators, one Fraction per end.  Dicts living for
+one operator norm hold each distinct value's enclosure, keyed by its order
+and integer coords over the norm's denominator, and each term's products.
+Only the cos and sin enclosures of each root need mpmath, imported by the
+first of them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from numbers import Rational
 
 from .errors import InternalIdentityViolation, MaskforgeError
@@ -258,29 +261,128 @@ def _dyadic_add(total: tuple[int, int], end: Fraction) -> tuple[int, int]:
     return num + (man << (e - exp)), exp
 
 
-@lru_cache(maxsize=None)
-def _mpmath():
-    import mpmath
-    return mpmath
+def _rounded(man: int, exp: int, prec: int, up: bool) -> tuple[int, int]:
+    """man * 2**exp rounded to prec significant bits, toward +inf when up
+    and toward -inf otherwise."""
+    n = abs(man).bit_length() - prec
+    if n <= 0:
+        return man, exp
+    return (-(-man >> n) if up else man >> n), exp + n
+
+
+def _add_end(x: tuple[int, int], y: tuple[int, int], prec: int,
+             up: bool) -> tuple[int, int]:
+    """The sum of two dyadics (man, exp), exact once the exponents are
+    aligned, rounded once."""
+    (a, ea), (b, eb) = x, y
+    if ea > eb:
+        return _rounded((a << (ea - eb)) + b, eb, prec, up)
+    return _rounded(a + (b << (eb - ea)), ea, prec, up)
+
+
+def _mul_interval(x: tuple, y: tuple, prec: int) -> tuple:
+    """The product of two dyadic intervals (lo, hi), by the sign cases of
+    mpmath's mpi_mul: each end is one exact product rounded once, and only
+    when both operands straddle 0 are two products compared."""
+    (xl, xh), (yl, yh) = x, y
+    if xl[0] >= 0:
+        if yl[0] >= 0:
+            lo, hi = (xl, yl), (xh, yh)
+        elif yh[0] <= 0:
+            lo, hi = (xh, yl), (xl, yh)
+        else:
+            lo, hi = (xh, yl), (xh, yh)
+    elif xh[0] <= 0:
+        if yl[0] >= 0:
+            lo, hi = (xl, yh), (xh, yl)
+        elif yh[0] <= 0:
+            lo, hi = (xh, yh), (xl, yl)
+        else:
+            lo, hi = (xl, yh), (xl, yl)
+    elif yl[0] >= 0:
+        lo, hi = (xl, yh), (xh, yh)
+    elif yh[0] <= 0:
+        lo, hi = (xh, yl), (xl, yl)
+    else:
+        return (_rounded(*_extreme(xl, yh, xh, yl, min), prec, False),
+                _rounded(*_extreme(xl, yl, xh, yh, max), prec, True))
+    (a, b), (c, d) = lo, hi
+    return (_rounded(a[0] * b[0], a[1] + b[1], prec, False),
+            _rounded(c[0] * d[0], c[1] + d[1], prec, True))
+
+
+def _extreme(a, b, c, d, pick) -> tuple[int, int]:
+    """pick (min or max) of the exact dyadic products a*b and c*d."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    n, f = c[0] * d[0], c[1] + d[1]
+    if e > f:
+        return pick(m << (e - f), n), f
+    return pick(m, n << (f - e)), e
+
+
+def _divided(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple:
+    """x / y for dyadics with y > 0 and x of at most prec bits, rounded
+    down and rounded up: one divmod keeps at least prec + 1 quotient bits,
+    and its remainder decides the ceiling."""
+    (a, ea), (b, eb) = x, y
+    shift = prec + 1 + b.bit_length() - abs(a).bit_length()
+    quot, rem = divmod(a << shift, b)
+    exp = ea - eb - shift
+    return (_rounded(quot, exp, prec, False),
+            _rounded(quot + (rem != 0), exp, prec, True))
+
+
+def _quotient_interval(num: int, den: int, prec: int) -> tuple:
+    """mpmath's mpi_div of the from_int enclosures of num and den > 0: each
+    int wider than prec is first rounded both ways, then each end of the
+    hull is one quotient of those ends, rounded once.  When neither int is
+    wider, one quotient gives both ends."""
+    nl, nh = _rounded(num, 0, prec, False), _rounded(num, 0, prec, True)
+    dl, dh = _rounded(den, 0, prec, False), _rounded(den, 0, prec, True)
+    if num < 0:
+        dl, dh = dh, dl
+    if nl == nh and dl == dh:
+        return _divided(nl, dl, prec)
+    return _divided(nl, dh, prec)[0], _divided(nh, dl, prec)[1]
+
+
+def _sqrt_end(x: tuple[int, int], prec: int, up: bool) -> tuple[int, int]:
+    """The square root of a dyadic x >= 0, rounded once: math.isqrt of the
+    mantissa at an even exponent, widened to at least 2 * prec + 4 bits.
+    An inexact root is rounded up through the odd value 2r + 1, which lies
+    strictly between r and r + 1 as the root does, as in mpmath's mpf_sqrt."""
+    man, exp = x
+    if not man:
+        return 0, 0
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(0, 2 * prec + 4 - man.bit_length())
+    shift += shift & 1
+    man <<= shift
+    root, exp = isqrt(man), (exp - shift) // 2
+    if up and root * root != man:
+        root, exp = 2 * root + 1, exp - 1
+    return _rounded(root, exp, prec, up)
 
 
 @lru_cache(maxsize=4096)
-def _root_enclosure(k: int, order: int, prec: int):
-    """Raw (lo, hi) enclosures of cos and sin of the angle 2*pi*k/order,
-    evaluated in the iv context at precision prec."""
-    iv = _mpmath().iv
+def _root_enclosure(k: int, order: int, prec: int) -> tuple:
+    """Dyadic (lo, hi) enclosures of cos and sin of the angle 2*pi*k/order,
+    evaluated once in mpmath's iv context at precision prec, each end as a
+    (signed mantissa, exponent) pair."""
+    from mpmath import iv
     old_prec = iv.prec
     try:
         iv.prec = prec
         angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(order)
-        return iv.cos(angle)._mpi_, iv.sin(angle)._mpi_
+        return tuple(tuple((-int(man) if sign else int(man), int(exp))
+                           for sign, man, exp, _ in part._mpi_)
+                     for part in (iv.cos(angle), iv.sin(angle)))
     finally:
         iv.prec = old_prec
 
 
-def _enclose_int(libmp, n: int, prec: int):
-    return (libmp.from_int(n, prec, libmp.round_floor),
-            libmp.from_int(n, prec, libmp.round_ceiling))
+_ZERO = (0, 0)
 
 
 def magnitude_interval(x, precision_bits: int = DEFAULT_PRECISION_BITS,
@@ -289,10 +391,13 @@ def magnitude_interval(x, precision_bits: int = DEFAULT_PRECISION_BITS,
     Rational x, or for x = (order, integer coords over den).
 
     Rational values get an exact point interval.  Otherwise each endpoint is
-    the dyadic mpf the iv context gives at precision_bits + 16: re and im sum
-    num/den times the (cos, sin) of each root in k order, then
-    sqrt(re*re + im*im).  `products`, a caller's dict used at one precision,
-    keeps each term's products, keyed by (num, den, k, order) in lowest terms.
+    the dyadic that mpmath's iv context gives at precision_bits + 16: re and
+    im sum num/den times the (cos, sin) of each root in k order, then
+    sqrt(re*re + im*im).  Each operation is computed exactly in ints and
+    rounded once, outward, so each end is the one mpmath's correctly
+    rounded operation gives.  `products`, a caller's dict used at one
+    precision, keeps each term's products, keyed by (num, den, k, order) in
+    lowest terms.
     """
     if precision_bits < 32:
         raise ValueError("precision_bits must be at least 32")
@@ -304,28 +409,30 @@ def magnitude_interval(x, precision_bits: int = DEFAULT_PRECISION_BITS,
         x = (x.order, [c.numerator * (den // c.denominator) for c in x.coords])
     order, coords = x
     products = {} if products is None else products
-    libmp, prec = _mpmath().libmp, precision_bits + 16
-    mpi_add, mpi_mul, fzero = libmp.mpi_add, libmp.mpi_mul, libmp.fzero
-    re = im = (fzero, fzero)
+    prec = precision_bits + 16
+    re_lo = re_hi = im_lo = im_hi = _ZERO
     for k, n in enumerate(coords):
         if n:
             g = gcd(n, den)
             key = (n // g, den // g, k, order)
             pair = products.get(key)
             if pair is None:
-                coeff = libmp.mpi_div(_enclose_int(libmp, key[0], prec),
-                                      _enclose_int(libmp, key[1], prec), prec)
+                coeff = _quotient_interval(key[0], key[1], prec)
                 cos, sin = _root_enclosure(k, order, prec)
-                pair = products[key] = (mpi_mul(coeff, cos, prec),
-                                        mpi_mul(coeff, sin, prec))
-            re = mpi_add(re, pair[0], prec)
-            im = mpi_add(im, pair[1], prec)
-    sq_lo, sq_hi = mpi_add(mpi_mul(re, re, prec), mpi_mul(im, im, prec), prec)
-    if sq_lo[0]:
-        # a negative lower end (sign bit set) is rounding slack: |x|^2 >= 0
-        sq_lo = fzero
-    lo, hi = libmp.mpi_sqrt((sq_lo, sq_hi), prec)
-    return RatInterval(_dyadic(lo[1], lo[2]), _dyadic(hi[1], hi[2]))
+                pair = products[key] = (_mul_interval(coeff, cos, prec),
+                                        _mul_interval(coeff, sin, prec))
+            (a, b), (c, d) = pair
+            re_lo = _add_end(re_lo, a, prec, False)
+            re_hi = _add_end(re_hi, b, prec, True)
+            im_lo = _add_end(im_lo, c, prec, False)
+            im_hi = _add_end(im_hi, d, prec, True)
+    re, im = (re_lo, re_hi), (im_lo, im_hi)
+    (a, b), (c, d) = _mul_interval(re, re, prec), _mul_interval(im, im, prec)
+    sq_lo, sq_hi = _add_end(a, c, prec, False), _add_end(b, d, prec, True)
+    if sq_lo[0] < 0:  # rounding slack: |x|^2 >= 0
+        sq_lo = _ZERO
+    lo, hi = _sqrt_end(sq_lo, prec, False), _sqrt_end(sq_hi, prec, True)
+    return RatInterval(_dyadic(*lo), _dyadic(*hi))
 
 
 def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:

@@ -165,17 +165,29 @@ def _canonical_candidates(dim: int, radius: int):
     magnitude-then-sign lexicographic order on coordinates).
 
     The per-coordinate order 0 < 1 < -1 < 2 < -2 < ... keeps the enumeration
-    deterministic and puts 0 first, so digit 0 always leads.
+    deterministic and puts 0 first, so digit 0 always leads.  Each shell of
+    max-norm r is yielded directly, lazily, without passing the ball inside
+    it.
     """
     coords = [0]
     for r in range(radius + 1):
         if r:
             coords += [r, -r]
-        # product over coordinates in that order is lexicographic already;
-        # the points of max-norm r come out shell by shell, lazily
-        for point in itertools.product(coords, repeat=dim):
-            if max(map(abs, point)) == r:
-                yield point
+        yield from _shell(dim, r, coords)
+
+
+def _shell(dim: int, r: int, coords: list):
+    """The points of max-norm r over coords (0, 1, -1, ..., r, -r) in
+    lexicographic order: after a first coordinate of magnitude r any rest
+    of the ball, after a smaller one a rest on the shell."""
+    if dim == 1:
+        yield from ((r,), (-r,)) if r else ((0,),)
+        return
+    for c in coords:
+        rests = (itertools.product(coords, repeat=dim - 1) if abs(c) == r
+                 else _shell(dim - 1, r, coords))
+        for rest in rests:
+            yield (c, *rest)
 
 
 def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:

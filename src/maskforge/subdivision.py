@@ -58,6 +58,9 @@ DEFAULT_POWER_CAP = 8
 # about 120 M), an operator power the sum over its entries of
 # |left_ik| * |right_kj| (the 3-d 2I order-2 scheme's fourth power 16.1 M)
 PRODUCT_BUDGET = 1 << 24
+# the powers the first box of the power loop holds: a box sized for a large
+# cap would make every code a long int, so the box grows as powers pass it
+FIRST_BOX_POWERS = 4
 # largest sum-rule order check_convergence scans for (its report prints the
 # capped order)
 ORDER_SCAN_CAP = 3
@@ -576,12 +579,16 @@ def _powers(scheme: MatrixMask, matrix, cap: int):
     over D^L; it acts with matrix^L.  Each product is formed only when its
     item is requested, so a consumer that stops early pays for no further
     power.  The first product codes the base on one _Box (_power_box) that
-    holds every power up to cap, and every later power stays coded there;
-    L = 1 keeps its point tuples.  A power whose pair products
-    (_pair_products) would pass PRODUCT_BUDGET raises BudgetExceeded
-    instead of being formed."""
+    holds every power up to min(cap, FIRST_BOX_POWERS), and later powers
+    stay coded there; a power past it is formed from its predecessor
+    re-coded on a box that holds twice as many powers (at most cap), so a
+    large cap makes no code longer than the powers formed need.  L = 1
+    keeps its point tuples.  A power whose pair products (_pair_products)
+    would pass PRODUCT_BUDGET raises BudgetExceeded instead of being
+    formed."""
     base = _numerators(scheme)
     power, step = base, matrix
+    held = min(cap, FIRST_BOX_POWERS)
     for L in range(1, cap + 1):
         if L > 1:
             count = _pair_products(power, base)
@@ -590,7 +597,10 @@ def _powers(scheme: MatrixMask, matrix, cap: int):
                     f"stopped before power L={L}: it would form {count} pair "
                     f"products, over the budget of {PRODUCT_BUDGET}")
             if power.box is None:
-                power = _coded(base, _power_box(base, matrix, cap))
+                power = _coded(base, _power_box(base, matrix, held))
+            elif L > held:
+                held = min(cap, 2 * held)
+                power = _recoded(power, _power_box(base, matrix, held))
             power = _dilated_product(power, base, step)
             step = mat_mul(step, matrix)
         yield L, power, step
@@ -635,6 +645,14 @@ def _coded(symbol: _Numerators, box: _Box) -> _Numerators:
         [{key: {box.code(f): n for f, n in terms.items()}
           for key, terms in entry.items()} for entry in row]
         for row in symbol.entries])
+
+
+def _recoded(symbol: _Numerators, box: _Box) -> _Numerators:
+    """symbol, coded on a smaller box inside box, with each code decoded to
+    its point and coded on box."""
+    return _coded(symbol._replace(entries=[
+        [{key: _decoded(dict(terms), symbol.box) for key, terms in entry.items()}
+         for entry in row] for row in symbol.entries]), box)
 
 
 def _dilated_product(left: _Numerators, right: _Numerators,

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tempfile
 from fractions import Fraction
@@ -444,6 +445,18 @@ def reference_magnitude_interval(x, precision_bits=128) -> RatInterval:
 
 
 # -- names the library no longer calls, kept as references ------------------
+
+def reference_canonical_candidates(dim: int, radius: int):
+    """lattice._canonical_candidates as it was: each shell of max-norm r
+    filtered out of the whole ball of radius r."""
+    coords = [0]
+    for r in range(radius + 1):
+        if r:
+            coords += [r, -r]
+        for point in itertools.product(coords, repeat=dim):
+            if max(map(abs, point)) == r:
+                yield point
+
 
 def operator_powers(mask, dilation, cap: int):
     """Yield (L, symbol, dilation^L) for the L-fold operator, L = 1..cap, as

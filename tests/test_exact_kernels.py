@@ -19,6 +19,7 @@ from math import lcm
 
 import mpmath
 import pytest
+from mpmath import libmp
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
@@ -408,3 +409,132 @@ def test_magnitude_endpoints_match_the_iv_context(x, precision_bits):
     got = magnitude_interval(x, precision_bits)
     want = reference_magnitude_interval(x, precision_bits)
     assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+# -- the integer dyadic helpers against the libmp functions they replace -------
+#
+# magnitude_interval computes each operation exactly in ints and rounds each
+# end once; mpmath's mpf_add, mpf_mul, mpf_div and mpf_sqrt round correctly
+# in the directed modes, so each helper must give libmp's tuple exactly, at
+# the working precisions of 32, 128 and 8,192 bits (precision_bits + 16).
+
+PRECS = (48, 144, 8208)
+
+
+@st.composite
+def dyadics(draw, prec, sign=None):
+    """(man, exp) of at most prec bits, as every operand of a sum is: zero,
+    or a signed mantissa (sign -1, 1 or either) at an exponent up to 400
+    bits either side of the precision."""
+    if sign is None and draw(st.integers(0, 9)) == 0:
+        return 0, 0
+    bits = draw(st.integers(1, prec))
+    man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+    if (sign or draw(st.sampled_from((-1, 1)))) < 0:
+        man = -man
+    return man, draw(st.integers(-prec - 400, 400))
+
+
+@st.composite
+def dyadic_intervals(draw, prec):
+    """An interval of dyadics: [0, 0], a point, or two ends in order, either
+    or both signs."""
+    kind = draw(st.sampled_from(("zero", "point", "any", "straddling")))
+    if kind == "zero":
+        return (0, 0), (0, 0)
+    if kind == "point":
+        x = draw(dyadics(prec))
+        return x, x
+    if kind == "straddling":
+        return draw(dyadics(prec, -1)), draw(dyadics(prec, 1))
+    ends = sorted((draw(dyadics(prec)), draw(dyadics(prec))),
+                  key=lambda e: Fraction(e[0]) * Fraction(2) ** e[1])
+    return tuple(ends)
+
+
+def raw(x):
+    return libmp.from_man_exp(*x)
+
+
+def raw_interval(x):
+    return raw(x[0]), raw(x[1])
+
+
+def precision_cases(strategy):
+    return st.sampled_from(PRECS).flatmap(
+        lambda prec: st.tuples(st.just(prec), strategy(prec)))
+
+
+@settings(PROFILE, max_examples=120)
+@given(precision_cases(lambda p: st.tuples(dyadics(p), dyadics(p))))
+@example((48, ((0, 0), (0, 0))))
+@example((48, ((-1, 0), (0, 0))))
+# exponent gaps over 300 bits, the far term below and above, both signs
+@example((48, ((2 ** 47 + 1, 0), (-1, -400))))
+@example((144, ((-(2 ** 143) + 1, -10), (3, -450))))
+@example((144, ((5, 400), (2 ** 143 - 1, 0))))
+@example((8208, ((1, 0), (-(2 ** 8207) - 1, -8600))))
+def test_dyadic_sum_matches_mpf_add(case):
+    prec, (x, y) = case
+    for up, rnd in ((False, libmp.round_floor), (True, libmp.round_ceiling)):
+        assert raw(cyclotomic._add_end(x, y, prec, up)) == \
+            libmp.mpf_add(raw(x), raw(y), prec, rnd)
+
+
+@settings(PROFILE, max_examples=120)
+@given(precision_cases(lambda p: st.tuples(dyadic_intervals(p),
+                                           dyadic_intervals(p))))
+@example((48, (((0, 0), (0, 0)), ((-3, 0), (5, 0)))))
+@example((48, (((-3, -2), (5, 0)), ((0, 0), (0, 0)))))
+# both straddle 0, and a straddling interval squared
+@example((144, (((-3, 0), (5, 0)), ((-7, -1), (1, 0)))))
+@example((144, (((-(2 ** 143) + 1, -200), (1, -150)),) * 2))
+@example((8208, (((-5, 0), (-1, -9000)), ((2 ** 8207 + 3, 0), (2 ** 8208 - 1, 0)))))
+def test_dyadic_product_matches_mpi_mul(case):
+    prec, (x, y) = case
+    assert raw_interval(cyclotomic._mul_interval(x, y, prec)) == \
+        libmp.mpi_mul(raw_interval(x), raw_interval(y), prec)
+
+
+def wide_ints(prec):
+    """Nonzero ints up to 60 bits wider than prec."""
+    return st.integers(1, prec + 60).flatmap(
+        lambda bits: st.integers(2 ** (bits - 1), 2 ** bits - 1))
+
+
+@settings(PROFILE, max_examples=120)
+@given(precision_cases(lambda p: st.tuples(
+    st.tuples(st.sampled_from((-1, 1)), wide_ints(p)).map(lambda t: t[0] * t[1]),
+    wide_ints(p))))
+@example((48, (1, 1)))
+@example((48, (-1, 3)))
+# ints wider than prec: the numerator, the denominator, both
+@example((48, (2 ** 60 + 1, 3)))
+@example((144, (-(3 ** 100), 7)))
+@example((144, (5, 2 ** 200 - 1)))
+@example((8208, (-(2 ** 8250 - 1), 3 ** 5200)))
+def test_dyadic_quotient_matches_mpi_div(case):
+    prec, (num, den) = case
+
+    def enclosed(n):
+        return (libmp.from_int(n, prec, libmp.round_floor),
+                libmp.from_int(n, prec, libmp.round_ceiling))
+    assert raw_interval(cyclotomic._quotient_interval(num, den, prec)) == \
+        libmp.mpi_div(enclosed(num), enclosed(den), prec)
+
+
+@settings(PROFILE, max_examples=120)
+@given(precision_cases(lambda p: dyadics(p).map(lambda x: (abs(x[0]), x[1]))))
+@example((48, (0, 0)))
+# exact squares, at even and odd exponents, one below a square and 2**-7
+@example((48, (9, 0)))
+@example((48, (18, -7)))
+@example((48, (1, -7)))
+@example((144, ((2 ** 71 - 1) ** 2, 32)))
+@example((144, ((2 ** 71 - 1) ** 2 - 1, 32)))
+@example((8208, (3 ** 5000, -8000)))
+def test_dyadic_sqrt_matches_mpf_sqrt(case):
+    prec, x = case
+    for up, rnd in ((False, libmp.round_floor), (True, libmp.round_ceiling)):
+        assert raw(cyclotomic._sqrt_end(x, prec, up)) == \
+            libmp.mpf_sqrt(raw(x), prec, rnd)

@@ -23,6 +23,11 @@ between the two rows exchanged, which no 2-d lift reaches.
 The order-2 Q(zeta_3) mask is also read from a file that writes the same
 values with other coords (non_canonical_document); its analyze, decompose
 and smooth blocks must be the golden bytes.
+
+The smooth block of the order-1 mask is also pinned at the two extremes of
+MASKFORGE_PRECISION_BITS, 32 and 8,192 bits, where its norms print the raw
+dyadic endpoints of 48- and 8,208-bit enclosures.  Both files were recorded
+while the enclosures still ran on mpmath's libmp interval functions.
 """
 
 import json
@@ -125,4 +130,16 @@ def test_non_canonical_coords_give_the_golden_bytes(name, mask, args, tmp_path):
     path.write_text(json.dumps(non_canonical_document(mask)))
     command, *options = args
     got = machine_text([command, str(path), *options])
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+PRECISIONS = [("cyc35_order1_smooth_lmax2_bits32", 32),
+              ("cyc35_order1_smooth_lmax2_bits8192", 8192)]
+
+
+@pytest.mark.parametrize("name, bits", PRECISIONS, ids=[c[0] for c in PRECISIONS])
+def test_precision_extremes_give_the_golden_bytes(name, bits, mask_files,
+                                                  monkeypatch):
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", str(bits))
+    got = machine_text(["smooth", mask_files["cyc35_order1"], "--lmax", "2"])
     assert got == (GOLDEN / f"{name}.json").read_text()

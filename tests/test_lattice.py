@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from maskforge.errors import MaskforgeError, UserDigitsInvalid
 from conftest import (characteristic_values_hold, digit_fourier_is_unitary,
-                      digit_fractions, dual_context)
-from maskforge.lattice import (DilationContext, adjugate,
+                      digit_fractions, dual_context,
+                      reference_canonical_candidates)
+from maskforge.lattice import (DilationContext, _canonical_candidates, adjugate,
                                characteristic_polynomial, determinant,
                                digit_set, is_isotropic, mat_mul, mat_vec,
                                matrix_power, power_inf_norm, transpose)
@@ -47,6 +48,15 @@ def test_determinant_random_against_cofactor():
 
 def test_digit_set_canonical_1d():
     assert digit_set([[2]]) == ((0,), (1,))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_shells_match_the_filtered_ball(dim):
+    # each shell yielded directly comes out in the order the whole ball,
+    # filtered by max-norm, gave
+    for radius in range(8):
+        assert list(_canonical_candidates(dim, radius)) == \
+            list(reference_canonical_candidates(dim, radius))
 
 
 def test_digit_set_user_supplied_example():

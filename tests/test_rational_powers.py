@@ -156,6 +156,15 @@ def power_cases(draw):
     [TrigPoly(3, {(0, 0, 0): HALF, (1, 0, -1): Z3}),
      TrigPoly(3, {(0, 1, 0): 1})],
     [TrigPoly(3, {(0, 0, 1): -HALF}), TrigPoly(3, {(1, 1, 0): Z3})]]), 2))
+# caps above the first box (FIRST_BOX_POWERS = 4): L = 5 is formed from the
+# fourth power re-coded on a box of min(cap, 8) powers
+@example(case=(((2,),), MatrixMask([
+    [TrigPoly(1, {(1,): HALF, (2,): Z3}), TrigPoly(1, {(3,): 1})],
+    [TrigPoly(1, {(2,): -Z3}), TrigPoly(1, {(1,): HALF, (3,): Z3})]]), 6))
+@example(case=(((-3,),), MatrixMask([
+    [TrigPoly(1, {(-1,): Z3, (0,): HALF, (2,): 1})]]), 5))
+@example(case=(((1, 1), (-1, 1)), MatrixMask([
+    [TrigPoly(2, {(0, 1): HALF, (1, -1): Fraction(-1, 4)})]]), 9))
 def test_coded_powers_match_the_tuple_reference(case):
     # each power, decoded, holds the reference's classes and numerators
     # field for field, and its norm is the reference's coset scan
