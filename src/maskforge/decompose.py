@@ -7,32 +7,44 @@ of masks t_jk with, for every axis k,
         = sum_j t_jk(x) (1 - e^(2*pi*i*(Mt x, e_j))),     (Mt = transpose)
 
 computed through the polyphase components and a fixed telescoping division
-sweep along the axes.  The telescoping runs on the mask's integer numerator
-vectors (TrigPoly.vectors: one denominator, one field order F) and only adds
-and subtracts.  Each vector carries the order label the CyclotomicNumber fold
-would hold its value at (the lcm of the labels summed into it), because that
-order is part of the value's printed bytes; the entries are TrigPolys of the
-telescoped vectors as they are.  A refinement pass lifts the entries'
-sum-rule order step by step, moving corrections weighted by the direct
-checker's integer moments between rows, where the identity's sums cancel
-them; each decomposition returned is checked once, on the result (_checked).
-An iterated form indexes repeated decompositions by tuples of axes.
+sweep along the axes.  The telescoping only adds and subtracts the mask's
+integer numerators over its one denominator.  Every lattice point it meets
+is one int code on one _Box per decomposition: a shift adds a constant, a
+line along axis j is a stride, and points are decoded once, when the
+entries are built.  How one value is summed depends on the mask: when every
+value is rational it is one int numerator, otherwise a vector at the field
+order F tested modulo Phi_F.  Each value carries the order label the
+CyclotomicNumber fold would hold it at (the lcm of the labels summed into
+it, dropped sums not counted), because that order is part of its printed
+bytes.  The running sums of one division by (1 - z_j) number the sum of its
+lines' spans, so a division whose spans pass PRODUCT_BUDGET stops before it
+starts (BudgetExceeded).  A refinement pass lifts the entries' sum-rule
+order step by step, moving corrections weighted by the direct checker's
+integer moments between rows, where the identity's sums cancel them; the
+corrections and the row exchanges are formed as merges of integer vectors
+and signed shifts, folded as the TrigPoly products would be.  Each
+decomposition returned is checked once, on the result (_checked).  An
+iterated form indexes repeated decompositions by tuples of axes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import lcm, prod
-from operator import add, sub
+from operator import add, mul, neg, not_, sub
+from typing import Callable, NamedTuple
 
-from .errors import InternalIdentityViolation, NotInClass
-from .lattice import DilationContext, mat_vec
+from .errors import (PRODUCT_BUDGET, BudgetExceeded, InternalIdentityViolation,
+                     NotInClass)
+from .lattice import DilationContext, _Box, mat_vec
 from .sumrules import (_direct_kernel, digit_interpolant, multi_indices,
                        sum_rule_order, sum_rule_order_direct, unit_derivative_poly)
-from .trigpoly import (TrigPoly, _assembled, _coefficient_sum, _merge_vectors,
-                       _point_moments, _point_orders, _vanishes, _vanishing_sum)
+from .trigpoly import (TrigPoly, _coefficient_sum, _merge_vectors,
+                       _point_moments, _point_orders, _rational_numerators,
+                       _spread, _vanishes, _vanishing_sum)
 
 
 class NotInZ0(NotInClass):
@@ -182,9 +194,9 @@ def decompose_to_class(t: TrigPoly, ctx: DilationContext,
     plain axis k and coset nu, the shifted polyphase matching the coset of
     digit_nu - e_k is subtracted, and the difference is split along the fixed
     axis sweep 1..d by exact division; assembling the pieces gives the
-    entries.  It telescopes integer numerators (_telescope), and every
-    value is held at the order the TrigPoly fold of the same sums reaches:
-    the lcm of the orders summed into it, dropped sums not counted.
+    entries.  It telescopes integer numerators on int codes (_telescope),
+    and every value is held at the order the TrigPoly fold of the same sums
+    reaches: the lcm of the orders summed into it, dropped sums not counted.
     Deterministic given the context's digit order.
     """
     dec = _plain(t, ctx, _telescope(t, ctx), source_order - 1)
@@ -205,70 +217,252 @@ def _checked(dec: MaskDecomposition) -> MaskDecomposition:
     return dec
 
 
+class _Sums(NamedTuple):
+    """How the telescoping sums one value: add, subtract, negate, the zero
+    test and the zero of the values' kind."""
+    add: Callable
+    sub: Callable
+    neg: Callable
+    vanishes: Callable
+    zero: object
+
+
+# every value rational: one int numerator, zero only when it is 0
+_RATIONAL = _Sums(add, sub, neg, not_, 0)
+
+
+def _vector_sums(field: int) -> _Sums:
+    """Values as integer vectors at order `field`, zero when Phi_field
+    divides them."""
+    return _Sums(lambda a, b: list(map(add, a, b)),
+                 lambda a, b: list(map(sub, a, b)),
+                 lambda a: [-x for x in a],
+                 lambda vec: _vanishes(vec, field), [0] * field)
+
+
 def _telescope(t: TrigPoly, ctx: DilationContext) -> list:
     """The plain entries rows[j-1][k-1] of a mask in the order-0 class.
 
-    The mask's labelled numerator vectors (one denominator D, field order F)
-    are split by coset.  Per plain axis k and coset nu, the shifted
-    polyphase of the coset of digit_nu - e_k is subtracted; then for j =
-    1..d the difference minus its collapse z_j := 1 is divided by (1 - z_j),
-    and the collapse carries on to the next axis.  Each merge labels a sum
-    with the lcm of its labels and drops sums that vanish modulo Phi_F, as
-    the CyclotomicNumber fold does; the quotients are assembled over D.
+    The mask's labelled values (one denominator D, field order F) are split
+    by coset.  Per plain axis k and coset nu, the shifted polyphase of the
+    coset of digit_nu - e_k is subtracted; then for j = 1..d the difference
+    minus its collapse z_j := 1 is divided by (1 - z_j)
+    (_divide_one_minus_z), and the collapse carries on to the next axis.
+    All d*m of these run at once on one _Box (_telescope_box) whose axis 0
+    holds the index k*m + nu and axes 1..d the points, so no line or merge
+    mixes two of them.  Each merge labels a sum with the lcm of its labels
+    and drops sums that vanish, as the CyclotomicNumber fold does; the
+    quotients are assembled over D.  When every value is rational (tested
+    value by value: a rational held at order 4 counts), each is summed as
+    its one int numerator (_RATIONAL), else as its vector at F.
     """
-    d, field = ctx.dim, t.field
-    taus = [{} for _ in range(ctx.m)]
-    for freq, slot in t.vectors.items():
-        nu, base = ctx.base_point(freq)
-        taus[nu][base] = slot
-    # per-entry polyphase tables, indexed [j-1][k-1][nu]
-    tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
-    for k in range(d):
-        e_k = _unit(d, k + 1)
-        for nu in range(ctx.m):
-            # digit_nu - e_k = matrix @ q + digit_n, so the shift is -q
-            n_star, q = ctx.base_point(tuple(map(sub, ctx.digits[nu], e_k)))
-            remaining = _merge_vectors(field, taus[nu].items(), (
-                (tuple(map(sub, base, q)), slot)
-                for base, slot in taus[n_star].items()))
-            for j in range(d):
-                collapsed = _merge_vectors(field, (
-                    (freq[:j] + (0,) + freq[j + 1:], slot)
-                    for freq, slot in remaining.items()))
-                tables[j][k][nu] = _divide_one_minus_z(
-                    _merge_vectors(field, remaining.items(), collapsed.items()),
-                    j, field)
-                remaining = collapsed
-            if remaining:
-                raise InternalIdentityViolation(
-                    "telescoping left a nonzero constant")  # source not order-0
-    return [[_assembled(ctx, field, t.den, parts) for parts in row]
-            for row in tables]
+    d, m, field = ctx.dim, ctx.m, t.field
+    numerators = _rational_numerators(t)
+    if numerators is None:
+        sums, values = _vector_sums(field), list(t.vectors.values())
+    else:
+        sums = _RATIONAL
+        values = [(n, label)
+                  for n, (_, label) in zip(numerators, t.vectors.values())]
+    split = ctx.base_points(list(t.vectors))
+    stars = _star_points(ctx)
+    box = _telescope_box(d * m, [base for _, base in split],
+                         [q for row in stars for _, q in row])
+    taus, strides = [[] for _ in range(m)], box.strides[1:]
+    for (nu, base), slot in zip(split, values):
+        taus[nu].append((sum(map(mul, base, strides)), slot))
+    plus, minus, index = [], [], box.strides[0]
+    for k, row in enumerate(stars):
+        for nu, (n_star, q) in enumerate(row):
+            at = (k * m + nu) * index
+            shift = at - sum(map(mul, q, strides))
+            plus += [(at + c, slot) for c, slot in taus[nu]]
+            minus += [(shift + c, slot) for c, slot in taus[n_star]]
+    remaining = _merge_codes(sums, plus, minus)
+    rows = []
+    for j in range(1, d + 1):
+        quotient, remaining = _divide_one_minus_z(remaining, box, j, sums)
+        rows.append(_assembled(ctx, box, sums, field, t.den, quotient))
+    if remaining:
+        raise InternalIdentityViolation(
+            "telescoping left a nonzero constant")  # source not order-0
+    return rows
 
 
-def _divide_one_minus_z(poly: dict, j: int, field: int) -> dict:
-    """The exact quotient by (1 - z_(j+1)) of a {freq: (vec, label)} dict,
-    by running sums along each line of frequencies that differ only at
-    index j.  A running sum is labelled with the lcm of the labels on its
-    line up to its exponent (1 before any).  Sums that vanish are dropped;
-    a line whose total does not vanish is a bug."""
+@lru_cache(maxsize=128)
+def _star_points(ctx: DilationContext) -> tuple:
+    """Per plain axis k and coset nu, the base point (n, q) of digit_nu - e_k:
+    digit_nu - e_k = matrix @ q + digit_n, so the telescoping shifts the
+    polyphase of coset n by -q (cached per context)."""
+    return tuple(tuple(ctx.base_point(tuple(map(sub, digit, _unit(ctx.dim, k + 1))))
+                       for digit in ctx.digits) for k in range(ctx.dim))
+
+
+def _telescope_box(indices: int, bases: list, shifts: list) -> _Box:
+    """The box of the telescoping: axis 0 holds 0..indices-1, and axes 1..d
+    every point the telescoping meets: the base points, each less any
+    shift, and the origin's coordinate (a collapse sets a coordinate to 0,
+    and a quotient stays between a line's ends)."""
+    lo, hi = [0], [indices - 1]
+    for axis, qs in enumerate(zip(*shifts)):
+        xs = [b[axis] for b in bases] or [0]
+        lo.append(min(0, min(xs), min(xs) - max(qs)))
+        hi.append(max(0, max(xs), max(xs) - min(qs)))
+    return _Box.spanning(lo, hi)
+
+
+def _merge_codes(sums: _Sums, plus, minus) -> dict:
+    """trigpoly._merge_vectors on int codes, for values of either kind:
+    {code: (value, label)} of the values of `plus` (each code once) and the
+    negated values of `minus`, summed per code in arrival order; a sum is
+    labelled with the lcm of its labels and dropped if it vanishes."""
+    merged = dict(plus)
+    summed = set()
+    for code, (x, label) in minus:
+        slot = merged.get(code)
+        if slot is None:
+            merged[code] = (sums.neg(x), label)
+        else:
+            merged[code] = (sums.sub(slot[0], x), lcm(slot[1], label))
+            summed.add(code)
+    vanishes = sums.vanishes
+    return {c: s for c, s in merged.items()
+            if not (c in summed and vanishes(s[0]))}
+
+
+def _divide_one_minus_z(remaining: dict, box: _Box, j: int,
+                        sums: _Sums) -> tuple[dict, dict]:
+    """(quotient, collapse) of a {code: (value, label)} dict on box: the
+    collapse z_j := 1 of remaining (box axis j), and the exact quotient by
+    (1 - z_j) of remaining less its collapse, as the merges of the TrigPoly
+    steps would hold them; the quotient as {index: {code: (value, label)}},
+    one dict per index of box axis 0.
+
+    A line is the points that differ only at index j, keyed by the code of
+    its collapse (a point's code less x_j * stride_j).  Its collapse is the
+    sum of its values, labelled with the lcm of their labels and dropped if
+    a sum of several vanishes; it is subtracted at x_j = 0, where a
+    difference that vanishes is dropped.  The quotient runs sums along the
+    line: a running sum is labelled with the lcm of the labels on the line
+    up to its exponent (1 before any), and dropped when it vanishes; a line
+    whose total does not vanish is a bug.  Within an index, the lines'
+    quotients follow the first point of each line that the difference
+    keeps, in the order of remaining.  Their running sums number the sum
+    of the lines' spans; a line that would take the total past
+    PRODUCT_BUDGET is not run (BudgetExceeded)."""
+    stride = box.strides[j]
+    xs = box.coordinates(remaining, j)
     lines: dict = {}
-    for freq, slot in poly.items():
-        lines.setdefault(freq[:j] + freq[j + 1:], {})[freq[j]] = slot
-    out = {}
+    for code, x, slot in zip(remaining, xs, remaining.values()):
+        line = lines.get(code - x * stride)
+        if line is None:
+            lines[code - x * stride] = {x: slot}
+        else:
+            line[x] = slot
+    plus, vanishes = sums.add, sums.vanishes
+    origin, index = box.origin, box.strides[0]
+    collapsed, parts, ends, dropped, span = {}, {}, {}, set(), 0
     for rest, line in lines.items():
-        running, label = [0] * field, 1
-        hi = max(line)
-        for e in range(min(line), hi):
-            if e in line:
-                vec, order = line[e]
-                running = list(map(add, running, vec))
-                label = lcm(label, order)
-            if not _vanishes(running, field):
-                out[rest[:j] + (e,) + rest[j:]] = (running, label)
-        if not _vanishes(list(map(add, running, line[hi][0])), field):
-            raise InternalIdentityViolation(f"remainder along axis {j + 1}")
-    return out
+        if len(line) == 1:
+            (total, label), = line.values()
+        else:
+            total, label = sums.zero, 1
+            for value, held in line.values():
+                total, label = plus(total, value), lcm(label, held)
+        if len(line) == 1 or not vanishes(total):
+            collapsed[rest] = (total, label)
+            zero = line.get(0)
+            if zero is None:
+                line[0] = (sums.neg(total), label)
+            else:
+                value = sums.sub(zero[0], total)
+                if not vanishes(value):
+                    line[0] = (value, lcm(zero[1], label))
+                else:
+                    if len(line) > 1 and next(iter(line)) == 0:
+                        dropped.add(rest)
+                    del line[0]
+        if not line:
+            continue
+        low, high = ends[rest] = min(line), max(line)
+        span += high - low
+        if span > PRODUCT_BUDGET:
+            raise BudgetExceeded(
+                f"the division by (1 - z_{j}) would form at least {span} "
+                f"running sums, over the budget of {PRODUCT_BUDGET}")
+        quotient = parts.get((rest - origin) // index)
+        if quotient is None:
+            quotient = parts[(rest - origin) // index] = {}
+        running, label, live = sums.zero, 1, False
+        for e in range(low, high):
+            slot = line.get(e)
+            if slot is not None:
+                running = plus(running, slot[0])
+                label = lcm(label, slot[1])
+                live = not vanishes(running)
+            if live:
+                quotient[rest + e * stride] = (running, label)
+        if not vanishes(plus(running, line[high][0])):
+            raise InternalIdentityViolation(f"remainder along axis {j}")
+    if dropped:
+        # a line whose first point was dropped follows its next one
+        held, parts = parts, {}
+        for code, x in zip(remaining, xs):
+            rest = code - x * stride
+            if rest not in ends or x == 0 and code in dropped:
+                continue
+            at = (rest - origin) // index
+            part, quotient = held[at], parts.setdefault(at, {})
+            for e in range(*ends.pop(rest)):
+                if rest + e * stride in part:
+                    quotient[rest + e * stride] = part[rest + e * stride]
+    return parts, collapsed
+
+
+def _assembled(ctx: DilationContext, box: _Box, sums: _Sums, field: int,
+               den: int, parts: dict) -> list:
+    """The entries [entry(j, k) for k] over den of one axis j's quotient,
+    {index: {code: (value, label)}} on the telescoping box: polyphase
+    component nu of entry k is the part at index k*m + nu, at the
+    frequencies matrix @ x + digit_nu of its points x (_decoded_terms)."""
+    d, m = ctx.dim, ctx.m
+    starts = mat_vec(ctx.matrix, box.lo[1:])
+    shifts = [tuple(map(add, starts, digit)) for digit in ctx.digits]
+    entries = []
+    for k in range(d):
+        cosets = [parts.get(k * m + nu, {}) for nu in range(m)]
+        codes = [code for part in cosets for code in part]
+        slots = [slot for part in cosets for slot in part.values()]
+        entries.append(TrigPoly._merged(d, field, den, chain.from_iterable(
+            _decoded_terms(ctx, box, sums, field, shifts, codes, slots))))
+    return entries
+
+
+def _decoded_terms(ctx: DilationContext, box: _Box, sums: _Sums, field: int,
+                   shifts: list, codes: list, slots: list):
+    """Blocks of (frequency, (vector, label)) for the codes and their
+    (value, label) slots, in order: a code at index k*m + nu and point x is
+    decoded once, to matrix @ (x - lo) + shifts[nu], the sums formed one
+    axis at a time from the offsets x - lo (box.digits), a block of codes
+    at a time; an int numerator n is placed as the vector n at order
+    `field`, one vector per distinct numerator of a block."""
+    m, pad = ctx.m, [0] * (field - 1)
+    for at in range(0, len(codes), 4096):
+        indices, *offsets = box.digits(codes[at:at + 4096])
+        axes = []
+        for i, row in enumerate(ctx.matrix):
+            axis = [shifts[index % m][i] for index in indices]
+            for a, xs in zip(row, offsets):
+                if a:
+                    axis = [y + a * x for y, x in zip(axis, xs)]
+            axes.append(axis)
+        block = slots[at:at + 4096]
+        if sums is _RATIONAL:
+            vectors: dict = {}
+            yield [(freq, (vectors.get(n) or vectors.setdefault(n, [n, *pad]), label))
+                   for freq, (n, label) in zip(zip(*axes), block)]
+        else:
+            yield list(zip(zip(*axes), block))
 
 
 def _plain(t: TrigPoly, ctx: DilationContext, rows: list,
@@ -295,27 +489,98 @@ def _correction_block(kernel, ctx: DilationContext, order: int, l: int, j: int) 
     exactly, which keeps everything cyclotomic; the 1/beta_j factor makes the
     moved residue match the derivative it kills (the product rule contributes
     beta_j through the single surviving term).
+
+    Formed in integers at the kernel's field order F over one denominator,
+    each product and sum folded as the TrigPoly expression would fold it:
+    a product's sum at a frequency is labelled with the lcm of its pairs'
+    labels and dropped if it vanishes, and adding a term to a frequency
+    whose sum then vanishes drops it, so a later term there starts afresh
+    at the end of the order.
     """
-    d, (field, den, _, _), zero = ctx.dim, kernel, (0,) * ctx.dim
-    total = TrigPoly.zero(d)
-    for beta in multi_indices(d, order):
-        if beta[j - 1] == 0:
-            continue
-        if any(beta[i - 1] for i in range(l + 1, j)):
-            continue
-        weight_sum = TrigPoly.zero(d)
+    d, m, (field, den, *_) = ctx.dim, ctx.m, kernel
+    betas = [beta for beta in multi_indices(d, order)
+             if beta[j - 1] and not any(beta[l:j - 1])]
+    selectors = [unit_derivative_poly(order - 1, tuple(
+        b - int(i == j - 1) for i, b in enumerate(beta)), d) for beta in betas]
+    interpolants = [digit_interpolant(nu, ctx) for nu in range(1, m)]
+    h_den = lcm(*(h.den for h in interpolants))
+    # each H_nu's terms at order F over h_den:
+    # (digit, [(position, numerator)], label)
+    terms = [[(f, [(p * (field // h.field), x * (h_den // h.den))
+                   for p, x in enumerate(vec) if x], label)
+              for f, (vec, label) in h.vectors.items()] for h in interpolants]
+    scale = lcm(1, *(g.den * beta[j - 1] for g, beta in zip(selectors, betas)))
+    total: dict = {}
+    for beta, selector in zip(betas, selectors):
+        weights: dict = {}
         moments = zip(_point_moments(kernel, beta), _point_orders(kernel, beta))
-        for nu, slot in enumerate(moments, 1):
-            if not _vanishes(slot[0], field):
-                w = TrigPoly._merged(d, field, den * ctx.m ** order, [(zero, slot)])
-                weight_sum = weight_sum + digit_interpolant(nu, ctx) * w
-        if weight_sum.is_zero():
+        for h_terms, (w, w_label) in zip(terms, moments):
+            if _vanishes(w, field):
+                continue
+            w = [(q, y) for q, y in enumerate(w) if y]
+            for f, xs, h_label in h_terms:      # H_nu * w: no product vanishes
+                vec = [0] * field
+                for p, x in xs:
+                    for q, y in w:
+                        vec[(p + q) % field] += x * y
+                _add_into(weights, f, vec, lcm(h_label, w_label), field)
+        if not weights:
             continue
-        reduced = tuple(b - int(i == j - 1) for i, b in enumerate(beta))
-        selector = unit_derivative_poly(order - 1, reduced, d) \
-            .compose_dilate(ctx.matrix)
-        total = total + (selector * weight_sum).scale(Fraction(-1, beta[j - 1]))
-    return total
+        factor = -(scale // (selector.den * beta[j - 1]))
+        product: dict = {}                      # G(Mt x) * the weight sum
+        for g, (g_vec, g_label) in selector.vectors.items():
+            g, n = mat_vec(ctx.matrix, g), g_vec[0] * factor
+            for f, (vec, label) in weights.items():
+                key = tuple(map(add, g, f))
+                slot = product.get(key)
+                if slot is None:
+                    product[key] = ([n * x for x in vec], lcm(g_label, label))
+                else:
+                    product[key] = (list(map(add, slot[0], (n * x for x in vec))),
+                                    lcm(slot[1], g_label, label))
+        for f, (vec, label) in product.items():
+            if not _vanishes(vec, field):
+                _add_into(total, f, vec, label, field)
+    return TrigPoly._merged(d, field, h_den * den * m ** order * scale,
+                            total.items())
+
+
+def _add_into(sums: dict, key, vec: list, label: int, field: int) -> None:
+    """Add one labelled vector into {key: (vec, label)} as a TrigPoly sum
+    adds it (trigpoly._merge_vectors): the sum is labelled with the lcm of
+    its labels, and its key removed if it vanishes."""
+    slot = sums.get(key)
+    if slot is None:
+        sums[key] = (vec, label)
+        return
+    vec = list(map(add, slot[0], vec))
+    if _vanishes(vec, field):
+        del sums[key]
+    else:
+        sums[key] = (vec, lcm(slot[1], label))
+
+
+def _exchanged(entry: TrigPoly, delta: TrigPoly, block: TrigPoly,
+               sign: int) -> TrigPoly:
+    """entry + sign * delta * block for a difference delta = 1 - z^v, whose
+    terms are integers at order 1: the product is block's vectors shifted by
+    delta's frequencies and times sign * delta's integers, merged as the
+    TrigPoly product folds them (a vanishing sum dropped), then merged with
+    entry at the lcm of the fields over the lcm of the denominators."""
+    product = _merge_vectors(block.field, (
+        (tuple(map(add, f, g)), ([sign * n * x for x in vec], label))
+        for f, ([n], _) in delta.vectors.items()
+        for g, (vec, label) in block.vectors.items()))
+    field, den = lcm(entry.field, block.field), lcm(entry.den, block.den)
+
+    def placed(vectors: dict, at: int, over: int):
+        if (at, over) == (field, den):
+            return vectors.items()
+        return ((f, (_spread(vec, field, den // over), label))
+                for f, (vec, label) in vectors.items())
+    return TrigPoly._merged(entry.dim, field, den, chain(
+        placed(entry.vectors, entry.field, entry.den),
+        placed(product, block.field, block.den)))
 
 
 def refine_decomposition(t: TrigPoly, dec: MaskDecomposition, ctx: DilationContext,
@@ -334,7 +599,9 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
     fixed left to right, each step moving a block B from row l to a later row
     j: row l loses delta_j * B, row j gains delta_l * B (delta_j the dilated
     difference), and the two cancel in sum_j t_jk * delta_j; delta_j(0) = 0
-    moves no value at the origin.  It only builds; the caller checks.  In one
+    moves no value at the origin.  An exchange merges signed shifts of B
+    (_exchanged), with no TrigPoly product.  It only builds; the caller
+    checks.  In one
     dimension there is nothing to exchange: the single entry inherits the
     full order drop automatically."""
     ctx = dec.ctx
@@ -349,10 +616,10 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
                     block = _correction_block(kernel, ctx, order, l, j)
                     if block.is_zero():
                         continue
-                    entries[l - 1][k - 1] = entries[l - 1][k - 1] \
-                        - deltas[j - 1] * block
-                    entries[j - 1][k - 1] = entries[j - 1][k - 1] \
-                        + deltas[l - 1] * block
+                    entries[l - 1][k - 1] = _exchanged(
+                        entries[l - 1][k - 1], deltas[j - 1], block, -1)
+                    entries[j - 1][k - 1] = _exchanged(
+                        entries[j - 1][k - 1], deltas[l - 1], block, 1)
     return _plain(dec.source, ctx, entries, n_cap - 1)
 
 

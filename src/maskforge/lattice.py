@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .cyclotomic import _divide_monic
 from .errors import InternalIdentityViolation, MaskforgeError, UserDigitsInvalid
@@ -66,7 +67,66 @@ def transpose(matrix):
 
 
 def mat_vec(matrix, vec):
-    return tuple(sum(map(mul, row, vec)) for row in matrix)
+    return tuple([sum(map(mul, row, vec)) for row in matrix])
+
+
+def mat_vecs(matrix, vecs) -> list:
+    """[mat_vec(matrix, v) for v in vecs], formed one axis at a time."""
+    columns, rows = list(zip(*vecs)), []
+    for row in matrix:
+        image = [0] * len(vecs)
+        for a, column in zip(row, columns):
+            if a:
+                image = [y + a * x for y, x in zip(image, column)]
+        rows.append(image)
+    return list(zip(*rows))
+
+
+class _Box(NamedTuple):
+    """The lattice points of the box lo..hi, each coded as the int
+    x . strides.  On the box the code is one to one, and it is additive: a
+    sum of points that lies in the box is coded by the sum of their codes,
+    and matrix x by x . columns(matrix)."""
+    lo: list
+    strides: list
+
+    @classmethod
+    def spanning(cls, lo, hi) -> "_Box":
+        strides = [1]
+        for low, high in zip(lo[:0:-1], hi[:0:-1]):
+            strides.append(strides[-1] * (high - low + 1))
+        strides.reverse()
+        return cls(list(lo), strides)
+
+    def code(self, x) -> int:
+        return sum(map(mul, x, self.strides))
+
+    def columns(self, matrix) -> list:
+        """The codes of the matrix's columns."""
+        return [self.code(column) for column in zip(*matrix)]
+
+    @property
+    def origin(self) -> int:
+        """The code of lo."""
+        return self.code(self.lo)
+
+    def digits(self, codes) -> list:
+        """One list per axis: each coded point's coordinate less lo."""
+        origin = self.origin
+        codes = [c - origin for c in codes]
+        axes = []
+        for stride in self.strides:
+            axes.append([c // stride for c in codes])
+            codes = [c % stride for c in codes]
+        return axes
+
+    def coordinates(self, codes, axis: int) -> list:
+        """Each coded point's coordinate on one axis (numbered from 0)."""
+        origin, stride, low = self.origin, self.strides[axis], self.lo[axis]
+        if axis == 0:
+            return [(c - origin) // stride + low for c in codes]
+        outer = self.strides[axis - 1]
+        return [(c - origin) % outer // stride + low for c in codes]
 
 
 def mat_mul(a, b):
@@ -152,7 +212,7 @@ def _squarefree_part(poly) -> list[int]:
 
 
 def _key(image, modulus: int) -> IntVector:
-    return tuple(x % modulus for x in image)
+    return tuple([x % modulus for x in image])
 
 
 def coset_key(adj, modulus: int, vec) -> IntVector:
@@ -335,9 +395,16 @@ class DilationContext:
 
     def base_point(self, vec) -> tuple[int, IntVector]:
         """(index, quotient) with vec = matrix @ quotient + digit[index]."""
-        image = mat_vec(self.adjugate, vec)
+        return self._based(vec, mat_vec(self.adjugate, vec))
+
+    def base_points(self, vecs) -> list:
+        """base_point of each of a list of vectors."""
+        return list(map(self._based, vecs, mat_vecs(self.adjugate, vecs)))
+
+    def _based(self, vec, image) -> tuple[int, IntVector]:
+        """base_point of vec, given its adjugate image."""
         idx = self.coset_index(vec, image)
         quot = [divmod(x - s, self.det) for x, s in zip(image, self._cosets[1][idx])]
-        if any(r for _, r in quot):
+        if any([r for _, r in quot]):
             raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
-        return idx, tuple(q for q, _ in quot)
+        return idx, tuple([q for q, _ in quot])

@@ -185,6 +185,8 @@ def load_mask_document(doc: dict) -> tuple[TrigPoly, DilationContext]:
         return mask, ctx
     if digits is None:
         raise ParseError("polyphase form requires an explicit digit list")
+    if not isinstance(doc["polyphase"], list):
+        raise ParseError("polyphase must be a list of components")
     parts = [TrigPoly.zero(ctx.dim) for _ in range(ctx.m)]
     seen = set()
     for item in doc["polyphase"]:

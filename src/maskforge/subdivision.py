@@ -44,20 +44,15 @@ from typing import NamedTuple
 from .cyclotomic import CyclotomicNumber, _canonical, max_magnitude_sum
 from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
-from .errors import BudgetExceeded, ShapeMismatch
+from .errors import PRODUCT_BUDGET, BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
-from .lattice import (DilationContext, IsotropyReport, adjugate, determinant,
-                      is_isotropic, mat_mul, mat_vec, matrix_power,
-                      power_inf_norm, transpose)
+from .lattice import (DilationContext, IsotropyReport, _Box, adjugate,
+                      determinant, is_isotropic, mat_mul, mat_vec,
+                      matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly, _merge_vectors
 
 DEFAULT_POWER_CAP = 8
-# the most pair products one step may form: a refine round forms
-# |supp f| * |supp a| (the example mask's eighth round about 7.4 M, its tenth
-# about 120 M), an operator power the sum over its entries of
-# |left_ik| * |right_kj| (the 3-d 2I order-2 scheme's fourth power 16.1 M)
-PRODUCT_BUDGET = 1 << 24
 # the powers the first box of the power loop holds: a box sized for a large
 # cap would make every code a long int, so the box grows as powers pass it
 FIRST_BOX_POWERS = 4
@@ -313,45 +308,6 @@ def _data_numerators(f: Sequence) -> tuple[int, list]:
     return d_f, [{beta: vec[j].numerator * (d_f // vec[j].denominator)
                   for beta, vec in f.values.items() if vec[j]}
                  for j in range(f.width)]
-
-
-class _Box(NamedTuple):
-    """The lattice points of the box lo..hi, each coded as the int
-    x . strides.  On the box the code is one to one, and it is additive: a
-    sum of points that lies in the box is coded by the sum of their codes,
-    and matrix x by x . columns(matrix)."""
-    lo: list
-    strides: list
-
-    @classmethod
-    def spanning(cls, lo, hi) -> "_Box":
-        strides = [1]
-        for low, high in zip(lo[:0:-1], hi[:0:-1]):
-            strides.append(strides[-1] * (high - low + 1))
-        strides.reverse()
-        return cls(list(lo), strides)
-
-    def code(self, x) -> int:
-        return sum(map(mul, x, self.strides))
-
-    def columns(self, matrix) -> list:
-        """The codes of the matrix's columns."""
-        return [self.code(column) for column in zip(*matrix)]
-
-    @property
-    def origin(self) -> int:
-        """The code of lo."""
-        return self.code(self.lo)
-
-    def digits(self, codes) -> list:
-        """One list per axis: each coded point's coordinate less lo."""
-        origin = self.origin
-        codes = [c - origin for c in codes]
-        axes = []
-        for stride in self.strides:
-            axes.append([c // stride for c in codes])
-            codes = [c % stride for c in codes]
-        return axes
 
 
 def _subdivide(kernel: _Kernel, matrix, columns: list) -> list:

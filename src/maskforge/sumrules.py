@@ -22,7 +22,7 @@ from operator import index, mul
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
-from .lattice import DilationContext, adjugate, determinant, mat_vec
+from .lattice import DilationContext, adjugate, determinant, mat_vec, mat_vecs
 from .trigpoly import (TrigPoly, _number, _placed, _point_kernel,
                        _point_moments, _sparse, _vanishes)
 
@@ -68,9 +68,8 @@ def _direct_kernel(t: TrigPoly, ctx: DilationContext):
     frequency read at its image g = sign(det) * adjugate @ freq: per digit
     delta, its _point_moments vector is m^|beta| * D times the normalized
     beta-derivative of t(inverse-transpose x) at delta."""
-    adj = _signed_adjugate(ctx)
-    return _point_kernel(t, [mat_vec(adj, freq) for freq in t.vectors], ctx.m,
-                         ctx.dual_digits[1:])
+    return _point_kernel(t, mat_vecs(_signed_adjugate(ctx), list(t.vectors)),
+                         ctx.m, ctx.dual_digits[1:])
 
 
 def _direct_order_holds(kernel, ctx: DilationContext, total: int) -> bool:
@@ -87,8 +86,8 @@ def _polyphase_moments(t: TrigPoly, ctx: DilationContext):
     label)."""
     adj = _signed_adjugate(ctx)
     parts = [(mat_vec(adj, digit), []) for digit in ctx.digits]
-    for freq, xs, label in _sparse(t, t.field):
-        nu, base = ctx.base_point(freq)
+    for (nu, base), (_, xs, label) in zip(ctx.base_points(list(t.vectors)),
+                                          _sparse(t, t.field)):
         parts[nu][1].append((base, xs, label))
     return t.field, t.den, parts
 

@@ -22,14 +22,14 @@ built inside the library go to the merge directly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from numbers import Rational
 from itertools import chain, compress
 from operator import add, index, mul, sub
 
 from .cyclotomic import _F0, CyclotomicNumber, _canonical, _reduce_coords
 from .errors import DimensionMismatch, WrongCount
-from .lattice import DilationContext, mat_vec
+from .lattice import DilationContext, _Box, mat_vec
 
 
 class TrigPoly:
@@ -113,8 +113,7 @@ class TrigPoly:
         return not self.vectors
 
     def is_rational(self) -> bool:
-        return not any(any(_canonical(vec, self.field, label)[1:])
-                       for vec, label in self.vectors.values())
+        return _rational_numerators(self) is not None
 
     def support(self):
         return self.terms.items()
@@ -189,7 +188,11 @@ class TrigPoly:
         parts = list(parts)
         if len(parts) != ctx.m:
             raise WrongCount(f"need {ctx.m} polyphase components, got {len(parts)}")
-        return _assembled(ctx, *_aligned(*parts))
+        field, den, parts = _aligned(*parts)
+        return TrigPoly._merged(ctx.dim, field, den, (
+            (tuple(map(add, mat_vec(ctx.matrix, freq), digit)), slot)
+            for part, digit in zip(parts, ctx.digits)
+            for freq, slot in part.items()))
 
     # -- evaluation and derivatives ------------------------------------------
 
@@ -235,33 +238,55 @@ def _spread(vec: list, field: int, scale: int) -> list:
     return wide
 
 
-def _assembled(ctx: DilationContext, field: int, den: int, parts) -> TrigPoly:
-    """The polynomial with polyphase components of the vectors parts[nu]."""
-    return TrigPoly._merged(ctx.dim, field, den, (
-        (tuple(map(add, mat_vec(ctx.matrix, freq), digit)), slot)
-        for part, digit in zip(parts, ctx.digits) for freq, slot in part.items()))
-
-
 def _point_kernel(t: TrigPoly, images: list, q: int, points) -> tuple:
     """t's terms, term i at frequency g = images[i], at rational points over
-    one denominator q: F = lcm(q, t.field), D = t.den, the images, and per
+    one denominator q: F = lcm(q, t.field), D = t.den, the images, per
     point s (the point times q), with k = (g, s) mod q, each term's
     numerators over D shifted by F/q * k and the order lcm(label, q/gcd(k, q))
-    its value there is held at, as a term-by-term CyclotomicNumber sum is."""
+    its value there is held at, as a term-by-term CyclotomicNumber sum is;
+    last, the memo {beta: [g^beta per image]} of _monomials."""
     field = lcm(q, t.field)
-    placed = _sparse(t, field)
-    return field, t.den, images, [
-        ([[((p + field // q * k) % field, x) for p, x in xs]
-          for k, (_, xs, _) in zip(ks, placed)],
-         [lcm(label, q // gcd(k, q)) for k, (_, _, label) in zip(ks, placed)])
-        for ks in ([sum(map(mul, g, s)) % q for g in images] for s in points)]
+    step, placed = field // q, _sparse(t, field)
+    columns = list(zip(*images))
+    shifted = []
+    for s in points:
+        # (g, s) for every image at once, one axis at a time
+        ks = [0] * len(images)
+        for x, column in zip(s, columns):
+            if x:
+                ks = [k + x * g for k, g in zip(ks, column)]
+        ks = [k % q for k in ks]
+        shifted.append((
+            [[((p + step * k) % field, x) for p, x in xs] if k else xs
+             for k, (_, xs, _) in zip(ks, placed)],
+            [lcm(label, q // gcd(k, q)) for k, (_, _, label) in zip(ks, placed)]))
+    return field, t.den, images, shifted, {}
+
+
+def _monomials(kernel, beta) -> list:
+    """[g^beta for each image g of the kernel], kept in its memo: the list
+    of beta - e_i times g_i, i the first axis beta uses, so each beta costs
+    one product per image."""
+    powers = kernel[4]
+    factors = powers.get(beta)
+    if factors is None:
+        images = kernel[2]
+        axis = next((i for i, b in enumerate(beta) if b), None)
+        if axis is None:
+            factors = [1] * len(images)
+        else:
+            lower = _monomials(
+                kernel, beta[:axis] + (beta[axis] - 1,) + beta[axis + 1:])
+            factors = [f * g[axis] for f, g in zip(lower, images)]
+        powers[beta] = factors
+    return factors
 
 
 def _point_moments(kernel, beta):
     """Per point, the integer vector at F of numerator * g^beta summed over
     the point's shifted terms: D times sum value * g^beta * zeta_q^(g, s)."""
-    field, _, images, shifted = kernel
-    factors = [prod(x ** b for x, b in zip(g, beta)) for g in images]
+    field, shifted = kernel[0], kernel[3]
+    factors = _monomials(kernel, beta)
     for terms, _ in shifted:
         vec = [0] * field
         for factor, xs in zip(factors, terms):
@@ -273,9 +298,8 @@ def _point_moments(kernel, beta):
 def _point_orders(kernel, beta) -> list:
     """Per point, the order its _point_moments value is held at: the lcm of
     1 and the orders of the terms whose g^beta is nonzero."""
-    _, _, images, shifted = kernel
-    nonzero = [all(x for x, b in zip(g, beta) if b) for g in images]
-    return [lcm(1, *compress(labels, nonzero)) for _, labels in shifted]
+    nonzero = _monomials(kernel, beta)
+    return [lcm(1, *compress(labels, nonzero)) for _, labels in kernel[3]]
 
 
 def _product(a: TrigPoly, b: TrigPoly) -> TrigPoly:
@@ -364,25 +388,69 @@ def _merge_vectors(field: int, plus, minus=()) -> dict:
             if any(s[0]) and not (f in summed and _vanishes(s[0], field))}
 
 
+def _rational_numerators(poly: TrigPoly) -> list | None:
+    """Each value's numerator over poly.den, in key order, when every value
+    is rational (a rational held at order 4 counts), else None."""
+    if poly.field == 1:
+        return [vec[0] for vec, _ in poly.vectors.values()]
+    numerators = []
+    for vec, label in poly.vectors.values():
+        coords = vec if not any(vec[1:]) else _canonical(vec, poly.field, label)
+        if any(coords[1:]):
+            return None
+        numerators.append(coords[0])
+    return numerators
+
+
 def _vanishing_sum(dim: int, parts) -> bool:
     """Does the sum of sign * poly * prod(1 - z^v for v in vectors) over the
     (sign, poly, vectors) parts vanish?  Each product is signed shifts of the
-    poly's numerators, at the lcm F of the fields over the lcm of the
-    denominators, added into one vector per frequency and tested mod Phi_F."""
-    field = lcm(*(poly.field for _, poly, _ in parts))
+    poly's numerators over the lcm of the denominators, every frequency an
+    int code on one _Box, a cube that holds each shifted point, so a shift
+    is one int add.  When every value is rational the sum at a frequency is
+    one int; otherwise it is one vector at the lcm F of the fields, tested
+    mod Phi_F."""
     den = lcm(*(poly.den for _, poly, _ in parts))
-    sums: dict = {}
+    values = []
+    for _, poly, _ in parts:
+        numerators = _rational_numerators(poly)
+        if numerators is None:
+            break
+        values.append(numerators)
+    rational = len(values) == len(parts)
+    if not rational:
+        field = lcm(*(poly.field for _, poly, _ in parts))
+        values = [[xs for _, xs, _ in _sparse(poly, field)] for _, poly, _ in parts]
+    moves, reach = [], 0
     for sign, poly, vectors in parts:
         shifts = {(0,) * dim: sign * (den // poly.den)}
         for v in vectors:
             for shift, count in list(shifts.items()):
                 moved = tuple(map(add, shift, v))
                 shifts[moved] = shifts.get(moved, 0) - count
-        placed = _sparse(poly, field)
+        moves.append(shifts)
+        if poly.vectors:
+            reach = max(reach, max(map(abs, chain.from_iterable(poly.vectors)))
+                        + max(map(abs, chain.from_iterable(shifts))))
+    # every shifted frequency lies in the cube of this reach
+    strides = _Box.spanning([-reach] * dim, [reach] * dim).strides
+    sums: dict = {}
+    for (_, poly, _), shifts, terms in zip(parts, moves, values):
+        codes = [sum(map(mul, f, strides)) for f in poly.vectors]
         for shift, count in shifts.items():
-            for freq, xs, _ in placed:
-                moved = tuple(map(add, freq, shift))
-                vec = sums.get(moved) or sums.setdefault(moved, [0] * field)
+            s = sum(map(mul, shift, strides))
+            if rational:
+                for c, n in zip(codes, terms):
+                    c += s
+                    sums[c] = sums.get(c, 0) + count * n
+                continue
+            for c, xs in zip(codes, terms):
+                c += s
+                vec = sums.get(c)
+                if vec is None:
+                    vec = sums[c] = [0] * field
                 for p, x in xs:
                     vec[p] += count * x
+    if rational:
+        return not any(sums.values())
     return all(_vanishes(vec, field) for vec in sums.values())

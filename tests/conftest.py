@@ -15,7 +15,8 @@ from maskforge.cyclotomic import (CyclotomicNumber, coerce,
                                   cyclotomic_polynomial, exp_of_rational,
                                   magnitude_interval, max_magnitude_sum,
                                   root_of_unity)
-from maskforge.decompose import MaskDecomposition, decompose_levels
+from maskforge.decompose import (MaskDecomposition, decompose_levels,
+                                 dilated_difference)
 from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
 from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
@@ -24,9 +25,12 @@ from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
 from maskforge.subdivision import (MatrixMask, _as_matrix_mask, _decoded,
                                    _dilation_matrix, _fold, _Numerators,
                                    _numerators, _reduced, _split, _vectors)
-from maskforge.sumrules import (DerivativeTable, mask_from_derivative_table,
-                                multi_indices_up_to, sum_rule_order)
-from maskforge.trigpoly import TrigPoly
+from maskforge.sumrules import (DerivativeTable, _direct_kernel,
+                                digit_interpolant, mask_from_derivative_table,
+                                multi_indices, multi_indices_up_to,
+                                sum_rule_order, unit_derivative_poly)
+from maskforge.trigpoly import (TrigPoly, _merge_vectors, _point_moments,
+                                _point_orders, _vanishes)
 
 # hypothesis keeps caches under its home directory, ./.hypothesis by default;
 # a temporary one keeps the tests from writing into the source tree
@@ -405,6 +409,115 @@ def folded_plain_rows(t: TrigPoly, ctx: DilationContext) -> list:
             assert remaining.is_zero()
     return [[TrigPoly.polyphase_assemble(tables[j][k], ctx) for k in range(d)]
             for j in range(d)]
+
+
+# -- the tuple-keyed telescoping and the TrigPoly lift, the references of the
+# -- int-coded decompose._telescope, _correction_block and _lift ---------------
+
+def reference_telescope(t: TrigPoly, ctx: DilationContext) -> list:
+    """decompose._telescope as it was before it coded points: the plain
+    entries rows[j-1][k-1], telescoped per plain axis k and coset nu on
+    tuple-keyed {freq: (vec, label)} dicts at t's field order, each value a
+    vector however rational."""
+    d, field = ctx.dim, t.field
+    taus = [{} for _ in range(ctx.m)]
+    for freq, slot in t.vectors.items():
+        nu, base = ctx.base_point(freq)
+        taus[nu][base] = slot
+    tables = [[[None] * ctx.m for _ in range(d)] for _ in range(d)]
+    for k in range(d):
+        e_k = tuple(int(i == k) for i in range(d))
+        for nu in range(ctx.m):
+            n_star, q = ctx.base_point(tuple(x - e for x, e in zip(ctx.digits[nu], e_k)))
+            remaining = _merge_vectors(field, taus[nu].items(), (
+                (tuple(b - x for b, x in zip(base, q)), slot)
+                for base, slot in taus[n_star].items()))
+            for j in range(d):
+                collapsed = _merge_vectors(field, (
+                    (freq[:j] + (0,) + freq[j + 1:], slot)
+                    for freq, slot in remaining.items()))
+                tables[j][k][nu] = reference_divide_one_minus_z(
+                    _merge_vectors(field, remaining.items(), collapsed.items()),
+                    j, field)
+                remaining = collapsed
+            assert not remaining
+    return [[TrigPoly._merged(d, field, t.den, (
+        (tuple(x + s for x, s in zip(mat_vec(ctx.matrix, freq), digit)), slot)
+        for part, digit in zip(parts, ctx.digits) for freq, slot in part.items()))
+        for parts in row] for row in tables]
+
+
+def reference_divide_one_minus_z(poly: dict, j: int, field: int) -> dict:
+    """The exact quotient by (1 - z_(j+1)) of a {freq: (vec, label)} dict,
+    by running sums along each line of frequencies that differ only at
+    index j; a running sum is labelled with the lcm of the labels on its
+    line up to its exponent, and sums that vanish are dropped."""
+    lines: dict = {}
+    for freq, slot in poly.items():
+        lines.setdefault(freq[:j] + freq[j + 1:], {})[freq[j]] = slot
+    out = {}
+    for rest, line in lines.items():
+        running, label = [0] * field, 1
+        hi = max(line)
+        for e in range(min(line), hi):
+            if e in line:
+                vec, order = line[e]
+                running = list(map(add, running, vec))
+                label = lcm(label, order)
+            if not _vanishes(running, field):
+                out[rest[:j] + (e,) + rest[j:]] = (running, label)
+        if not _vanishes(list(map(add, running, line[hi][0])), field):
+            raise NotDivisible(f"remainder along axis {j + 1}")
+    return out
+
+
+def reference_correction_block(kernel, ctx: DilationContext, order: int, l: int,
+                               j: int) -> TrigPoly:
+    """decompose._correction_block as it was: the corrections moving
+    order-`order` residues of row l into row j as TrigPoly expressions,
+    -(1/beta_j) * G(Mt x) * sum_nu H_nu(x) * w(beta, nu), each product, sum
+    and compose_dilate folded by the TrigPoly ring."""
+    d, (field, den, *_) = ctx.dim, kernel
+    zero = (0,) * d
+    total = TrigPoly.zero(d)
+    for beta in multi_indices(d, order):
+        if beta[j - 1] == 0 or any(beta[i - 1] for i in range(l + 1, j)):
+            continue
+        weight_sum = TrigPoly.zero(d)
+        moments = zip(_point_moments(kernel, beta), _point_orders(kernel, beta))
+        for nu, slot in enumerate(moments, 1):
+            if not _vanishes(slot[0], field):
+                w = TrigPoly._merged(d, field, den * ctx.m ** order, [(zero, slot)])
+                weight_sum = weight_sum + digit_interpolant(nu, ctx) * w
+        if weight_sum.is_zero():
+            continue
+        reduced = tuple(b - int(i == j - 1) for i, b in enumerate(beta))
+        selector = unit_derivative_poly(order - 1, reduced, d) \
+            .compose_dilate(ctx.matrix)
+        total = total + (selector * weight_sum).scale(Fraction(-1, beta[j - 1]))
+    return total
+
+
+def reference_lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
+    """decompose._lift as it was: reference_correction_block for each block
+    and TrigPoly products for the row exchanges entries -+ delta * block."""
+    ctx, d = dec.ctx, dec.ctx.dim
+    entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
+    deltas = [dilated_difference(ctx, j) for j in range(1, d + 1)]
+    for order in range(1, n_cap):
+        for l in range(1, d):
+            for k in range(1, d + 1):
+                kernel = _direct_kernel(entries[l - 1][k - 1], ctx)
+                for j in range(l + 1, d + 1):
+                    block = reference_correction_block(kernel, ctx, order, l, j)
+                    if block.is_zero():
+                        continue
+                    entries[l - 1][k - 1] = entries[l - 1][k - 1] - deltas[j - 1] * block
+                    entries[j - 1][k - 1] = entries[j - 1][k - 1] + deltas[l - 1] * block
+    return MaskDecomposition(
+        source=dec.source, ctx=ctx, order=1, achieved_class=n_cap - 1,
+        entries={((j + 1,), (k + 1,)): entries[j][k]
+                 for j in range(d) for k in range(d)})
 
 
 # -- the iv-context magnitude, the reference of cyclotomic._magnitude ---------

@@ -19,6 +19,7 @@ from maskforge.maskfile import (ParseError, format_ratio, format_rational,
                                 read_sequence_csv, write_sequence_csv)
 from maskforge.subdivision import Sequence
 from maskforge.trigpoly import TrigPoly
+from test_golden_cyclotomic import cyclotomic_mask
 from test_golden_machine import order2_mask
 
 DATA = Path(__file__).parent / "data"
@@ -196,6 +197,9 @@ def _entries(*pairs):
     ("analyze", {"dim": 0, "dilation": [], "coefficients": []}),
     # exponent strings are not rationals (and would not print)
     ("analyze", _mask_with([{"freq": [0], "value": "1e5000"}])),
+    # a top-level polyphase that is not a list
+    *(("analyze", {"dim": 1, "dilation": [[2]], "digits": [[0], [1]],
+                   "polyphase": value}) for value in (0, None, -1, 1.5)),
 ])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, command, doc):
     # malformed decomposition or mask files are parse errors, not tracebacks
@@ -325,6 +329,29 @@ def test_field_order_over_the_limit_exits_7_at_once(name, tmp_path, capsys,
         monkeypatch.setattr(CyclotomicNumber, "__init__", refuse)
         with pytest.raises(BudgetExceeded):
             load_mask_document(FIELD_ORDER_FILES[name])
+
+
+def far_frequency_document(freq: int) -> dict:
+    """The example mask with one coefficient of polyphase 1 moved to
+    (freq, 0): the polyphase sums, so the order-0 sum rules, are kept, and
+    each division of the telescoping runs along lines about |freq| long."""
+    doc = json.loads(Path(EXAMPLE).read_text())
+    doc["polyphase"][1]["coefficients"][2]["freq"] = [freq, 0]
+    return doc
+
+
+@pytest.mark.parametrize("argv", [["decompose", "--order", "1"],
+                                  ["converge", "--lmax", "1"],
+                                  ["smooth", "--lmax", "1"]])
+def test_far_frequency_division_exits_7_at_once(argv, tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far_frequency_document(-2 ** 70)))
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 7
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the division by (1 - z_1) would form")
+    assert f"over the budget of {2 ** 24}" in err
 
 
 def test_field_order_at_the_limit_is_read():
@@ -648,6 +675,7 @@ def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):
 
 
 ORDER2 = "order2.json"  # the order-2 table mask, written to tmp_path
+CYC3 = "cyc3.json"  # the Q(zeta_3) order-2 table mask, written to tmp_path
 
 
 @pytest.mark.parametrize("argv, target, attr, replacement", [
@@ -655,8 +683,9 @@ ORDER2 = "order2.json"  # the order-2 table mask, written to tmp_path
      "identity_holds", lambda self: False),
     (["analyze", EXAMPLE], "maskforge.sumrules", "_direct_order_holds",
      lambda *args: False),
-    # a line of the telescoping whose total does not vanish
-    (["decompose", EXAMPLE], "maskforge.decompose", "_vanishes",
+    # a line of the telescoping whose total does not vanish: the values of
+    # a Q(zeta_3) mask are summed as vectors, each tested by _vanishes
+    (["decompose", CYC3], "maskforge.decompose", "_vanishes",
      lambda *args: False),
     # a coset index that does not match the vector
     (["analyze", EXAMPLE], "maskforge.lattice.DilationContext", "coset_index",
@@ -682,9 +711,10 @@ def test_bug_guard_exit_code(monkeypatch, capsys, tmp_path, argv, target, attr,
     # coset and a broken lift are bugs, not input errors: all get the
     # internal-error exit code
     from maskforge.cli import EXIT_INTERNAL
-    mask_file = tmp_path / ORDER2
-    mask_file.write_text(json.dumps(mask_document(*order2_mask())))
-    argv = [str(mask_file) if arg == ORDER2 else arg for arg in argv]
+    files = {ORDER2: order2_mask(), CYC3: cyclotomic_mask("cyc3_order2")}
+    for name, (mask, ctx) in files.items():
+        (tmp_path / name).write_text(json.dumps(mask_document(mask, ctx)))
+    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
     monkeypatch.setattr(target + "." + attr, replacement)
     assert main(argv) == EXIT_INTERNAL == 6
     assert "internal error (bug guard)" in capsys.readouterr().err

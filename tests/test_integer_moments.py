@@ -91,12 +91,12 @@ def test_direct_kernel_decides_each_dual_digit(dim, positive, data):
     ctx = data.draw(contexts(dim, positive))
     nu = data.draw(st.integers(1, ctx.m - 1)) if ctx.m > 1 else 0
     t = digit_interpolant(nu, ctx).scale(data.draw(coefficients(orders=ORDERS)))
-    field, den, images, shifted = _direct_kernel(t, ctx)
+    field, den, images, shifted, powers = _direct_kernel(t, ctx)
     inverse = fraction_inverse(ctx)
     for total in range(3):
         for dual, terms in zip(ctx.dual_digits[1:], shifted):
-            assert _direct_order_holds((field, den, images, [terms]), ctx,
-                                       total) == \
+            assert _direct_order_holds((field, den, images, [terms], powers),
+                                       ctx, total) == \
                 all(fraction_dilated_derivative(t, inverse, beta, dual).is_zero()
                     for beta in multi_indices(dim, total))
 
