@@ -601,9 +601,8 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
     difference), and the two cancel in sum_j t_jk * delta_j; delta_j(0) = 0
     moves no value at the origin.  An exchange merges signed shifts of B
     (_exchanged), with no TrigPoly product.  It only builds; the caller
-    checks.  In one
-    dimension there is nothing to exchange: the single entry inherits the
-    full order drop automatically."""
+    checks.  In one dimension there is nothing to exchange: the single entry
+    inherits the full order drop automatically."""
     ctx = dec.ctx
     d = ctx.dim
     entries = [[dec.entry(j, k) for k in range(1, d + 1)] for j in range(1, d + 1)]
