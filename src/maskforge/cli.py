@@ -224,10 +224,10 @@ def cmd_refine(args) -> int:
         write_refined_csv(args.out, refined)
         print(f"wrote {len(refined.data.values)} rows to {args.out}")
     else:
-        # every row is formatted before the first is printed, so a value past
-        # the digit limit exits 7 with nothing on stdout
-        sys.stdout.write("".join(",".join(cells) + "\n"
-                                 for cells in refined_rows(refined)))
+        # every block is formatted before the first is printed, so a value
+        # past the digit limit exits 7 with nothing on stdout
+        sys.stdout.write("".join(["\n".join(lines) + "\n"
+                                  for lines in refined_rows(refined)]))
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, floordiv, mul
 from typing import NamedTuple
 
 from .cyclotomic import _divide_monic
@@ -72,14 +72,24 @@ def mat_vec(matrix, vec):
 
 def mat_vecs(matrix, vecs) -> list:
     """[mat_vec(matrix, v) for v in vecs], formed one axis at a time."""
-    columns, rows = list(zip(*vecs)), []
-    for row in matrix:
-        image = [0] * len(vecs)
-        for a, column in zip(row, columns):
-            if a:
-                image = [y + a * x for y, x in zip(image, column)]
-        rows.append(image)
-    return list(zip(*rows))
+    if not vecs:
+        return []
+    axes = list(zip(*vecs))
+    return list(zip(*(dots(axes, row) for row in matrix)))
+
+
+def dots(axes, vector) -> list:
+    """The dot product of vector with each point, the points given as one
+    coordinate list per axis: one chain of maps over the axes, skipping an
+    axis whose weight is 0."""
+    terms = [xs if a == 1 else map(a.__mul__, xs)
+             for a, xs in zip(vector, axes) if a]
+    if not terms:
+        return [0] * len(axes[0])
+    out, *rest = terms
+    for term in rest:
+        out = map(add, out, term)
+    return list(out)
 
 
 class _Box(NamedTuple):
@@ -118,6 +128,21 @@ class _Box(NamedTuple):
         for stride in self.strides:
             axes.append([c // stride for c in codes])
             codes = [c % stride for c in codes]
+        return axes
+
+    def points(self, offsets) -> list:
+        """One list per axis: the coordinates of the points whose codes
+        less the origin are `offsets`.  The points share one int per
+        distinct coordinate of an axis, through a dict of the distinct
+        digits, so memory follows the points, not the span of the box."""
+        axes = []
+        for stride, low in zip(self.strides[:-1], self.lo):
+            digits = set(map(floordiv, offsets, itertools.repeat(stride)))
+            shared = {x: x + low for x in digits}
+            axes.append([shared[c // stride] for c in offsets])
+            offsets = [c % stride for c in offsets]
+        shared = {x: x + self.lo[-1] for x in set(offsets)}  # the last stride is 1
+        axes.append(list(map(shared.__getitem__, offsets)))
         return axes
 
     def coordinates(self, codes, axis: int) -> list:

@@ -5,7 +5,12 @@ strings of decimal digits (or JSON integers), cyclotomic values are
 {"order": N, "coords": ["p/q", ...]}.  A mask file carries the dilation
 matrix, optional digit sets, and exactly one of a coefficient list or a
 per-digit polyphase list.  Sequences travel as CSV with integer lattice
-columns followed by "p/q" value columns.
+columns followed by "p/q" value columns.  A refined sequence is written
+BLOCK_ROWS rows at a time: each block's cells are formed by maps over its
+points' coordinate lists and values, each distinct grid numerator and each
+distinct value gcd is formatted once per output, and a block's lines are
+joined at once.  A printed int past the interpreter's digit limit raises
+BudgetExceeded in any block, and the output file is then removed.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from itertools import islice, repeat
+from operator import add, floordiv, neg
 
 from .cyclotomic import CyclotomicNumber, _reduce_coords
 from .errors import BudgetExceeded, MaskforgeError
-from .lattice import DilationContext
+from .lattice import DilationContext, dots
 from .subdivision import Refined, Sequence
 from .trigpoly import TrigPoly
 
@@ -63,8 +69,12 @@ def format_ratio(p: int, q: int) -> str:
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:  # only that limit raises here
-        raise BudgetExceeded(f"a value has more than {sys.get_int_max_str_digits()} "
-                             "decimal digits, the limit on a printed int") from None
+        raise _past_digit_limit() from None
+
+
+def _past_digit_limit() -> BudgetExceeded:
+    return BudgetExceeded(f"a value has more than {sys.get_int_max_str_digits()} "
+                          "decimal digits, the limit on a printed int")
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -285,27 +295,57 @@ def write_sequence_csv(path, seq: Sequence) -> None:
             writer.writerow([*alpha, *(format_rational(v) for v in vec)])
 
 
+# rows formatted at a time by refined_rows
+BLOCK_ROWS = 4096
+
+
 def refined_rows(refined: Refined):
-    """The cells of each refined row in lattice order: the grid point
-    matrix^-rounds alpha, then the value.  Each grid numerator is the dot
-    product of a grid row with alpha, and each distinct one is formatted
-    once over grid_den, by a dict that lives for this call only (grid_den
-    changes with the rounds)."""
+    """The refined rows in lattice order, yielded as blocks of up to
+    BLOCK_ROWS lines, each line a row's cells joined by commas: the grid
+    point matrix^-rounds alpha, then the value.  A block's grid numerators
+    are the dot products of the grid rows with its points' coordinate lists
+    (lattice.dots), and each distinct one is formatted once per call over
+    grid_den, by a dict that lives for this call only (grid_den changes with
+    the rounds); each value is formatted over data.den.  BudgetExceeded past
+    the interpreter's limit on the digits of a printed int."""
     grid, grid_den, den = refined.grid, refined.grid_den, refined.data.den
-    cells = {}
-    for alpha, n in refined.data.values.items():
-        row = []
-        for g in grid:
-            x = sum(map(mul, g, alpha))
-            row.append(cells.get(x)
-                       or cells.setdefault(x, format_ratio(x, grid_den)))
-        row.append(format_ratio(n, den))
-        yield row
+    cells, grid_suffixes, suffixes = {}, {}, {}
+    points, numerators = iter(refined.data.values), iter(refined.data.values.values())
+    while axes := list(zip(*islice(points, BLOCK_ROWS))):
+        values = list(islice(numerators, BLOCK_ROWS))
+        try:
+            columns = []
+            for g in grid:
+                xs = dots(axes, g)
+                new = list(set(xs).difference(cells))
+                cells.update(zip(new, _ratio_texts(new, grid_den, grid_suffixes)))
+                columns.append(map(cells.__getitem__, xs))
+            lines = list(map(",".join, zip(*columns,
+                                           _ratio_texts(values, den, suffixes))))
+        except ValueError:  # only the digit limit raises here
+            raise _past_digit_limit() from None
+        yield lines
+
+
+def _ratio_texts(numerators: list, den: int, suffixes: dict):
+    """format_ratio(n, den) of each n, lazily, with ValueError past the
+    digit limit: each n is divided by its gcd g with den (negated when
+    den < 0, so the sign sits on the numerator), and the suffix "/q" or ""
+    of each distinct g is formatted once into suffixes, a dict for this den
+    only."""
+    gcds = list(map(gcd, numerators, repeat(den)))
+    if den < 0:
+        gcds = list(map(neg, gcds))
+    for g in set(gcds).difference(suffixes):
+        q = den // g
+        suffixes[g] = "" if q == 1 else f"/{q}"
+    return map(add, map(str, map(floordiv, numerators, gcds)),
+               map(suffixes.__getitem__, gcds))
 
 
 def write_refined_csv(path, refined: Refined) -> None:
     """Rows: rational grid columns, then value columns, in CSV lines ended by
-    \r\n (no cell needs quoting)."""
+    \r\n (no cell needs quoting), written a block at a time."""
     with output_file(path, newline="") as handle:
-        handle.writelines(",".join(cells) + "\r\n"
-                          for cells in refined_rows(refined))
+        for lines in refined_rows(refined):
+            handle.write("\r\n".join(lines) + "\r\n")

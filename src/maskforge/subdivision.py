@@ -28,6 +28,15 @@ entry's terms it sums rational magnitudes per row and coset exactly, finds
 each distinct frequency's coset once, and encloses each distinct
 non-rational value once.  A power whose pair products would pass
 PRODUCT_BUDGET is not formed: the search stops before it, inconclusive.
+
+Applying a rational mask runs one integer kernel (_subdivide) on points
+held as one coordinate list per axis: a round codes the data's points on a
+box with one map per axis, sums the products under int codes, and decodes
+the codes that carry a nonzero sum back into coordinate lists, each
+coordinate int shared through a dict of the distinct digits, so a round's
+memory follows the support, not the span of the box.  refine keeps the
+points in that form across its rounds and builds its tuple-keyed result
+once, after the last.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from .decompose import (MaskDecomposition, decompose_to_class,
 from .errors import PRODUCT_BUDGET, BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
 from .lattice import (DilationContext, IsotropyReport, _Box, adjugate,
-                      determinant, is_isotropic, mat_mul, mat_vec,
+                      determinant, dots, is_isotropic, mat_mul, mat_vec,
                       matrix_power, power_inf_norm, transpose)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly, _merge_vectors
@@ -226,8 +235,10 @@ def apply(mask, dilation, f):
         if (mask.rows, mask.cols) != (1, 1):
             raise ShapeMismatch("integer data needs a scalar mask")
         kernel = _kernel(mask)
-        (values,) = _subdivide(kernel, matrix, [f.values])
-        return IntSequence(f.dim, f.den * kernel.den, values)
+        axes, (values,) = _subdivide(kernel, matrix, _axes(f.dim, f.values),
+                                     [list(f.values.values())])
+        return IntSequence(f.dim, f.den * kernel.den,
+                           dict(zip(zip(*axes), values)))
     if mask.cols != f.width:
         raise ShapeMismatch(f"mask expects width {mask.cols}, sequence has {f.width}")
     if mask.is_rational() and all(isinstance(v, Rational)
@@ -241,7 +252,7 @@ class IntSequence(NamedTuple):
     of the support to a nonzero int n, the value at alpha being n / den.
 
     `values` iterates in lattice order (lexicographic on the points):
-    from_sequence sorts the data once, and each integer apply round emits its
+    from_sequence sorts the data once, and an integer apply round emits its
     sums in that order."""
     dim: int
     den: int
@@ -255,25 +266,29 @@ class IntSequence(NamedTuple):
             raise ShapeMismatch(f"integer data is scalar, got width {f.width}")
         if not all(isinstance(v, Rational) for (v,) in f.values.values()):
             raise TypeError("integer data needs rational values")
-        den, (values,) = _data_numerators(f)
-        return cls(f.dim, den, dict(sorted(values.items())))
+        den, points, (values,) = _data_numerators(f)
+        return cls(f.dim, den, dict(sorted(zip(points, values))))
 
     def to_sequence(self) -> Sequence:
         return Sequence._trusted(self.dim, 1, {
             alpha: (Fraction(n, self.den),) for alpha, n in self.values.items()})
 
 
+def _axes(dim: int, points) -> list:
+    """The points as one coordinate list per axis."""
+    return list(zip(*points)) or [()] * dim
+
+
 def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
     """Fraction-free apply: one round of the integer kernel, each output value
     built once as (sum of n * p) / (D_a * D_f)."""
     kernel = _kernel(mask)
-    d_f, columns = _data_numerators(f)
-    out = _subdivide(kernel, matrix, columns)
+    d_f, points, columns = _data_numerators(f)
+    axes, rows = _subdivide(kernel, matrix, _axes(f.dim, points), columns)
     den = kernel.den * d_f
-    support = dict.fromkeys(itertools.chain.from_iterable(out))
     return Sequence._trusted(f.dim, mask.rows, {
-        alpha: tuple(Fraction(row.get(alpha, 0), den) for row in out)
-        for alpha in support})
+        alpha: tuple(Fraction(n, den) for n in sums)
+        for alpha, sums in zip(zip(*axes), zip(*rows))})
 
 
 class _Kernel(NamedTuple):
@@ -300,61 +315,53 @@ def _kernel(mask: MatrixMask) -> _Kernel:
     return mask._kernel
 
 
-def _data_numerators(f: Sequence) -> tuple[int, list]:
-    """(D_f, one {beta: p} per component): rational data as integer
-    numerators over the common denominator D_f of its values, zeros left
-    out."""
+def _data_numerators(f: Sequence) -> tuple[int, list, list]:
+    """(D_f, the points, one list per component): rational data as integer
+    numerators over the common denominator D_f of its values, one per point
+    in each component's list."""
     d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
-    return d_f, [{beta: vec[j].numerator * (d_f // vec[j].denominator)
-                  for beta, vec in f.values.items() if vec[j]}
-                 for j in range(f.width)]
+    return d_f, list(f.values), [
+        [vec[j].numerator * (d_f // vec[j].denominator) for vec in f.values.values()]
+        for j in range(f.width)]
 
 
-def _subdivide(kernel: _Kernel, matrix, columns: list) -> list:
-    """One subdivision round in integers: column j of the data as {beta: p}
-    over one denominator D, the result as one {alpha: sum of n * p} per row
-    over kernel.den * D, sums that vanish left out.
+def _subdivide(kernel: _Kernel, matrix, axes: list,
+               columns: list) -> tuple[list, list]:
+    """One subdivision round in integers.  The data's points come as one
+    coordinate list per axis, and column j of the data as one numerator per
+    point, over one denominator D.  The result is (axes, rows): the points
+    where some row's sum of n * p is nonzero, as coordinate lists, and
+    rows[i] the sum of row i at each of them, over kernel.den * D, the
+    points in lattice order.
 
-    In the loop each lattice point is coded on a _Box that holds every
-    target alpha + matrix beta, so a product is placed with one int add and
-    summed under an int key."""
+    Each lattice point is coded on a _Box that holds every target
+    alpha + matrix beta: the codes of the matrix betas are formed with one
+    map per axis, and a product is placed with one int add and summed under
+    its code less the box's origin, which _Box.points decodes once, after
+    the sums."""
     offsets = [alpha for terms in kernel.columns for alpha, _, _ in terms]
-    points = [beta for column in columns for beta in column]
-    if not offsets or not points:
-        return [{} for _ in range(kernel.rows)]
-    reach = [max(map(abs, x)) for x in zip(*points)]
+    if not offsets or not axes[0]:
+        return [[] for _ in axes], [[] for _ in range(kernel.rows)]
+    reach = [max(max(xs), -min(xs)) for xs in axes]
     radius = [sum(abs(m) * r for m, r in zip(row, reach)) for row in matrix]
     lo = [min(x) - r for x, r in zip(zip(*offsets), radius)]
     hi = [max(x) + r for x, r in zip(zip(*offsets), radius)]
     box = _Box.spanning(lo, hi)
-    dilated = box.columns(matrix)
+    codes, origin = dots(axes, box.columns(matrix)), box.origin
     out = [defaultdict(int) for _ in range(kernel.rows)]
     for terms, column in zip(kernel.columns, columns):
-        terms = [(box.code(alpha), out[i], n) for alpha, i, n in terms]
-        for beta, p in column.items():
-            c = sum(map(mul, beta, dilated))
+        terms = [(box.code(alpha) - origin, out[i], n) for alpha, i, n in terms]
+        for c, p in itertools.compress(zip(codes, column), column):
             for a, acc, n in terms:
                 acc[a + c] += n * p
-    return [_decoded(acc, box) for acc in out]
-
-
-def _decoded(acc: dict, box: _Box) -> dict:
-    """{point: x} in lattice order for each code c on box with a nonzero sum
-    x in acc, the point's coordinates the digits of c - box.origin in the
-    strides, shifted by lo; code order is lattice order.  acc is emptied first, so
-    its table is freed before the points are built, and the points share one
-    int object per coordinate value."""
-    codes = sorted(c for c, x in acc.items() if x)
-    values = [acc[c] for c in codes]
-    acc.clear()
-    origin = box.origin
-    codes = [c - origin for c in codes]
-    coordinates = []
-    for stride, low in zip(box.strides, box.lo):
-        ints = list(range(low, low + max(codes, default=0) // stride + 1))
-        coordinates.append([ints[c // stride] for c in codes])
-        codes = [c % stride for c in codes]
-    return dict(zip(zip(*coordinates), values))
+    if len(out) == 1:
+        codes = list(itertools.compress(out[0], out[0].values()))
+    else:  # a point is kept where any row's sum is nonzero
+        codes = list({c for acc in out for c, x in acc.items() if x})
+    codes.sort()  # code order on a box is lattice order
+    rows = [list(map(acc.__getitem__, codes)) for acc in out]
+    out.clear()  # the tables are freed before the points are built
+    return box.points(codes), rows
 
 
 def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
@@ -605,10 +612,14 @@ def _coded(symbol: _Numerators, box: _Box) -> _Numerators:
 
 def _recoded(symbol: _Numerators, box: _Box) -> _Numerators:
     """symbol, coded on a smaller box inside box, with each code decoded to
-    its point and coded on box."""
-    return _coded(symbol._replace(entries=[
-        [{key: _decoded(dict(terms), symbol.box) for key, terms in entry.items()}
-         for entry in row] for row in symbol.entries]), box)
+    its point's coordinate lists and coded on box, in code order."""
+    def recoded(terms: dict) -> dict:
+        codes, origin = sorted(terms), symbol.box.origin
+        axes = symbol.box.points([c - origin for c in codes])
+        return dict(zip(dots(axes, box.strides), map(terms.__getitem__, codes)))
+    return symbol._replace(box=box, entries=[
+        [{key: recoded(terms) for key, terms in entry.items()} for entry in row]
+        for row in symbol.entries])
 
 
 def _dilated_product(left: _Numerators, right: _Numerators,
@@ -882,21 +893,25 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     """Iterate the scheme on scalar rational data: after the given number of
     rounds, the value at alpha approximates the limit at matrix^-rounds alpha.
 
-    Each round is one apply on integer numerators, so the values stay over
-    the one denominator D_a^rounds * D_f.  A round that would form more than
-    PRODUCT_BUDGET products |supp f| * |supp t| raises BudgetExceeded before
-    it starts."""
+    The rounds run the integer kernel (_subdivide) on coordinate lists, so
+    the values stay over the one denominator D_a^rounds * D_f, and the
+    tuple-keyed IntSequence is built once, after the last round.  A round
+    that would form more than PRODUCT_BUDGET products |supp f| * |supp t|
+    raises BudgetExceeded before it starts; TypeError unless t is rational."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    mask = MatrixMask.from_scalar(t)
+    kernel = _kernel(MatrixMask.from_scalar(t))
     data = IntSequence.from_sequence(f)
+    axes, values = _axes(f.dim, data.values), list(data.values.values())
     for done in range(rounds):
-        size = len(data.values) * len(t.vectors)
+        size = len(values) * len(t.vectors)
         if size > PRODUCT_BUDGET:
             raise BudgetExceeded(
                 f"refine stopped after {done} of {rounds} rounds: round "
-                f"{done + 1} would form {size} products ({len(data.values)} "
+                f"{done + 1} would form {size} products ({len(values)} "
                 f"points x {len(t.vectors)} mask terms), over the budget of "
                 f"{PRODUCT_BUDGET}")
-        data = apply(mask, ctx, data)
+        axes, (values,) = _subdivide(kernel, ctx.matrix, axes, [values])
+    data = IntSequence(f.dim, data.den * kernel.den ** rounds,
+                       dict(zip(zip(*axes), values)))
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

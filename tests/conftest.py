@@ -3,7 +3,7 @@ import random
 import tempfile
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 
 import mpmath
 import pytest
@@ -19,10 +19,11 @@ from maskforge.decompose import (MaskDecomposition, decompose_levels,
                                  dilated_difference)
 from maskforge.errors import NotInClass, ShapeMismatch
 from maskforge.intervals import RatInterval
+from maskforge.maskfile import format_ratio
 from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
                                adjugate, coset_key, determinant, inf_norm,
                                mat_mul, mat_vec, matrix_power, transpose)
-from maskforge.subdivision import (MatrixMask, _as_matrix_mask, _decoded,
+from maskforge.subdivision import (MatrixMask, _as_matrix_mask,
                                    _dilation_matrix, _fold, _Numerators,
                                    _numerators, _reduced, _split, _vectors)
 from maskforge.sumrules import (DerivativeTable, _direct_kernel,
@@ -668,7 +669,11 @@ def point_entries(symbol) -> list:
     holds the int codes of its box."""
     if symbol.box is None:
         return symbol.entries
-    return [[{key: _decoded(dict(terms), symbol.box) for key, terms in entry.items()}
+    def decoded(terms):
+        codes, origin = sorted(terms), symbol.box.origin
+        points = zip(*symbol.box.points([c - origin for c in codes]))
+        return dict(zip(points, map(terms.__getitem__, codes)))
+    return [[{key: decoded(terms) for key, terms in entry.items()}
              for entry in row] for row in symbol.entries]
 
 
@@ -707,6 +712,17 @@ def refined_points(refined) -> list:
                    for x in mat_vec(refined.grid, alpha)),
              (Fraction(n, refined.data.den),))
             for alpha, n in refined.data.values.items()]
+
+
+def reference_refined_rows(refined):
+    """The cells of each refined row in lattice order, one row at a time:
+    the grid point matrix^-rounds alpha, each grid numerator the dot product
+    of a grid row with alpha formatted over grid_den, then the value n / den
+    (format_ratio)."""
+    grid, grid_den, den = refined.grid, refined.grid_den, refined.data.den
+    for alpha, n in refined.data.values.items():
+        yield [*(format_ratio(sum(map(mul, g, alpha)), grid_den) for g in grid),
+               format_ratio(n, den)]
 
 
 def l1_norm(t: TrigPoly, precision_bits: int = 128) -> RatInterval:

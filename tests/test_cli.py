@@ -13,11 +13,12 @@ from maskforge.cli import main
 from maskforge.cyclotomic import CyclotomicNumber, _divide_monic
 from maskforge.decompose import dilated_difference
 from maskforge.errors import BudgetExceeded
-from maskforge.maskfile import (ParseError, format_ratio, format_rational,
-                                load_mask_document, mask_document,
-                                parse_rational, parse_scalar,
-                                read_sequence_csv, write_sequence_csv)
-from maskforge.subdivision import Sequence
+from maskforge.maskfile import (BLOCK_ROWS, ParseError, format_ratio,
+                                format_rational, load_mask_document,
+                                load_mask_file, mask_document, parse_rational,
+                                parse_scalar, read_sequence_csv, refined_rows,
+                                write_sequence_csv)
+from maskforge.subdivision import Sequence, refine
 from maskforge.trigpoly import TrigPoly
 from test_golden_cyclotomic import cyclotomic_mask
 from test_golden_machine import order2_mask
@@ -354,6 +355,31 @@ def test_far_frequency_division_exits_7_at_once(argv, tmp_path, capsys):
     assert f"over the budget of {2 ** 24}" in err
 
 
+def test_far_frequency_refine_prints_its_rows(tmp_path, capsys):
+    # refine does not divide: a round's memory follows the support, so the
+    # 2^70 offset only lengthens the box codes
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(far_frequency_document(-2 ** 70)))
+    start = time.perf_counter()
+    assert main(["refine", str(path), "--rounds", "1"]) == 0
+    assert time.perf_counter() - start < 1
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 23
+    # the moved coefficient's row, at the grid point M^-1 (1, -2^71)
+    assert f"{1 - 2 ** 72}/4,1/2,1/16" in rows
+
+
+def test_wide_span_refine_follows_the_support(tmp_path, capsys):
+    # two data points 10^12 apart: each spreads over the mask's 23 terms
+    # and no row is shared, whatever the span between them
+    data = tmp_path / "wide.csv"
+    data.write_text(f"0,0,1\n{10 ** 12},0,1\n")
+    start = time.perf_counter()
+    assert main(["refine", EXAMPLE, "--rounds", "1", "--data", str(data)]) == 0
+    assert time.perf_counter() - start < 1
+    assert len(capsys.readouterr().out.splitlines()) == 46
+
+
 def test_field_order_at_the_limit_is_read():
     doc = {"dim": 1, "dilation": [[2]], "coefficients": [
         {"freq": [0], "value": cyclotomic_value(8)},
@@ -666,6 +692,37 @@ def test_refine_past_the_digit_limit_prints_no_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(sys.get_int_max_str_digits()) in captured.err
+
+
+def long_tail_data(path) -> int:
+    """Write refine data for the example mask whose rows pass the digit
+    limit only past the first block: a line of points valued 1, then
+    LONG_VALUES at two neighbours far along it, whose sums come last in
+    lattice order.  Returns the number of points valued 1."""
+    count = 1100
+    rows = [f"0,{k},1" for k in range(count)]
+    rows += [f"0,{5000 + k},{value}" for k, value in enumerate(LONG_VALUES)]
+    path.write_text("\n".join(rows) + "\n")
+    return count
+
+
+@digit_limit
+def test_refine_past_the_digit_limit_in_a_later_block(tmp_path, capsys):
+    data = tmp_path / "long_tail.csv"
+    long_tail_data(data)
+    mask, ctx = load_mask_file(EXAMPLE)
+    blocks = refined_rows(refine(mask, ctx, read_sequence_csv(data, 2), 1))
+    assert len(next(blocks)) == BLOCK_ROWS  # the first block formats
+    with pytest.raises(BudgetExceeded, match=str(sys.get_int_max_str_digits())):
+        list(blocks)
+    out = tmp_path / "out.csv"
+    for argv in (["--out", str(out)], []):
+        assert main(["refine", EXAMPLE, "--rounds", "1", "--data", str(data),
+                     *argv]) == 7
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(sys.get_int_max_str_digits()) in captured.err
+        assert not out.exists()
 
 
 def test_invalid_precision_env_exits_parse_error(monkeypatch, capsys):

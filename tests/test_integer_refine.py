@@ -2,9 +2,10 @@
 
 refine carries integer numerators over one denominator through every round
 and keeps each grid point as adjugate^k alpha over det^k; the rows are
-formatted straight from those integers.  The properties below require the
-very rows that format_rational prints for the k-fold generic apply and the
-Fraction grid matrix^-k alpha, over random dilations of both determinant
+formatted straight from those integers, a block at a time.  The properties
+below require the very rows that format_rational prints for the k-fold
+generic apply and the Fraction grid matrix^-k alpha, and that the per-row
+reference formatter prints, over random dilations of both determinant
 signs, so that odd rounds under a negative determinant put a negative
 denominator under every grid cell.
 """
@@ -12,16 +13,18 @@ denominator under every grid cell.
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CASES, contexts, fraction_inverse, points, rationals
+from conftest import (CASES, EXAMPLE_DILATION, contexts, fraction_inverse,
+                      points, rationals, reference_refined_rows)
 from maskforge import subdivision
 from maskforge.cli import main
 from maskforge.cyclotomic import root_of_unity
 from maskforge.errors import BudgetExceeded, ShapeMismatch
 from maskforge.lattice import DilationContext, mat_vec, matrix_power
-from maskforge.maskfile import format_ratio, format_rational, refined_rows
+from maskforge.maskfile import (BLOCK_ROWS, format_ratio, format_rational,
+                                refined_rows)
 from maskforge.subdivision import IntSequence, MatrixMask, Sequence, refine
 from maskforge.trigpoly import TrigPoly
 
@@ -31,26 +34,55 @@ PROFILE = settings(max_examples=6, deadline=None, derandomize=True,
                    database=None, phases=[Phase.explicit, Phase.generate])
 
 
+def block_case():
+    """(ctx, t, f) whose refine passes BLOCK_ROWS rows by round 2: 1,100
+    points under the example dilation (det -4) and a two-term mask, which
+    doubles the rows each round."""
+    ctx = DilationContext.create(EXAMPLE_DILATION)
+    t = TrigPoly(2, {(0, 0): Fraction(1, 2), (1, -1): Fraction(-2, 3)})
+    f = Sequence(2, 1, {(k % 40 - 20, 7 * (k // 40)): (Fraction(k % 11 - 5, k % 7 + 1),)
+                        for k in range(1210) if k % 11 != 5})
+    return ctx, t, f
+
+
 @CASES
 @PROFILE
 @given(data=st.data())
+@example(data=None)  # block_case, run under its own dimension and sign
 def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
-    ctx = data.draw(contexts(dim, positive))
-    t = TrigPoly(dim, data.draw(st.dictionaries(points(dim, 1), rationals(),
-                                                min_size=1, max_size=3)))
-    f = Sequence(dim, 1, data.draw(st.dictionaries(
-        points(dim), st.tuples(rationals()), max_size=3)))
+    if data is None:
+        assume((dim, positive) == (2, False))
+        ctx, t, f = block_case()
+    else:
+        ctx = data.draw(contexts(dim, positive))
+        t = TrigPoly(dim, data.draw(st.dictionaries(points(dim, 1), rationals(),
+                                                    min_size=1, max_size=3)))
+        # data spread up to 10^9 from the origin; the box of a round
+        # follows the span, its memory the support
+        span = data.draw(st.sampled_from([3, 10**3, 10**9]))
+        f = Sequence(dim, 1, data.draw(st.dictionaries(
+            points(dim, span), st.tuples(rationals()), max_size=3)))
+        if data.draw(st.booleans()):
+            # values that all cancel: no data, so no row
+            f = f + Sequence(dim, 1, {alpha: (-v,) for alpha, (v,) in f.values.items()})
+            assert f.is_zero()
     mask = MatrixMask.from_scalar(t)
     reference = f
     for rounds in range(4):
         refined = refine(t, ctx, f, rounds)
         assert all(type(n) is int for n in refined.data.values.values())
         assert refined.data.to_sequence() == reference
+        blocks = list(refined_rows(refined))
+        assert all(0 < len(lines) <= BLOCK_ROWS for lines in blocks)
+        rows = [line for lines in blocks for line in lines]
+        assert rows == [",".join(cells) for cells in reference_refined_rows(refined)]
         inverse = matrix_power(fraction_inverse(ctx), rounds)
-        assert list(refined_rows(refined)) == [
-            [*map(format_rational, mat_vec(inverse, alpha)), format_rational(v)]
+        assert rows == [
+            ",".join([*map(format_rational, mat_vec(inverse, alpha)), format_rational(v)])
             for alpha, (v,) in sorted(reference.values.items())]
         reference = subdivision._apply_generic(mask, ctx.matrix, reference)
+    if data is None:
+        assert len(blocks) > 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
