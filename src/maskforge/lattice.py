@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, floordiv, mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .cyclotomic import _divide_monic
@@ -120,29 +120,20 @@ class _Box(NamedTuple):
         """The code of lo."""
         return self.code(self.lo)
 
-    def digits(self, codes) -> list:
-        """One list per axis: each coded point's coordinate less lo."""
-        origin = self.origin
-        codes = [c - origin for c in codes]
-        axes = []
-        for stride in self.strides:
-            axes.append([c // stride for c in codes])
-            codes = [c % stride for c in codes]
-        return axes
-
-    def points(self, offsets) -> list:
-        """One list per axis: the coordinates of the points whose codes
-        less the origin are `offsets`.  The points share one int per
-        distinct coordinate of an axis, through a dict of the distinct
-        digits, so memory follows the points, not the span of the box."""
-        axes = []
+    def points(self, codes) -> list:
+        """One list per axis: the coordinates of the coded points.  The
+        points share one int per distinct coordinate of an axis, through a
+        dict of the distinct digits, so memory follows the points, not the
+        span of the box."""
+        axes, rests, origin = [], codes, self.origin
         for stride, low in zip(self.strides[:-1], self.lo):
-            digits = set(map(floordiv, offsets, itertools.repeat(stride)))
-            shared = {x: x + low for x in digits}
-            axes.append([shared[c // stride] for c in offsets])
-            offsets = [c % stride for c in offsets]
-        shared = {x: x + self.lo[-1] for x in set(offsets)}  # the last stride is 1
-        axes.append(list(map(shared.__getitem__, offsets)))
+            digits = [(c - origin) // stride for c in rests]
+            shared = {x: x + low for x in set(digits)}
+            axes.append(list(map(shared.__getitem__, digits)))
+            del digits  # freed before the next axis's rests are formed
+            rests, origin = [(c - origin) % stride for c in rests], 0
+        shared = {x: x - origin + self.lo[-1] for x in set(rests)}  # stride 1
+        axes.append(list(map(shared.__getitem__, rests)))
         return axes
 
     def coordinates(self, codes, axis: int) -> list:

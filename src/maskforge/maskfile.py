@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import islice, repeat
+from itertools import repeat
 from operator import add, floordiv, neg
 
 from .cyclotomic import CyclotomicNumber, _reduce_coords
@@ -308,11 +308,11 @@ def refined_rows(refined: Refined):
     grid_den, by a dict that lives for this call only (grid_den changes with
     the rounds); each value is formatted over data.den.  BudgetExceeded past
     the interpreter's limit on the digits of a printed int."""
-    grid, grid_den, den = refined.grid, refined.grid_den, refined.data.den
+    grid, grid_den, data = refined.grid, refined.grid_den, refined.data
     cells, grid_suffixes, suffixes = {}, {}, {}
-    points, numerators = iter(refined.data.values), iter(refined.data.values.values())
-    while axes := list(zip(*islice(points, BLOCK_ROWS))):
-        values = list(islice(numerators, BLOCK_ROWS))
+    for at in range(0, len(data.values), BLOCK_ROWS):
+        axes = [xs[at:at + BLOCK_ROWS] for xs in data.axes]
+        values = data.values[at:at + BLOCK_ROWS]
         try:
             columns = []
             for g in grid:
@@ -321,7 +321,7 @@ def refined_rows(refined: Refined):
                 cells.update(zip(new, _ratio_texts(new, grid_den, grid_suffixes)))
                 columns.append(map(cells.__getitem__, xs))
             lines = list(map(",".join, zip(*columns,
-                                           _ratio_texts(values, den, suffixes))))
+                                           _ratio_texts(values, data.den, suffixes))))
         except ValueError:  # only the digit limit raises here
             raise _past_digit_limit() from None
         yield lines

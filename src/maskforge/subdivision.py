@@ -34,9 +34,9 @@ held as one coordinate list per axis: a round codes the data's points on a
 box with one map per axis, sums the products under int codes, and decodes
 the codes that carry a nonzero sum back into coordinate lists, each
 coordinate int shared through a dict of the distinct digits, so a round's
-memory follows the support, not the span of the box.  refine keeps the
-points in that form across its rounds and builds its tuple-keyed result
-once, after the last.
+memory follows the support, not the span of the box.  An IntSequence
+holds its points in that form, so refine's rounds, each one apply, build
+no point tuple.
 """
 
 from __future__ import annotations
@@ -225,20 +225,19 @@ def apply(mask, dilation, f):
     """One subdivision step: (S f)_alpha = sum A_(alpha - M beta) f_beta.
 
     f is a Sequence, or an IntSequence under a rational scalar mask: that is
-    stepped in integers, and the result is the IntSequence of S f over
-    f.den * D_a, with no Fraction built.  Rational masks acting on rational
-    Sequences take the same integer kernel; anything cyclotomic takes the
-    generic exact path.  Both give the same sequence."""
+    stepped in integers on its coordinate lists, and the result is the
+    IntSequence of S f over f.den * D_a, with no Fraction and no point tuple
+    built.  Rational masks acting on rational Sequences take the same
+    integer kernel; anything cyclotomic takes the generic exact path.  Both
+    give the same sequence."""
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
     if isinstance(f, IntSequence):
         if (mask.rows, mask.cols) != (1, 1):
             raise ShapeMismatch("integer data needs a scalar mask")
         kernel = _kernel(mask)
-        axes, (values,) = _subdivide(kernel, matrix, _axes(f.dim, f.values),
-                                     [list(f.values.values())])
-        return IntSequence(f.dim, f.den * kernel.den,
-                           dict(zip(zip(*axes), values)))
+        axes, (values,) = _subdivide(kernel, matrix, f.axes, [f.values])
+        return IntSequence(f.dim, f.den * kernel.den, axes, values)
     if mask.cols != f.width:
         raise ShapeMismatch(f"mask expects width {mask.cols}, sequence has {f.width}")
     if mask.is_rational() and all(isinstance(v, Rational)
@@ -248,15 +247,17 @@ def apply(mask, dilation, f):
 
 
 class IntSequence(NamedTuple):
-    """Scalar rational data held in integers: `values` maps each point alpha
-    of the support to a nonzero int n, the value at alpha being n / den.
+    """Scalar rational data held in integers, on coordinate lists: the k-th
+    point alpha of the support is (axes[0][k], ..., axes[dim-1][k]), and
+    values[k] is a nonzero int n, the value at alpha being n / den.
 
-    `values` iterates in lattice order (lexicographic on the points):
+    The points run in lattice order (lexicographic), each once:
     from_sequence sorts the data once, and an integer apply round emits its
     sums in that order."""
     dim: int
     den: int
-    values: dict
+    axes: list
+    values: list
 
     @classmethod
     def from_sequence(cls, f: Sequence) -> "IntSequence":
@@ -267,11 +268,14 @@ class IntSequence(NamedTuple):
         if not all(isinstance(v, Rational) for (v,) in f.values.values()):
             raise TypeError("integer data needs rational values")
         den, points, (values,) = _data_numerators(f)
-        return cls(f.dim, den, dict(sorted(zip(points, values))))
+        rows = sorted(zip(points, values))
+        return cls(f.dim, den, _axes(f.dim, [alpha for alpha, _ in rows]),
+                   [n for _, n in rows])
 
     def to_sequence(self) -> Sequence:
         return Sequence._trusted(self.dim, 1, {
-            alpha: (Fraction(n, self.den),) for alpha, n in self.values.items()})
+            alpha: (Fraction(n, self.den),)
+            for alpha, n in zip(zip(*self.axes), self.values)})
 
 
 def _axes(dim: int, points) -> list:
@@ -337,8 +341,7 @@ def _subdivide(kernel: _Kernel, matrix, axes: list,
     Each lattice point is coded on a _Box that holds every target
     alpha + matrix beta: the codes of the matrix betas are formed with one
     map per axis, and a product is placed with one int add and summed under
-    its code less the box's origin, which _Box.points decodes once, after
-    the sums."""
+    its code, which _Box.points decodes once, after the sums."""
     offsets = [alpha for terms in kernel.columns for alpha, _, _ in terms]
     if not offsets or not axes[0]:
         return [[] for _ in axes], [[] for _ in range(kernel.rows)]
@@ -347,17 +350,15 @@ def _subdivide(kernel: _Kernel, matrix, axes: list,
     lo = [min(x) - r for x, r in zip(zip(*offsets), radius)]
     hi = [max(x) + r for x, r in zip(zip(*offsets), radius)]
     box = _Box.spanning(lo, hi)
-    codes, origin = dots(axes, box.columns(matrix)), box.origin
+    codes = dots(axes, box.columns(matrix))
     out = [defaultdict(int) for _ in range(kernel.rows)]
     for terms, column in zip(kernel.columns, columns):
-        terms = [(box.code(alpha) - origin, out[i], n) for alpha, i, n in terms]
+        terms = [(box.code(alpha), out[i], n) for alpha, i, n in terms]
         for c, p in itertools.compress(zip(codes, column), column):
             for a, acc, n in terms:
                 acc[a + c] += n * p
-    if len(out) == 1:
-        codes = list(itertools.compress(out[0], out[0].values()))
-    else:  # a point is kept where any row's sum is nonzero
-        codes = list({c for acc in out for c, x in acc.items() if x})
+    # a point is kept where any row's sum is nonzero
+    codes = list({c for acc in out for c, x in acc.items() if x})
     codes.sort()  # code order on a box is lattice order
     rows = [list(map(acc.__getitem__, codes)) for acc in out]
     out.clear()  # the tables are freed before the points are built
@@ -511,17 +512,14 @@ def _coset_indices(support: list, matrix, box: _Box | None) -> list:
     each distinct sum is reduced once more, digit by digit, to the index."""
     adj, m = adjugate(matrix), abs(determinant(matrix))
     radix = (len(adj) + 1) * m
-    if box is None:
-        axes, offsets = list(zip(*support)), [0] * len(adj)
-    else:
-        axes, offsets = box.digits(support), box.lo
+    axes = list(zip(*support)) if box is None else box.points(support)
     packed = [0] * len(support)
-    for column, coords, low in zip(zip(*adj), axes, offsets):
+    for column, coords in zip(zip(*adj), axes):
         table = {}
         for x in set(coords):
             digit = 0
             for a in reversed(column):
-                digit = digit * radix + a * (x + low) % m
+                digit = digit * radix + a * x % m
             table[x] = digit
         packed = list(map(add, packed, map(table.__getitem__, coords)))
     reduced = {}
@@ -614,8 +612,8 @@ def _recoded(symbol: _Numerators, box: _Box) -> _Numerators:
     """symbol, coded on a smaller box inside box, with each code decoded to
     its point's coordinate lists and coded on box, in code order."""
     def recoded(terms: dict) -> dict:
-        codes, origin = sorted(terms), symbol.box.origin
-        axes = symbol.box.points([c - origin for c in codes])
+        codes = sorted(terms)
+        axes = symbol.box.points(codes)
         return dict(zip(dots(axes, box.strides), map(terms.__getitem__, codes)))
     return symbol._replace(box=box, entries=[
         [{key: recoded(terms) for key, terms in entry.items()} for entry in row]
@@ -893,25 +891,21 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     """Iterate the scheme on scalar rational data: after the given number of
     rounds, the value at alpha approximates the limit at matrix^-rounds alpha.
 
-    The rounds run the integer kernel (_subdivide) on coordinate lists, so
-    the values stay over the one denominator D_a^rounds * D_f, and the
-    tuple-keyed IntSequence is built once, after the last round.  A round
-    that would form more than PRODUCT_BUDGET products |supp f| * |supp t|
-    raises BudgetExceeded before it starts; TypeError unless t is rational."""
+    Each round is one apply on integer numerators and coordinate lists, so
+    the values stay over the one denominator D_a^rounds * D_f and no point
+    tuple is built.  A round that would form more than PRODUCT_BUDGET
+    products |supp f| * |supp t| raises BudgetExceeded before it starts."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
-    kernel = _kernel(MatrixMask.from_scalar(t))
+    mask = MatrixMask.from_scalar(t)
     data = IntSequence.from_sequence(f)
-    axes, values = _axes(f.dim, data.values), list(data.values.values())
     for done in range(rounds):
-        size = len(values) * len(t.vectors)
+        size = len(data.values) * len(t.vectors)
         if size > PRODUCT_BUDGET:
             raise BudgetExceeded(
                 f"refine stopped after {done} of {rounds} rounds: round "
-                f"{done + 1} would form {size} products ({len(values)} "
+                f"{done + 1} would form {size} products ({len(data.values)} "
                 f"points x {len(t.vectors)} mask terms), over the budget of "
                 f"{PRODUCT_BUDGET}")
-        axes, (values,) = _subdivide(kernel, ctx.matrix, axes, [values])
-    data = IntSequence(f.dim, data.den * kernel.den ** rounds,
-                       dict(zip(zip(*axes), values)))
+        data = apply(mask, ctx, data)
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

@@ -670,8 +670,8 @@ def point_entries(symbol) -> list:
     if symbol.box is None:
         return symbol.entries
     def decoded(terms):
-        codes, origin = sorted(terms), symbol.box.origin
-        points = zip(*symbol.box.points([c - origin for c in codes]))
+        codes = sorted(terms)
+        points = zip(*symbol.box.points(codes))
         return dict(zip(points, map(terms.__getitem__, codes)))
     return [[{key: decoded(terms) for key, terms in entry.items()}
              for entry in row] for row in symbol.entries]
@@ -711,7 +711,7 @@ def refined_points(refined) -> list:
     return [(tuple(Fraction(x, refined.grid_den)
                    for x in mat_vec(refined.grid, alpha)),
              (Fraction(n, refined.data.den),))
-            for alpha, n in refined.data.values.items()]
+            for alpha, n in zip(zip(*refined.data.axes), refined.data.values)]
 
 
 def reference_refined_rows(refined):
@@ -720,7 +720,7 @@ def reference_refined_rows(refined):
     of a grid row with alpha formatted over grid_den, then the value n / den
     (format_ratio)."""
     grid, grid_den, den = refined.grid, refined.grid_den, refined.data.den
-    for alpha, n in refined.data.values.items():
+    for alpha, n in zip(zip(*refined.data.axes), refined.data.values):
         yield [*(format_ratio(sum(map(mul, g, alpha)), grid_den) for g in grid),
                format_ratio(n, den)]
 

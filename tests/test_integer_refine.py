@@ -45,32 +45,14 @@ def block_case():
     return ctx, t, f
 
 
-@CASES
-@PROFILE
-@given(data=st.data())
-@example(data=None)  # block_case, run under its own dimension and sign
-def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
-    if data is None:
-        assume((dim, positive) == (2, False))
-        ctx, t, f = block_case()
-    else:
-        ctx = data.draw(contexts(dim, positive))
-        t = TrigPoly(dim, data.draw(st.dictionaries(points(dim, 1), rationals(),
-                                                    min_size=1, max_size=3)))
-        # data spread up to 10^9 from the origin; the box of a round
-        # follows the span, its memory the support
-        span = data.draw(st.sampled_from([3, 10**3, 10**9]))
-        f = Sequence(dim, 1, data.draw(st.dictionaries(
-            points(dim, span), st.tuples(rationals()), max_size=3)))
-        if data.draw(st.booleans()):
-            # values that all cancel: no data, so no row
-            f = f + Sequence(dim, 1, {alpha: (-v,) for alpha, (v,) in f.values.items()})
-            assert f.is_zero()
+def check_rounds(ctx, t, f) -> list:
+    """Checks refine's rows for rounds 0-3 against the k-fold generic apply
+    and the per-row reference formatter; returns the last round's blocks."""
     mask = MatrixMask.from_scalar(t)
     reference = f
     for rounds in range(4):
         refined = refine(t, ctx, f, rounds)
-        assert all(type(n) is int for n in refined.data.values.values())
+        assert all(type(n) is int for n in refined.data.values)
         assert refined.data.to_sequence() == reference
         blocks = list(refined_rows(refined))
         assert all(0 < len(lines) <= BLOCK_ROWS for lines in blocks)
@@ -81,8 +63,33 @@ def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
             ",".join([*map(format_rational, mat_vec(inverse, alpha)), format_rational(v)])
             for alpha, (v,) in sorted(reference.values.items())]
         reference = subdivision._apply_generic(mask, ctx.matrix, reference)
+    return blocks
+
+
+@CASES
+@PROFILE
+@given(data=st.data())
+@example(data=None)  # block_case, run under its own dimension and sign
+def test_integer_refine_matches_k_fold_generic_apply(dim, positive, data):
     if data is None:
-        assert len(blocks) > 1
+        assume((dim, positive) == (2, False))
+        assert len(check_rounds(*block_case())) > 1
+        return
+    ctx = data.draw(contexts(dim, positive))
+    t = TrigPoly(dim, data.draw(st.dictionaries(points(dim, 1), rationals(),
+                                                min_size=1, max_size=3)))
+    f = Sequence(dim, 1, data.draw(st.dictionaries(
+        points(dim), st.tuples(rationals()), max_size=3)))
+    check_rounds(ctx, t, f)
+    # and two more data under the same scheme: points spread up to 10^9
+    # from the origin (a round's box follows the span, its memory the
+    # support), and values that all cancel, so no row
+    wide = Sequence(dim, 1, data.draw(st.dictionaries(
+        points(dim, 10**9), st.tuples(rationals()), max_size=3)))
+    check_rounds(ctx, t, wide)
+    cancelled = f + Sequence(dim, 1, {alpha: (-v,) for alpha, (v,) in f.values.items()})
+    assert cancelled.is_zero()
+    check_rounds(ctx, t, cancelled)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -138,8 +145,9 @@ def test_refine_rejects_cyclotomic_and_vector_data():
 def test_apply_steps_integer_data_as_it_steps_fractions(example_ctx, example_mask):
     f = Sequence(2, 1, {(0, 0): (Fraction(1, 3),), (1, -1): (Fraction(-2, 5),)})
     data = IntSequence.from_sequence(f)
-    assert (data.den, data.values) == (15, {(0, 0): 5, (1, -1): -6})
+    assert (data.den, data.axes, data.values) == (15, [(0, 1), (0, -1)], [5, -6])
     stepped = subdivision.apply(example_mask, example_ctx, data)
-    assert all(type(n) is int for n in stepped.values.values())
-    assert list(stepped.values) == sorted(stepped.values)
+    assert all(type(n) is int for n in stepped.values)
+    points = list(zip(*stepped.axes))
+    assert points == sorted(points) and len(points) == len(stepped.values)
     assert stepped.to_sequence() == subdivision.apply(example_mask, example_ctx, f)
