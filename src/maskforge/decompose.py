@@ -426,31 +426,33 @@ def _assembled(ctx: DilationContext, box: _Box, sums: _Sums, field: int,
     component nu of entry k is the part at index k*m + nu, at the
     frequencies matrix @ x + digit_nu of its points x (_decoded_terms)."""
     d, m = ctx.dim, ctx.m
+    starts = mat_vec(ctx.matrix, box.lo[1:])
+    shifts = [tuple(map(add, starts, digit)) for digit in ctx.digits]
     entries = []
     for k in range(d):
         cosets = [parts.get(k * m + nu, {}) for nu in range(m)]
         codes = [code for part in cosets for code in part]
         slots = [slot for part in cosets for slot in part.values()]
         entries.append(TrigPoly._merged(d, field, den, chain.from_iterable(
-            _decoded_terms(ctx, box, sums, field, codes, slots))))
+            _decoded_terms(ctx, box, sums, field, shifts, codes, slots))))
     return entries
 
 
 def _decoded_terms(ctx: DilationContext, box: _Box, sums: _Sums, field: int,
-                   codes: list, slots: list):
+                   shifts: list, codes: list, slots: list):
     """Blocks of (frequency, (vector, label)) for the codes and their
     (value, label) slots, in order: a code at index k*m + nu and point x is
-    decoded once, to matrix @ x + digit_nu, the sums formed one axis at a
-    time from the points' coordinate lists (box.points), a block of codes
+    decoded once, to matrix @ (x - lo) + shifts[nu], the sums formed one
+    axis at a time from the offsets x - lo (box.digits), a block of codes
     at a time; an int numerator n is placed as the vector n at order
     `field`, one vector per distinct numerator of a block."""
-    m, digits, pad = ctx.m, ctx.digits, [0] * (field - 1)
+    m, pad = ctx.m, [0] * (field - 1)
     for at in range(0, len(codes), 4096):
-        indices, *coordinates = box.points(codes[at:at + 4096])
+        indices, *offsets = box.digits(codes[at:at + 4096])
         axes = []
         for i, row in enumerate(ctx.matrix):
-            axis = [digits[index % m][i] for index in indices]
-            for a, xs in zip(row, coordinates):
+            axis = [shifts[index % m][i] for index in indices]
+            for a, xs in zip(row, offsets):
                 if a:
                     axis = [y + a * x for y, x in zip(axis, xs)]
             axes.append(axis)

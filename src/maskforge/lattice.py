@@ -120,21 +120,21 @@ class _Box(NamedTuple):
         """The code of lo."""
         return self.code(self.lo)
 
+    def digits(self, codes):
+        """Each coded point's coordinate less lo, one list per axis, an
+        axis's list formed only when the one before it has been taken."""
+        rests, origin = codes, self.origin
+        for stride in self.strides[:-1]:
+            yield [(c - origin) // stride for c in rests]
+            rests, origin = [(c - origin) % stride for c in rests], 0
+        yield [c - origin for c in rests] if origin else rests  # stride 1
+
     def points(self, codes) -> list:
         """One list per axis: the coordinates of the coded points.  The
-        points share one int per distinct coordinate of an axis, through a
-        dict of the distinct digits, so memory follows the points, not the
-        span of the box."""
-        axes, rests, origin = [], codes, self.origin
-        for stride, low in zip(self.strides[:-1], self.lo):
-            digits = [(c - origin) // stride for c in rests]
-            shared = {x: x + low for x in set(digits)}
-            axes.append(list(map(shared.__getitem__, digits)))
-            del digits  # freed before the next axis's rests are formed
-            rests, origin = [(c - origin) % stride for c in rests], 0
-        shared = {x: x - origin + self.lo[-1] for x in set(rests)}  # stride 1
-        axes.append(list(map(shared.__getitem__, rests)))
-        return axes
+        points share one int per distinct coordinate of an axis, so memory
+        follows the points, not the span of the box; map lets go of each
+        axis's digits before the next axis's are formed."""
+        return list(map(_shifted, self.digits(codes), self.lo))
 
     def coordinates(self, codes, axis: int) -> list:
         """Each coded point's coordinate on one axis (numbered from 0)."""
@@ -143,6 +143,12 @@ class _Box(NamedTuple):
             return [(c - origin) // stride + low for c in codes]
         outer = self.strides[axis - 1]
         return [(c - origin) % outer // stride + low for c in codes]
+
+
+def _shifted(xs: list, low: int) -> list:
+    """x + low for each x of xs, one int per distinct x."""
+    shared = {x: x + low for x in set(xs)}
+    return list(map(shared.__getitem__, xs))
 
 
 def mat_mul(a, b):

@@ -357,8 +357,10 @@ def _subdivide(kernel: _Kernel, matrix, axes: list,
         for c, p in itertools.compress(zip(codes, column), column):
             for a, acc, n in terms:
                 acc[a + c] += n * p
-    # a point is kept where any row's sum is nonzero
-    codes = list({c for acc in out for c, x in acc.items() if x})
+    if len(out) == 1:  # refine's case: no set of every code is built
+        codes = list(itertools.compress(out[0], out[0].values()))
+    else:  # a point is kept where any row's sum is nonzero
+        codes = list({c for acc in out for c, x in acc.items() if x})
     codes.sort()  # code order on a box is lattice order
     rows = [list(map(acc.__getitem__, codes)) for acc in out]
     out.clear()  # the tables are freed before the points are built
@@ -512,14 +514,17 @@ def _coset_indices(support: list, matrix, box: _Box | None) -> list:
     each distinct sum is reduced once more, digit by digit, to the index."""
     adj, m = adjugate(matrix), abs(determinant(matrix))
     radix = (len(adj) + 1) * m
-    axes = list(zip(*support)) if box is None else box.points(support)
+    if box is None:
+        axes, offsets = list(zip(*support)), [0] * len(adj)
+    else:
+        axes, offsets = box.digits(support), box.lo
     packed = [0] * len(support)
-    for column, coords in zip(zip(*adj), axes):
+    for column, coords, low in zip(zip(*adj), axes, offsets):
         table = {}
         for x in set(coords):
             digit = 0
             for a in reversed(column):
-                digit = digit * radix + a * x % m
+                digit = digit * radix + a * (x + low) % m
             table[x] = digit
         packed = list(map(add, packed, map(table.__getitem__, coords)))
     reduced = {}
