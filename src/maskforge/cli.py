@@ -2,7 +2,10 @@
 
 Subcommands: analyze | decompose | converge | smooth | refine.  Reports come
 in two blocks: human-readable lines and a machine JSON block (only the machine
-block is stable for tooling; --format json emits just that block).
+block is stable for tooling; --format json emits just that block).  refine
+prints its rows as text; with --format json it writes them only to --out and
+prints {"rounds", "rows", "mass", "out"}, mass the exact sum of the refined
+data, and without --out it exits 2.
 
 Exit codes: 0 success, 2 parse error, 3 invalid digit set, 4 class
 precondition failed (or verification failure), 5 shape error, 6 internal
@@ -26,9 +29,9 @@ from .decompose import MaskDecomposition, decompose_levels, decompose_to_class
 from .errors import (BudgetExceeded, InternalIdentityViolation,
                      MaskforgeError, MethodDisagreement, NotInClass,
                      ShapeMismatch, UserDigitsInvalid)
-from .maskfile import (ParseError, format_rational, load_mask_file,
-                       output_file, read_sequence_csv, refined_rows,
-                       write_refined_csv)
+from .maskfile import (ParseError, format_ratio, format_rational,
+                       load_mask_file, output_file, read_sequence_csv,
+                       refined_rows, write_refined_csv)
 from .subdivision import Sequence, check_c1, check_convergence, refine
 from .sumrules import DEFAULT_ORDER_CAP, sum_rule_order
 
@@ -208,6 +211,9 @@ def cmd_smooth(args) -> int:
 
 def cmd_refine(args) -> int:
     _at_least("--rounds", args.rounds, 0)
+    if args.format == "json" and not args.out:
+        raise ParseError("refine --format json prints a summary and writes "
+                         "the rows only to a file: give --out")
     mask, ctx = _load_mask(args)
     if not mask.is_rational():
         print("error: refine needs a rational-coefficient mask", file=sys.stderr)
@@ -220,9 +226,17 @@ def cmd_refine(args) -> int:
     else:
         seq = Sequence.delta(ctx.dim)
     refined = refine(mask, ctx, seq, args.rounds)
-    if args.out:
+    rows = len(refined.data.values)
+    if args.format == "json":
+        # formatted before the file is written: past the digit limit, exit 7
+        # leaves no file
+        mass = format_ratio(sum(refined.data.values), refined.data.den)
         write_refined_csv(args.out, refined)
-        print(f"wrote {len(refined.data.values)} rows to {args.out}")
+        _emit([], {"rounds": args.rounds, "rows": rows, "mass": mass,
+                   "out": args.out}, "json")
+    elif args.out:
+        write_refined_csv(args.out, refined)
+        print(f"wrote {rows} rows to {args.out}")
     else:
         # every block is formatted before the first is printed, so a value
         # past the digit limit exits 7 with nothing on stdout

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from numbers import Rational
+from operator import itemgetter
 
 from .errors import InternalIdentityViolation, MaskforgeError
 from .intervals import RatInterval
@@ -375,11 +376,19 @@ def _root_enclosure(k: int, order: int, prec: int) -> tuple:
     try:
         iv.prec = prec
         angle = 2 * iv.pi * iv.mpf(k) / iv.mpf(order)
-        return tuple(tuple((-int(man) if sign else int(man), int(exp))
-                           for sign, man, exp, _ in part._mpi_)
-                     for part in (iv.cos(angle), iv.sin(angle)))
+        enclosure = tuple(tuple((-int(man) if sign else int(man), int(exp))
+                                for sign, man, exp, _ in part._mpi_)
+                          for part in (iv.cos(angle), iv.sin(angle)))
     finally:
         iv.prec = old_prec
+    # max_magnitude_sum's pruning margin takes each enclosure at most
+    # 2^(7-prec) wide; the angle is below 2*pi, and the widths seen are at
+    # most 40 * 2^-prec
+    if any(_dyadic(*hi) - _dyadic(*lo) > Fraction(1, 1 << (prec - 7))
+           for lo, hi in enclosure):
+        raise InternalIdentityViolation(
+            f"enclosure of cos or sin of 2*pi*{k}/{order} wider than 2^{7 - prec}")
+    return enclosure
 
 
 _ZERO = (0, 0)
@@ -439,37 +448,89 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
     """Certified enclosure of the largest of the sums of |x| over each row
     of values x over den: a rational value given as its integer numerator,
     any other as (order, its integer coords in canonical form at that
-    order).
+    order).  `rows` is any iterable of rows, read once.
 
-    Rational values are summed exactly in integers.  Every other distinct
-    value is enclosed once per call by magnitude_interval, from its integer
-    coords, and each term product once per call; each end of a row's
-    enclosures is summed as one integer numerator and one exponent.  A row of rational
+    Rational values are summed exactly in integers, and a row of rational
     values is compared as one integer, so the result is a point interval
-    whenever every value is rational.
+    whenever every value is rational.  Every other row gets the integer
+    bound B: its integers plus sum |coords| of each value, so |row| <= B/den
+    by the triangle inequality.  Rows are enclosed in descending order of
+    B, and the search stops at the first row with B/den * (1 + margin)
+    below the floor, the larger of the best lower end so far and the best
+    all-rational row.  Each distinct value is enclosed once per call by
+    magnitude_interval, from its integer coords, and each term product once
+    per call; each end of a row's enclosures is summed as one integer
+    numerator and one exponent.
+
+    Every endpoint is the one the unpruned search gives: a skipped row's
+    upper end is at most B/den * (1 + margin), below the floor, which the
+    result's lower end reaches; its lower end is below its upper end.
+
+    The margin.  magnitude_interval works at p = precision_bits + 16 bits,
+    and each directed rounding to p bits changes a magnitude by a factor of
+    at most 1 + u, u = 2^(1-p).  Write A(I) for the larger |end| of an
+    interval I, and take a value with t coords (t terms at most), q_k =
+    |n_k|/den, Q = sum q_k.  Along the chain that gives its upper end:
+      - the coefficient n_k/den: n_k rounded, den rounded down (a factor of
+        1/(1-u) <= (1+u)^2), the quotient floored to at least p + 1 bits
+        and rounded: A <= q_k (1+u)^5;
+      - cos and sin of the root: _root_enclosure checks each enclosure is
+        at most w = 2^(7-p) wide, so A <= |cos| + w and A <= |sin| + w;
+      - each term product rounds once, and each of the t adds into re and
+        im rounds once: A(re) <= (1+u)^(t+6) sum q_k (|cos_k| + w), and
+        A(im) likewise with |sin_k|;
+      - re^2 and im^2 round once each, their sum once, and the square root
+        twice (the root of at least p + 1 bits, then rounded):
+        hi <= (1+u)^3 sqrt(A(re)^2 + A(im)^2).
+    By the triangle inequality in the plane, sqrt(A(re)^2 + A(im)^2) <=
+    (1+u)^(t+6) sum q_k |(|cos_k| + w, |sin_k| + w)| <= (1+u)^(t+6) Q (1 +
+    sqrt(2) w).  So hi <= Q (1+u)^(t+9) (1 + sqrt(2) w).  As p >= 48,
+    (t+9) u <= 1/2 for every t below 2^46 - 9, more coords than memory
+    holds; then (1+u)^(t+9) <= 1 + 2(t+9)u <= 2, so hi <= Q (1 + 2(t+9)u +
+    2 sqrt(2) w) < Q (1 + (t+100) 2^(2-p)).  A row's upper end sums its
+    integers exactly and its values' upper ends exactly, so it is at most
+    B/den * (1 + margin) with margin = (T+100) 2^(2-p), T the longest coords
+    of the call, whatever the orders and the precision.
     """
-    memo: dict = {}
-    products: dict = {}
-    best_exact = 0
-    best_lo = best_hi = _F0
+    best_exact = 0  # the largest all-rational row
+    pending = []    # (B, its integers, its values) of every other row
+    terms = 0
     for row in rows:
-        exact = 0
-        lo = hi = (0, 0)
+        exact = bound = 0
+        values = []
         for value in row:
             if isinstance(value, int):
                 exact += abs(value)
                 continue
+            coords = value[1]
+            values.append(value)
+            bound += sum(map(abs, coords))
+            terms = max(terms, len(coords))
+        if values:
+            pending.append((exact + bound, exact, values))
+        else:
+            best_exact = max(best_exact, exact)
+    pending.sort(key=itemgetter(0), reverse=True)
+    scale = 1 << (precision_bits + 14)  # 2^(p-2)
+    widen = scale + terms + 100         # (1 + margin) * scale
+    memo: dict = {}
+    products: dict = {}
+    best_lo = best_hi = _F0
+    floor = Fraction(best_exact, den)
+    for bound, exact, values in pending:
+        if bound * widen * floor.denominator < floor.numerator * den * scale:
+            break
+        lo = hi = (0, 0)
+        for value in values:
             enclosure = memo.get(value)
             if enclosure is None:
                 enclosure = memo[value] = magnitude_interval(
                     value, precision_bits, den, products)
             lo = _dyadic_add(lo, enclosure.lo)
             hi = _dyadic_add(hi, enclosure.hi)
-        if hi == (0, 0):  # no enclosure: |x| > 0 for every value enclosed
-            best_exact = max(best_exact, exact)
-            continue
         exact = Fraction(exact, den)
         best_lo = max(best_lo, exact + _dyadic(*lo))
         best_hi = max(best_hi, exact + _dyadic(*hi))
+        floor = max(floor, best_lo)
     best_exact = Fraction(best_exact, den)
     return RatInterval(max(best_lo, best_exact), max(best_hi, best_exact))

@@ -460,10 +460,14 @@ def _support(symbol: _Numerators) -> set:
 def _norm(symbol: _Numerators, matrix, precision_bits: int) -> RatInterval:
     """operator_norm of a symbol in integers, in one pass over each entry's
     terms: per row and coset of matrix Z^d, the rational magnitudes are
-    summed as one integer and the other values gathered, each distinct
-    non-rational value enclosed once per call (max_magnitude_sum).  An entry
-    whose classes all sit at position 0 holds rational numerators as they
-    are; any other entry's values are reduced once at their labels."""
+    summed as one integer and the other values gathered.  max_magnitude_sum
+    encloses those rows in descending order of their integer bounds (the
+    integers plus each value's sum of |coords|) and stops at the first whose
+    bound, widened by its proved rounding margin, is below the best lower
+    end or the best all-rational row: each distinct non-rational value it
+    reaches is enclosed once per call, the rows past that point never.  An
+    entry whose classes all sit at position 0 holds rational numerators as
+    they are; any other entry's values are reduced once at their labels."""
     field, den, entries, box = symbol
     support = list(_support(symbol))
     coset = dict(zip(support, _coset_indices(support, matrix, box)))

@@ -13,8 +13,8 @@ from mpmath import iv
 
 from maskforge.cyclotomic import (CyclotomicNumber, coerce,
                                   cyclotomic_polynomial, exp_of_rational,
-                                  magnitude_interval, max_magnitude_sum,
-                                  root_of_unity)
+                                  _dyadic, _dyadic_add, _F0,
+                                  magnitude_interval, root_of_unity)
 from maskforge.decompose import (MaskDecomposition, decompose_levels,
                                  dilated_difference)
 from maskforge.errors import NotInClass, ShapeMismatch
@@ -649,19 +649,54 @@ def reference_cosets(support, matrix):
     return groups.values()
 
 
+def reference_max_magnitude_sum(rows, den: int,
+                                precision_bits: int) -> RatInterval:
+    """cyclotomic.max_magnitude_sum as it was before it pruned: every row
+    enclosed, in the order given.  Each distinct non-rational value is
+    enclosed once per call, each end of a row's enclosures summed as one
+    integer numerator and one exponent, and a row of rational values
+    compared as one integer."""
+    memo: dict = {}
+    products: dict = {}
+    best_exact = 0
+    best_lo = best_hi = _F0
+    for row in rows:
+        exact = 0
+        lo = hi = (0, 0)
+        for value in row:
+            if isinstance(value, int):
+                exact += abs(value)
+                continue
+            enclosure = memo.get(value)
+            if enclosure is None:
+                enclosure = memo[value] = magnitude_interval(
+                    value, precision_bits, den, products)
+            lo = _dyadic_add(lo, enclosure.lo)
+            hi = _dyadic_add(hi, enclosure.hi)
+        if hi == (0, 0):  # no enclosure: |x| > 0 for every value enclosed
+            best_exact = max(best_exact, exact)
+            continue
+        exact = Fraction(exact, den)
+        best_lo = max(best_lo, exact + _dyadic(*lo))
+        best_hi = max(best_hi, exact + _dyadic(*hi))
+    best_exact = Fraction(best_exact, den)
+    return RatInterval(max(best_lo, best_exact), max(best_hi, best_exact))
+
+
 def reference_norm(symbol, matrix, precision_bits: int = 128) -> RatInterval:
     """The norm of a symbol on point tuples as subdivision._norm took it
     before it indexed cosets: a scan of every row, coset and frequency of the
-    support, one magnitude sum per (coset, row)."""
+    support, one magnitude sum per (coset, row), every row enclosed
+    (reference_max_magnitude_sum)."""
     field, den, entries, _ = symbol
     values = [[list(entry.values()) if all(p == 0 for _, p in entry)
                else [_reduced(entry, field)] for entry in row] for row in entries]
     support = set().union(*(d for row in values for parts in row for d in parts))
-    return max_magnitude_sum(([d[alpha] for parts in row for d in parts
-                               for alpha in alphas if alpha in d]
-                              for alphas in reference_cosets(support, matrix)
-                              for row in values),
-                             den, precision_bits)
+    return reference_max_magnitude_sum(
+        ([d[alpha] for parts in row for d in parts for alpha in alphas
+          if alpha in d]
+         for alphas in reference_cosets(support, matrix) for row in values),
+        den, precision_bits)
 
 
 def point_entries(symbol) -> list:

@@ -496,6 +496,35 @@ def test_cli_refine_stdout_rows_equal_out_rows(tmp_path, capsys):
     assert len(printed) > 100
 
 
+def test_cli_refine_json_writes_the_rows_to_out(tmp_path, capsys):
+    # text prints the rows; json writes the same bytes to --out and prints
+    # a summary whose mass is t(0)^K times the sum of the data
+    data = tmp_path / "data.csv"
+    data.write_text("0,0,1/3\n1,-1,-2/5\n")
+    argv = ["refine", EXAMPLE, "--rounds", "3", "--data", str(data)]
+    assert main([*argv, "--format", "text"]) == 0
+    printed = capsys.readouterr().out
+    rows = printed.count("\n")
+    text_out, json_out = tmp_path / "text.csv", tmp_path / "json.csv"
+    assert main([*argv, "--out", str(text_out)]) == 0
+    assert capsys.readouterr().out == f"wrote {rows} rows to {text_out}\n"
+    assert main([*argv, "--out", str(json_out), "--format", "json"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert json_out.read_bytes() == text_out.read_bytes()
+    assert json_out.read_bytes().decode().replace("\r\n", "\n") == printed
+    t0 = load_mask_file(EXAMPLE)[0].value_at_zero().rational_value()
+    mass = t0 ** 3 * (Fraction(1, 3) - Fraction(2, 5))
+    assert summary == {"rounds": 3, "rows": rows, "mass": format_rational(mass),
+                       "out": str(json_out)}
+
+
+def test_cli_refine_json_without_out_exits_2(capsys):
+    assert main(["refine", EXAMPLE, "--rounds", "1", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_refine_negative_rounds(capsys):
     assert main(["refine", EXAMPLE, "--rounds", "-1"]) == 2
     assert "--rounds" in capsys.readouterr().err

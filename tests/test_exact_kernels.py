@@ -5,8 +5,10 @@ normalized_derivative reads trigpoly._point_kernel, which places every term
 in one coordinate vector, and reduces once; TrigPoly products sum integer
 numerators in one coordinate vector per frequency and reduce each once,
 whatever the coefficient fields; operator_norm sums rational magnitudes as
-one Fraction per row and encloses each distinct cyclotomic value once per
-call.  The references below are the earlier
+one Fraction per row and encloses each distinct cyclotomic value at most
+once per call, skipping the rows whose bound cannot reach the maximum;
+max_magnitude_sum is checked against conftest.reference_max_magnitude_sum,
+which encloses every row.  The references below are the earlier
 per-term loops; products and merges are checked against conftest.fold, the
 CyclotomicNumber fold.
 Results are compared field for field, (order, coords) and the key order of
@@ -26,10 +28,11 @@ from hypothesis import strategies as st
 from conftest import (coefficient_support, coset_fraction_key, fold,
                       fold_product, fraction_derivative, interval_max,
                       matrix_inverse, reference_magnitude_interval,
-                      term_fields)
+                      reference_max_magnitude_sum, term_fields)
 from maskforge import cyclotomic
-from maskforge.cyclotomic import (CyclotomicNumber, exp_of_rational,
-                                  magnitude_interval, root_of_unity)
+from maskforge.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
+                                  exp_of_rational, magnitude_interval,
+                                  max_magnitude_sum, root_of_unity)
 from maskforge.intervals import RatInterval
 from maskforge.subdivision import MatrixMask, operator_norm
 from maskforge.trigpoly import TrigPoly
@@ -318,14 +321,9 @@ def test_operator_norm_mixed_fixed_mask(precision_bits):
     assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
-def test_operator_norm_encloses_each_value_once(monkeypatch):
-    # z repeats across frequencies, entries and both cosets of 2Z
-    z, w = root_of_unity(3, 1) + Fraction(1, 2), root_of_unity(5, 2) * Fraction(1, 3)
-    mask = MatrixMask([
-        [TrigPoly(1, {(0,): z, (1,): z, (2,): w, (3,): z}),
-         TrigPoly(1, {(0,): z, (1,): Fraction(1, 4)})],
-        [TrigPoly(1, {(1,): z, (2,): z}), TrigPoly(1, {(0,): w, (3,): z})]])
-    want = folded_norm(mask, ((2,),))
+def counted_enclosures(monkeypatch):
+    """The (order, coords) of each value magnitude_interval encloses, in
+    the order of the calls."""
     enclosed = []
 
     def counting(x, precision_bits, den, products):
@@ -334,11 +332,112 @@ def test_operator_norm_encloses_each_value_once(monkeypatch):
             order, [Fraction(c, den) for c in coords]).coords))
         return magnitude_interval(x, precision_bits, den, products)
     monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
+    return enclosed
+
+
+def test_operator_norm_encloses_each_value_once(monkeypatch):
+    # z repeats across frequencies, entries and both cosets of 2Z
+    z, w = root_of_unity(3, 1) + Fraction(1, 2), root_of_unity(5, 2) * Fraction(1, 3)
+    mask = MatrixMask([
+        [TrigPoly(1, {(0,): z, (1,): z, (2,): w, (3,): z}),
+         TrigPoly(1, {(0,): z, (1,): Fraction(1, 4)})],
+        [TrigPoly(1, {(1,): z, (2,): z}), TrigPoly(1, {(0,): w, (3,): z})]])
+    want = folded_norm(mask, ((2,),))
+    enclosed = counted_enclosures(monkeypatch)
     got = operator_norm(mask, ((2,),))
     assert not got.is_exact
     assert (got.lo, got.hi) == (want.lo, want.hi)
-    # each distinct non-rational value exactly once, held at its own order
-    assert sorted(enclosed) == sorted([(z.order, z.coords), (w.order, w.coords)])
+    # no value enclosed twice, each held at its own order
+    assert len(set(enclosed)) == len(enclosed)
+    assert set(enclosed) <= {(z.order, z.coords), (w.order, w.coords)}
+
+
+def test_operator_norm_skips_a_dominated_row(monkeypatch):
+    # row 0 sums 3 + |z| on the even coset; row 1 sums |w| = 1/3 on the odd
+    # one, below row 0's bound before anything is enclosed
+    z, w = root_of_unity(3, 1), root_of_unity(5, 2) * Fraction(1, 3)
+    mask = MatrixMask([[TrigPoly(1, {(0,): Fraction(3), (2,): z})],
+                       [TrigPoly(1, {(1,): w})]])
+    want = folded_norm(mask, ((2,),))
+    enclosed = counted_enclosures(monkeypatch)
+    got = operator_norm(mask, ((2,),))
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert enclosed == [(z.order, z.coords)]
+
+
+def test_integer_row_above_every_bound_encloses_nothing(monkeypatch):
+    enclosed = counted_enclosures(monkeypatch)
+    got = max_magnitude_sum([[(3, (0, 1)), 2], [-4], [(5, (1, 1, 0, 0))]], 1, 32)
+    assert (got.lo, got.hi) == (4, 4)
+    assert enclosed == []
+
+
+# -- pruned magnitude sums against the unpruned search --------------------------
+
+# (order, k) with zeta_order^k one vector of the canonical basis
+BASIS_ROOTS = ((3, 1), (4, 1), (5, 1), (5, 2), (5, 3), (12, 1), (12, 2), (12, 3))
+# units of modulus below 1, whose powers cancel to far below the sum of their
+# |coords|: 2 - sqrt(3) = 2 - z - z^11 at order 12, 2 cos(2 pi/5) = z + z^4
+# at order 5
+SMALL_UNITS = (CyclotomicNumber(12, [2, -1, *[0] * 9, -1]),
+               root_of_unity(5, 1) + root_of_unity(5, 4))
+
+
+def sum_value(x):
+    """The (order, integer coords) that max_magnitude_sum reads for an
+    integral non-rational x."""
+    deg = len(cyclotomic_polynomial(x.order)) - 1
+    return x.order, tuple(int(c) for c in x.coords[:deg])
+
+
+@st.composite
+def magnitude_rows(draw):
+    """(rows, den): rows of bound B or B less a gap of 1/den or of up to a
+    few units in the last place of the 48- or 144-bit enclosures.  Each row is one
+    single-term value c zeta^k, whose magnitude is its bound, one value far
+    below its bound, or integers only, all with integers beside them."""
+    den = draw(st.sampled_from((1, 3, 12)) | st.sampled_from(
+        (40, 60, 140, 160)).map(lambda k: (1 << k) + 1))
+    top = draw(st.integers(1, 40)) * den
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        gap = draw(st.sampled_from((0, 1)) | st.integers(0, top >> 45)
+                   | st.integers(0, top >> 141))
+        bound = max(top - gap, 1)
+        kind = draw(st.sampled_from(("single", "single", "cancel", "integers")))
+        sign = draw(st.sampled_from((-1, 1)))
+        if kind == "integers":
+            split = draw(st.integers(0, bound))
+            rows.append([split, sign * (split - bound)])
+            continue
+        if kind == "single":
+            order, k = draw(st.sampled_from(BASIS_ROOTS))
+            c = draw(st.integers(1, bound))
+            rows.append([sum_value(root_of_unity(order, k) * (sign * c)),
+                         draw(st.sampled_from((-1, 1))) * (bound - c)])
+            continue
+        x = root_of_unity(12, draw(st.integers(0, 11))) * sign
+        for _ in range(draw(st.integers(1, 8))):
+            x = x * draw(st.sampled_from(SMALL_UNITS))
+        rows.append([sum_value(x * draw(st.integers(1, max(1, bound >> 20)))),
+                     draw(st.integers(0, bound))])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], den
+
+
+@settings(PROFILE, max_examples=150)
+@given(magnitude_rows(), st.booleans())
+# an integer row E above a value's bound E - 1 that the value's upper end
+# passes, at 32 and at 128 bits: a search without a margin drops that end
+@example(([[1 << 60], [(5, (0, (1 << 60) - 1, 0, 0))]], 1), False)
+@example(([[1 << 160], [(5, (0, (1 << 160) - 1, 0, 0))]], 1), True)
+def test_pruned_magnitude_sum_matches_every_row_enclosed(case, as_generator):
+    rows, den = case
+    for bits in (32, 128):
+        want = reference_max_magnitude_sum(rows, den, bits)
+        got = max_magnitude_sum((row for row in rows) if as_generator else rows,
+                                den, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 # -- raw magnitude enclosures against the iv context -----------------------------

@@ -27,7 +27,11 @@ and smooth blocks must be the golden bytes.
 The smooth block of the order-1 mask is also pinned at the two extremes of
 MASKFORGE_PRECISION_BITS, 32 and 8,192 bits, where its norms print the raw
 dyadic endpoints of 48- and 8,208-bit enclosures.  Both files were recorded
-while the enclosures still ran on mpmath's libmp interval functions.
+while the enclosures still ran on mpmath's libmp interval functions.  The
+order-2 mask's smooth block is pinned at 32 bits too: there the enclosures
+are widest, so a pruning margin too small to cover them shows first, and
+the norms' bound-ordered search skips about 80 % of them.  That file was
+recorded while every row of each norm was enclosed.
 """
 
 import json
@@ -38,6 +42,8 @@ import pytest
 
 from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION,
                       random_cyclotomic_class_mask)
+from maskforge import cyclotomic
+from maskforge.cyclotomic import magnitude_interval
 from maskforge.lattice import DilationContext
 from maskforge.maskfile import mask_document
 from test_golden_machine import GOLDEN, machine_text
@@ -133,13 +139,33 @@ def test_non_canonical_coords_give_the_golden_bytes(name, mask, args, tmp_path):
     assert got == (GOLDEN / f"{name}.json").read_text()
 
 
-PRECISIONS = [("cyc35_order1_smooth_lmax2_bits32", 32),
-              ("cyc35_order1_smooth_lmax2_bits8192", 8192)]
+PRECISIONS = [("cyc35_order1_smooth_lmax2_bits32", "cyc35_order1", 32),
+              ("cyc35_order1_smooth_lmax2_bits8192", "cyc35_order1", 8192),
+              ("cyc3_order2_smooth_lmax2_bits32", "cyc3_order2", 32)]
 
 
-@pytest.mark.parametrize("name, bits", PRECISIONS, ids=[c[0] for c in PRECISIONS])
-def test_precision_extremes_give_the_golden_bytes(name, bits, mask_files,
+@pytest.mark.parametrize("name, mask, bits", PRECISIONS,
+                         ids=[c[0] for c in PRECISIONS])
+def test_precision_extremes_give_the_golden_bytes(name, mask, bits, mask_files,
                                                   monkeypatch):
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", str(bits))
-    got = machine_text(["smooth", mask_files["cyc35_order1"], "--lmax", "2"])
+    got = machine_text(["smooth", mask_files[mask], "--lmax", "2"])
     assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name, bits", [("cyc3_order2_smooth_lmax2", 128),
+                                        ("cyc3_order2_smooth_lmax2_bits32", 32)])
+def test_smooth_encloses_only_the_rows_that_can_hold_the_maximum(
+        name, bits, mask_files, monkeypatch):
+    # every row enclosed took 2,532 enclosures; the rows a larger lower end
+    # already bounds take none
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return magnitude_interval(*args)
+    monkeypatch.setattr(cyclotomic, "magnitude_interval", counting)
+    monkeypatch.setenv("MASKFORGE_PRECISION_BITS", str(bits))
+    got = machine_text(["smooth", mask_files["cyc3_order2"], "--lmax", "2"])
+    assert got == (GOLDEN / f"{name}.json").read_text()
+    assert len(calls) == 520
