@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 from .errors import (PRODUCT_BUDGET, BudgetExceeded, InternalIdentityViolation,
                      NotInClass)
-from .lattice import DilationContext, _Box, mat_vec
+from .lattice import CONTEXT_CACHE_SIZE, DilationContext, _Box, mat_vec
 from .sumrules import (_direct_kernel, digit_interpolant, multi_indices,
                        sum_rule_order, sum_rule_order_direct, unit_derivative_poly)
 from .trigpoly import (TrigPoly, _coefficient_sum, _merge_vectors,
@@ -289,7 +289,7 @@ def _telescope(t: TrigPoly, ctx: DilationContext) -> list:
     return rows
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def _star_points(ctx: DilationContext) -> tuple:
     """Per plain axis k and coset nu, the base point (n, q) of digit_nu - e_k:
     digit_nu - e_k = matrix @ q + digit_n, so the telescoping shifts the

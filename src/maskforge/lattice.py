@@ -10,6 +10,12 @@ modulo the matrix exactly when their adjugate images agree modulo |det| (the
 fraction-free idiom determinant() uses), the quotient of a vector by the
 matrix is its adjugate image divided exactly by det, and |M^-k| is
 |adjugate^k| / |det|^k.
+
+What depends on the dilation alone is formed once per process and shared:
+the contexts (DilationContext.create), the isotropy reports (is_isotropic)
+and the powers with their adjugates and determinants (dilation_power).  The
+caches are keyed by int matrices and digit lists, never by a mask, and hold
+at most CONTEXT_CACHE_SIZE contexts and reports and POWER_CACHE_SIZE powers.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul
 from typing import NamedTuple
 
@@ -29,6 +36,12 @@ IntVector = tuple[int, ...]
 # powers k whose similarity products |M^k| * |M^-k| the isotropy report lists
 ISOTROPY_PROBE_DEPTH = 8
 
+# bounds of the per-process caches of dilation-only data: contexts (and the
+# caches keyed by a context) and isotropy reports, and matrix powers, of
+# which an isotropy report reads ISOTROPY_PROBE_DEPTH per matrix
+CONTEXT_CACHE_SIZE = 64
+POWER_CACHE_SIZE = 512
+
 
 def as_int_matrix(rows) -> IntMatrix:
     mat = tuple(tuple(int(x) for x in row) for row in rows)
@@ -36,6 +49,13 @@ def as_int_matrix(rows) -> IntMatrix:
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     return mat
+
+
+def as_int_vectors(vectors) -> tuple[IntVector, ...] | None:
+    """Each vector as an int tuple; None stays None."""
+    if vectors is None:
+        return None
+    return tuple(tuple(int(x) for x in v) for v in vectors)
 
 
 def determinant(matrix) -> int:
@@ -194,6 +214,36 @@ def adjugate(matrix) -> IntMatrix:
         for j in axes) for i in axes)
 
 
+class DilationPower(NamedTuple):
+    """M^L with what its cosets and growth are read from: adjugate(M^L) =
+    adjugate(M)^L, det(M^L) = det(M)^L, and the infinity norm of
+    transpose(M)^L = transpose(M^L)."""
+    matrix: IntMatrix
+    adjugate: IntMatrix
+    det: int
+    transposed_norm: int
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def dilation_power(matrix: IntMatrix, exponent: int) -> DilationPower:
+    """The exponent-th DilationPower of an int matrix (as as_int_matrix gives
+    it), formed once per process from the power before it: a caller that
+    walks the exponents up forms one product per power."""
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    if exponent == 0:
+        identity = matrix_power(matrix, 0)
+        return DilationPower(identity, identity, 1, 1)
+    if exponent == 1:
+        power, adj, det = matrix, adjugate(matrix), determinant(matrix)
+    else:
+        first, last = dilation_power(matrix, 1), dilation_power(matrix, exponent - 1)
+        power = mat_mul(last.matrix, matrix)
+        adj = mat_mul(first.adjugate, last.adjugate)
+        det = first.det * last.det
+    return DilationPower(power, adj, det, inf_norm(transpose(power)))
+
+
 def _mul_add(a, b, c: int):
     """a @ b + c * identity."""
     return tuple(tuple(x + c * (i == j) for j, x in enumerate(row))
@@ -282,13 +332,13 @@ def digit_set(matrix, user_digits=None) -> tuple[IntVector, ...]:
     """
     matrix = as_int_matrix(matrix)
     dim = len(matrix)
-    m = abs(determinant(matrix))
+    first = dilation_power(matrix, 1)
+    m, adj = abs(first.det), first.adjugate
     if m == 0:
         raise MaskforgeError("matrix is singular")
-    adj = adjugate(matrix)
 
     if user_digits is not None:
-        digits = tuple(tuple(int(x) for x in d) for d in user_digits)
+        digits = as_int_vectors(user_digits)
         if len(digits) != m:
             raise UserDigitsInvalid(f"expected {m} digits, got {len(digits)}")
         if any(len(d) != dim for d in digits):
@@ -329,6 +379,13 @@ class IsotropyReport:
 
 
 def is_isotropic(matrix) -> IsotropyReport:
+    """The isotropy report of an integer matrix, decided once per process
+    for each matrix (_isotropy) and shared: the report is immutable."""
+    return _isotropy(as_int_matrix(matrix))
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _isotropy(matrix: IntMatrix) -> IsotropyReport:
     """Exact isotropy verdict: "yes" exactly when M is diagonalizable with
     eigenvalues of equal moduli, decided on A = M^dim, whose eigenvalues then
     all have modulus |det M|.  The squarefree part s of det(x - A) must
@@ -338,16 +395,14 @@ def is_isotropic(matrix) -> IsotropyReport:
     The exact similarity products |M^k| * |M^-k| for k <= ISOTROPY_PROBE_DEPTH
     are reported alongside, each as |M^k| * |adjugate^k| / |det|^k.
     """
-    matrix = as_int_matrix(matrix)
-    m, adj = abs(determinant(matrix)), adjugate(matrix)
+    m = abs(dilation_power(matrix, 1).det)
     if m == 0:
         raise MaskforgeError("matrix is singular")
-    power, adj_power, best = matrix, adj, Fraction(0)
-    for k in range(1, ISOTROPY_PROBE_DEPTH + 1):
-        best = max(best, Fraction(inf_norm(power) * inf_norm(adj_power), m ** k))
-        power, adj_power = mat_mul(power, matrix), mat_mul(adj_power, adj)
+    best = max(Fraction(inf_norm(p.matrix) * inf_norm(p.adjugate), abs(p.det))
+               for p in (dilation_power(matrix, k)
+                         for k in range(1, ISOTROPY_PROBE_DEPTH + 1)))
 
-    power = matrix_power(matrix, len(matrix))
+    power = dilation_power(matrix, len(matrix)).matrix
     squarefree = _squarefree_part(characteristic_polynomial(power))
     value = ((0,) * len(matrix),) * len(matrix)
     for c in reversed(squarefree):
@@ -382,16 +437,31 @@ class DilationContext:
 
     @classmethod
     def create(cls, matrix, digits=None, dual_digits=None) -> "DilationContext":
+        """The context of an expanding matrix with the given digits and dual
+        digits, or canonical ones.  Arguments equal once read as ints give
+        one shared context, built once per process (_shared_context); a
+        validation error is raised on every call.  Arguments that cannot
+        be read as ints are checked as given, uncached, so the error is that
+        of the first check they fail."""
+        try:
+            key = (as_int_matrix(matrix), as_int_vectors(digits),
+                   as_int_vectors(dual_digits))
+        except (TypeError, ValueError, OverflowError):
+            return cls._build(matrix, digits, dual_digits)
+        return _shared_context(*key)
+
+    @classmethod
+    def _build(cls, matrix, digits, dual_digits) -> "DilationContext":
         matrix = as_int_matrix(matrix)
         dim = len(matrix)
-        det = determinant(matrix)
+        first = dilation_power(matrix, 1)
+        det = first.det
         if det == 0:
             raise MaskforgeError("dilation matrix must be nonsingular")
         if not _inside_unit_circle(characteristic_polynomial(matrix)[::-1]):
             raise MaskforgeError(
                 "all eigenvalues of a dilation matrix must exceed 1 in modulus")
-        m = abs(det)
-        adj = adjugate(matrix)
+        m, adj = abs(det), first.adjugate
         digits = digit_set(matrix, digits)
         dual_digits = digit_set(transpose(matrix), dual_digits)
         return cls(
@@ -430,3 +500,9 @@ class DilationContext:
         if any([r for _, r in quot]):
             raise InternalIdentityViolation("coset arithmetic failed")  # unreachable
         return idx, tuple([q for q, _ in quot])
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _shared_context(matrix: IntMatrix, digits, dual_digits) -> DilationContext:
+    """DilationContext.create on int arguments, memoized."""
+    return DilationContext._build(matrix, digits, dual_digits)

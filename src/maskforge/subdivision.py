@@ -55,9 +55,9 @@ from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
 from .errors import PRODUCT_BUDGET, BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
-from .lattice import (DilationContext, IsotropyReport, _Box, adjugate,
-                      determinant, dots, is_isotropic, mat_mul, mat_vec,
-                      matrix_power, power_inf_norm, transpose)
+from .lattice import (DilationContext, DilationPower, IsotropyReport, _Box,
+                      dilation_power, dots, is_isotropic, mat_vec,
+                      matrix_power)
 from .sumrules import sum_rule_order
 from .trigpoly import TrigPoly, _merge_vectors
 
@@ -408,8 +408,8 @@ def operator_norm(mask, dilation, precision_bits: int = 128) -> RatInterval:
 
     Exact rational for rational coefficients, otherwise a certified interval.
     """
-    return _norm(_numerators(_as_matrix_mask(mask)), _dilation_matrix(dilation),
-                 precision_bits)
+    return _norm(_numerators(_as_matrix_mask(mask)),
+                 dilation_power(_dilation_matrix(dilation), 1), precision_bits)
 
 
 class _Numerators(NamedTuple):
@@ -457,20 +457,22 @@ def _support(symbol: _Numerators) -> set:
                          for terms in entry.values()))
 
 
-def _norm(symbol: _Numerators, matrix, precision_bits: int) -> RatInterval:
-    """operator_norm of a symbol in integers, in one pass over each entry's
-    terms: per row and coset of matrix Z^d, the rational magnitudes are
-    summed as one integer and the other values gathered.  max_magnitude_sum
-    encloses those rows in descending order of their integer bounds (the
-    integers plus each value's sum of |coords|) and stops at the first whose
-    bound, widened by its proved rounding margin, is below the best lower
-    end or the best all-rational row: each distinct non-rational value it
-    reaches is enclosed once per call, the rows past that point never.  An
-    entry whose classes all sit at position 0 holds rational numerators as
-    they are; any other entry's values are reduced once at their labels."""
+def _norm(symbol: _Numerators, power: DilationPower,
+          precision_bits: int) -> RatInterval:
+    """operator_norm of a symbol in integers, acting with the matrix of
+    power, in one pass over each entry's terms: per row and coset of
+    matrix Z^d, the rational magnitudes are summed as one integer and the
+    other values gathered.  max_magnitude_sum encloses those rows in
+    descending order of their integer bounds (the integers plus each value's
+    sum of |coords|) and stops at the first whose bound, widened by its
+    proved rounding margin, is below the best lower end or the best
+    all-rational row: each distinct non-rational value it reaches is
+    enclosed once per call, the rows past that point never.  An entry whose
+    classes all sit at position 0 holds rational numerators as they are;
+    any other entry's values are reduced once at their labels."""
     field, den, entries, box = symbol
     support = list(_support(symbol))
-    coset = dict(zip(support, _coset_indices(support, matrix, box)))
+    coset = dict(zip(support, _coset_indices(support, power, box)))
     best = 0                      # the largest all-rational sum
     rows = []                     # the sums that hold other values
     for row in entries:
@@ -506,17 +508,18 @@ def _reduced(entry: dict, field: int) -> dict:
     return out
 
 
-def _coset_indices(support: list, matrix, box: _Box | None) -> list:
+def _coset_indices(support: list, power: DilationPower, box: _Box | None) -> list:
     """For each point of the support (a tuple, or an int code on box), the
-    index of its coset of matrix Z^d: two points get one index exactly when
-    they are congruent, that is when adj(matrix) x = adj(matrix) y mod |det|.
+    index of its coset of matrix Z^d, matrix that of power: two points get
+    one index exactly when they are congruent, that is when adj(matrix) x =
+    adj(matrix) y mod |det|.
 
     That vector is packed as one int, a digit of radix (d + 1) |det| per
     component: the sum over the axes i of a table entry for x_i, the
     multiple x_i adj e_i with each component reduced mod |det|, one entry
     per distinct coordinate.  No digit of a sum of d entries carries, so
     each distinct sum is reduced once more, digit by digit, to the index."""
-    adj, m = adjugate(matrix), abs(determinant(matrix))
+    adj, m = power.adjugate, abs(power.det)
     radix = (len(adj) + 1) * m
     if box is None:
         axes, offsets = list(zip(*support)), [0] * len(adj)
@@ -542,7 +545,8 @@ def _coset_indices(support: list, matrix, box: _Box | None) -> list:
 
 
 def _powers(scheme: MatrixMask, matrix, cap: int):
-    """Yield (L, symbol, matrix^L) for the L-fold operator, L = 1..cap.
+    """Yield (L, symbol, matrix^L) for the L-fold operator, L = 1..cap, the
+    int matrix's powers read from dilation_power.
 
     The symbol of the L-fold operator is the ordered product of the scheme
     with its images under increasing dilation powers, held as _Numerators
@@ -557,7 +561,7 @@ def _powers(scheme: MatrixMask, matrix, cap: int):
     would pass PRODUCT_BUDGET raises BudgetExceeded instead of being
     formed."""
     base = _numerators(scheme)
-    power, step = base, matrix
+    power = base
     held = min(cap, FIRST_BOX_POWERS)
     for L in range(1, cap + 1):
         if L > 1:
@@ -571,9 +575,9 @@ def _powers(scheme: MatrixMask, matrix, cap: int):
             elif L > held:
                 held = min(cap, 2 * held)
                 power = _recoded(power, _power_box(base, matrix, held))
-            power = _dilated_product(power, base, step)
-            step = mat_mul(step, matrix)
-        yield L, power, step
+            power = _dilated_product(power, base,
+                                     dilation_power(matrix, L - 1).matrix)
+        yield L, power, dilation_power(matrix, L).matrix
 
 
 def _pair_products(left: _Numerators, right: _Numerators) -> int:
@@ -597,14 +601,13 @@ def _power_box(base: _Numerators, matrix, cap: int) -> _Box:
     support = _support(base) or {(0,) * len(matrix)}
     low = high = [0] * len(matrix)
     lows, highs = [], []
-    step = matrix_power(matrix, 0)
-    for _ in range(cap):
+    for exponent in range(cap):
+        step = dilation_power(matrix, exponent).matrix
         images = list(zip(*(mat_vec(step, s) for s in support)))
         low = list(map(add, low, map(min, images)))
         high = list(map(add, high, map(max, images)))
         lows.append(low)
         highs.append(high)
-        step = mat_mul(step, matrix)
     return _Box.spanning([min(x) for x in zip(*lows)],
                          [max(x) for x in zip(*highs)])
 
@@ -761,20 +764,22 @@ class ConvergenceReport:
 
 def _certificate_search(scheme: MatrixMask, ctx: DilationContext, power_cap: int,
                         precision_bits: int,
-                        growth=None) -> tuple[list, int | None, str | None]:
+                        growth: bool = False) -> tuple[list, int | None, str | None]:
     """([(L, bound)], first L whose bound is certified below 1 or None, why
     the search stopped short of power_cap or None).
 
     The bound of the L-fold operator is its operator norm, times the
-    infinity norm of growth^L when a growth matrix is given; the search stops
-    at the first certified power, at power_cap, or before a power whose pair
-    products would pass PRODUCT_BUDGET."""
+    infinity norm of transpose(matrix)^L with growth; the search stops at
+    the first certified power, at power_cap, or before a power whose pair
+    products would pass PRODUCT_BUDGET.  Each power's adjugate, determinant
+    and growth are read from dilation_power, formed once per process."""
     bounds = []
     try:
-        for L, symbol, step in _powers(scheme, ctx.matrix, power_cap):
-            bound = _norm(symbol, step, precision_bits)
-            if growth is not None:
-                bound = bound * power_inf_norm(growth, L)
+        for L, symbol, _ in _powers(scheme, ctx.matrix, power_cap):
+            power = dilation_power(ctx.matrix, L)
+            bound = _norm(symbol, power, precision_bits)
+            if growth:
+                bound = bound * power.transposed_norm
             bounds.append((L, bound))
             if bound.certified_below(1):
                 return bounds, L, None
@@ -872,7 +877,7 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     if in_z1 and T is not None:
         Q = second_difference_scheme(T, ctx)
         products, certificate, stopped = _certificate_search(
-            Q, ctx, power_cap, precision_bits, growth=transpose(ctx.matrix))
+            Q, ctx, power_cap, precision_bits, growth=True)
         if certificate is None:
             reasons.append(stopped or f"no power up to {power_cap} contracts "
                            "against the dilation growth")

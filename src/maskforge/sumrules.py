@@ -18,15 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm, prod
-from operator import index, mul
+from operator import index, mul, sub
 
 from .cyclotomic import CyclotomicNumber, exp_of_rational
 from .errors import MethodDisagreement, NotInClass
-from .lattice import DilationContext, adjugate, determinant, mat_vec, mat_vecs
+from .lattice import (CONTEXT_CACHE_SIZE, DilationContext, adjugate,
+                      determinant, mat_vec, mat_vecs)
 from .trigpoly import (TrigPoly, _number, _placed, _point_kernel,
                        _point_moments, _sparse, _vanishes)
 
 DEFAULT_ORDER_CAP = 4
+
+# bound of the (alpha, m) table of the polyphase criterion's weights; a scan
+# to DEFAULT_ORDER_CAP in three dimensions reads 35 indices per m
+WEIGHT_CACHE_SIZE = 1024
 
 
 def multi_indices(dim: int, total: int):
@@ -106,14 +111,21 @@ def _origin_moment(part: list, alpha, field: int) -> tuple[list, int]:
     return vec, lcm(*orders)
 
 
+@lru_cache(maxsize=WEIGHT_CACHE_SIZE)
+def _polyphase_weights(alpha: tuple, m: int) -> tuple:
+    """(beta, C(alpha, beta) m^|beta|, alpha - beta) for each beta <= alpha:
+    the part of _polyphase_targets that depends on the dilation only."""
+    return tuple((beta, binom_multi(alpha, beta) * m ** sum(beta),
+                  tuple(map(sub, alpha, beta))) for beta in indices_below(alpha))
+
+
 def _polyphase_targets(moments: dict, alpha, shift, m: int) -> list:
     """m^|alpha| times the alpha moment the polyphase at the point shift / m
     must have: sum over beta <= alpha of C(alpha, beta) (-shift)^(alpha-beta)
     m^|beta| times the (vector, order) moment beta of polyphase 0."""
     acc = [0] * len(moments[alpha][0])
-    for beta in indices_below(alpha):
-        scale = binom_multi(alpha, beta) * m ** sum(beta) * prod(
-            (-s) ** (a - b) for s, a, b in zip(shift, alpha, beta))
+    for beta, weight, exponents in _polyphase_weights(alpha, m):
+        scale = weight * prod((-s) ** e for s, e in zip(shift, exponents))
         for i, y in enumerate(moments[beta][0]):
             acc[i] += scale * y
     return acc
@@ -280,10 +292,10 @@ def _unit_derivative_poly(cap: int, target: tuple, dim: int) -> TrigPoly:
     return poly
 
 
-@lru_cache(maxsize=None)
 def digit_interpolant(nu: int, ctx: DilationContext) -> TrigPoly:
     """Integer-frequency polynomial H with H(inverse-transpose x) taking the
-    value 1 at dual digit nu and 0 at the other dual digits (cached).
+    value 1 at dual digit nu and 0 at the other dual digits (built once per
+    context, with the other digits' interpolants).
 
     Coefficients are (1/m) e^(-2*pi*i*(dual_digit_nu, r_mu)) at frequency
     digit_mu; the interpolation property is exactly the unitarity of the digit
@@ -291,10 +303,16 @@ def digit_interpolant(nu: int, ctx: DilationContext) -> TrigPoly:
     """
     if not 0 <= nu < ctx.m:
         raise ValueError("digit index out of range")
-    dual, adj = ctx.dual_digits[nu], _signed_adjugate(ctx)
-    return TrigPoly(ctx.dim, {digit: exp_of_rational(Fraction(
-        -sum(map(mul, dual, mat_vec(adj, digit))), ctx.m)) * Fraction(1, ctx.m)
-        for digit in ctx.digits})
+    return _digit_interpolants(ctx)[nu]
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
+def _digit_interpolants(ctx: DilationContext) -> tuple:
+    """digit_interpolant of each dual digit of ctx, in order."""
+    images = mat_vecs(_signed_adjugate(ctx), list(ctx.digits))
+    return tuple(TrigPoly(ctx.dim, {digit: exp_of_rational(Fraction(
+        -sum(map(mul, dual, image)), ctx.m)) * Fraction(1, ctx.m)
+        for digit, image in zip(ctx.digits, images)}) for dual in ctx.dual_digits)
 
 
 def mask_from_derivative_table(ctx: DilationContext,

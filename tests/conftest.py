@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from mpmath import iv
 
+from maskforge import decompose, lattice, sumrules
 from maskforge.cyclotomic import (CyclotomicNumber, coerce,
                                   cyclotomic_polynomial, exp_of_rational,
                                   _dyadic, _dyadic_add, _F0,
@@ -49,6 +50,17 @@ EXAMPLE_POLYPHASE_16 = [
     {(0, 0): 5, (1, 0): 1, (-1, 0): 4, (0, 1): 1, (0, -1): 3, (1, 1): 1,
      (-1, 1): 1},
 ]
+
+
+@pytest.fixture(autouse=True)
+def fresh_dilation_caches():
+    """Empty every per-process cache of dilation-only data before each test:
+    a test then forms what it patches or counts itself, whatever ran before
+    it."""
+    for cached in (lattice._shared_context, lattice._isotropy,
+                   lattice.dilation_power, sumrules._digit_interpolants,
+                   sumrules._polyphase_weights, decompose._star_points):
+        cached.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -796,11 +796,14 @@ def test_bug_guard_exit_code(monkeypatch, capsys, tmp_path, argv, target, attr,
     # exact division, a failed coset split, a digit search that misses a
     # coset and a broken lift are bugs, not input errors: all get the
     # internal-error exit code
+    # only the files the case reads are built, so the dilation data the
+    # patched helper forms is not already in the per-process caches
     from maskforge.cli import EXIT_INTERNAL
-    files = {ORDER2: order2_mask(), CYC3: cyclotomic_mask("cyc3_order2")}
-    for name, (mask, ctx) in files.items():
-        (tmp_path / name).write_text(json.dumps(mask_document(mask, ctx)))
-    argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+    builders = {ORDER2: order2_mask, CYC3: lambda: cyclotomic_mask("cyc3_order2")}
+    for name, build in builders.items():
+        if name in argv:
+            (tmp_path / name).write_text(json.dumps(mask_document(*build())))
+    argv = [str(tmp_path / arg) if arg in builders else arg for arg in argv]
     monkeypatch.setattr(target + "." + attr, replacement)
     assert main(argv) == EXIT_INTERNAL == 6
     assert "internal error (bug guard)" in capsys.readouterr().err

@@ -28,7 +28,8 @@ from hypothesis import strategies as st
 from conftest import (CASES, contexts, operator_powers, point_entries,
                       random_class_mask, reference_norm, reference_powers)
 from maskforge.cyclotomic import root_of_unity
-from maskforge.lattice import DilationContext, power_inf_norm, transpose
+from maskforge.lattice import (DilationContext, dilation_power,
+                               power_inf_norm, transpose)
 from maskforge.subdivision import (MatrixMask, _certificate_search, _norm,
                                    _powers, _vectors, check_convergence,
                                    operator_norm)
@@ -74,8 +75,8 @@ def check_search(mask, ctx, cap):
             reference.append((L, bound))
             if bound.certified_below(1):
                 break
-        bounds, certificate, stopped = _certificate_search(mask, ctx, cap, 128,
-                                                           growth)
+        bounds, certificate, stopped = _certificate_search(
+            mask, ctx, cap, 128, growth is not None)
         assert stopped is None
         assert bounds == reference
         assert certificate == (bounds[-1][0] if bounds[-1][1].certified_below(1)
@@ -177,7 +178,8 @@ def test_coded_powers_match_the_tuple_reference(case):
         assert (symbol.field, symbol.den) == (want.field, want.den)
         assert point_entries(symbol) == want.entries, L
         for bits in (64, 128):
-            assert _norm(symbol, step, bits) == reference_norm(want, step, bits), L
+            assert _norm(symbol, dilation_power(matrix, L), bits) \
+                == reference_norm(want, step, bits), L
 
 
 def test_large_3d_trajectory_norms():
