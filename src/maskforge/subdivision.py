@@ -29,14 +29,17 @@ each distinct frequency's coset once, and encloses each distinct
 non-rational value once.  A power whose pair products would pass
 PRODUCT_BUDGET is not formed: the search stops before it, inconclusive.
 
-Applying a rational mask runs one integer kernel (_subdivide) on points
-held as one coordinate list per axis: a round codes the data's points on a
-box with one map per axis, sums the products under int codes, and decodes
-the codes that carry a nonzero sum back into coordinate lists, each
-coordinate int shared through a dict of the distinct digits, so a round's
-memory follows the support, not the span of the box.  An IntSequence
-holds its points in that form, so refine's rounds, each one apply, build
-no point tuple.
+apply has two paths.  Scalar rational data held as an IntSequence, under a
+rational scalar mask, run one integer kernel (_subdivide) on points held
+as one coordinate list per axis: a round codes the data's points on a box
+with one map per axis, sums the products under int codes, and decodes the
+codes that carry a nonzero sum back into coordinate lists, each coordinate
+int shared through a dict of the distinct digits, so a round's memory
+follows the support, not the span of the box.  refine's rounds, each one
+apply, build no point tuple.  Every Sequence, rational or not, of any
+width, takes the exact reference path, the symbol product of
+MatrixMask.matmul_dilated; IntSequence.from_sequence takes rational scalar
+data to the kernel.
 """
 
 from __future__ import annotations
@@ -224,25 +227,21 @@ def _dilation_matrix(dilation):
 def apply(mask, dilation, f):
     """One subdivision step: (S f)_alpha = sum A_(alpha - M beta) f_beta.
 
-    f is a Sequence, or an IntSequence under a rational scalar mask: that is
-    stepped in integers on its coordinate lists, and the result is the
-    IntSequence of S f over f.den * D_a, with no Fraction and no point tuple
-    built.  Rational masks acting on rational Sequences take the same
-    integer kernel; anything cyclotomic takes the generic exact path.  Both
-    give the same sequence."""
+    Two paths give the same sequence.  An IntSequence, under a rational
+    scalar mask, is stepped by the integer kernel (_subdivide) on its
+    coordinate lists: the result is the IntSequence of S f over
+    f.den * D_a, with no Fraction and no point tuple built.  Every Sequence,
+    of any width and over any field, takes the exact reference path
+    (_apply_generic), one exact value at a time; IntSequence.from_sequence
+    takes rational scalar data to the kernel."""
     mask = _as_matrix_mask(mask)
     matrix = _dilation_matrix(dilation)
     if isinstance(f, IntSequence):
-        if (mask.rows, mask.cols) != (1, 1):
-            raise ShapeMismatch("integer data needs a scalar mask")
         kernel = _kernel(mask)
-        axes, (values,) = _subdivide(kernel, matrix, f.axes, [f.values])
+        axes, values = _subdivide(kernel, matrix, f.axes, f.values)
         return IntSequence(f.dim, f.den * kernel.den, axes, values)
     if mask.cols != f.width:
         raise ShapeMismatch(f"mask expects width {mask.cols}, sequence has {f.width}")
-    if mask.is_rational() and all(isinstance(v, Rational)
-                                  for vec in f.values.values() for v in vec):
-        return _apply_rational(mask, matrix, f)
     return _apply_generic(mask, matrix, f)
 
 
@@ -267,10 +266,11 @@ class IntSequence(NamedTuple):
             raise ShapeMismatch(f"integer data is scalar, got width {f.width}")
         if not all(isinstance(v, Rational) for (v,) in f.values.values()):
             raise TypeError("integer data needs rational values")
-        den, points, (values,) = _data_numerators(f)
-        rows = sorted(zip(points, values))
-        return cls(f.dim, den, _axes(f.dim, [alpha for alpha, _ in rows]),
-                   [n for _, n in rows])
+        den = lcm(*(v.denominator for (v,) in f.values.values()))
+        rows = sorted(f.values.items())  # the points are distinct keys
+        axes = list(zip(*(alpha for alpha, _ in rows))) or [()] * f.dim
+        return cls(f.dim, den, axes,
+                   [v.numerator * (den // v.denominator) for _, (v,) in rows])
 
     def to_sequence(self) -> Sequence:
         return Sequence._trusted(self.dim, 1, {
@@ -278,93 +278,57 @@ class IntSequence(NamedTuple):
             for alpha, n in zip(zip(*self.axes), self.values)})
 
 
-def _axes(dim: int, points) -> list:
-    """The points as one coordinate list per axis."""
-    return list(zip(*points)) or [()] * dim
-
-
-def _apply_rational(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
-    """Fraction-free apply: one round of the integer kernel, each output value
-    built once as (sum of n * p) / (D_a * D_f)."""
-    kernel = _kernel(mask)
-    d_f, points, columns = _data_numerators(f)
-    axes, rows = _subdivide(kernel, matrix, _axes(f.dim, points), columns)
-    den = kernel.den * d_f
-    return Sequence._trusted(f.dim, mask.rows, {
-        alpha: tuple(Fraction(n, den) for n in sums)
-        for alpha, sums in zip(zip(*axes), zip(*rows))})
-
-
 class _Kernel(NamedTuple):
-    """A rational matrix mask in integers: columns[j] lists (alpha, i, n) for
-    each coefficient n / den of entry (i, j) at offset alpha."""
+    """A rational scalar mask in integers: terms lists (alpha, n) for each
+    coefficient n / den at offset alpha."""
     den: int
-    rows: int
-    columns: list
+    terms: list
 
 
 def _kernel(mask: MatrixMask) -> _Kernel:
-    """The mask in integers, built once per mask object: raises TypeError
-    unless every coefficient is rational."""
+    """The mask in integers, built once per mask object: raises ShapeMismatch
+    unless the mask is scalar and TypeError unless it is rational."""
     if mask._kernel is None:
+        if (mask.rows, mask.cols) != (1, 1):
+            raise ShapeMismatch("integer data needs a scalar mask")
         if not mask.is_rational():
             raise TypeError("the integer kernel needs a rational mask")
-        symbol = _numerators(mask)  # N = 1: one class of numerators per entry
-        columns = [[] for _ in range(mask.cols)]
-        for i, row in enumerate(symbol.entries):
-            for j, entry in enumerate(row):
-                for terms in entry.values():
-                    columns[j].extend((alpha, i, n) for alpha, n in terms.items())
-        mask._kernel = _Kernel(symbol.den, mask.rows, columns)
+        symbol = _numerators(mask)  # N = 1: one class of numerators
+        ((entry,),) = symbol.entries
+        mask._kernel = _Kernel(symbol.den, [term for terms in entry.values()
+                                            for term in terms.items()])
     return mask._kernel
 
 
-def _data_numerators(f: Sequence) -> tuple[int, list, list]:
-    """(D_f, the points, one list per component): rational data as integer
-    numerators over the common denominator D_f of its values, one per point
-    in each component's list."""
-    d_f = lcm(*(v.denominator for vec in f.values.values() for v in vec))
-    return d_f, list(f.values), [
-        [vec[j].numerator * (d_f // vec[j].denominator) for vec in f.values.values()]
-        for j in range(f.width)]
-
-
 def _subdivide(kernel: _Kernel, matrix, axes: list,
-               columns: list) -> tuple[list, list]:
+               values: list) -> tuple[list, list]:
     """One subdivision round in integers.  The data's points come as one
-    coordinate list per axis, and column j of the data as one numerator per
-    point, over one denominator D.  The result is (axes, rows): the points
-    where some row's sum of n * p is nonzero, as coordinate lists, and
-    rows[i] the sum of row i at each of them, over kernel.den * D, the
-    points in lattice order.
+    coordinate list per axis, each with a nonzero numerator in values, over
+    one denominator D.  The result is (axes, values): the points where the
+    sum of n * p is nonzero, as coordinate lists in lattice order, and that
+    sum at each of them, over kernel.den * D.
 
     Each lattice point is coded on a _Box that holds every target
     alpha + matrix beta: the codes of the matrix betas are formed with one
     map per axis, and a product is placed with one int add and summed under
     its code, which _Box.points decodes once, after the sums."""
-    offsets = [alpha for terms in kernel.columns for alpha, _, _ in terms]
-    if not offsets or not axes[0]:
-        return [[] for _ in axes], [[] for _ in range(kernel.rows)]
+    if not kernel.terms or not values:
+        return [[] for _ in axes], []
+    offsets = [alpha for alpha, _ in kernel.terms]
     reach = [max(max(xs), -min(xs)) for xs in axes]
     radius = [sum(abs(m) * r for m, r in zip(row, reach)) for row in matrix]
     lo = [min(x) - r for x, r in zip(zip(*offsets), radius)]
     hi = [max(x) + r for x, r in zip(zip(*offsets), radius)]
     box = _Box.spanning(lo, hi)
-    codes = dots(axes, box.columns(matrix))
-    out = [defaultdict(int) for _ in range(kernel.rows)]
-    for terms, column in zip(kernel.columns, columns):
-        terms = [(box.code(alpha), out[i], n) for alpha, i, n in terms]
-        for c, p in itertools.compress(zip(codes, column), column):
-            for a, acc, n in terms:
-                acc[a + c] += n * p
-    if len(out) == 1:  # refine's case: no set of every code is built
-        codes = list(itertools.compress(out[0], out[0].values()))
-    else:  # a point is kept where any row's sum is nonzero
-        codes = list({c for acc in out for c, x in acc.items() if x})
-    codes.sort()  # code order on a box is lattice order
-    rows = [list(map(acc.__getitem__, codes)) for acc in out]
-    out.clear()  # the tables are freed before the points are built
-    return box.points(codes), rows
+    terms = [(box.code(alpha), n) for alpha, n in kernel.terms]
+    sums = defaultdict(int)
+    for c, p in zip(dots(axes, box.columns(matrix)), values):
+        for a, n in terms:
+            sums[a + c] += n * p
+    codes = sorted(itertools.compress(sums, sums.values()))  # lattice order
+    values = list(map(sums.__getitem__, codes))
+    sums.clear()  # the table is freed before the points are built
+    return box.points(codes), values
 
 
 def _apply_generic(mask: MatrixMask, matrix, f: Sequence) -> Sequence:
@@ -908,7 +872,9 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     Each round is one apply on integer numerators and coordinate lists, so
     the values stay over the one denominator D_a^rounds * D_f and no point
     tuple is built.  A round that would form more than PRODUCT_BUDGET
-    products |supp f| * |supp t| raises BudgetExceeded before it starts."""
+    products |supp f| * |supp t| raises BudgetExceeded before it starts.
+    Once a round leaves no value, every later round would too: the
+    denominator takes their factors D_a in one power and refine stops."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     mask = MatrixMask.from_scalar(t)
@@ -922,4 +888,8 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
                 f"points x {len(t.vectors)} mask terms), over the budget of "
                 f"{PRODUCT_BUDGET}")
         data = apply(mask, ctx, data)
+        if not data.values:
+            later = rounds - done - 1
+            data = data._replace(den=data.den * _kernel(mask).den ** later)
+            break
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

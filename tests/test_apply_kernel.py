@@ -1,26 +1,25 @@
-"""The integer-numerator apply kernel against the generic exact path.
+"""apply's integer kernel against the exact reference path.
 
-apply() sends rational masks acting on rational data to an integer kernel and
-everything else to the generic path, which multiplies one exact value at a
-time.  The properties below draw dilations, masks and data and require the
-two paths to build the very same sequence: the same support (points whose
-contributions cancel are dropped by both) and the same Fractions.
+apply() steps an IntSequence under a rational scalar mask on the integer
+kernel, and takes every Sequence, rational or not, to the reference path,
+which multiplies one exact value at a time.  The properties below draw
+dilations, masks and data and require the kernel, reached through
+IntSequence.from_sequence, to build the very same sequence as the
+reference: the same support (points whose contributions cancel are dropped
+by both) and the same Fractions.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import (EXAMPLE_DIGITS, EXAMPLE_DILATION, dilations, points,
-                      random_class_mask, rationals)
+from conftest import dilations, points, rationals
 from maskforge import subdivision
 from maskforge.cyclotomic import root_of_unity
-from maskforge.decompose import decompose_mask
-from maskforge.lattice import DilationContext, mat_vec
-from maskforge.subdivision import MatrixMask, Sequence, apply
+from maskforge.lattice import mat_vec
+from maskforge.subdivision import IntSequence, MatrixMask, Sequence, apply
 from maskforge.trigpoly import TrigPoly
 
 # deterministic and small: the whole module runs in about three seconds
@@ -33,45 +32,15 @@ def scalar_masks(dim):
         lambda terms: TrigPoly(dim, terms))
 
 
-def sequences(dim, width):
-    return st.dictionaries(points(dim), st.tuples(*[rationals()] * width),
-                           max_size=6).map(
-        lambda values: Sequence(dim, width, values))
-
-
-def difference_schemes():
-    """2x2 difference schemes of order-1 masks on two 2-d dilations."""
-    out = []
-    for matrix, digits in ((EXAMPLE_DILATION, EXAMPLE_DIGITS),
-                           (((1, 1), (-1, 1)), None)):
-        ctx = DilationContext.create(matrix, digits=digits)
-        for seed in (1, 2):
-            t = random_class_mask(random.Random(seed), ctx, 1)
-            out.append((ctx.matrix,
-                        MatrixMask.from_decomposition(decompose_mask(t, ctx))))
-    return out
-
-
-DIFFERENCE_SCHEMES = difference_schemes()
+def sequences(dim):
+    return st.dictionaries(points(dim), st.tuples(rationals()), max_size=6).map(
+        lambda values: Sequence(dim, 1, values))
 
 
 @st.composite
 def scalar_cases(draw):
     dim = draw(st.integers(1, 3))
-    return draw(dilations(dim)), draw(scalar_masks(dim)), draw(sequences(dim, 1))
-
-
-@st.composite
-def matrix_cases(draw):
-    if draw(st.booleans()):
-        matrix, mask = draw(st.sampled_from(DIFFERENCE_SCHEMES))
-        dim = 2
-    else:
-        dim = draw(st.integers(1, 3))
-        matrix = draw(dilations(dim))
-        mask = MatrixMask([[draw(scalar_masks(dim)) for _ in range(2)]
-                           for _ in range(2)])
-    return matrix, mask, draw(sequences(dim, 2))
+    return draw(dilations(dim)), draw(scalar_masks(dim)), draw(sequences(dim))
 
 
 @st.composite
@@ -93,25 +62,20 @@ def cancelling_cases(draw):
 
 
 def assert_same_as_generic(mask, matrix, f):
-    fast = apply(mask, matrix, f)
+    fast = apply(mask, matrix, IntSequence.from_sequence(f)).to_sequence()
     ref = subdivision._apply_generic(subdivision._as_matrix_mask(mask),
                                      matrix, f)
     assert (fast.dim, fast.width) == (ref.dim, ref.width)
     assert fast.values == ref.values
-    assert all(type(v) is Fraction for vec in fast.values.values() for v in vec)
+    out = apply(mask, matrix, f)  # a Sequence takes the reference path
+    assert out.values == ref.values
+    assert all(type(v) is Fraction for vec in out.values.values() for v in vec)
     return fast
 
 
 @PROFILE
 @given(scalar_cases())
 def test_scalar_kernel_matches_generic(case):
-    matrix, mask, f = case
-    assert_same_as_generic(mask, matrix, f)
-
-
-@PROFILE
-@given(matrix_cases())
-def test_matrix_kernel_matches_generic(case):
     matrix, mask, f = case
     assert_same_as_generic(mask, matrix, f)
 
@@ -126,11 +90,19 @@ def test_cancelled_points_are_dropped(case):
 
 
 def test_rational_inputs_take_the_kernel(monkeypatch, example_ctx, example_mask):
-    def refuse(*args):
-        raise AssertionError("generic path taken for rational inputs")
-    monkeypatch.setattr(subdivision, "_apply_generic", refuse)
-    out = apply(example_mask, example_ctx, Sequence.delta(2))
+    def refuse(patch, name):
+        def refused(*args):
+            raise AssertionError(f"{name} taken")
+        patch.setattr(subdivision, name, refused)
+
+    f = Sequence.delta(2)
+    with monkeypatch.context() as patch:
+        refuse(patch, "_apply_generic")  # integer data take the kernel
+        fast = apply(example_mask, example_ctx, IntSequence.from_sequence(f))
+    refuse(monkeypatch, "_subdivide")  # a Sequence takes the reference path
+    out = apply(example_mask, example_ctx, f)
     assert len(out.values) == len(example_mask.terms)
+    assert fast.to_sequence() == out
 
 
 @pytest.mark.parametrize("case", ["mask", "value"])
@@ -150,7 +122,7 @@ def test_cyclotomic_inputs_take_the_generic_path(monkeypatch, case):
 
     def refuse(*args):
         raise AssertionError("integer kernel taken for cyclotomic inputs")
-    monkeypatch.setattr(subdivision, "_apply_rational", refuse)
+    monkeypatch.setattr(subdivision, "_subdivide", refuse)
     out = apply(mask, matrix, f)
     assert out == Sequence(1, 1, want)
     assert out == subdivision._apply_generic(MatrixMask.from_scalar(mask),

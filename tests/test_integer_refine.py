@@ -151,3 +151,33 @@ def test_apply_steps_integer_data_as_it_steps_fractions(example_ctx, example_mas
     points = list(zip(*stepped.axes))
     assert points == sorted(points) and len(points) == len(stepped.values)
     assert stepped.to_sequence() == subdivision.apply(example_mask, example_ctx, f)
+
+
+@pytest.mark.parametrize("zero", ["data", "mask"])
+def test_refine_stops_at_the_first_empty_round(monkeypatch, example_ctx,
+                                               example_mask, zero):
+    # zero data, or a zero mask, leave no value after round 1; the later
+    # rounds' factors go into the denominator in one power
+    t = TrigPoly.zero(2) if zero == "mask" else example_mask
+    f = Sequence(2, 1, {(0, 0): (Fraction(0 if zero == "data" else 1, 3),)})
+    mask = MatrixMask.from_scalar(t)
+    stepped = IntSequence.from_sequence(f)
+    for _ in range(3):
+        stepped = subdivision.apply(mask, example_ctx, stepped)
+    assert stepped.values == []
+    calls, apply = [], subdivision.apply
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+    monkeypatch.setattr(subdivision, "apply", counted)
+    assert refine(t, example_ctx, f, 3) == (
+        stepped, matrix_power(example_ctx.adjugate, 3), example_ctx.det ** 3)
+    assert len(calls) == 1
+
+
+def test_zero_data_refine_prints_nothing(tmp_path, capsys):
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0,0\n")
+    assert main(["refine", EXAMPLE, "--rounds", "100000", "--data", str(data)]) == 0
+    assert capsys.readouterr().out == ""
