@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import fsum, gcd, isqrt, lcm, ldexp, sqrt
 from numbers import Rational
 from operator import itemgetter
 
@@ -444,6 +444,36 @@ def magnitude_interval(x, precision_bits: int = DEFAULT_PRECISION_BITS,
     return RatInterval(_dyadic(*lo), _dyadic(*hi))
 
 
+# a value whose |coords| sum to this or more, or a row whose integer bound
+# reaches _ROW_LIMIT, keeps its integer bound alone: no double overflows
+_FLOAT_LIMIT = 1 << 500
+_ROW_LIMIT = 1 << 1000
+# covers the six roundings of a row's float key: (1 + 8e)(1 - e)^6 > 1
+_WIDEN = 1 + 2.0 ** -50
+
+
+@lru_cache(maxsize=4096)
+def _root_floats(k: int, order: int, prec: int) -> tuple[float, float]:
+    """The doubles nearest the lower ends of the cos and sin enclosures of
+    _root_enclosure(k, order, prec)."""
+    (cos_lo, _), (sin_lo, _) = _root_enclosure(k, order, prec)
+    return float(_dyadic(*cos_lo)), float(_dyadic(*sin_lo))
+
+
+def _float_magnitude(order: int, coords, prec: int) -> float:
+    """|sum n_k zeta_order^k| of integer coords, in doubles: each product
+    of float(n_k) with _root_floats, the adds in k order, then the two
+    squares, their sum and math.sqrt."""
+    re = im = 0.0
+    for k, n in enumerate(coords):
+        if n:
+            c, s = _root_floats(k, order, prec)
+            x = float(n)
+            re += x * c
+            im += x * s
+    return sqrt(re * re + im * im)
+
+
 def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
     """Certified enclosure of the largest of the sums of |x| over each row
     of values x over den: a rational value given as its integer numerator,
@@ -452,19 +482,24 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
 
     Rational values are summed exactly in integers, and a row of rational
     values is compared as one integer, so the result is a point interval
-    whenever every value is rational.  Every other row gets the integer
-    bound B: its integers plus sum |coords| of each value, so |row| <= B/den
-    by the triangle inequality.  Rows are enclosed in descending order of
-    B, and the search stops at the first row with B/den * (1 + margin)
-    below the floor, the larger of the best lower end so far and the best
-    all-rational row.  Each distinct value is enclosed once per call by
-    magnitude_interval, from its integer coords, and each term product once
-    per call; each end of a row's enclosures is summed as one integer
-    numerator and one exponent.
-
-    Every endpoint is the one the unpruned search gives: a skipped row's
-    upper end is at most B/den * (1 + margin), below the floor, which the
-    result's lower end reaches; its lower end is below its upper end.
+    whenever every value is rational.  Every other row gets a key K with
+    K/den at least its enclosed upper end, the smaller of two:
+      - its integer bound B, its integers plus sum |coords| of each value,
+        so |row| <= B/den by the triangle inequality, widened by (1 +
+        margin) and rounded up to an int;
+      - its float key, when each value's sum of |coords| is below 2^500 and
+        B below 2^1000: its integers plus sum m over its values plus (B
+        less its integers) times eta, in doubles, m the value's
+        _float_magnitude and eta below.
+    Rows are enclosed in descending order of K, and the search stops at the
+    first row with K/den below the floor, the larger of the best lower end
+    so far and the best all-rational row.  Each distinct value is enclosed
+    once per call by magnitude_interval, from its integer coords, and each
+    term product once per call; each end of a row's enclosures is summed as
+    one integer numerator and one exponent.  The floats only order rows and
+    skip them: every endpoint is the one the unpruned search gives, since a
+    skipped row's upper end is at most K/den, below the floor, which the
+    result's lower end reaches, and its lower end is below its upper end.
 
     The margin.  magnitude_interval works at p = precision_bits + 16 bits,
     and each directed rounding to p bits changes a magnitude by a factor of
@@ -489,36 +524,87 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
     holds; then (1+u)^(t+9) <= 1 + 2(t+9)u <= 2, so hi <= Q (1 + 2(t+9)u +
     2 sqrt(2) w) < Q (1 + (t+100) 2^(2-p)).  A row's upper end sums its
     integers exactly and its values' upper ends exactly, so it is at most
-    B/den * (1 + margin) with margin = (T+100) 2^(2-p), T the longest coords
-    of the call, whatever the orders and the precision.
+    B/den * (1 + margin) with margin = (T+100) 2^(2-p), T the longest
+    coords of the row, whatever the orders and the precision.
+
+    The excess of the upper end over |x|.  With t below 2^40, so that tu
+    <= 2^-7:
+      - the ends of the coefficient interval lie between q_k (1-u)^4 and
+        q_k (1+u)^5, so it is at most 9.01 u q_k wide;
+      - an interval product is at most A(a) wid(b) + A(b) wid(a) wide, so
+        the product with the cos enclosure (A <= 1 + w, w = 64u) is at
+        most 74.01 u q_k wide, and 76.1 u q_k once its ends round;
+      - each of the t adds moves each end of re by at most u 1.02 Q, so re
+        lies in an interval of width W <= Q u (2.04t + 77), and im too;
+      - the upper end of re^2 is A(re)^2 <= (|Re| + W)^2, rounded up, so
+        hi <= (1+u)^3 sqrt((|Re| + W)^2 + (|Im| + W)^2) <= (1+u)^3 (|x| +
+        sqrt(2) W), by the triangle inequality in the plane.
+    So hi - |x| <= Q u (3.01 + 1.42 (2.04t + 77)) <= Q (t+40) 2^(3-p).
+
+    The float error.  Write S = den Q, R = den |x| = |sum n_k zeta^k|, and
+    e = 2^-53, the unit roundoff of a double.  Each c_k of _root_floats
+    lies within delta = w + e (1 + w) + 2^-1075 of cos_k (the enclosure's
+    width, the conversion of its lower end, an underflow), and delta <
+    2^-40 as p >= 48; the same holds for s_k.  float(n_k) is within e
+    |n_k|, each product rounds once, with at most 2^-1075 more if it
+    underflows, and the t adds into re round as recursive summation does,
+    by at most gamma_(t-1) times the sum of the |products| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, (3.5)).
+    So |re - Re| <= S (delta + 1.001 (t+1) e) + t 2^-1074, and the same
+    for im, and by the triangle inequality in the plane, |sqrt(re^2 +
+    im^2) - R| is at most sqrt(2) times that.  The two squares, their sum
+    and math.sqrt, each correctly rounded, move it by at most 2.0001 e R +
+    2^-536 more.  As S >= 1, the value's float m is within S (1.5w + (1.5t
+    + 5) e) <= S (2^(8-p) + (t+5) 2^-52) of R.
+    Together, den hi <= m + S eta, eta = 2^(8-p) + (t+5) 2^-52 + (t+40)
+    2^(3-p), t at most the longest coords T of the row.  The float key
+    forms float(its integers), eta (three ldexp, exact but for an underflow
+    of at most 2^-1074 each, and two adds), float(B less its integers)
+    times eta, and their sum with each m by math.fsum, correctly rounded.
+    Every term is at least 0, so each of those six roundings shrinks the
+    key by a factor of at least 1 - e, and the product by _WIDEN restores
+    it: (1 + 2^-50)(1 - e)^6 > 1 with room for the underflows.
     """
-    best_exact = 0  # the largest all-rational row
-    pending = []    # (B, its integers, its values) of every other row
-    terms = 0
+    prec = precision_bits + 16
+    scale = 1 << (precision_bits + 14)  # 2^(p-2)
+    best_exact = 0    # the largest all-rational row
+    pending = []      # (K, its integers, its values) of every other row
+    estimates = {}    # value: (sum |coords|, m or None)
     for row in rows:
-        exact = bound = 0
-        values = []
+        exact = bound = terms = 0
+        values, floats = [], []
         for value in row:
             if isinstance(value, int):
                 exact += abs(value)
                 continue
-            coords = value[1]
+            estimate = estimates.get(value)
+            if estimate is None:
+                order, coords = value
+                size = sum(map(abs, coords))
+                estimate = estimates[value] = (size, _float_magnitude(
+                    order, coords, prec) if size < _FLOAT_LIMIT else None)
             values.append(value)
-            bound += sum(map(abs, coords))
-            terms = max(terms, len(coords))
-        if values:
-            pending.append((exact + bound, exact, values))
-        else:
+            bound += estimate[0]
+            floats.append(estimate[1])
+            terms = max(terms, len(value[1]))
+        if not values:
             best_exact = max(best_exact, exact)
+            continue
+        total = exact + bound
+        key = -(-total * (scale + terms + 100) // scale)
+        if total < _ROW_LIMIT and None not in floats:
+            eta = (ldexp(terms + 40, 3 - prec) + ldexp(terms + 5, -52)
+                   + ldexp(1.0, 8 - prec))
+            key = min(key, fsum((float(exact), *floats, float(bound) * eta))
+                      * _WIDEN)
+        pending.append((key, exact, values))
     pending.sort(key=itemgetter(0), reverse=True)
-    scale = 1 << (precision_bits + 14)  # 2^(p-2)
-    widen = scale + terms + 100         # (1 + margin) * scale
     memo: dict = {}
     products: dict = {}
     best_lo = best_hi = _F0
-    floor = Fraction(best_exact, den)
-    for bound, exact, values in pending:
-        if bound * widen * floor.denominator < floor.numerator * den * scale:
+    floor = best_exact  # den times the floor
+    for key, exact, values in pending:
+        if key < floor:
             break
         lo = hi = (0, 0)
         for value in values:
@@ -529,8 +615,10 @@ def max_magnitude_sum(rows, den: int, precision_bits: int) -> RatInterval:
             lo = _dyadic_add(lo, enclosure.lo)
             hi = _dyadic_add(hi, enclosure.hi)
         exact = Fraction(exact, den)
-        best_lo = max(best_lo, exact + _dyadic(*lo))
+        row_lo = exact + _dyadic(*lo)
+        if row_lo > best_lo:
+            best_lo = row_lo
+            floor = max(floor, best_lo * den)
         best_hi = max(best_hi, exact + _dyadic(*hi))
-        floor = max(floor, best_lo)
     best_exact = Fraction(best_exact, den)
     return RatInterval(max(best_lo, best_exact), max(best_hi, best_exact))

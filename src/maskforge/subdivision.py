@@ -53,7 +53,8 @@ from numbers import Rational
 from operator import add, index, mul
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicNumber, _canonical, max_magnitude_sum
+from .cyclotomic import (_F0, CyclotomicNumber, _canonical, _reduce_coords,
+                         max_magnitude_sum)
 from .decompose import (MaskDecomposition, decompose_to_class,
                         plain_difference)
 from .errors import PRODUCT_BUDGET, BudgetExceeded, ShapeMismatch
@@ -347,10 +348,24 @@ def _component_polys(f: Sequence) -> list[TrigPoly]:
 
 
 def _from_component_polys(dim: int, polys) -> Sequence:
-    """The sequence whose component i is polys[i] (inverse of _component_polys)."""
-    support = dict.fromkeys(itertools.chain.from_iterable(p.terms for p in polys))
-    return Sequence(dim, len(polys), {
-        alpha: tuple(p.terms.get(alpha, 0) for p in polys) for alpha in support})
+    """The sequence whose component i is polys[i] (inverse of
+    _component_polys), each value built once from its polynomial's integer
+    vector: reduced at its label, then one Fraction when it is rational and
+    one CyclotomicNumber otherwise, as Sequence holds values."""
+    components = [{f: _sequence_value(_canonical(vec, p.field, label), label,
+                                      p.den)
+                   for f, (vec, label) in p.vectors.items()} for p in polys]
+    support = dict.fromkeys(itertools.chain.from_iterable(components))
+    return Sequence._trusted(dim, len(polys), {
+        alpha: tuple(c.get(alpha, _F0) for c in components) for alpha in support})
+
+
+def _sequence_value(coords: tuple, order: int, den: int):
+    """The value of integer coords over den, canonical at order."""
+    if any(coords[1:]):
+        return CyclotomicNumber(
+            order, [Fraction(c, den) if c else _F0 for c in coords], reduce=False)
+    return Fraction(coords[0], den)
 
 
 def gradient(f: Sequence) -> Sequence:
@@ -427,11 +442,12 @@ def _norm(symbol: _Numerators, power: DilationPower,
     power, in one pass over each entry's terms: per row and coset of
     matrix Z^d, the rational magnitudes are summed as one integer and the
     other values gathered.  max_magnitude_sum encloses those rows in
-    descending order of their integer bounds (the integers plus each value's
-    sum of |coords|) and stops at the first whose bound, widened by its
-    proved rounding margin, is below the best lower end or the best
-    all-rational row: each distinct non-rational value it reaches is
-    enclosed once per call, the rows past that point never.  An entry whose
+    descending order of their keys (the smaller of the integer bound, the
+    integers plus each value's sum of |coords| widened by its proved
+    rounding margin, and a certified float estimate) and stops at the first
+    whose key is below the best lower end or the best all-rational row:
+    each distinct non-rational value it reaches is enclosed once per call,
+    the rows past that point never.  An entry whose
     classes all sit at position 0 holds rational numerators as they are;
     any other entry's values are reduced once at their labels."""
     field, den, entries, box = symbol
@@ -464,11 +480,29 @@ def _norm(symbol: _Numerators, power: DilationPower,
 
 def _reduced(entry: dict, field: int) -> dict:
     """{freq: value} of a class-form entry: a rational value as its integer
-    numerator, any other as (label, its integer coords reduced at the label)."""
+    numerator, any other as (label, its integer coords reduced at the label).
+
+    Every class at a frequency shares its label, and a class (label, p)
+    holds a power of zeta_label: each term is placed at p * label / field of
+    its frequency's vector at the label, and each vector is reduced once.  A
+    value whose coords reduce to zero, which Phi_field divides, is left
+    out."""
+    vectors: dict = {}
+    for (label, p), terms in entry.items():
+        i = p * label // field
+        for freq, n in terms.items():
+            vec = vectors.get(freq)
+            if vec is None:
+                vec = vectors[freq] = [0] * label
+            vec[i] += n
     out = {}
-    for freq, (vec, label) in _vectors(field, entry).items():
-        coords = _canonical(vec, field, label)
-        out[freq] = (label, coords) if any(coords[1:]) else coords[0]
+    for freq, vec in vectors.items():
+        label = len(vec)
+        coords = _reduce_coords(vec, label)
+        if any(coords[1:]):
+            out[freq] = (label, coords)
+        elif coords[0]:
+            out[freq] = coords[0]
     return out
 
 
@@ -858,10 +892,11 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
 class Refined(NamedTuple):
     """refine's result: the data after the rounds, whose value n / data.den
     at alpha sits at the grid point mat_vec(grid, alpha) / grid_den, which is
-    matrix^-rounds alpha (grid = adjugate^rounds, grid_den = det^rounds)."""
+    matrix^-rounds alpha (grid = adjugate^rounds, grid_den = det^rounds).
+    Data with no value have no grid point: grid and grid_den are None."""
     data: IntSequence
-    grid: tuple
-    grid_den: int
+    grid: tuple | None
+    grid_den: int | None
 
 
 def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
@@ -874,7 +909,8 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
     tuple is built.  A round that would form more than PRODUCT_BUDGET
     products |supp f| * |supp t| raises BudgetExceeded before it starts.
     Once a round leaves no value, every later round would too: the
-    denominator takes their factors D_a in one power and refine stops."""
+    denominator takes their factors D_a in one power and refine stops, and
+    the grid, whose entries grow with the rounds, is not formed."""
     if rounds < 0:
         raise ValueError("rounds must be nonnegative")
     mask = MatrixMask.from_scalar(t)
@@ -892,4 +928,6 @@ def refine(t: TrigPoly, ctx: DilationContext, f: Sequence,
             later = rounds - done - 1
             data = data._replace(den=data.den * _kernel(mask).den ** later)
             break
+    if not data.values:
+        return Refined(data, None, None)
     return Refined(data, matrix_power(ctx.adjugate, rounds), ctx.det ** rounds)

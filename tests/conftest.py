@@ -12,7 +12,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from mpmath import iv
 
 from maskforge import decompose, lattice, sumrules
-from maskforge.cyclotomic import (CyclotomicNumber, coerce,
+from maskforge.cyclotomic import (CyclotomicNumber, _canonical, coerce,
                                   cyclotomic_polynomial, exp_of_rational,
                                   _dyadic, _dyadic_add, _F0,
                                   magnitude_interval, root_of_unity)
@@ -24,9 +24,9 @@ from maskforge.maskfile import format_ratio
 from maskforge.lattice import (ISOTROPY_PROBE_DEPTH, DilationContext,
                                adjugate, coset_key, determinant, inf_norm,
                                mat_mul, mat_vec, matrix_power, transpose)
-from maskforge.subdivision import (MatrixMask, _as_matrix_mask,
+from maskforge.subdivision import (MatrixMask, Sequence, _as_matrix_mask,
                                    _dilation_matrix, _fold, _Numerators,
-                                   _numerators, _reduced, _split, _vectors)
+                                   _numerators, _split, _vectors)
 from maskforge.sumrules import (DerivativeTable, _direct_kernel,
                                 digit_interpolant, mask_from_derivative_table,
                                 multi_indices, multi_indices_up_to,
@@ -695,6 +695,27 @@ def reference_max_magnitude_sum(rows, den: int,
     return RatInterval(max(best_lo, best_exact), max(best_hi, best_exact))
 
 
+def reference_reduced(entry: dict, field: int) -> dict:
+    """subdivision._reduced as it was: each frequency's classes assembled as
+    one vector at the field order (_vectors, the TrigPoly merge, which drops
+    a sum that vanishes mod Phi_field), then read at its label and reduced
+    again there."""
+    out = {}
+    for freq, (vec, label) in _vectors(field, entry).items():
+        coords = _canonical(vec, field, label)
+        out[freq] = (label, coords) if any(coords[1:]) else coords[0]
+    return out
+
+
+def reference_from_component_polys(dim: int, polys):
+    """subdivision._from_component_polys as it was: each value wrapped as a
+    CyclotomicNumber by TrigPoly.terms, then simplified back to a Fraction
+    by Sequence.__init__ when it is rational."""
+    support = dict.fromkeys(itertools.chain.from_iterable(p.terms for p in polys))
+    return Sequence(dim, len(polys), {
+        alpha: tuple(p.terms.get(alpha, 0) for p in polys) for alpha in support})
+
+
 def reference_norm(symbol, matrix, precision_bits: int = 128) -> RatInterval:
     """The norm of a symbol on point tuples as subdivision._norm took it
     before it indexed cosets: a scan of every row, coset and frequency of the
@@ -702,7 +723,8 @@ def reference_norm(symbol, matrix, precision_bits: int = 128) -> RatInterval:
     (reference_max_magnitude_sum)."""
     field, den, entries, _ = symbol
     values = [[list(entry.values()) if all(p == 0 for _, p in entry)
-               else [_reduced(entry, field)] for entry in row] for row in entries]
+               else [reference_reduced(entry, field)] for entry in row]
+              for row in entries]
     support = set().union(*(d for row in values for parts in row for d in parts))
     return reference_max_magnitude_sum(
         ([d[alpha] for parts in row for d in parts for alpha in alphas

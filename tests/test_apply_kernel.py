@@ -6,7 +6,10 @@ which multiplies one exact value at a time.  The properties below draw
 dilations, masks and data and require the kernel, reached through
 IntSequence.from_sequence, to build the very same sequence as the
 reference: the same support (points whose contributions cancel are dropped
-by both) and the same Fractions.
+by both) and the same Fractions.  The reference path reads each value once
+off its polynomial's integer vector; conftest.reference_from_component_polys,
+which wrapped each value and simplified it back, checks its values field
+for field and type for type.
 """
 
 from fractions import Fraction
@@ -15,12 +18,15 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import dilations, points, rationals
+from conftest import (dilations, points, rationals,
+                      reference_from_component_polys)
 from maskforge import subdivision
-from maskforge.cyclotomic import root_of_unity
+from maskforge.cyclotomic import CyclotomicNumber, root_of_unity
 from maskforge.lattice import mat_vec
-from maskforge.subdivision import IntSequence, MatrixMask, Sequence, apply
+from maskforge.subdivision import (IntSequence, MatrixMask, Sequence,
+                                   _from_component_polys, apply)
 from maskforge.trigpoly import TrigPoly
+from test_exact_kernels import polys
 
 # deterministic and small: the whole module runs in about three seconds
 PROFILE = settings(max_examples=60, deadline=None, derandomize=True,
@@ -127,3 +133,30 @@ def test_cyclotomic_inputs_take_the_generic_path(monkeypatch, case):
     assert out == Sequence(1, 1, want)
     assert out == subdivision._apply_generic(MatrixMask.from_scalar(mask),
                                              matrix, f)
+
+
+def typed(value):
+    if isinstance(value, CyclotomicNumber):
+        return type(value), value.order, value.coords
+    return type(value), value
+
+
+@st.composite
+def component_polys(draw):
+    """(dim, polys): polynomials of values at orders 1-12, rationals held at
+    orders above 1 among them, some of them products, which relabel values."""
+    dim = draw(st.integers(1, 2))
+    components = draw(st.lists(polys(dim) | st.builds(
+        lambda a, b: a * b, polys(dim), polys(dim)), min_size=1, max_size=3))
+    return dim, components
+
+
+@settings(PROFILE, max_examples=25)
+@given(component_polys())
+def test_sequence_values_are_those_the_terms_give(case):
+    dim, components = case
+    got = _from_component_polys(dim, components)
+    want = reference_from_component_polys(dim, components)
+    assert list(got.values) == list(want.values)
+    for alpha, vec in got.values.items():
+        assert list(map(typed, vec)) == list(map(typed, want.values[alpha]))

@@ -17,6 +17,7 @@ the wrong field.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import mpmath
@@ -390,6 +391,14 @@ def sum_value(x):
     return x.order, tuple(int(c) for c in x.coords[:deg])
 
 
+def unit_power(i, k):
+    """sum_value of SMALL_UNITS[i] to the k-th power."""
+    x = SMALL_UNITS[i]
+    for _ in range(k - 1):
+        x = x * SMALL_UNITS[i]
+    return sum_value(x)
+
+
 @st.composite
 def magnitude_rows(draw):
     """(rows, den): rows of bound B or B less a gap of 1/den or of up to a
@@ -431,6 +440,27 @@ def magnitude_rows(draw):
 # passes, at 32 and at 128 bits: a search without a margin drops that end
 @example(([[1 << 60], [(5, (0, (1 << 60) - 1, 0, 0))]], 1), False)
 @example(([[1 << 160], [(5, (0, (1 << 160) - 1, 0, 0))]], 1), True)
+# rows tied under the float estimate: |E z3| = |E z5| = |E z12| = E, beside
+# an integer row E, so a row's float m may fall below the floor by one
+# rounding; each must still be enclosed
+@example(([[3 ** 30], [(3, (0, 3 ** 30))], [(5, (0, 3 ** 30, 0, 0))],
+           [(12, (0, 3 ** 30, 0, 0))]], 1), False)
+@example(([[(5, (0, 0, 7, 0)), 2], [(3, (0, 9))], [(4, (0, 9))]], 1), True)
+# values that cancel to below 2^-40 of their bound (|x| / sum |coords| is
+# about 2^-75 and 2^-110), beside the integer row 1 that they pass
+@example(([[unit_power(0, 20), 1], [1],
+           [unit_power(0, 28), 1]], 1), False)
+@example(([[unit_power(1, 60), 5], [5]], 3), True)
+# coords near 2^1100, and at the 2^500 sum of |coords| up to which a value
+# has a float estimate: such a value keeps its integer bound alone, and so
+# does a row whose integers pass 2^1000
+@example(([[1 << 1100], [(5, (0, (1 << 1100) - 1, 0, 0))],
+           [(3, (1 << 1100, 1 << 1099))], [(3, (0, 1)), 1 << 1100]], 1), False)
+@example(([[(3, (1 << 499, 1 << 499))], [(3, ((1 << 499) - 1, 1 << 499))],
+           [1 << 499]], 1), True)
+# den near 2^1100: the values' float estimates do not divide by it
+@example(([[(3, (0, 5))], [(5, (1, 2, 3, 4))], [7], [(12, (3, 0, 0, 4)), 2]],
+          (1 << 1100) + 1), False)
 def test_pruned_magnitude_sum_matches_every_row_enclosed(case, as_generator):
     rows, den = case
     for bits in (32, 128):
@@ -438,6 +468,47 @@ def test_pruned_magnitude_sum_matches_every_row_enclosed(case, as_generator):
         got = max_magnitude_sum((row for row in rows) if as_generator else rows,
                                 den, bits)
         assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+@st.composite
+def integer_values(draw):
+    """(order, canonical integer coords), not all zero, of 1 to 200 bits."""
+    order = draw(st.sampled_from((3, 4, 5, 12, 15)))
+    deg = len(cyclotomic_polynomial(order)) - 1
+    coords = draw(st.lists(st.integers(-9, 9) | st.integers(-2 ** 200, 2 ** 200),
+                           min_size=deg, max_size=deg).filter(any))
+    return order, tuple(coords)
+
+
+@lru_cache(maxsize=None)
+def exact_root(k, order, bits):
+    """zeta_order^k as an mpc of the given precision."""
+    with mpmath.workprec(bits):
+        return mpmath.expjpi(mpmath.mpf(2 * k) / order)
+
+
+@settings(PROFILE, max_examples=20)
+@given(integer_values())
+@example(unit_power(0, 28))
+@example(unit_power(1, 60))
+def test_float_magnitude_and_enclosure_within_their_bounds(value):
+    # the two bounds max_magnitude_sum's float key adds up, at the floor of
+    # 32 bits, where the enclosures are widest, and at 8,192, where the
+    # doubles' error is all of it: |m - R| <= S (2^(8-p) + (t+5) 2^-52),
+    # and the upper end passes R by at most S (t+40) 2^(3-p)
+    order, coords = value
+    size, t = sum(map(abs, coords)), len(coords)
+    for bits in (32, 8192):
+        p = bits + 16
+        m = cyclotomic._float_magnitude(order, coords, p)
+        hi = magnitude_interval(value, bits).hi
+        with mpmath.workprec(p + 64):
+            exact = abs(mpmath.fsum(n * exact_root(k, order, p + 64)
+                                    for k, n in enumerate(coords)))
+            assert abs(m - exact) <= size * (mpmath.ldexp(1, 8 - p)
+                                             + mpmath.ldexp(t + 5, -52))
+            assert mpmath.mpf(hi.numerator) / hi.denominator - exact \
+                <= size * mpmath.ldexp(t + 40, 3 - p)
 
 
 # -- raw magnitude enclosures against the iv context -----------------------------

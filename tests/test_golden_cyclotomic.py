@@ -30,7 +30,7 @@ dyadic endpoints of 48- and 8,208-bit enclosures.  Both files were recorded
 while the enclosures still ran on mpmath's libmp interval functions.  The
 order-2 mask's smooth block is pinned at 32 bits too: there the enclosures
 are widest, so a pruning margin too small to cover them shows first, and
-the norms' bound-ordered search skips about 80 % of them.  That file was
+the norms' key-ordered search skips about 96 % of them.  That file was
 recorded while every row of each norm was enclosed.
 """
 
@@ -157,8 +157,9 @@ def test_precision_extremes_give_the_golden_bytes(name, mask, bits, mask_files,
                                         ("cyc3_order2_smooth_lmax2_bits32", 32)])
 def test_smooth_encloses_only_the_rows_that_can_hold_the_maximum(
         name, bits, mask_files, monkeypatch):
-    # every row enclosed took 2,532 enclosures; the rows a larger lower end
-    # already bounds take none
+    # every row enclosed took 2,532 enclosures, and the rows whose integer
+    # bound could reach the maximum 520; the rows whose certified float
+    # estimate can reach it take 97
     calls = []
 
     def counting(*args):
@@ -168,4 +169,4 @@ def test_smooth_encloses_only_the_rows_that_can_hold_the_maximum(
     monkeypatch.setenv("MASKFORGE_PRECISION_BITS", str(bits))
     got = machine_text(["smooth", mask_files["cyc3_order2"], "--lmax", "2"])
     assert got == (GOLDEN / f"{name}.json").read_text()
-    assert len(calls) == 520
+    assert len(calls) == 97

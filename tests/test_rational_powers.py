@@ -16,7 +16,10 @@ each frequency as an int code on one box:
 test_coded_powers_match_the_tuple_reference decodes each power and compares
 its classes and numerators, and its norm, with conftest.reference_powers and
 reference_norm, the loop and norm on point tuples that the coded ones
-replaced.
+replaced.  The norm reads each class-form entry once at its labels
+(_reduced); conftest.reference_reduced, which assembles each value at the
+field order, tests it mod Phi_N and reduces it again at its label, is its
+reference, on drawn entries and on the entries of L = 2 powers.
 """
 
 import random
@@ -26,13 +29,14 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASES, contexts, operator_powers, point_entries,
-                      random_class_mask, reference_norm, reference_powers)
+                      random_class_mask, reference_norm, reference_powers,
+                      reference_reduced)
 from maskforge.cyclotomic import root_of_unity
 from maskforge.lattice import (DilationContext, dilation_power,
                                power_inf_norm, transpose)
 from maskforge.subdivision import (MatrixMask, _certificate_search, _norm,
-                                   _powers, _vectors, check_convergence,
-                                   operator_norm)
+                                   _powers, _reduced, _vectors,
+                                   check_convergence, operator_norm)
 from maskforge.trigpoly import TrigPoly, _number
 from test_exact_kernels import coefficients, polys
 
@@ -180,6 +184,63 @@ def test_coded_powers_match_the_tuple_reference(case):
         for bits in (64, 128):
             assert _norm(symbol, dilation_power(matrix, L), bits) \
                 == reference_norm(want, step, bits), L
+
+
+@st.composite
+def class_entries(draw):
+    """(entry, N): a class-form entry at N in {3, 4, 5, 12, 15}.  Each
+    frequency has one label dividing N and classes (label, p), p a multiple
+    of N/label, with small numerators.  Some frequencies hold n (1 + z3 +
+    z3^2), which vanishes, or classes of label 4 at positions 0 and N/2
+    only, a rational held at order 4 (zero when the two cancel)."""
+    field = draw(st.sampled_from((3, 4, 5, 12, 15)))
+    labels = [d for d in range(1, field + 1) if field % d == 0]
+    kinds = ["any"] + ["vanish"] * (field % 3 == 0) + ["order4"] * (field % 4 == 0)
+    entry: dict = {}
+    for freq in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        n = draw(st.integers(-3, 3).filter(bool))
+        if kind == "vanish":
+            terms = [((3, j * field // 3), n) for j in range(3)]
+        elif kind == "order4":
+            terms = [((4, 0), n), ((4, field // 2), draw(st.sampled_from((n, -n, 2))))]
+        else:
+            label = draw(st.sampled_from(labels))
+            step = field // label
+            terms = [((label, step * draw(st.integers(0, label - 1))),
+                      draw(st.integers(-3, 3).filter(bool)))
+                     for _ in range(draw(st.integers(1, 4)))]
+        for key, x in terms:
+            classes = entry.setdefault(key, {})
+            classes[(freq,)] = classes.get((freq,), 0) + x
+    return entry, field
+
+
+@settings(PROFILE, max_examples=60)
+@given(class_entries())
+# 2 (1 + z3 + z3^2) vanishes at every field order the cube roots divide
+@example(({(3, 0): {(0,): 2}, (3, 4): {(0,): 2}, (3, 8): {(0,): 2},
+           (12, 1): {(1,): 1}}, 12))
+# 1 + z4^2 = 0 and 3 + z4^2 = 2, held at order 4; 5 z15^5 is held at 3
+@example(({(4, 0): {(0,): 1, (1,): 3}, (4, 6): {(0,): 1, (1,): 1}}, 12))
+@example(({(3, 5): {(2,): 5}, (1, 0): {(3,): -1}}, 15))
+def test_reduced_matches_the_field_order_reference(case):
+    entry, field = case
+    got = _reduced(entry, field)
+    assert list(got.items()) == list(reference_reduced(entry, field).items())
+
+
+@settings(PROFILE, max_examples=4)
+@given(case=cyclotomic_cases())
+def test_reduced_power_entries_match_the_reference(case):
+    # the L = 2 power of a cyclotomic scheme, each entry read at its labels
+    ctx, mask = case
+    *_, (_, symbol, _) = _powers(mask, ctx.matrix, 2)
+    for row in symbol.entries:
+        for entry in row:
+            got = _reduced(entry, symbol.field)
+            assert list(got.items()) == \
+                list(reference_reduced(entry, symbol.field).items())
 
 
 def test_large_3d_trajectory_norms():
