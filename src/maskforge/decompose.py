@@ -118,11 +118,7 @@ class MaskDecomposition:
             for entry in self.entries.values())
 
     def symbol_matrix(self) -> list:
-        """d^n-by-d^n array with rows indexed by the plain tuples and columns
-        by the dilated tuples (Kronecker-power index order)."""
-        tuples = self.axis_tuples()
-        return [[self.entries[(j_tuple, k_tuple)] for j_tuple in tuples]
-                for k_tuple in tuples]
+        return _symbol_matrix(self.entries, self.ctx.dim, self.order)
 
     def to_json(self) -> dict:
         from .maskfile import mask_terms_json
@@ -166,6 +162,14 @@ class MaskDecomposition:
 
 
 IteratedDecomposition = MaskDecomposition
+
+
+def _symbol_matrix(entries: dict, dim: int, order: int) -> list:
+    """d^n-by-d^n array of {(j_tuple, k_tuple): entry}, rows indexed by the
+    plain tuples, columns by the dilated ones (Kronecker-power index order)."""
+    tuples = list(itertools.product(range(1, dim + 1), repeat=order))
+    return [[entries[(j_tuple, k_tuple)] for j_tuple in tuples]
+            for k_tuple in tuples]
 
 
 def decompose_mask(t: TrigPoly, ctx: DilationContext) -> MaskDecomposition:
@@ -626,32 +630,31 @@ def _lift(dec: MaskDecomposition, n_cap: int) -> MaskDecomposition:
 # iterated form
 # ---------------------------------------------------------------------------
 
+def _next_level(entries: dict, ctx: DilationContext, source_order: int) -> dict:
+    """Each order-`source_order` mask of {(j_tuple, k_tuple): mask} decomposed
+    by decompose_to_class, its entries keyed by the extended tuples."""
+    return {(j_t + j, k_t + k): entry for (j_t, k_t), poly in entries.items()
+            for (j, k), entry in decompose_to_class(poly, ctx, source_order).entries.items()}
+
+
 def decompose_levels(t: TrigPoly, ctx: DilationContext, levels: int,
                      order: int) -> MaskDecomposition:
     """Repeatedly decompose a mask with order-`order` sum rules (certified by
     the caller), indexing entries by axis tuples of length `levels`.
 
     Entries then satisfy the order order - levels rules when that is
-    nonnegative, guarded by the decompositions of the last level.  Recursion
-    peels the last tuple position: the level-(i-1) entries, each one order
-    lower, are decomposed again.  One level is a single decomposition.
+    nonnegative, guarded by the decompositions of the last level; each level
+    decomposes the entries of the one before, one order lower (_next_level).
     """
     if levels < 1:
         raise ValueError("levels must be at least 1")
     entries = {((), ()): t}
     for level in range(levels):
-        new_entries = {}
-        for (j_prefix, k_prefix), poly in entries.items():
-            dec = decompose_to_class(poly, ctx, order - level)
-            for (j, k), entry in dec.entries.items():
-                new_entries[(j_prefix + j, k_prefix + k)] = entry
-        entries = new_entries
-    if levels == 1:
-        return dec
+        entries = _next_level(entries, ctx, order - level)
     result = MaskDecomposition(source=t, ctx=ctx, order=levels, entries=entries,
                                achieved_class=order - levels)
-    if not result.identity_holds():
+    if levels > 1 and not result.identity_holds():
         raise InternalIdentityViolation("iterated identity failed")
-    if not result.value_constraint_holds():
+    if levels > 1 and not result.value_constraint_holds():
         raise InternalIdentityViolation("iterated value constraint failed")
     return result

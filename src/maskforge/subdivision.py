@@ -21,13 +21,13 @@ coefficient field: each power's symbol is held as integer numerators over
 one denominator D^L at the scheme's field order N (N = 1 for a rational
 scheme), each coefficient labelled with the order the TrigPoly fold of
 MatrixMask.matmul_dilated holds it at, because a certified magnitude depends
-on that order.  Past L = 1 every frequency is one int code on one box that
-holds every power up to the cap, so a pair product is placed with one int
-add.  One norm serves every power and operator_norm: in one pass over each
-entry's terms it sums rational magnitudes per row and coset exactly, finds
-each distinct frequency's coset once, and encloses each distinct
-non-rational value once.  A power whose pair products would pass
-PRODUCT_BUDGET is not formed: the search stops before it, inconclusive.
+on that order.  Past L = 1 every frequency is one int code on one box, of
+min(cap, FIRST_BOX_POWERS) powers and then twice as many, so a pair product
+is placed with one int add.  One norm serves every power and operator_norm:
+in one pass over each entry's terms it sums rational magnitudes per row and
+coset exactly, finds each distinct frequency's coset once, and encloses
+each distinct non-rational value once.  A power whose pair products would
+pass PRODUCT_BUDGET is not formed: the search stops before it, inconclusive.
 
 apply has two paths.  Scalar rational data held as an IntSequence, under a
 rational scalar mask, run one integer kernel (_subdivide) on points held
@@ -55,8 +55,8 @@ from typing import NamedTuple
 
 from .cyclotomic import (_F0, CyclotomicNumber, _canonical, _reduce_coords,
                          max_magnitude_sum)
-from .decompose import (MaskDecomposition, decompose_to_class,
-                        plain_difference)
+from .decompose import (MaskDecomposition, _next_level, _symbol_matrix,
+                        decompose_to_class, plain_difference)
 from .errors import PRODUCT_BUDGET, BudgetExceeded, ShapeMismatch
 from .intervals import RatInterval
 from .lattice import (DilationContext, DilationPower, IsotropyReport, _Box,
@@ -720,15 +720,15 @@ def second_difference_scheme(T: MatrixMask, ctx: DilationContext) -> MatrixMask:
 
     Requires every entry of T in the order-0 sum-rule class, which holds for
     the difference scheme of any order-1 mask; the entries are not scanned
-    again.  Row blocks follow the gradient's component-major layout."""
+    again.  Q is T's entries decomposed at class 0, the second level in
+    Kronecker-power order (row blocks follow the gradient's component-major
+    layout); decompose_levels lifts that level at orders 3 and above."""
     d = ctx.dim
     if (T.rows, T.cols) != (d, d):
         raise ShapeMismatch("second difference scheme needs a d-by-d mask")
-    # block (k, j) is the difference-scheme symbol of entry (k, j)
-    blocks = [[decompose_to_class(T.entry(k, j), ctx, 0).symbol_matrix()
-               for j in range(d)] for k in range(d)]
-    return MatrixMask([[q for block in block_row for q in block[kappa]]
-                       for block_row in blocks for kappa in range(d)])
+    # T read back as the first level: T[k][j] = entry(j, k)
+    first = {((j + 1,), (k + 1,)): T.entry(k, j) for k in range(d) for j in range(d)}
+    return MatrixMask(_symbol_matrix(_next_level(first, ctx, 0), d, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +830,6 @@ class SmoothnessReport:
     certificate_power: int | None
     products: list                    # [(L, RatInterval of |Mt^L| * |S_Q^L|)]
     reasons: list
-    difference_mask: MatrixMask | None = field(repr=False, default=None)
     second_difference_mask: MatrixMask | None = field(repr=False, default=None)
 
     def to_json(self) -> dict:
@@ -868,12 +867,11 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     in_z1 = convergence.sum_rule_order >= 1
     if not in_z1:
         reasons.append("mask is not in the order-1 sum-rule class")
-    T = convergence.difference_mask
     Q = None
     products = []
     certificate = None
-    if in_z1 and T is not None:
-        Q = second_difference_scheme(T, ctx)
+    if in_z1:
+        Q = second_difference_scheme(convergence.difference_mask, ctx)
         products, certificate, stopped = _certificate_search(
             Q, ctx, power_cap, precision_bits, growth=True)
         if certificate is None:
@@ -885,8 +883,7 @@ def check_c1(t: TrigPoly, ctx: DilationContext,
     return SmoothnessReport(verdict=verdict, isotropy=isotropy,
                             convergence=convergence, in_order1_class=in_z1,
                             certificate_power=certificate, products=products,
-                            reasons=reasons, difference_mask=T,
-                            second_difference_mask=Q)
+                            reasons=reasons, second_difference_mask=Q)
 
 
 class Refined(NamedTuple):

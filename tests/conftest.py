@@ -858,6 +858,23 @@ def kronecker_power(matrix, n: int):
     return result
 
 
+def reference_second_difference_scheme(T: MatrixMask,
+                                       ctx: DilationContext) -> MatrixMask:
+    """second_difference_scheme built apart from the level step and the
+    Kronecker layout it shares with decompose_levels: each entry of T is
+    decomposed at class 0 on its own, and the d-by-d blocks are laid out by
+    hand, block (k, j) holding the difference-scheme symbol of entry (k, j),
+    its row kappa and column jj that decomposition's entry(jj, kappa)."""
+    d = ctx.dim
+    if (T.rows, T.cols) != (d, d):
+        raise ShapeMismatch("second difference scheme needs a d-by-d mask")
+    blocks = [[decompose.decompose_to_class(T.entry(k, j), ctx, 0)
+               for j in range(d)] for k in range(d)]
+    return MatrixMask([[block.entry(jj + 1, kappa + 1)
+                        for block in block_row for jj in range(d)]
+                       for block_row in blocks for kappa in range(d)])
+
+
 def iterated_decomposition(t: TrigPoly, ctx: DilationContext, levels: int,
                            source_order: int) -> MaskDecomposition:
     """Iterated decomposition of a mask that satisfies the order-(source_order

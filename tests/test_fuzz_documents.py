@@ -1,11 +1,13 @@
 """Mutated mask, decomposition and sequence-CSV documents through the
 subcommands, in process: every call ends in an exit code of the documented
-table, never the bug-guard code 6, and no exception escapes main."""
+table, never the bug-guard code 6, no exception escapes main, and no call
+runs past CALL_SECONDS."""
 
 import copy
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from functools import cache
 from pathlib import Path
@@ -42,6 +44,10 @@ FAR = [2 ** 30, -2 ** 45, -2 ** 70, 10 ** 30]
 ORDERS = [0, -1, 55440, 10 ** 9, 2 ** 70]
 NON_ASCII_ONE = "\u0661"  # ARABIC-INDIC DIGIT ONE: str.isdigit, not ASCII
 MISSING = object()  # the edit that deletes the key
+
+# a generous ceiling on one in-process call, for a loaded 2-core host: an
+# edit that makes a subcommand run away shows here, not as a hung suite
+CALL_SECONDS = 10.0
 
 PROFILE = settings(max_examples=120, deadline=None, derandomize=True,
                    database=None, phases=[Phase.explicit, Phase.generate])
@@ -133,7 +139,8 @@ def edited(doc, path, value):
 
 
 def exit_codes(edit_list) -> list:
-    """The exit code of each of COMMANDS on the edited documents."""
+    """The exit code of each of COMMANDS on the edited documents, each call
+    timed against CALL_SECONDS."""
     docs = dict(documents())
     for name, path, value in edit_list:
         docs[name] = edited(docs[name], path, value)
@@ -145,10 +152,13 @@ def exit_codes(edit_list) -> list:
             path.write_text("".join(",".join(row) + "\n" for row in docs[name])
                             if name == DATA else json.dumps(docs[name]),
                             encoding="utf-8")
-        for argv in COMMANDS:
-            argv = [str(files.get(arg, arg)) for arg in argv]
+        for command in COMMANDS:
+            argv = [str(files.get(arg, arg)) for arg in command]
+            start = time.perf_counter()
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
+            seconds = time.perf_counter() - start
+            assert seconds < CALL_SECONDS, (command, edit_list, seconds)
     return codes
 
 

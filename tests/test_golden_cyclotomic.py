@@ -18,7 +18,11 @@ read its weights off the direct checker's integer moments.  At m = 2 every
 digit interpolant already holds order 2, which hides a wrong order label on
 a weight; at m = 4 it does not.  The 2-d mask at order 3 makes the lift run
 two passes, and the 3-d one runs the rule that skips a beta with a component
-between the two rows exchanged, which no 2-d lift reaches.
+between the two rows exchanged, which no 2-d lift reaches.  The order-3 mask
+is also the one golden input where the C1 scheme, the second decomposition
+level at class 0, differs from "decompose --levels 2", whose second level is
+lifted to class 1; its "decompose --levels 2" and "smooth" files were
+recorded while the two were built by separate code, and pin both.
 
 The order-2 Q(zeta_3) mask is also read from a file that writes the same
 values with other coords (non_canonical_document); its analyze, decompose
@@ -69,6 +73,10 @@ CASES = [
     ("cyc35_order1_smooth_lmax2", "cyc35_order1", ["smooth", "--lmax", "2"]),
     ("twice2_cyc3_order3_decompose_order3", "twice2_cyc3_order3",
      ["decompose", "--order", "3"]),
+    ("twice2_cyc3_order3_decompose_levels2", "twice2_cyc3_order3",
+     ["decompose", "--levels", "2"]),
+    ("twice2_cyc3_order3_smooth_lmax2", "twice2_cyc3_order3",
+     ["smooth", "--lmax", "2"]),
     ("twice3_cyc3_order2_decompose_order2", "twice3_cyc3_order2",
      ["decompose", "--order", "2"]),
 ]

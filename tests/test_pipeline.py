@@ -110,7 +110,7 @@ def test_power_budget_stops_each_search(monkeypatch, products):
     # but stops the C1 products before theirs
     t, ctx = seeded_mask("twice3")
     full = check_c1(t, ctx, power_cap=2)
-    counts = (pair_count(full.difference_mask),
+    counts = (pair_count(full.convergence.difference_mask),
               pair_count(full.second_difference_mask))
     assert counts == (1632, 3044)
     products.clear()
